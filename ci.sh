@@ -108,6 +108,39 @@ for target in fig7 fig8 fig9 fig10 table2 summary; do
 done
 echo "figures bit-identical"
 
+echo "== campaign goldens byte-identical to committed outputs =="
+# The fixed-seed --json reports of the campaign subcommands. One campaign
+# engine serves crash, faults, chaos and serve, so a refactor of it must
+# not move a byte; expected/ holds the committed outputs (regenerate with
+# the same command + redirect if a change is ever intended, and say so in
+# the PR). tests/campaign_goldens.rs rebuilds all but serve_sweep through
+# the library.
+golden() {
+  local name=$1; shift
+  diff "expected/$name.json" <("$SWCTL" "$@") \
+    || { echo "ci: $name drifted from expected/$name.json" >&2; exit 1; }
+}
+scale=(--threads 2 --ops 2)
+golden faults faults queue --lang txn --design strandweaver "${scale[@]}" \
+  --regions 16 --rounds 9 --seed 42 --json
+golden faults_heap faults queue --lang txn --design strandweaver "${scale[@]}" \
+  --regions 16 --rounds 9 --seed 42 --json --heap
+golden heap_verify heap hashmap --verify --lang native --design eadr "${scale[@]}" \
+  --regions 40 --rounds 40 --seed 7 --json
+golden chaos chaos queue --lang txn --design strandweaver "${scale[@]}" \
+  --regions 24 --rounds 3 --seed 1 --json
+golden serve serve queue --lang txn --design strandweaver "${scale[@]}" \
+  --regions 24 --seed 1234 --json
+golden chaos_sweep chaos queue --sweep "${scale[@]}" --regions 24 --rounds 2 --seed 1 --json
+golden serve_sweep serve nstore-bal --sweep "${scale[@]}" --regions 24 --seed 1234 --json
+# All control rounds (the log-free model writes no log to inject into).
+golden faults_native faults queue --lang native --design eadr "${scale[@]}" \
+  --regions 16 --rounds 6 --seed 5 --json
+# Redo logging: guards the log strategy carried into the driven run.
+golden faults_redo faults hashmap --lang sfr --design intel-x86 "${scale[@]}" \
+  --regions 16 --rounds 12 --seed 9 --redo --json
+echo "campaign goldens bit-identical"
+
 echo "== swctl chaos (fixed-seed online-fault smoke) =="
 # Deterministic online-fault campaign: every device-fault class must fire
 # (transient write failures, permanent media errors, read poison), at
@@ -157,6 +190,13 @@ if ! grep -q '"silent_corruptions":0' <<<"$serve_out"; then
 fi
 printf '%s\n' "$serve_out" | target/debug/examples/serve_roundtrip
 echo "serve smoke ok"
+
+echo "== perfbench (the repository benchmark builds and self-tests) =="
+# perfbench links the crates' public API from its own workspace; an API
+# break must fail here rather than in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+echo "perfbench ok"
 
 echo "== swctl bench (perf trajectory + regression gate) =="
 # Fixed small scale so one pass finishes quickly on a 1-CPU container; the

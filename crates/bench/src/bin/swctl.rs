@@ -10,7 +10,9 @@
 //! swctl heap   <benchmark> [--churn] [--verify] [--json] [crash flags]
 //! swctl serve  <benchmark> [--sweep] [--shards N] [--requests N] [--load F]
 //!              [--arrival poisson|bursty] [--shed-policy drop-tail|deadline|token-bucket]
-//!              [--queue-depth N] [--deadline-factor N] [--no-faults] [run flags]
+//!              [--queue-depth N] [--deadline-factor N] [--no-faults] [--lang ...]
+//!              [--design <d>] [--redo] [--threads N] [--regions N] [--ops N]
+//!              [--seed N] [--json]   (no --sq/--pq: exit 2)
 //! swctl trace  <benchmark> [--out <file.json>] [--jsonl] [run flags]
 //! swctl litmus | fig1 | fig2 | table1
 //! swctl table2 [--json]
@@ -116,9 +118,10 @@ fn usage() -> ! {
          \n  serve <benchmark>  fault-tolerant open-loop serving layer: seeded arrivals, bounded\
          \n                     admission queue, per-shard circuit breakers, Salvage recovery on\
          \n                     quarantine, failover on spare exhaustion; reports p50/p99/p999 and\
-         \n                     goodput/shed/timeout/failover (run flags plus --shards --requests\
-         \n                     --load --arrival --shed-policy --queue-depth --deadline-factor\
-         \n                     --no-faults; --sweep walks legal design x lang across a load grid)\
+         \n                     goodput/shed/timeout/failover (flags: --lang --design --redo --threads\
+         \n                     --regions --ops --seed --json --shards --requests --load --arrival\
+         \n                     --shed-policy --queue-depth --deadline-factor --no-faults; --sweep\
+         \n                     walks legal design x lang across a load grid; --sq/--pq are rejected)\
          \n  chaos <benchmark>  online device-fault chaos campaign: live transient/permanent/poison\
          \n                     faults with retry, remap, and MCE delivery; checks silent corruption,\
          \n                     PMO order, and crash reconvergence (crash flags plus --json;\
@@ -484,6 +487,7 @@ fn dispatch() {
             let shed = or_exit(cli::take_value(&mut rest, "--shed-policy"));
             let queue_depth = or_exit(cli::take_value(&mut rest, "--queue-depth"));
             let deadline = or_exit(cli::take_value(&mut rest, "--deadline-factor"));
+            or_exit(cli::reject_flags(&rest, "serve", &["--sq", "--pq"]));
             let f = parse_flags(&rest);
 
             let mut cfg = ServeConfig::new(bench, f.lang, f.design);

@@ -168,6 +168,18 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     Ok(f)
 }
 
+/// Rejects any of `flags` in `args`: shared flags that `subcommand`
+/// cannot honour fail with a named error instead of being silently
+/// dropped.
+pub fn reject_flags(args: &[String], subcommand: &str, flags: &[&str]) -> Result<(), CliError> {
+    match args.iter().find(|a| flags.contains(&a.as_str())) {
+        Some(flag) => Err(CliError::msg(format!(
+            "{subcommand} does not take {flag}: its cells always run the Table I machine"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Removes a boolean subcommand-specific switch (e.g. `--sweep`, `--heap`)
 /// from `args` before they reach [`parse_flags`], which would otherwise
 /// reject it. Returns whether the switch was present.
@@ -278,6 +290,18 @@ mod tests {
         let mut dangling = argv("--json --load");
         let e = take_value(&mut dangling, "--load").unwrap_err();
         assert_eq!(e, CliError::Message("--load needs a value".into()));
+    }
+
+    #[test]
+    fn rejected_flags_are_named_errors() {
+        let e = reject_flags(&argv("--json --pq 2"), "serve", &["--sq", "--pq"]).unwrap_err();
+        assert_eq!(
+            e,
+            CliError::Message(
+                "serve does not take --pq: its cells always run the Table I machine".into()
+            )
+        );
+        assert!(reject_flags(&argv("--json --seed 1"), "serve", &["--sq", "--pq"]).is_ok());
     }
 
     #[test]

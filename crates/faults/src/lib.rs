@@ -71,7 +71,7 @@ use sw_pmem::{
     classify_heap_slot, Addr, HeapSlotState, PmImage, PmLayout, CACHE_LINE_BYTES,
     HEAP_JOURNAL_SLOTS, HW_CHECKSUM,
 };
-use sw_trace::{TraceEvent, TraceSink};
+use sw_trace::TraceEvent;
 
 /// A class of injectable damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,6 +158,15 @@ impl InjectedFault {
     pub fn is_fatal(&self) -> bool {
         matches!(self.resulting, SlotState::Corrupt | SlotState::Poisoned)
     }
+
+    /// The `FaultInjected` trace event recording this fault.
+    pub fn event(&self) -> TraceEvent {
+        TraceEvent::FaultInjected {
+            thread: self.tid as u32,
+            line: self.line,
+            class: self.class.label(),
+        }
+    }
 }
 
 /// Deterministic fault injector over crash images.
@@ -187,29 +196,9 @@ impl FaultInjector {
 
     /// Injects the plan's faults into `img` and returns what was placed.
     pub fn inject(&mut self, img: &mut PmImage, layout: &PmLayout) -> Vec<InjectedFault> {
-        self.inject_impl(img, layout, None)
-    }
-
-    /// As [`FaultInjector::inject`], emitting one `FaultInjected` trace
-    /// event per placed fault (timestamped by injection order).
-    pub fn inject_traced(
-        &mut self,
-        img: &mut PmImage,
-        layout: &PmLayout,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<InjectedFault> {
-        self.inject_impl(img, layout, Some(sink))
-    }
-
-    fn inject_impl(
-        &mut self,
-        img: &mut PmImage,
-        layout: &PmLayout,
-        mut sink: Option<&mut dyn TraceSink>,
-    ) -> Vec<InjectedFault> {
         let mut candidates = valid_slots(img, layout);
         let mut injected = Vec::new();
-        for (i, &class) in self.plan.classes.clone().iter().enumerate() {
+        for &class in &self.plan.classes.clone() {
             if candidates.is_empty() {
                 break;
             }
@@ -217,24 +206,13 @@ impl FaultInjector {
             let (tid, slot, base) = candidates.swap_remove(pick);
             let resulting = self.damage_slot(img, base, class);
             debug_assert!(resulting.is_damaged(), "injection must be detectable");
-            let fault = InjectedFault {
+            injected.push(InjectedFault {
                 class,
                 tid,
                 slot,
                 line: base.line().raw(),
                 resulting,
-            };
-            if let Some(s) = sink.as_deref_mut() {
-                s.record(
-                    i as u64,
-                    TraceEvent::FaultInjected {
-                        thread: tid as u32,
-                        line: fault.line,
-                        class: class.label(),
-                    },
-                );
-            }
-            injected.push(fault);
+            });
         }
         injected
     }
@@ -306,6 +284,17 @@ impl InjectedHeapFault {
             HeapSlotState::Corrupt | HeapSlotState::Poisoned
         )
     }
+
+    /// The `FaultInjected` trace event recording this fault: `thread` is
+    /// `u32::MAX` (allocator metadata is pool-owned, not thread-owned) and
+    /// the class label carries a `heap-` prefix.
+    pub fn event(&self) -> TraceEvent {
+        TraceEvent::FaultInjected {
+            thread: u32::MAX,
+            line: self.line,
+            class: self.class.heap_label(),
+        }
+    }
 }
 
 impl FaultInjector {
@@ -315,31 +304,9 @@ impl FaultInjector {
     /// is self-verifying exactly like the log path: the slot must
     /// re-classify as damaged or the perturbation is re-rolled.
     pub fn inject_heap(&mut self, img: &mut PmImage, layout: &PmLayout) -> Vec<InjectedHeapFault> {
-        self.inject_heap_impl(img, layout, None)
-    }
-
-    /// As [`FaultInjector::inject_heap`], emitting one `FaultInjected`
-    /// trace event per placed fault (`thread` is `u32::MAX`: allocator
-    /// metadata is pool-owned, not thread-owned; the class label carries
-    /// a `heap-` prefix).
-    pub fn inject_heap_traced(
-        &mut self,
-        img: &mut PmImage,
-        layout: &PmLayout,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<InjectedHeapFault> {
-        self.inject_heap_impl(img, layout, Some(sink))
-    }
-
-    fn inject_heap_impl(
-        &mut self,
-        img: &mut PmImage,
-        layout: &PmLayout,
-        mut sink: Option<&mut dyn TraceSink>,
-    ) -> Vec<InjectedHeapFault> {
         let mut candidates = valid_heap_slots(img, layout);
         let mut injected = Vec::new();
-        for (i, &class) in self.plan.classes.clone().iter().enumerate() {
+        for &class in &self.plan.classes.clone() {
             if candidates.is_empty() {
                 break;
             }
@@ -350,24 +317,13 @@ impl FaultInjector {
                 heap_state_damaged(&resulting),
                 "heap injection must be detectable"
             );
-            let fault = InjectedHeapFault {
+            injected.push(InjectedHeapFault {
                 class,
                 pool,
                 slot,
                 line: base.line().raw(),
                 resulting,
-            };
-            if let Some(s) = sink.as_deref_mut() {
-                s.record(
-                    i as u64,
-                    TraceEvent::FaultInjected {
-                        thread: u32::MAX,
-                        line: fault.line,
-                        class: class.heap_label(),
-                    },
-                );
-            }
-            injected.push(fault);
+            });
         }
         injected
     }
@@ -666,41 +622,42 @@ mod tests {
     }
 
     #[test]
-    fn traced_heap_injection_uses_heap_labels() {
-        use sw_trace::RingRecorder;
+    fn heap_fault_events_use_heap_labels() {
         let (mut img, layout) = heap_image();
-        let rec = RingRecorder::new(16);
-        let mut sink = rec.clone();
-        let faults = FaultInjector::new(FaultPlan::all(), 2)
-            .inject_heap_traced(&mut img, &layout, &mut sink);
+        let faults = FaultInjector::new(FaultPlan::all(), 2).inject_heap(&mut img, &layout);
         assert_eq!(faults.len(), 3);
-        let events = rec.events();
-        let labels: Vec<&str> = events
+        let labels: Vec<&str> = faults
             .iter()
-            .filter_map(|e| match e.event {
-                TraceEvent::FaultInjected { class, thread, .. } => {
+            .map(|f| match f.event() {
+                TraceEvent::FaultInjected {
+                    class,
+                    thread,
+                    line,
+                } => {
                     assert_eq!(thread, u32::MAX);
-                    Some(class)
+                    assert_eq!(line, f.line);
+                    class
                 }
-                _ => None,
+                other => panic!("unexpected event {other:?}"),
             })
             .collect();
         assert_eq!(labels, vec!["heap-torn", "heap-bitflip", "heap-poison"]);
     }
 
     #[test]
-    fn traced_injection_emits_fault_events() {
-        use sw_trace::RingRecorder;
+    fn fault_events_name_thread_line_and_class() {
         let (mut img, layout) = crashed_image();
-        let rec = RingRecorder::new(16);
-        let mut sink = rec.clone();
-        let faults =
-            FaultInjector::new(FaultPlan::all(), 2).inject_traced(&mut img, &layout, &mut sink);
-        let events = rec.events();
-        let injected: Vec<_> = events
-            .iter()
-            .filter(|e| e.event.kind() == "fault_injected")
-            .collect();
-        assert_eq!(injected.len(), faults.len());
+        let faults = FaultInjector::new(FaultPlan::all(), 2).inject(&mut img, &layout);
+        assert!(!faults.is_empty());
+        for f in &faults {
+            assert_eq!(
+                f.event(),
+                TraceEvent::FaultInjected {
+                    thread: f.tid as u32,
+                    line: f.line,
+                    class: f.class.label(),
+                }
+            );
+        }
     }
 }

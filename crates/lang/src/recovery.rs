@@ -46,7 +46,7 @@
 //! [`LogFormat`]: crate::LogFormat
 
 use sw_pmem::{recover_heap, Addr, HeapFault, HeapRecovery, PmImage, PmLayout};
-use sw_trace::{TraceEvent, TraceSink};
+use sw_trace::{NullSink, TraceEvent, TraceSink};
 
 use crate::formats::{self, RecoveryAction};
 use crate::log::{scan_log_detailed, DecodedEntry, DetailedScan, EntryType};
@@ -330,18 +330,31 @@ pub struct PolicyOutcome {
 /// Runs recovery over a crashed PM image, mutating it to the recovered
 /// state, and reports what was done.
 pub fn recover(img: &mut PmImage, layout: &PmLayout) -> RecoveryReport {
-    recover_inner(img, layout, None)
-}
+    let mut state = ScanState {
+        cuts: vec![0u64; layout.threads()],
+        ..ScanState::default()
+    };
 
-/// As [`recover`], but emitting `RecoveryBegin`/`RecoveryEnd` events into
-/// `sink` for the `scan`, `redo`, and `undo` phases. Timestamps are a
-/// phase-local tick counter (recovery runs outside simulated time).
-pub fn recover_traced(
-    img: &mut PmImage,
-    layout: &PmLayout,
-    sink: &mut dyn TraceSink,
-) -> RecoveryReport {
-    recover_inner(img, layout, Some(sink))
+    // Allocator metadata is scanned before the workload logs (read-only;
+    // the legacy pass reads through damage and reports best-effort).
+    let (_, heap_faults, heap_summary) = scan_heap(img, layout);
+    count_heap_faults(&mut state.detected, &heap_faults);
+
+    // The coordinated-commit protocol publishes a machine-wide cut in a
+    // dedicated PM word; it covers every thread.
+    let global_cut = img.load(layout.lock_addr(crate::runtime::GLOBAL_CUT_LOCK));
+    for tid in 0..layout.threads() {
+        let region = layout.log_region(tid);
+        let scan = scan_log_detailed(img, region);
+        // Commit records carry the cut in their value field; stale records
+        // from earlier batches have smaller cuts, so the max is correct.
+        // The durable-cut header word covers entries truncated by a group
+        // commit or coordinated commit.
+        let header_cut = img.load(region.base.offset_words(1));
+        fold_thread_scan(&mut state, tid, &scan, global_cut.max(header_cut));
+    }
+    apply_writes(img, &mut state, &mut NullSink, &mut 0);
+    report_of(state, heap_summary)
 }
 
 /// Runs fault-aware recovery under `policy`.
@@ -361,29 +374,16 @@ pub fn recover_with_policy(
     layout: &PmLayout,
     policy: RecoveryPolicy,
 ) -> Result<PolicyOutcome, RecoveryError> {
-    recover_policy_inner(img, layout, policy, None)
+    recover_with_policy_traced(img, layout, policy, &mut NullSink)
 }
 
-/// As [`recover_with_policy`], tracing recovery phases plus one
-/// `CorruptionDetected` event per damaged slot and one `RegionSalvaged`
-/// event per salvaged thread.
-pub fn recover_with_policy_traced(
-    img: &mut PmImage,
-    layout: &PmLayout,
-    policy: RecoveryPolicy,
-    sink: &mut dyn TraceSink,
-) -> Result<PolicyOutcome, RecoveryError> {
-    recover_policy_inner(img, layout, policy, Some(sink))
-}
-
-fn note(sink: &mut Option<&mut dyn TraceSink>, t: &mut u64, event: TraceEvent) {
-    if let Some(s) = sink.as_deref_mut() {
-        s.record(*t, event);
-        *t += 1;
-    }
+fn note(sink: &mut dyn TraceSink, t: &mut u64, event: TraceEvent) {
+    sink.record(*t, event);
+    *t += 1;
 }
 
 /// Shared scan state: per-thread cuts plus the classified work lists.
+#[derive(Default)]
 struct ScanState {
     cuts: Vec<u64>,
     rollback: Vec<DecodedEntry>,
@@ -427,7 +427,7 @@ fn fold_thread_scan(state: &mut ScanState, tid: usize, scan: &DetailedScan, extr
 fn apply_writes(
     img: &mut PmImage,
     state: &mut ScanState,
-    sink: &mut Option<&mut dyn TraceSink>,
+    sink: &mut dyn TraceSink,
     t: &mut u64,
 ) -> Vec<(Addr, u64)> {
     let mut writes = Vec::with_capacity(state.replayable.len() + state.rollback.len());
@@ -506,74 +506,26 @@ fn count_heap_faults(detected: &mut FaultCounts, faults: &[RecoveryFault]) {
     }
 }
 
-fn recover_inner(
-    img: &mut PmImage,
-    layout: &PmLayout,
-    mut sink: Option<&mut dyn TraceSink>,
-) -> RecoveryReport {
-    let mut t = 0u64;
-    let mut state = ScanState {
-        cuts: vec![0u64; layout.threads()],
-        rollback: Vec::new(),
-        replayable: Vec::new(),
-        discarded: 0,
-        sync_entries: 0,
-        scanned: 0,
-        detected: FaultCounts::default(),
-    };
-
-    // Allocator metadata is scanned before the workload logs (read-only;
-    // the legacy pass reads through damage and reports best-effort).
-    let (_, heap_faults, heap_summary) = scan_heap(img, layout);
-    count_heap_faults(&mut state.detected, &heap_faults);
-
-    // The coordinated-commit protocol publishes a machine-wide cut in a
-    // dedicated PM word; it covers every thread.
-    let global_cut = img.load(layout.lock_addr(crate::runtime::GLOBAL_CUT_LOCK));
-
-    note(
-        &mut sink,
-        &mut t,
-        TraceEvent::RecoveryBegin { phase: "scan" },
-    );
-    for tid in 0..layout.threads() {
-        let region = layout.log_region(tid);
-        let scan = scan_log_detailed(img, region);
-        // Commit records carry the cut in their value field; stale records
-        // from earlier batches have smaller cuts, so the max is correct.
-        // The durable-cut header word covers entries truncated by a group
-        // commit or coordinated commit.
-        let header_cut = img.load(region.base.offset_words(1));
-        fold_thread_scan(&mut state, tid, &scan, global_cut.max(header_cut));
-    }
-    note(
-        &mut sink,
-        &mut t,
-        TraceEvent::RecoveryEnd {
-            phase: "scan",
-            items: state.scanned,
-        },
-    );
-
-    apply_writes(img, &mut state, &mut sink, &mut t);
-    report_of(state, heap_summary)
-}
-
-fn recover_policy_inner(
+/// As [`recover_with_policy`], tracing into `sink`: `RecoveryBegin` /
+/// `RecoveryEnd` around the `heap`, `scan`, `redo` and `undo` phases, one
+/// `HeapRecovered` event per rebuilt pool, one `CorruptionDetected` event
+/// per damaged slot, and one `PoolSalvaged` / `RegionSalvaged` event per
+/// quarantined pool or thread. Timestamps are a phase-local tick counter
+/// (recovery runs outside simulated time).
+///
+/// # Errors
+///
+/// As [`recover_with_policy`].
+pub fn recover_with_policy_traced(
     img: &mut PmImage,
     layout: &PmLayout,
     policy: RecoveryPolicy,
-    mut sink: Option<&mut dyn TraceSink>,
+    sink: &mut dyn TraceSink,
 ) -> Result<PolicyOutcome, RecoveryError> {
     let mut t = 0u64;
     let mut state = ScanState {
         cuts: vec![0u64; layout.threads()],
-        rollback: Vec::new(),
-        replayable: Vec::new(),
-        discarded: 0,
-        sync_entries: 0,
-        scanned: 0,
-        detected: FaultCounts::default(),
+        ..ScanState::default()
     };
     let mut faults: Vec<RecoveryFault> = Vec::new();
     let mut salvaged: Vec<usize> = Vec::new();
@@ -581,17 +533,13 @@ fn recover_policy_inner(
     // The allocator metadata is scanned first: workload-log replay writes
     // into heap data, so the heap's own books must be judged before
     // anything mutates. The scan is read-only and per-pool independent.
-    note(
-        &mut sink,
-        &mut t,
-        TraceEvent::RecoveryBegin { phase: "heap" },
-    );
+    note(sink, &mut t, TraceEvent::RecoveryBegin { phase: "heap" });
     let (heap_rec, heap_faults, heap_summary) = scan_heap(img, layout);
     let mut salvaged_pools = heap_rec.damaged_pools();
     count_heap_faults(&mut state.detected, &heap_faults);
     faults.extend(heap_faults.iter().copied());
     note(
-        &mut sink,
+        sink,
         &mut t,
         TraceEvent::RecoveryEnd {
             phase: "heap",
@@ -601,7 +549,7 @@ fn recover_policy_inner(
     for (pool, rebuilt) in heap_rec.pools.iter().enumerate() {
         if let Some(p) = rebuilt {
             note(
-                &mut sink,
+                sink,
                 &mut t,
                 TraceEvent::HeapRecovered {
                     pool: pool as u32,
@@ -626,11 +574,7 @@ fn recover_policy_inner(
         img.load(global_cut_addr)
     };
 
-    note(
-        &mut sink,
-        &mut t,
-        TraceEvent::RecoveryBegin { phase: "scan" },
-    );
+    note(sink, &mut t, TraceEvent::RecoveryBegin { phase: "scan" });
     let mut scans = Vec::with_capacity(layout.threads());
     for tid in 0..layout.threads() {
         let region = layout.log_region(tid);
@@ -676,7 +620,7 @@ fn recover_policy_inner(
         state.detected.poisoned += 1;
     }
     note(
-        &mut sink,
+        sink,
         &mut t,
         TraceEvent::RecoveryEnd {
             phase: "scan",
@@ -717,7 +661,7 @@ fn recover_policy_inner(
             RecoveryFault::HeapPoisoned { line, .. } => (u32::MAX, line, "poison"),
         };
         note(
-            &mut sink,
+            sink,
             &mut t,
             TraceEvent::CorruptionDetected { thread, line, kind },
         );
@@ -739,7 +683,7 @@ fn recover_policy_inner(
             for &pool in &salvaged_pools {
                 let n = faults.iter().filter(|f| f.pool() == Some(pool)).count() as u64;
                 note(
-                    &mut sink,
+                    sink,
                     &mut t,
                     TraceEvent::PoolSalvaged {
                         pool: pool as u32,
@@ -754,7 +698,7 @@ fn recover_policy_inner(
                         + u64::from(*header_poisoned)
                 };
                 note(
-                    &mut sink,
+                    sink,
                     &mut t,
                     TraceEvent::RegionSalvaged {
                         thread: tid as u32,
@@ -765,7 +709,7 @@ fn recover_policy_inner(
         }
     }
 
-    let writes = apply_writes(img, &mut state, &mut sink, &mut t);
+    let writes = apply_writes(img, &mut state, sink, &mut t);
     Ok(PolicyOutcome {
         report: report_of(state, heap_summary),
         faults,

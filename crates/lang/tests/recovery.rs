@@ -1,7 +1,7 @@
 //! Recovery behavior across models: rollback of uncommitted regions,
 //! commit-cut tracking, idempotence, and phase tracing.
 
-use sw_lang::recovery::{recover, recover_traced};
+use sw_lang::recovery::{recover, recover_with_policy_traced, RecoveryPolicy};
 use sw_lang::{FuncCtx, HwDesign, LangModel, RuntimeConfig, ThreadRuntime};
 use sw_model::isa::LockId;
 use sw_pmem::PmLayout;
@@ -112,8 +112,9 @@ fn traced_recovery_emits_phase_events() {
     ctx.mem_mut().persist_all();
     let mut img = ctx.mem().persisted_image().clone();
     let mut rec = sw_trace::RingRecorder::new(64);
-    let report = recover_traced(&mut img, &layout, &mut rec);
-    assert_eq!(report.rolled_back_stores, 2);
+    let outcome = recover_with_policy_traced(&mut img, &layout, RecoveryPolicy::Strict, &mut rec)
+        .expect("an undamaged image passes strict recovery");
+    assert_eq!(outcome.report.rolled_back_stores, 2);
     let events = rec.events();
     let begins = events
         .iter()
@@ -123,8 +124,8 @@ fn traced_recovery_emits_phase_events() {
         .iter()
         .filter(|e| e.event.kind() == "recovery_end")
         .count();
-    assert_eq!(begins, 3, "scan, redo, undo each open a phase");
-    assert_eq!(ends, 3, "every phase closes");
+    assert_eq!(begins, 4, "heap, scan, redo, undo each open a phase");
+    assert_eq!(ends, 4, "every phase closes");
     assert!(
         events.iter().any(|e| matches!(
             e.event,

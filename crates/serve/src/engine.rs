@@ -339,7 +339,9 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     let service_cycles = (calib.cycles / cfg.regions.max(1) as u64).max(1);
     let deadline_cycles = service_cycles.saturating_mul(cfg.deadline_factor.max(2));
 
-    let mut recovery = RecoveryContext::new(cfg);
+    // The crash/recover legs run on the calibration cell itself, so they
+    // share its machine configuration and driver parameters.
+    let mut recovery = RecoveryContext::new(cfg, exp);
     let shards_n = cfg.shards.max(1);
     let mut shards: Vec<Shard> = (0..shards_n)
         .map(|i| Shard::new(cfg, i, service_cycles))

@@ -1,38 +1,29 @@
 //! Mid-serve crash/recover legs, held to the chaos-campaign bar.
 //!
 //! Whenever the serving engine quarantines a shard (breaker trip or
-//! spare-pool failover), this module runs the *real* model machinery
-//! while the surviving shards keep serving:
+//! spare-pool failover), this module runs the chaos campaign's first two
+//! legs on the cell's calibration [`Experiment`] while the surviving
+//! shards keep serving:
 //!
-//! 1. **Durable-set equality + PMO linear extension** — a single-threaded
-//!    probe of the cell's `(design, lang, strategy)` replays under a
-//!    seeded random [`DeviceFaultSchedule`]; the durable line set must
-//!    equal the fault-free run's and the acceptance order must remain a
-//!    linear extension of the formal persist memory order.
-//! 2. **Crash × recovery reconvergence** — a formally-sampled crash image
-//!    of the multi-threaded driven run must reconverge under interrupted
-//!    `Strict` recovery, and a copy with a freshly poisoned log line must
-//!    reconverge under `Salvage` — the quarantined shard's recovery path.
+//! 1. **Durable-set equality + PMO linear extension** — the cell's
+//!    [`ProbeOracle`] replays under a seeded random fault schedule; the
+//!    durable line set must equal the fault-free run's and the acceptance
+//!    order must remain a linear extension of the formal persist memory
+//!    order.
+//! 2. **Crash × recovery reconvergence** — [`Experiment::crash_leg`]: a
+//!    formally-sampled crash image of the multi-threaded driven run must
+//!    reconverge under interrupted `Strict` recovery, and a copy with a
+//!    freshly poisoned log line must reconverge under `Salvage` — the
+//!    quarantined shard's recovery path.
 //!
 //! Any violation surfaces with a copy-pasteable `swctl serve` reproducer
 //! embedded, exactly like the chaos campaign's failures.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use strandweaver::experiment::order_extends_pmo;
-use strandweaver::faults::DeviceFaultSchedule;
-use strandweaver::lang::harness::{crash_image, recovery_reconverges};
-use strandweaver::lang::recovery::RecoveryPolicy;
-use strandweaver::lang::LogStrategy;
-use strandweaver::model::isa::{IsaTrace, LockId};
-use strandweaver::pmem::LineAddr;
-use strandweaver::workloads::driver::{drive, DriverOutput, DriverParams};
-use strandweaver::{
-    FuncCtx, Machine, PmLayout, Pmo, RuntimeConfig, SimConfig, SimStats, ThreadRuntime,
-};
+use strandweaver::experiment::{Experiment, ProbeOracle};
+use strandweaver::workloads::driver::DriverOutput;
 
 use crate::ServeConfig;
 
@@ -52,80 +43,27 @@ pub(crate) struct LegStats {
     pub reconverged_salvage: u64,
 }
 
-/// Per-cell context for the legs: the formal probe, its fault-free
-/// reference, and a driven multi-threaded run to crash.
+/// Per-cell context for the legs: the calibration experiment, its probe
+/// oracle, and its driven multi-threaded run to crash.
+#[derive(Debug)]
 pub(crate) struct RecoveryContext {
     cfg: ServeConfig,
-    pmo: Pmo,
-    traces: Vec<IsaTrace>,
-    probe_layout: PmLayout,
-    clean_set: BTreeSet<LineAddr>,
-    scale: u64,
+    cell: Experiment,
+    oracle: ProbeOracle,
     out: DriverOutput,
     rng: SmallRng,
     pub stats: LegStats,
 }
 
-impl std::fmt::Debug for RecoveryContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryContext")
-            .field("scale", &self.scale)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
 impl RecoveryContext {
-    /// Builds the probe and the driven run for `cfg`'s cell.
-    pub fn new(cfg: &ServeConfig) -> Self {
-        let strategy = if cfg.redo {
-            LogStrategy::Redo
-        } else {
-            LogStrategy::Undo
-        };
-
-        // Single-threaded lowered probe: the same shape the chaos
-        // campaign replays (six regions of four stores), yielding the
-        // formal PMO oracle for the linear-extension checks.
-        let probe_layout = PmLayout::new(1, 512);
-        let heap = probe_layout.heap_base();
-        let mut ctx = FuncCtx::new(probe_layout.clone(), 1);
-        let mut rt_cfg = RuntimeConfig::new(cfg.design, cfg.lang);
-        rt_cfg.strategy = strategy;
-        let mut rt = ThreadRuntime::new(&probe_layout, 0, rt_cfg);
-        for r in 0..6u64 {
-            rt.region_begin(&mut ctx, &[LockId(0)]);
-            for k in 0..4u64 {
-                rt.store(&mut ctx, heap.offset_words((r * 4 + k) * 8), r * 10 + k);
-            }
-            rt.region_end(&mut ctx);
-        }
-        rt.shutdown(&mut ctx);
-        let pmo = Pmo::compute(&ctx.execution(), cfg.design.memory_model());
-        let traces = ctx.into_traces();
-
-        let clean = probe_run(cfg, &probe_layout, &traces, None);
-        let clean_set: BTreeSet<LineAddr> = clean.pm_write_order.iter().copied().collect();
-        let scale = clean.pm_write_order.len() as u64;
-
-        // The multi-threaded driven run the crash legs sample images
-        // from.
-        let mut workload = cfg.bench.instantiate();
-        let mut params = DriverParams::new(cfg.design, cfg.lang)
-            .threads(cfg.threads)
-            .total_regions(cfg.regions)
-            .ops_per_region(cfg.ops)
-            .seed(cfg.seed);
-        params.strategy = strategy;
-        let out = drive(workload.as_mut(), &params);
-
+    /// Builds the probe oracle and the driven run for `cell`, the
+    /// calibration experiment of `cfg`'s serving cell.
+    pub fn new(cfg: &ServeConfig, cell: Experiment) -> Self {
+        let (_, out) = cell.drive();
         RecoveryContext {
             cfg: cfg.clone(),
-            pmo,
-            traces,
-            probe_layout,
-            clean_set,
-            scale,
+            oracle: ProbeOracle::new(&cell),
+            cell,
             out,
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x5e12_7e5e_12c0_4e12),
             stats: LegStats::default(),
@@ -148,76 +86,22 @@ impl RecoveryContext {
             )
         };
 
-        // Leg part 1: online faults vs. the PMO oracle — durable-set
-        // equality and linear extension.
         let leg_seed = self
             .cfg
             .seed
             .wrapping_add(leg.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             ^ 0x5e12_0000;
-        let schedule = DeviceFaultSchedule::random(leg_seed, self.scale);
-        let faulted = probe_run(&self.cfg, &self.probe_layout, &self.traces, Some(schedule));
-        let set: BTreeSet<LineAddr> = faulted.pm_write_order.iter().copied().collect();
-        if set != self.clean_set {
-            let missing: Vec<_> = self.clean_set.difference(&set).collect();
-            let extra: Vec<_> = set.difference(&self.clean_set).collect();
-            return Err(fail(format!(
-                "silent corruption: durable line set diverged under online faults \
-                 (missing {missing:?}, extra {extra:?})"
-            )));
-        }
+        let probe = self.oracle.check(leg_seed).map_err(fail)?;
         self.stats.durable_set_checks += 1;
-        self.stats.pmo_edges += order_extends_pmo(&self.pmo, &faulted.pm_write_order)
-            .map_err(|e| fail(format!("persist order under retries: {e}")))?
-            as u64;
+        self.stats.pmo_edges += probe.pmo_edges as u64;
 
-        // Leg part 2: crash the driven run; interrupted Strict recovery
-        // must reconverge, and a poisoned-log copy must reconverge under
-        // Salvage — the quarantined shard's actual recovery path.
-        let (crash, _persisted) = crash_image(
-            &self.out.ctx,
-            &self.out.baseline,
-            self.cfg.design,
-            &mut self.rng,
-        );
-        recovery_reconverges(
-            &crash,
-            &self.out.layout,
-            RecoveryPolicy::Strict,
-            &mut self.rng,
-        )
-        .map_err(|e| fail(format!("strict reconvergence: {e}")))?;
+        self.cell
+            .crash_leg(&self.out, &mut self.rng)
+            .map_err(fail)?;
         self.stats.reconverged_strict += 1;
-
-        let mut damaged = crash.clone();
-        let victim = self.rng.gen_range(0..self.cfg.threads);
-        let log_line = self.out.layout.log_region(victim).base.line().raw();
-        damaged.poison_line(LineAddr(log_line + 1 + self.rng.gen_range(0..4)));
-        recovery_reconverges(
-            &damaged,
-            &self.out.layout,
-            RecoveryPolicy::Salvage,
-            &mut self.rng,
-        )
-        .map_err(|e| fail(format!("salvage reconvergence: {e}")))?;
         self.stats.reconverged_salvage += 1;
 
         self.stats.legs += 1;
         Ok(())
     }
-}
-
-/// Runs the probe traces through the timing simulator, optionally with an
-/// online fault schedule installed.
-fn probe_run(
-    cfg: &ServeConfig,
-    layout: &PmLayout,
-    traces: &[IsaTrace],
-    faults: Option<DeviceFaultSchedule>,
-) -> SimStats {
-    let mut sim = SimConfig::default().with_cores(1);
-    if let Some(schedule) = faults {
-        sim = sim.with_device_faults(schedule);
-    }
-    Machine::new(sim, cfg.design, layout.clone(), traces.to_vec()).run()
 }

@@ -15,18 +15,18 @@ use sw_lang::harness::{
     crash_and_recover, crash_image, recovery_reconverges, CrashOutcome,
 };
 use sw_lang::recovery::{
-    recover_with_policy, recover_with_policy_traced, RecoveryFault, RecoveryPolicy,
+    recover_with_policy, recover_with_policy_traced, PolicyOutcome, RecoveryFault, RecoveryPolicy,
 };
 use sw_lang::{
     Consistency, FuncCtx, HwDesign, LangModel, LogStrategy, RuntimeConfig, SlotState, ThreadRuntime,
 };
 use sw_model::isa::{IsaTrace, LockId};
 use sw_model::{Pmo, StoreId};
-use sw_pmem::{HeapSlotState, LineAddr, PmLayout, RemapTable};
+use sw_pmem::{HeapSlotState, LineAddr, PmImage, PmLayout, RemapTable};
 use sw_sim::{Machine, SimConfig, SimStats};
-use sw_trace::{MetricsRegistry, MetricsSnapshot};
-use sw_workloads::driver::{drive, DriverParams};
-use sw_workloads::BenchmarkId;
+use sw_trace::{MetricsRegistry, MetricsSnapshot, NullSink, TraceEvent, TraceSink};
+use sw_workloads::driver::{drive, DriverOutput, DriverParams};
+use sw_workloads::{BenchmarkId, Workload};
 
 /// Configuration of one experiment cell (a benchmark under a language
 /// model on a hardware design).
@@ -145,6 +145,30 @@ impl Experiment {
         self
     }
 
+    /// The driver parameters of this cell: its design, language model,
+    /// scale, seed and log strategy. Callers chain run-specific switches
+    /// (`timing_only`, `clean_shutdown`, `mce`, …) on top.
+    pub fn driver_params(&self) -> DriverParams {
+        let mut params = DriverParams::new(self.design, self.lang)
+            .threads(self.threads)
+            .total_regions(self.total_regions)
+            .ops_per_region(self.ops_per_region)
+            .seed(self.seed);
+        params.strategy = self.strategy;
+        params
+    }
+
+    /// Drives this cell's workload under [`driver_params`] to the run the
+    /// campaigns crash, returning the workload (for its structural
+    /// checks) with the run.
+    ///
+    /// [`driver_params`]: Experiment::driver_params
+    pub fn drive(&self) -> (Box<dyn Workload>, DriverOutput) {
+        let mut workload = self.bench.instantiate();
+        let out = drive(workload.as_mut(), &self.driver_params());
+        (workload, out)
+    }
+
     /// Runs the timing simulation and returns machine statistics.
     pub fn run_timing(&self) -> SimStats {
         let sink = self
@@ -162,15 +186,10 @@ impl Experiment {
     /// [`trace`]: Experiment::trace
     pub fn run_timing_with_sink(&self, sink: Option<Box<dyn sw_trace::TraceSink>>) -> SimStats {
         let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed)
-            .timing_only()
-            .clean_shutdown();
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        let out = drive(
+            workload.as_mut(),
+            &self.driver_params().timing_only().clean_shutdown(),
+        );
         let layout = out.layout.clone();
         let warm: Vec<sw_pmem::LineAddr> = out.baseline.written_lines().collect();
         let traces = out.ctx.into_traces();
@@ -206,36 +225,40 @@ impl Experiment {
     /// Returns the first inconsistency found (expected for
     /// [`HwDesign::NonAtomic`]).
     pub fn run_crash_campaign(&self, rounds: usize) -> Result<(), String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        let (workload, out) = self.drive();
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc0ffee);
-        let fail = |round: usize, e: String| self.campaign_failure("crash", rounds, round, e);
         for round in 0..rounds {
             let outcome = crash_and_recover(&out.ctx, &out.baseline, self.design, &mut rng);
-            match self.lang.consistency() {
-                Consistency::ReplayCommitted => {
-                    // The replay check needs globally consistent commit
-                    // cuts, which eager TXN commits and the coordinated
-                    // batched commits both provide.
-                    check_replay_consistency(&outcome, &out.baseline, &out.regions)
-                        .map_err(|e| fail(round, e))?;
-                    workload
-                        .check(&outcome.image)
-                        .map_err(|e| fail(round, format!("structural check: {e}")))?;
-                }
-                Consistency::DurablePrefix => {
-                    check_prefix_consistency(&outcome, &out.baseline, &out.regions)
-                        .map_err(|e| fail(round, e))?;
-                }
-            }
+            self.check_contract(workload.as_ref(), &out, &outcome)
+                .map_err(|e| self.campaign_failure("crash", rounds, round, e))?;
         }
         Ok(())
+    }
+
+    /// Checks the consistency contract of [`run_crash_campaign`] on one
+    /// recovered crash state of `out`.
+    ///
+    /// [`run_crash_campaign`]: Experiment::run_crash_campaign
+    fn check_contract(
+        &self,
+        workload: &dyn Workload,
+        out: &DriverOutput,
+        outcome: &CrashOutcome,
+    ) -> Result<(), String> {
+        match self.lang.consistency() {
+            // The replay check needs globally consistent commit cuts, which
+            // eager TXN commits and the coordinated batched commits both
+            // provide.
+            Consistency::ReplayCommitted => {
+                check_replay_consistency(outcome, &out.baseline, &out.regions)?;
+                workload
+                    .check(&outcome.image)
+                    .map_err(|e| format!("structural check: {e}"))
+            }
+            Consistency::DurablePrefix => {
+                check_prefix_consistency(outcome, &out.baseline, &out.regions)
+            }
+        }
     }
 
     /// Runs a fault-injection campaign: sample `rounds` crash states and,
@@ -259,9 +282,9 @@ impl Experiment {
     ///
     /// Rounds whose crash image holds no published log entry (log-free
     /// models, or crashes before any append persisted) become *controls*:
-    /// `Strict` recovery must succeed there and reproduce the ordinary
-    /// crash-consistency contract — an error would be a false positive of
-    /// the damage detector.
+    /// `Strict` recovery must succeed there, reproduce the ordinary
+    /// crash-consistency contract, and reconverge — an error would be a
+    /// false positive of the damage detector.
     ///
     /// The whole campaign derives from [`seed`](Experiment::seed): the
     /// same cell replays the same injections. With a
@@ -274,24 +297,49 @@ impl Experiment {
     /// Returns the first campaign violation, with a copy-pasteable
     /// `swctl faults` reproducer (seed included) embedded.
     pub fn run_fault_campaign(&self, rounds: usize) -> Result<FaultCampaignReport, String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        self.injection_campaign::<LogSlots>(rounds)
+    }
+
+    /// Runs the allocator-metadata fault campaign: sample `rounds` crash
+    /// states and, in each, inject one fault — rotating through
+    /// [`FaultClass::ALL`] — into a published allocator-journal record of
+    /// some heap pool, then require:
+    ///
+    /// * `Strict` recovery rejects every fatal injection (corrupt or
+    ///   poisoned metadata) *before mutating anything*, and accepts
+    ///   injected tears — a torn journal record is indistinguishable from
+    ///   a crash mid-publication and is reclaimed, not fatal;
+    /// * `Salvage` recovery reports every injected fault at its exact
+    ///   location (pool + slot or line) and quarantines **only** the
+    ///   pools holding fatal damage — an over-quarantine throws away
+    ///   healthy pools and fails the campaign;
+    /// * recovery reconverges when interrupted mid-repair.
+    ///
+    /// A round with no published record is a control, checked exactly as
+    /// in [`run_fault_campaign`](Experiment::run_fault_campaign). The
+    /// report reuses [`FaultCampaignReport`]; its `salvaged` tallies
+    /// count quarantined *pools* (so injected tears detect without
+    /// salvaging). Workload churn is not required: every workload's setup
+    /// carves are journaled, so each crash image holds published records.
+    pub fn run_heap_fault_campaign(&self, rounds: usize) -> Result<FaultCampaignReport, String> {
+        self.injection_campaign::<HeapJournal>(rounds)
+    }
+
+    /// The round loop shared by every injection target: crash → inject →
+    /// recover (`Strict`, then `Salvage`) → check → reconverge.
+    fn injection_campaign<T: FaultTarget>(
+        &self,
+        rounds: usize,
+    ) -> Result<FaultCampaignReport, String> {
+        let (workload, out) = self.drive();
         let layout = &out.layout;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xfa017);
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ T::SALT);
+        let mut sink = self.sink();
         let fail = |round: usize, e: String| self.campaign_failure("faults", rounds, round, e);
 
         let mut registry = MetricsRegistry::new();
-        let injected_ctr = registry.counter("faults.injected");
-        let detected_ctr = registry.counter("faults.detected");
-        let salvaged_ctr = registry.counter("faults.salvaged");
-        let strict_ctr = registry.counter("faults.strict_rejections");
-        let control_ctr = registry.counter("faults.control_rounds");
+        let [injected_ctr, detected_ctr, salvaged_ctr, strict_ctr, control_ctr] =
+            T::COUNTERS.map(|name| registry.counter(name));
 
         let mut per_class: Vec<(FaultClass, ClassTally)> = FaultClass::ALL
             .iter()
@@ -304,18 +352,15 @@ impl Experiment {
         for round in 0..rounds {
             let (crash, persisted) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
             let idx = round % FaultClass::ALL.len();
-            let class = FaultClass::ALL[idx];
             // Per-round injector seed: deterministic, round-decorrelated.
             let inj_seed = self.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut injector = FaultInjector::new(FaultPlan::single(class), inj_seed);
+            let mut injector =
+                FaultInjector::new(FaultPlan::single(FaultClass::ALL[idx]), inj_seed);
             let mut damaged = crash.clone();
-            let injected = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    injector.inject_traced(&mut damaged, layout, &mut sink)
-                }
-                None => injector.inject(&mut damaged, layout),
-            };
+            let injected = T::inject(&mut injector, &mut damaged, layout);
+            for (i, f) in injected.iter().enumerate() {
+                sink.record(i as u64, f.event);
+            }
 
             if injected.is_empty() {
                 // Control round: nothing was injected, so Strict recovery
@@ -337,19 +382,8 @@ impl Experiment {
                     report: outcome.report,
                     persisted_stores: persisted,
                 };
-                match self.lang.consistency() {
-                    Consistency::ReplayCommitted => {
-                        check_replay_consistency(&as_crash, &out.baseline, &out.regions)
-                            .map_err(|e| fail(round, e))?;
-                        workload
-                            .check(&as_crash.image)
-                            .map_err(|e| fail(round, format!("structural check: {e}")))?;
-                    }
-                    Consistency::DurablePrefix => {
-                        check_prefix_consistency(&as_crash, &out.baseline, &out.regions)
-                            .map_err(|e| fail(round, e))?;
-                    }
-                }
+                self.check_contract(workload.as_ref(), &out, &as_crash)
+                    .map_err(|e| fail(round, e))?;
                 recovery_reconverges(&crash, layout, RecoveryPolicy::Strict, &mut rng)
                     .map_err(|e| fail(round, e))?;
                 reconverged += 1;
@@ -361,268 +395,69 @@ impl Experiment {
 
             // Strict must reject exactly the fatal injections; injected
             // tears look like natural ones and must stay benign.
-            let fatal = injected.iter().any(|f| f.is_fatal());
-            let mut strict_img = damaged.clone();
-            match recover_with_policy(&mut strict_img, layout, RecoveryPolicy::Strict) {
-                Err(_) if fatal => {
+            let fatal = injected.iter().find(|f| f.fatal);
+            match (
+                recover_with_policy(&mut damaged.clone(), layout, RecoveryPolicy::Strict),
+                fatal,
+            ) {
+                (Err(_), Some(_)) => {
                     strict_rejections += 1;
                     registry.inc(strict_ctr);
                 }
-                Ok(_) if !fatal => {}
-                Err(e) => {
+                (Ok(_), None) => {}
+                (Err(e), None) => {
                     return Err(fail(
                         round,
                         format!("strict rejected a tear-only injection: {e}"),
                     ))
                 }
-                Ok(_) => {
+                (Ok(_), Some(f)) => {
                     return Err(fail(
                         round,
-                        format!(
-                            "strict accepted an image with a fatal injected {} fault",
-                            class.label()
-                        ),
+                        format!("strict accepted an image with a fatal injected {}", f.site),
                     ))
                 }
             }
 
             // Salvage must pinpoint every injected fault and quarantine
-            // each damaged thread.
+            // each owner the target says must go.
             let mut image = damaged.clone();
-            let outcome = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    recover_with_policy_traced(
-                        &mut image,
-                        layout,
-                        RecoveryPolicy::Salvage,
-                        &mut sink,
-                    )
-                }
-                None => recover_with_policy(&mut image, layout, RecoveryPolicy::Salvage),
-            }
+            let outcome = recover_with_policy_traced(
+                &mut image,
+                layout,
+                RecoveryPolicy::Salvage,
+                sink.as_mut(),
+            )
             .map_err(|e| fail(round, format!("salvage recovery errored: {e}")))?;
+            let quarantined = T::quarantined(&outcome);
             for f in &injected {
-                if !outcome.faults.iter().any(|d| fault_matches(f, d)) {
+                if !f.expected.is_some_and(|d| outcome.faults.contains(&d)) {
                     return Err(fail(
                         round,
                         format!(
-                            "injected {} fault (thread {}, slot {}, line {}) went \
-                             undetected; recovery reported {:?}",
-                            f.class.label(),
-                            f.tid,
-                            f.slot,
-                            f.line,
-                            outcome.faults
-                        ),
-                    ));
-                }
-                if !outcome.salvaged_threads.contains(&f.tid) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "thread {} held an injected {} fault but was not salvaged \
-                             (salvaged: {:?})",
-                            f.tid,
-                            f.class.label(),
-                            outcome.salvaged_threads
-                        ),
-                    ));
-                }
-                per_class[idx].1.detected += 1;
-                per_class[idx].1.salvaged += 1;
-                registry.inc(detected_ctr);
-            }
-            registry.add(salvaged_ctr, outcome.salvaged_threads.len() as u64);
-
-            // Natural tears may salvage additional threads; the contract
-            // check already excludes every salvaged thread's data.
-            if matches!(self.lang.consistency(), Consistency::ReplayCommitted) {
-                check_salvage_consistency(&image, &outcome, &out.baseline, &out.regions)
-                    .map_err(|e| fail(round, e))?;
-            }
-            recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
-                .map_err(|e| fail(round, e))?;
-            reconverged += 1;
-        }
-
-        Ok(FaultCampaignReport {
-            rounds,
-            control_rounds,
-            strict_rejections,
-            per_class,
-            reconverged,
-            metrics: registry.snapshot(),
-        })
-    }
-
-    /// Runs the allocator-metadata fault campaign: sample `rounds` crash
-    /// states and, in each, inject one fault — rotating through
-    /// [`FaultClass::ALL`] — into a published allocator-journal record of
-    /// some heap pool, then require:
-    ///
-    /// * `Strict` recovery rejects every fatal injection (corrupt or
-    ///   poisoned metadata) *before mutating anything*, and accepts
-    ///   injected tears — a torn journal record is indistinguishable from
-    ///   a crash mid-publication and is reclaimed, not fatal;
-    /// * `Salvage` recovery reports every injected fault at its exact
-    ///   location (pool + slot or line) and quarantines **only** the
-    ///   pools holding fatal damage — an over-quarantine throws away
-    ///   healthy pools and fails the campaign;
-    /// * recovery reconverges when interrupted mid-repair.
-    ///
-    /// The report reuses [`FaultCampaignReport`]; its `salvaged` tallies
-    /// count quarantined *pools* (so injected tears detect without
-    /// salvaging). Workload churn is not required: every workload's setup
-    /// carves are journaled, so each crash image holds published records.
-    pub fn run_heap_fault_campaign(&self, rounds: usize) -> Result<FaultCampaignReport, String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4ea9);
-        let fail = |round: usize, e: String| self.campaign_failure("faults", rounds, round, e);
-
-        let mut registry = MetricsRegistry::new();
-        let injected_ctr = registry.counter("alloc_faults.injected");
-        let detected_ctr = registry.counter("alloc_faults.detected");
-        let salvaged_ctr = registry.counter("alloc_faults.salvaged_pools");
-        let strict_ctr = registry.counter("alloc_faults.strict_rejections");
-        let control_ctr = registry.counter("alloc_faults.control_rounds");
-
-        let mut per_class: Vec<(FaultClass, ClassTally)> = FaultClass::ALL
-            .iter()
-            .map(|&c| (c, ClassTally::default()))
-            .collect();
-        let mut control_rounds = 0usize;
-        let mut strict_rejections = 0usize;
-        let mut reconverged = 0usize;
-
-        for round in 0..rounds {
-            let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            let idx = round % FaultClass::ALL.len();
-            let class = FaultClass::ALL[idx];
-            let inj_seed = self.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut injector = FaultInjector::new(FaultPlan::single(class), inj_seed);
-            let mut damaged = crash.clone();
-            let injected = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    injector.inject_heap_traced(&mut damaged, layout, &mut sink)
-                }
-                None => injector.inject_heap(&mut damaged, layout),
-            };
-
-            if injected.is_empty() {
-                // Defensive control: can only happen if a crash image held
-                // no published journal record; Strict must still accept.
-                control_rounds += 1;
-                registry.inc(control_ctr);
-                recover_with_policy(&mut crash.clone(), layout, RecoveryPolicy::Strict).map_err(
-                    |e| {
-                        fail(
-                            round,
-                            format!("strict false positive on uninjected image: {e}"),
-                        )
-                    },
-                )?;
-                continue;
-            }
-
-            per_class[idx].1.injected += injected.len();
-            registry.add(injected_ctr, injected.len() as u64);
-
-            let fatal = injected.iter().any(|f| f.is_fatal());
-            match recover_with_policy(&mut damaged.clone(), layout, RecoveryPolicy::Strict) {
-                Err(_) if fatal => {
-                    strict_rejections += 1;
-                    registry.inc(strict_ctr);
-                }
-                Ok(_) if !fatal => {}
-                Err(e) => {
-                    return Err(fail(
-                        round,
-                        format!("strict rejected a torn-only allocator injection: {e}"),
-                    ))
-                }
-                Ok(_) => {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "strict accepted an image with fatal {} allocator damage",
-                            class.heap_label()
-                        ),
-                    ))
-                }
-            }
-
-            let mut image = damaged.clone();
-            let outcome = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    recover_with_policy_traced(
-                        &mut image,
-                        layout,
-                        RecoveryPolicy::Salvage,
-                        &mut sink,
-                    )
-                }
-                None => recover_with_policy(&mut image, layout, RecoveryPolicy::Salvage),
-            }
-            .map_err(|e| fail(round, format!("salvage recovery errored: {e}")))?;
-            for f in &injected {
-                if !outcome.faults.iter().any(|d| heap_fault_matches(f, d)) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "injected {} fault (pool {}, slot {}, line {}) went \
-                             undetected; recovery reported {:?}",
-                            f.class.heap_label(),
-                            f.pool,
-                            f.slot,
-                            f.line,
-                            outcome.faults
+                            "injected {} went undetected; recovery reported {:?}",
+                            f.site, outcome.faults
                         ),
                     ));
                 }
                 per_class[idx].1.detected += 1;
                 registry.inc(detected_ctr);
-                if f.is_fatal() {
-                    if !outcome.salvaged_pools.contains(&f.pool) {
+                if let Some(owner) = f.quarantine {
+                    if !quarantined.contains(&owner) {
                         return Err(fail(
                             round,
                             format!(
-                                "pool {} held fatal {} damage but was not quarantined \
-                                 (salvaged pools: {:?})",
-                                f.pool,
-                                f.class.heap_label(),
-                                outcome.salvaged_pools
+                                "injected {} was not quarantined (quarantined: {quarantined:?})",
+                                f.site
                             ),
                         ));
                     }
                     per_class[idx].1.salvaged += 1;
                 }
             }
-            // Exact quarantine: a salvaged pool must hold injected fatal
-            // damage — quarantining a healthy pool discards good data.
-            for &pool in &outcome.salvaged_pools {
-                if !injected.iter().any(|f| f.pool == pool && f.is_fatal()) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "pool {pool} was quarantined without fatal damage \
-                             (injected: {injected:?})"
-                        ),
-                    ));
-                }
-            }
-            registry.add(salvaged_ctr, outcome.salvaged_pools.len() as u64);
-
+            registry.add(salvaged_ctr, quarantined.len() as u64);
+            T::check_survivors(self, &out, &image, &outcome, &injected)
+                .map_err(|e| fail(round, e))?;
             recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
                 .map_err(|e| fail(round, e))?;
             reconverged += 1;
@@ -654,15 +489,10 @@ impl Experiment {
         } else {
             self.bench.instantiate()
         };
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed)
-            .clean_shutdown()
-            .metrics();
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        let out = drive(
+            workload.as_mut(),
+            &self.driver_params().clean_shutdown().metrics(),
+        );
         let snapshot = out.ctx.metrics_snapshot();
         let hs = out.ctx.heap_state();
         let pools = (0..hs.pool_count())
@@ -712,13 +542,7 @@ impl Experiment {
                 self.bench
             )
         })?;
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        let out = drive(workload.as_mut(), &self.driver_params());
         let layout = &out.layout;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4eaf);
         let fail = |round: usize, e: String| self.campaign_failure("heap", rounds, round, e);
@@ -811,67 +635,21 @@ impl Experiment {
         })
     }
 
-    /// Single-threaded lowered probe workload under this cell's
-    /// `(design, lang, strategy)`: six regions of four stores each,
-    /// returning the formal PMO oracle, the per-thread ISA traces, and the
-    /// layout. The chaos campaign replays these traces with an online
-    /// device-fault schedule installed and checks the durable order the
-    /// faulted machine produced against the *same* oracle — a retry may
-    /// delay a persist but must never reorder it.
-    fn pmo_probe(&self) -> (Pmo, Vec<IsaTrace>, PmLayout) {
-        let layout = PmLayout::new(1, 512);
-        let heap = layout.heap_base();
-        let mut ctx = FuncCtx::new(layout.clone(), 1);
-        let mut cfg = RuntimeConfig::new(self.design, self.lang);
-        cfg.strategy = self.strategy;
-        let mut rt = ThreadRuntime::new(&layout, 0, cfg);
-        for r in 0..6u64 {
-            rt.region_begin(&mut ctx, &[LockId(0)]);
-            for k in 0..4u64 {
-                rt.store(&mut ctx, heap.offset_words((r * 4 + k) * 8), r * 10 + k);
-            }
-            rt.region_end(&mut ctx);
-        }
-        rt.shutdown(&mut ctx);
-        let pmo = Pmo::compute(&ctx.execution(), self.design.memory_model());
-        let traces = ctx.into_traces();
-        (pmo, traces, layout)
-    }
-
-    /// Runs the probe traces through the timing simulator, optionally with
-    /// an online fault schedule installed.
-    fn probe_run(
-        &self,
-        layout: &PmLayout,
-        traces: &[IsaTrace],
-        faults: Option<DeviceFaultSchedule>,
-    ) -> SimStats {
-        let mut cfg = self.sim.clone().with_cores(1);
-        if let Some(schedule) = faults {
-            cfg = cfg.with_device_faults(schedule);
-        }
-        Machine::new(cfg, self.design, layout.clone(), traces.to_vec()).run()
-    }
-
     /// Runs the online-fault chaos campaign on this cell: `rounds` rounds
     /// of randomized device faults × crash points × recovery policies.
     ///
     /// Each round, seeded from [`seed`](Experiment::seed):
     ///
-    /// 1. **Online faults vs. the PMO oracle** — the single-threaded
-    ///    [probe](Self::pmo_probe) replays under a random
-    ///    [`DeviceFaultSchedule`] (transient write failures with retry,
-    ///    permanent media errors with remap, read poison). The faulted
-    ///    machine's durable line *set* must equal the fault-free run's (no
-    ///    write silently lost or invented) and its acceptance order must
-    ///    remain a linear extension of the formal PMO — retries delay,
-    ///    never reorder.
-    /// 2. **Crash × recovery** — a formally-sampled crash image (which
-    ///    includes images where a mid-retry persist never reached media:
-    ///    an un-acknowledged write is simply absent from the persisted
-    ///    set) must reconverge under interrupted-and-rerun `Strict`
-    ///    recovery; a copy with a freshly poisoned log line must
-    ///    reconverge under `Salvage`.
+    /// 1. **Online faults vs. the PMO oracle** — the cell's
+    ///    [`ProbeOracle`] replays under a random [`DeviceFaultSchedule`]
+    ///    (transient write failures with retry, permanent media errors
+    ///    with remap, read poison): no write silently lost or invented,
+    ///    and retries delay, never reorder.
+    /// 2. **Crash × recovery** — one [crash leg](Experiment::crash_leg)
+    ///    over the multi-threaded driven run (its formally-sampled crash
+    ///    images include ones where a mid-retry persist never reached
+    ///    media: an un-acknowledged write is simply absent from the
+    ///    persisted set).
     /// 3. **Remap-table crash consistency** — a standalone fault unit
     ///    takes permanent errors, and its remap encoding cut at a random
     ///    word (a crash mid-publication) must decode to a prefix of the
@@ -896,29 +674,13 @@ impl Experiment {
         }
         let fail = |round: usize, e: String| self.campaign_failure("chaos", rounds, round, e);
 
-        // Fault-free reference for the probe (the traces are identical in
-        // every round; only the fault schedule varies).
-        let (pmo, traces, probe_layout) = self.pmo_probe();
-        let clean = self.probe_run(&probe_layout, &traces, None);
-        let clean_set: BTreeSet<LineAddr> = clean.pm_write_order.iter().copied().collect();
-        let scale = clean.pm_write_order.len() as u64;
-
-        // The multi-threaded driven run for the crash/recovery legs.
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
+        let oracle = ProbeOracle::new(self);
+        let (_, out) = self.drive();
 
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc4a0_5eed);
         let mut online = OnlineFaultStats::default();
         let mut pmo_edges_checked = 0usize;
-        let mut reconverged_strict = 0usize;
-        let mut reconverged_salvage = 0usize;
+        let mut reconverged = 0usize;
         let mut remap_prefix_checks = 0usize;
 
         for round in 0..rounds {
@@ -926,38 +688,15 @@ impl Experiment {
             let round_seed = self
                 .seed
                 .wrapping_add((round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let schedule = DeviceFaultSchedule::random(round_seed, scale);
-            let faulted = self.probe_run(&probe_layout, &traces, Some(schedule));
-            let set: BTreeSet<LineAddr> = faulted.pm_write_order.iter().copied().collect();
-            if set != clean_set {
-                let missing: Vec<_> = clean_set.difference(&set).collect();
-                let extra: Vec<_> = set.difference(&clean_set).collect();
-                return Err(fail(
-                    round,
-                    format!(
-                        "silent corruption: persisted line set diverged under online \
-                         faults (missing {missing:?}, extra {extra:?})"
-                    ),
-                ));
-            }
-            pmo_edges_checked += order_extends_pmo(&pmo, &faulted.pm_write_order)
-                .map_err(|e| fail(round, format!("retried persist order: {e}")))?;
-            if let Some(s) = faulted.online_faults {
+            let probe = oracle.check(round_seed).map_err(|e| fail(round, e))?;
+            pmo_edges_checked += probe.pmo_edges;
+            if let Some(s) = probe.online {
                 online.merge(&s);
             }
 
             // --- Leg 2: crash points × recovery policies. ---
-            let (crash, _persisted) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            recovery_reconverges(&crash, layout, RecoveryPolicy::Strict, &mut rng)
-                .map_err(|e| fail(round, format!("strict reconvergence: {e}")))?;
-            reconverged_strict += 1;
-            let mut damaged = crash.clone();
-            let victim = rng.gen_range(0..self.threads);
-            let log_line = layout.log_region(victim).base.line().raw();
-            damaged.poison_line(LineAddr(log_line + 1 + rng.gen_range(0..4)));
-            recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
-                .map_err(|e| fail(round, format!("salvage reconvergence: {e}")))?;
-            reconverged_salvage += 1;
+            self.crash_leg(&out, &mut rng).map_err(|e| fail(round, e))?;
+            reconverged += 1;
 
             // --- Leg 3: remap-table crash-prefix consistency. ---
             let mut sched = DeviceFaultSchedule::none();
@@ -1042,17 +781,13 @@ impl Experiment {
         }
 
         // --- MCE leg: poisoned-read delivery under both policies. ---
-        let mce_line = layout.heap_base().line().raw();
-        let mut w_strict = self.bench.instantiate();
-        let strict_run = drive(
-            w_strict.as_mut(),
-            &params.mce(mce_line, RecoveryPolicy::Strict),
-        );
-        let mut w_salvage = self.bench.instantiate();
-        let salvage_run = drive(
-            w_salvage.as_mut(),
-            &params.mce(mce_line, RecoveryPolicy::Salvage),
-        );
+        let mce_line = out.layout.heap_base().line().raw();
+        let mce_run = |policy| {
+            let params = self.driver_params().mce(mce_line, policy);
+            drive(self.bench.instantiate().as_mut(), &params)
+        };
+        let strict_run = mce_run(RecoveryPolicy::Strict);
+        let salvage_run = mce_run(RecoveryPolicy::Salvage);
         let mce_fail = |e: String| self.campaign_failure("chaos", rounds, rounds, e);
         if !strict_run.mce_events.is_empty() && !strict_run.aborted {
             return Err(mce_fail(
@@ -1079,14 +814,44 @@ impl Experiment {
             rounds,
             online,
             pmo_edges_checked,
-            reconverged_strict,
-            reconverged_salvage,
+            reconverged_strict: reconverged,
+            reconverged_salvage: reconverged,
             remap_prefix_checks,
             mce_traps: strict_run.mce_events.len() + salvage_run.mce_events.len(),
             mce_strict_aborted: strict_run.aborted,
             mce_quarantined: salvage_run.quarantined.clone(),
             silent_corruptions: 0,
         })
+    }
+
+    /// One crash leg over `out`, this cell's [driven](Experiment::drive)
+    /// run: sample a formal crash image, require interrupted-and-rerun
+    /// `Strict` recovery to reconverge, then poison one log line of a
+    /// random thread and require `Salvage` to reconverge. The chaos
+    /// campaign's second leg and the serving layer's quarantine leg.
+    ///
+    /// # Errors
+    ///
+    /// Which reconvergence failed, and how.
+    pub fn crash_leg<R: Rng>(&self, out: &DriverOutput, rng: &mut R) -> Result<(), String> {
+        let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, rng);
+        recovery_reconverges(&crash, &out.layout, RecoveryPolicy::Strict, rng)
+            .map_err(|e| format!("strict reconvergence: {e}"))?;
+        let mut damaged = crash;
+        let victim = rng.gen_range(0..self.threads);
+        let log_line = out.layout.log_region(victim).base.line().raw();
+        damaged.poison_line(LineAddr(log_line + 1 + rng.gen_range(0..4)));
+        recovery_reconverges(&damaged, &out.layout, RecoveryPolicy::Salvage, rng)
+            .map_err(|e| format!("salvage reconvergence: {e}"))
+    }
+
+    /// Where campaign-side events go: a handle on the installed recorder,
+    /// or [`NullSink`] when tracing is off.
+    fn sink(&self) -> Box<dyn TraceSink> {
+        match &self.trace {
+            Some(rec) => Box::new(rec.clone()),
+            None => Box::new(NullSink),
+        }
     }
 
     /// The copy-pasteable `swctl` invocation replaying this cell exactly
@@ -1127,41 +892,280 @@ impl Experiment {
     }
 }
 
-/// `true` when recovery's reported fault `d` is the campaign's injected
-/// fault `f`. Matching goes by the *resulting* slot state, not the
-/// injected class: a bit flip that lands next to a legitimately-zero
-/// payload word classifies — and is correctly reported — as a tear.
-fn fault_matches(f: &InjectedFault, d: &RecoveryFault) -> bool {
-    match (&f.resulting, d) {
-        (SlotState::Torn, RecoveryFault::TornEntry { tid, slot }) => {
-            *tid == f.tid && *slot == f.slot
+/// What an injection campaign aims at. The round loop
+/// ([`Experiment::run_fault_campaign`] and
+/// [`Experiment::run_heap_fault_campaign`] share it) is the same for every
+/// target; a target supplies only what differs.
+trait FaultTarget {
+    /// Counter names in registration order (which fixes the JSON key
+    /// order): injected, detected, quarantined, strict rejections,
+    /// control rounds.
+    const COUNTERS: [&'static str; 5];
+    /// Salt of the campaign's crash-sampling RNG seed.
+    const SALT: u64;
+    /// Places the injector's plan into `img`.
+    fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed>;
+    /// The threads or pools `Salvage` quarantined.
+    fn quarantined(outcome: &PolicyOutcome) -> &[usize];
+    /// Checks what a `Salvage` recovery of an injected image left behind.
+    fn check_survivors(
+        cell: &Experiment,
+        out: &DriverOutput,
+        image: &PmImage,
+        outcome: &PolicyOutcome,
+        placed: &[Placed],
+    ) -> Result<(), String>;
+}
+
+/// One injected fault, as the shared round loop sees it.
+struct Placed {
+    /// What recovery must report for it. Matching goes by the *resulting*
+    /// slot state, not the injected class: a bit flip that lands next to
+    /// a legitimately-zero word classifies — and is correctly reported —
+    /// as a tear.
+    expected: Option<RecoveryFault>,
+    /// `true` when it must fail `Strict` recovery.
+    fatal: bool,
+    /// The thread or pool `Salvage` must quarantine for it, if any.
+    quarantine: Option<usize>,
+    /// Its `FaultInjected` trace event.
+    event: TraceEvent,
+    /// Its class and exact location, for failure messages.
+    site: String,
+}
+
+/// Published workload-log slots: every damaged thread is quarantined
+/// (torn ones too), and the survivors must still meet the replay contract.
+struct LogSlots;
+
+impl FaultTarget for LogSlots {
+    const COUNTERS: [&'static str; 5] = [
+        "faults.injected",
+        "faults.detected",
+        "faults.salvaged",
+        "faults.strict_rejections",
+        "faults.control_rounds",
+    ];
+    const SALT: u64 = 0xfa017;
+
+    fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed> {
+        let placed = |f: &InjectedFault| {
+            let (tid, slot, line) = (f.tid, f.slot, f.line);
+            Placed {
+                expected: match f.resulting {
+                    SlotState::Torn => Some(RecoveryFault::TornEntry { tid, slot }),
+                    SlotState::Corrupt => Some(RecoveryFault::ChecksumMismatch { tid, slot }),
+                    SlotState::Poisoned => Some(RecoveryFault::PoisonedLine { tid, line }),
+                    _ => None,
+                },
+                fatal: f.is_fatal(),
+                quarantine: Some(tid),
+                event: f.event(),
+                site: format!(
+                    "{} fault (thread {tid}, slot {slot}, line {line})",
+                    f.class.label()
+                ),
+            }
+        };
+        injector.inject(img, layout).iter().map(placed).collect()
+    }
+
+    fn quarantined(outcome: &PolicyOutcome) -> &[usize] {
+        &outcome.salvaged_threads
+    }
+
+    fn check_survivors(
+        cell: &Experiment,
+        out: &DriverOutput,
+        image: &PmImage,
+        outcome: &PolicyOutcome,
+        _: &[Placed],
+    ) -> Result<(), String> {
+        // Natural tears may salvage additional threads; the contract check
+        // already excludes every salvaged thread's data.
+        match cell.lang.consistency() {
+            Consistency::ReplayCommitted => {
+                check_salvage_consistency(image, outcome, &out.baseline, &out.regions)
+            }
+            Consistency::DurablePrefix => Ok(()),
         }
-        (SlotState::Corrupt, RecoveryFault::ChecksumMismatch { tid, slot }) => {
-            *tid == f.tid && *slot == f.slot
-        }
-        (SlotState::Poisoned, RecoveryFault::PoisonedLine { tid, line }) => {
-            *tid == f.tid && *line == f.line
-        }
-        _ => false,
     }
 }
 
-/// `true` when recovery's reported fault `d` is the heap campaign's
-/// injected allocator-metadata fault `f`. As with [`fault_matches`],
-/// matching goes by the *resulting* slot state: a bit flip that zeroes a
-/// word classifies — and is correctly reported — as a tear.
-fn heap_fault_matches(f: &InjectedHeapFault, d: &RecoveryFault) -> bool {
-    match (&f.resulting, d) {
-        (HeapSlotState::Torn, RecoveryFault::HeapTorn { pool, slot }) => {
-            *pool == f.pool && *slot == f.slot
+/// Published allocator-journal records: only pools holding fatal damage
+/// are quarantined (a torn record is reclaimed as in-flight work), and no
+/// healthy pool may be.
+struct HeapJournal;
+
+impl FaultTarget for HeapJournal {
+    const COUNTERS: [&'static str; 5] = [
+        "alloc_faults.injected",
+        "alloc_faults.detected",
+        "alloc_faults.salvaged_pools",
+        "alloc_faults.strict_rejections",
+        "alloc_faults.control_rounds",
+    ];
+    const SALT: u64 = 0x4ea9;
+
+    fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed> {
+        let placed = |f: &InjectedHeapFault| {
+            let (pool, slot, line) = (f.pool, f.slot, f.line);
+            Placed {
+                expected: match f.resulting {
+                    HeapSlotState::Torn => Some(RecoveryFault::HeapTorn { pool, slot }),
+                    HeapSlotState::Corrupt => Some(RecoveryFault::HeapCorrupt { pool, slot }),
+                    HeapSlotState::Poisoned => Some(RecoveryFault::HeapPoisoned { pool, line }),
+                    _ => None,
+                },
+                fatal: f.is_fatal(),
+                quarantine: f.is_fatal().then_some(pool),
+                event: f.event(),
+                site: format!(
+                    "{} fault (pool {pool}, slot {slot}, line {line})",
+                    f.class.heap_label()
+                ),
+            }
+        };
+        injector
+            .inject_heap(img, layout)
+            .iter()
+            .map(placed)
+            .collect()
+    }
+
+    fn quarantined(outcome: &PolicyOutcome) -> &[usize] {
+        &outcome.salvaged_pools
+    }
+
+    fn check_survivors(
+        _: &Experiment,
+        _: &DriverOutput,
+        _: &PmImage,
+        outcome: &PolicyOutcome,
+        placed: &[Placed],
+    ) -> Result<(), String> {
+        // Exact quarantine: a salvaged pool must hold injected fatal
+        // damage — quarantining a healthy pool discards good data.
+        let healthy = outcome
+            .salvaged_pools
+            .iter()
+            .find(|&&pool| !placed.iter().any(|f| f.quarantine == Some(pool)));
+        match healthy {
+            Some(pool) => Err(format!(
+                "pool {pool} was quarantined without fatal damage (injected: {:?})",
+                placed.iter().map(|f| &f.site).collect::<Vec<_>>()
+            )),
+            None => Ok(()),
         }
-        (HeapSlotState::Corrupt, RecoveryFault::HeapCorrupt { pool, slot }) => {
-            *pool == f.pool && *slot == f.slot
+    }
+}
+
+/// The online-fault oracle of one cell, built once and checked once per
+/// fault schedule. It holds a single-threaded lowered probe — six regions
+/// of four stores under the cell's `(design, lang, strategy)` — with its
+/// formal PMO, the cell's machine configuration (on one core), and the
+/// probe's fault-free acceptance order. A faulted replay must persist
+/// exactly the lines of that order, in an order that is a linear
+/// extension of the PMO: a retry may delay a persist but must never
+/// reorder it. The
+/// chaos campaign and the serving layer's recovery legs both check
+/// against it.
+#[derive(Debug)]
+pub struct ProbeOracle {
+    design: HwDesign,
+    sim: SimConfig,
+    layout: PmLayout,
+    traces: Vec<IsaTrace>,
+    pmo: Pmo,
+    clean_order: Vec<LineAddr>,
+}
+
+/// What one [`ProbeOracle::check`] verified.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeCheck {
+    /// Transitive cross-line PMO edges the faulted acceptance order was
+    /// verified against.
+    pub pmo_edges: usize,
+    /// The faulted run's online-fault activity (`None` when no fault unit
+    /// was consulted).
+    pub online: Option<OnlineFaultStats>,
+}
+
+impl ProbeOracle {
+    /// Builds the probe for `cell` and runs it fault-free.
+    pub fn new(cell: &Experiment) -> Self {
+        let layout = PmLayout::new(1, 512);
+        let heap = layout.heap_base();
+        let mut ctx = FuncCtx::new(layout.clone(), 1);
+        let mut cfg = RuntimeConfig::new(cell.design, cell.lang);
+        cfg.strategy = cell.strategy;
+        let mut rt = ThreadRuntime::new(&layout, 0, cfg);
+        for r in 0..6u64 {
+            rt.region_begin(&mut ctx, &[LockId(0)]);
+            for k in 0..4u64 {
+                rt.store(&mut ctx, heap.offset_words((r * 4 + k) * 8), r * 10 + k);
+            }
+            rt.region_end(&mut ctx);
         }
-        (HeapSlotState::Poisoned, RecoveryFault::HeapPoisoned { pool, line }) => {
-            *pool == f.pool && *line == f.line
+        rt.shutdown(&mut ctx);
+        let mut oracle = ProbeOracle {
+            design: cell.design,
+            sim: cell.sim.clone().with_cores(1),
+            layout,
+            pmo: Pmo::compute(&ctx.execution(), cell.design.memory_model()),
+            traces: ctx.into_traces(),
+            clean_order: Vec::new(),
+        };
+        oracle.clean_order = oracle.run(None).pm_write_order;
+        oracle
+    }
+
+    /// The probe's formal persist memory order.
+    pub fn pmo(&self) -> &Pmo {
+        &self.pmo
+    }
+
+    /// The fault-free run's PM acceptance order.
+    pub fn clean_order(&self) -> &[LineAddr] {
+        &self.clean_order
+    }
+
+    /// Replays the probe under [`DeviceFaultSchedule::random`] drawn from
+    /// `seed` at the fault-free run's scale, then requires the durable
+    /// line set to equal the fault-free one (no write silently lost or
+    /// invented) and the acceptance order to extend the PMO.
+    ///
+    /// # Errors
+    ///
+    /// The diverging lines, or the violated PMO edge.
+    pub fn check(&self, seed: u64) -> Result<ProbeCheck, String> {
+        let scale = self.clean_order.len() as u64;
+        let faulted = self.run(Some(DeviceFaultSchedule::random(seed, scale)));
+        let clean: BTreeSet<LineAddr> = self.clean_order.iter().copied().collect();
+        let set: BTreeSet<LineAddr> = faulted.pm_write_order.iter().copied().collect();
+        if set != clean {
+            let missing: Vec<_> = clean.difference(&set).collect();
+            let extra: Vec<_> = set.difference(&clean).collect();
+            return Err(format!(
+                "silent corruption: durable line set diverged under online faults \
+                 (missing {missing:?}, extra {extra:?})"
+            ));
         }
-        _ => false,
+        let pmo_edges = order_extends_pmo(&self.pmo, &faulted.pm_write_order)
+            .map_err(|e| format!("persist order under retries: {e}"))?;
+        Ok(ProbeCheck {
+            pmo_edges,
+            online: faulted.online_faults,
+        })
+    }
+
+    /// Runs the probe traces, with `faults` installed when given.
+    fn run(&self, faults: Option<DeviceFaultSchedule>) -> SimStats {
+        let mut cfg = self.sim.clone();
+        if let Some(schedule) = faults {
+            cfg = cfg.with_device_faults(schedule);
+        }
+        Machine::new(cfg, self.design, self.layout.clone(), self.traces.clone()).run()
     }
 }
 
@@ -1171,9 +1175,8 @@ fn heap_fault_matches(f: &InjectedHeapFault, d: &RecoveryFault) -> bool {
 /// edges touching multiply-accepted lines are skipped. Returns the number
 /// of edges verified; errors on the first violation.
 ///
-/// Public so other harnesses (the `sw-serve` serving layer's mid-serve
-/// crash/recover legs) can hold their acceptance orders to the same
-/// linear-extension bar as the chaos campaign.
+/// Public so other harnesses can hold their acceptance orders to the same
+/// linear-extension bar as [`ProbeOracle`].
 pub fn order_extends_pmo(pmo: &Pmo, order: &[LineAddr]) -> Result<usize, String> {
     let mut count = std::collections::HashMap::new();
     let mut first_pos = std::collections::HashMap::new();
@@ -2204,6 +2207,54 @@ mod tests {
             stats.metrics.counter("faults.online.lines_remapped"),
             Some(online.lines_remapped)
         );
+    }
+
+    /// The probe oracle of a small strandweaver cell, plus the positions
+    /// in its fault-free order of two lines a PMO edge orders, each
+    /// accepted exactly once.
+    fn probe_with_edge() -> (ProbeOracle, usize, usize) {
+        let oracle = ProbeOracle::new(&small(
+            BenchmarkId::Queue,
+            LangModel::Txn,
+            HwDesign::StrandWeaver,
+        ));
+        let (pmo, order) = (oracle.pmo(), oracle.clean_order());
+        let once = |l: LineAddr| order.iter().filter(|&&x| x == l).count() == 1;
+        let pos = |l: LineAddr| order.iter().position(|&x| x == l).unwrap();
+        let edge = (0..pmo.num_stores())
+            .flat_map(|i| (0..pmo.num_stores()).map(move |j| (StoreId(i), StoreId(j))))
+            .map(|(a, b)| (a, b, pmo.store(a).addr.line(), pmo.store(b).addr.line()))
+            .find(|&(a, b, la, lb)| la != lb && pmo.ordered_before(a, b) && once(la) && once(lb))
+            .map(|(_, _, la, lb)| (pos(la), pos(lb)))
+            .expect("the probe orders two once-accepted lines");
+        (oracle, edge.0, edge.1)
+    }
+
+    #[test]
+    fn order_extends_pmo_rejects_a_swapped_edge() {
+        let (oracle, a, b) = probe_with_edge();
+        let mut order = oracle.clean_order().to_vec();
+        assert!(order_extends_pmo(oracle.pmo(), &order).is_ok());
+        order.swap(a, b);
+        let err = order_extends_pmo(oracle.pmo(), &order).unwrap_err();
+        assert!(err.contains("violated by acceptance order"), "{err}");
+    }
+
+    #[test]
+    fn order_extends_pmo_skips_edges_of_lines_accepted_twice() {
+        let (oracle, a, _) = probe_with_edge();
+        let clean = oracle.clean_order();
+        let checked = order_extends_pmo(oracle.pmo(), clean).unwrap();
+        // Moving the edge's source line to the end breaks the edge ...
+        let mut moved: Vec<LineAddr> = clean.to_vec();
+        let line = moved.remove(a);
+        moved.push(line);
+        assert!(order_extends_pmo(oracle.pmo(), &moved).is_err());
+        // ... unless the line is accepted twice: it then maps onto no
+        // single store, so its edges are skipped, not checked.
+        moved.push(line);
+        let skipped = order_extends_pmo(oracle.pmo(), &moved).expect("edges skipped");
+        assert!(skipped < checked, "{skipped} of {checked} edges checked");
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub trait TraceSink: Debug {
     fn record(&mut self, cycle: u64, event: TraceEvent);
 }
 
-/// A sink that discards everything. Used to measure the cost of the
+/// A sink that discards everything: what an untraced call passes to a
+/// traced implementation, and the baseline for measuring the cost of the
 /// emit-site plumbing itself.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;

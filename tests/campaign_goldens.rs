@@ -1,0 +1,98 @@
+//! The campaign goldens: the fixed-seed `swctl … --json` reports committed
+//! under `expected/`, rebuilt through the library and compared byte for
+//! byte. `serve_sweep.json` is left to `ci.sh`, which diffs it against the
+//! release binary: a debug build takes about 40 s to serve the sweep.
+//!
+//! Each golden names the `swctl` command that printed it (see `ci.sh`).
+
+use strandweaver::experiment::{chaos_sweep, Experiment};
+use strandweaver::trace::Json;
+use strandweaver::{BenchmarkId, HwDesign, LangModel};
+use sw_serve::ServeConfig;
+
+/// The cell `swctl` builds from `--threads 2 --regions <regions> --ops 2
+/// --seed <seed>`.
+fn cell(
+    bench: BenchmarkId,
+    lang: LangModel,
+    design: HwDesign,
+    regions: usize,
+    seed: u64,
+) -> Experiment {
+    Experiment::new(bench, lang, design)
+        .threads(2)
+        .total_regions(regions)
+        .ops_per_region(2)
+        .seed(seed)
+}
+
+/// Asserts that `report` renders exactly as `expected/<name>.json` (which
+/// holds `swctl`'s stdout: the rendered JSON plus a newline).
+fn golden(name: &str, report: Json) {
+    let path = format!("{}/expected/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(
+        format!("{}\n", report.render()),
+        want,
+        "{name} drifted from {path}"
+    );
+}
+
+#[test]
+fn fault_campaigns_match_their_goldens() {
+    use BenchmarkId::{Hashmap, Queue};
+    use HwDesign::{Eadr, IntelX86, StrandWeaver};
+    use LangModel::{Native, Sfr, Txn};
+    // faults / faults_heap: `faults queue --lang txn --design strandweaver
+    // --regions 16 --rounds 9 --seed 42 [--heap]`.
+    let faults = cell(Queue, Txn, StrandWeaver, 16, 42);
+    golden("faults", faults.run_fault_campaign(9).unwrap().to_json());
+    golden(
+        "faults_heap",
+        faults.run_heap_fault_campaign(9).unwrap().to_json(),
+    );
+    // faults_native: every round is a control round.
+    let native = cell(Queue, Native, Eadr, 16, 5);
+    golden(
+        "faults_native",
+        native.run_fault_campaign(6).unwrap().to_json(),
+    );
+    // faults_redo: `faults hashmap --lang sfr --design intel-x86 --rounds
+    // 12 --seed 9 --redo`.
+    let redo = cell(Hashmap, Sfr, IntelX86, 16, 9).redo();
+    golden(
+        "faults_redo",
+        redo.run_fault_campaign(12).unwrap().to_json(),
+    );
+    // heap_verify: `heap hashmap --verify --lang native --design eadr
+    // --regions 40 --rounds 40 --seed 7`.
+    let heap = cell(Hashmap, Native, Eadr, 40, 7);
+    golden("heap_verify", heap.run_heap_smoke(40).unwrap().to_json());
+}
+
+#[test]
+fn chaos_campaigns_match_their_goldens() {
+    // `chaos queue --lang txn --design strandweaver --regions 24 --seed 1`
+    // with `--rounds 3`, and with `--sweep --rounds 2`.
+    let chaos = cell(
+        BenchmarkId::Queue,
+        LangModel::Txn,
+        HwDesign::StrandWeaver,
+        24,
+        1,
+    );
+    golden("chaos", chaos.run_chaos_campaign(3).unwrap().to_json());
+    golden("chaos_sweep", chaos_sweep(&chaos, 2).unwrap().to_json());
+}
+
+#[test]
+fn serve_cell_matches_its_golden() {
+    // `serve queue --lang txn --design strandweaver --threads 2 --regions
+    // 24 --ops 2 --seed 1234`.
+    let mut cfg =
+        ServeConfig::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver).seed(1234);
+    cfg.threads = 2;
+    cfg.regions = 24;
+    cfg.ops = 2;
+    golden("serve", sw_serve::serve_report(&cfg).unwrap().to_json());
+}

@@ -1,68 +1,21 @@
 //! Integration: the timing simulator's durable write order must be a
 //! linear extension of the formal persist memory order.
 
-use strandweaver::lang::{FuncCtx, LangModel, RuntimeConfig, ThreadRuntime};
-use strandweaver::model::isa::LockId;
-use strandweaver::model::{Pmo, StoreId};
+use strandweaver::experiment::{order_extends_pmo, Experiment, ProbeOracle};
 use strandweaver::pmem::LineAddr;
-use strandweaver::{HwDesign, Machine, PmLayout, SimConfig};
+use strandweaver::{BenchmarkId, HwDesign, LangModel, Machine, PmLayout, SimConfig};
 
-/// Runs a single-threaded runtime-lowered workload under `design`, then
-/// checks that the first PM-controller acceptance of each store's line
-/// respects every PMO edge between stores on *different* lines. (Stores to
-/// the same line share flushes, so only cross-line edges map one-to-one
-/// onto controller acceptances.)
+/// Runs the chaos campaign's single-threaded probe (a runtime-lowered
+/// workload) fault-free under `design`, then checks that the PM-controller
+/// acceptance order respects every *transitive* PMO edge between stores on
+/// different lines — epoch models express most cross-line ordering only
+/// transitively through log-line stores. A store maps one-to-one onto a
+/// controller acceptance only when its line was flushed exactly once (log
+/// lines are flushed again at invalidation), so only those edges count.
 fn check_agreement(design: HwDesign, lang: LangModel) {
-    let layout = PmLayout::new(1, 512);
-    let heap = layout.heap_base();
-    let mut ctx = FuncCtx::new(layout.clone(), 1);
-    let mut rt = ThreadRuntime::new(&layout, 0, RuntimeConfig::new(design, lang));
-    for r in 0..6u64 {
-        rt.region_begin(&mut ctx, &[LockId(0)]);
-        for k in 0..4u64 {
-            rt.store(&mut ctx, heap.offset_words((r * 4 + k) * 8), r * 10 + k);
-        }
-        rt.region_end(&mut ctx);
-    }
-    rt.shutdown(&mut ctx);
-
-    let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
-    let traces = ctx.into_traces();
-    let stats = Machine::new(SimConfig::table_i().with_cores(1), design, layout, traces).run();
-
-    // A store maps one-to-one onto a controller acceptance only when its
-    // line was flushed exactly once (log lines are flushed again at
-    // invalidation; the data lines here are written once each).
-    let mut count = std::collections::HashMap::new();
-    let mut first_pos = std::collections::HashMap::new();
-    for (pos, line) in stats.pm_write_order.iter().enumerate() {
-        *count.entry(*line).or_insert(0usize) += 1;
-        first_pos.entry(*line).or_insert(pos);
-    }
-    let pos_of = |line: LineAddr| (count.get(&line) == Some(&1)).then(|| first_pos[&line]);
-
-    // Check the *transitive* order: epoch models express most cross-line
-    // ordering only transitively through log-line stores.
-    let mut checked = 0;
-    for i in 0..pmo.num_stores() {
-        for j in 0..pmo.num_stores() {
-            if i == j || !pmo.ordered_before(StoreId(i), StoreId(j)) {
-                continue;
-            }
-            let la = pmo.store(StoreId(i)).addr.line();
-            let lb = pmo.store(StoreId(j)).addr.line();
-            if la == lb {
-                continue;
-            }
-            if let (Some(pa), Some(pb)) = (pos_of(la), pos_of(lb)) {
-                assert!(
-                    pa < pb,
-                    "{design:?}: PMO edge {la} -> {lb} violated by controller order ({pa} >= {pb})"
-                );
-                checked += 1;
-            }
-        }
-    }
+    let oracle = ProbeOracle::new(&Experiment::new(BenchmarkId::Queue, lang, design));
+    let checked = order_extends_pmo(oracle.pmo(), oracle.clean_order())
+        .unwrap_or_else(|e| panic!("{design:?}: {e}"));
     assert!(
         checked > 10,
         "{design:?}: too few cross-line edges checked ({checked})"
