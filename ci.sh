@@ -140,6 +140,20 @@ golden faults_native faults queue --lang native --design eadr "${scale[@]}" \
 golden faults_redo faults hashmap --lang sfr --design intel-x86 "${scale[@]}" \
   --regions 16 --rounds 12 --seed 9 --redo --json
 echo "campaign goldens bit-identical"
+# CLI goldens: what the flag table routes that no figure or campaign golden
+# covers — the run report as text and JSON, heap occupancy, and two --json
+# figure targets at the figure scale.
+cli_golden() {
+  local file=$1; shift
+  diff "expected/$file" <(env "${figs_env[@]}" "$SWCTL" "$@") \
+    || { echo "ci: $file drifted from expected/$file" >&2; exit 1; }
+}
+cli_golden run_stats.txt run queue "${scale[@]}" --regions 24 --stats
+cli_golden run.json run queue "${scale[@]}" --regions 24 --stats --json
+cli_golden heap_churn.json heap hashmap --churn --json "${scale[@]}" --regions 24
+cli_golden table2.json table2 --json
+cli_golden fig7_strandweaver.json fig7 --design strandweaver --json
+echo "CLI goldens bit-identical"
 
 echo "== swctl chaos (fixed-seed online-fault smoke) =="
 # Deterministic online-fault campaign: every device-fault class must fire

@@ -2,9 +2,9 @@
 //! evaluation (Section VI).
 //!
 //! Each `fig*`/`table*` function runs the corresponding experiment and
-//! returns a formatted report; the binaries in `src/bin/` are thin wrappers
-//! and `benches/figures.rs` regenerates everything in one pass (run with
-//! `cargo bench -p sw-bench --bench figures`).
+//! returns a formatted report; `swctl <target>` prints one through
+//! [`Target::run`] and `benches/figures.rs` regenerates everything in one
+//! pass (run with `cargo bench -p sw-bench --bench figures`).
 //!
 //! Scale: the paper simulates 50 K operations in gem5; these runs default
 //! to 240 regions × 4 operations so a full table/figure sweep completes in

@@ -10,10 +10,10 @@
 //! plus the discrete-event and simulated-cycle totals the performance
 //! harness divides wall time by.
 //!
-//! Legality of a filter pair (the log-free `native` model needs an
-//! eADR-class design) is the caller's contract: `swctl` validates user
-//! input before calling [`Target::run`], exactly as the individual
-//! subcommand arms did before this module existed.
+//! Which filters a target accepts, and the legality of a filter pair (the
+//! log-free `native` model needs an eADR-class design), are the caller's
+//! contract: `swctl` checks both through [`crate::cli`] before calling
+//! [`Target::run`].
 
 use strandweaver::{HwDesign, LangModel};
 use sw_trace::Json;
@@ -125,24 +125,6 @@ impl Target {
             return Some(Target::Fig2);
         }
         Target::ALL.into_iter().find(|t| t.label() == s)
-    }
-
-    /// Whether the target has a machine-readable (`--json`) form.
-    pub fn json_ok(self) -> bool {
-        !matches!(self, Target::Fig1 | Target::Fig2 | Target::Table1)
-    }
-
-    /// Whether the target accepts a `--design` filter.
-    pub fn design_ok(self) -> bool {
-        matches!(
-            self,
-            Target::Fig7 | Target::Fig8 | Target::Fig9 | Target::Fig10
-        )
-    }
-
-    /// Whether the target accepts a `--lang` filter.
-    pub fn lang_ok(self) -> bool {
-        matches!(self, Target::Fig9 | Target::Fig10 | Target::Summary)
     }
 
     /// Runs the target at `scale` under `filters` and collects its output.
@@ -284,13 +266,6 @@ mod tests {
         }
         assert_eq!(Target::from_label("litmus"), Some(Target::Fig2));
         assert_eq!(Target::from_label("fig99"), None);
-    }
-
-    #[test]
-    fn bench_targets_are_all_tabular() {
-        for t in Target::BENCH {
-            assert!(t.json_ok(), "{} must support --json", t.label());
-        }
     }
 
     #[test]

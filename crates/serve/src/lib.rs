@@ -216,12 +216,12 @@ impl ServeConfig {
     }
 
     /// The copy-pasteable `swctl serve` invocation reproducing this cell
-    /// exactly.
+    /// exactly. `--queue-depth`, `--deadline-factor` and `--no-faults`
+    /// appear only where they differ from [`ServeConfig::new`].
     pub fn repro_cmd(&self) -> String {
-        let redo = if self.redo { " --redo" } else { "" };
-        format!(
+        let mut cmd = format!(
             "swctl serve {} --lang {} --design {} --threads {} --regions {} --ops {} \
-             --shards {} --requests {} --load {} --arrival {} --shed-policy {} --seed {}{redo}",
+             --shards {} --requests {} --load {} --arrival {} --shed-policy {} --seed {}",
             self.bench,
             self.lang,
             self.design,
@@ -234,7 +234,21 @@ impl ServeConfig {
             self.arrival,
             self.shed,
             self.seed,
-        )
+        );
+        let defaults = ServeConfig::new(self.bench, self.lang, self.design);
+        if self.redo {
+            cmd.push_str(" --redo");
+        }
+        if self.queue_depth != defaults.queue_depth {
+            cmd.push_str(&format!(" --queue-depth {}", self.queue_depth));
+        }
+        if self.deadline_factor != defaults.deadline_factor {
+            cmd.push_str(&format!(" --deadline-factor {}", self.deadline_factor));
+        }
+        if !self.faults {
+            cmd.push_str(" --no-faults");
+        }
+        cmd
     }
 }
 

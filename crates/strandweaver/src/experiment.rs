@@ -230,7 +230,7 @@ impl Experiment {
         for round in 0..rounds {
             let outcome = crash_and_recover(&out.ctx, &out.baseline, self.design, &mut rng);
             self.check_contract(workload.as_ref(), &out, &outcome)
-                .map_err(|e| self.campaign_failure("crash", rounds, round, e))?;
+                .map_err(|e| self.campaign_failure(Campaign::Crash, rounds, round, e))?;
         }
         Ok(())
     }
@@ -335,7 +335,7 @@ impl Experiment {
         let layout = &out.layout;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ T::SALT);
         let mut sink = self.sink();
-        let fail = |round: usize, e: String| self.campaign_failure("faults", rounds, round, e);
+        let fail = |round: usize, e: String| self.campaign_failure(T::CAMPAIGN, rounds, round, e);
 
         let mut registry = MetricsRegistry::new();
         let [injected_ctr, detected_ctr, salvaged_ctr, strict_ctr, control_ctr] =
@@ -545,7 +545,8 @@ impl Experiment {
         let out = drive(workload.as_mut(), &self.driver_params());
         let layout = &out.layout;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4eaf);
-        let fail = |round: usize, e: String| self.campaign_failure("heap", rounds, round, e);
+        let fail =
+            |round: usize, e: String| self.campaign_failure(Campaign::HeapSmoke, rounds, round, e);
 
         let mut reclaimed_blocks = 0u64;
         let mut rounds_with_leaks = 0usize;
@@ -672,7 +673,8 @@ impl Experiment {
                 self.lang, self.design
             ));
         }
-        let fail = |round: usize, e: String| self.campaign_failure("chaos", rounds, round, e);
+        let fail =
+            |round: usize, e: String| self.campaign_failure(Campaign::Chaos, rounds, round, e);
 
         let oracle = ProbeOracle::new(self);
         let (_, out) = self.drive();
@@ -788,7 +790,7 @@ impl Experiment {
         };
         let strict_run = mce_run(RecoveryPolicy::Strict);
         let salvage_run = mce_run(RecoveryPolicy::Salvage);
-        let mce_fail = |e: String| self.campaign_failure("chaos", rounds, rounds, e);
+        let mce_fail = |e: String| self.campaign_failure(Campaign::Chaos, rounds, rounds, e);
         if !strict_run.mce_events.is_empty() && !strict_run.aborted {
             return Err(mce_fail(
                 "strict policy consumed a poisoned line without aborting".into(),
@@ -854,18 +856,16 @@ impl Experiment {
         }
     }
 
-    /// The copy-pasteable `swctl` invocation replaying this cell exactly
-    /// (the seed pins workload generation, crash sampling, and fault
-    /// injection).
-    fn repro_cmd(&self, subcommand: &str, rounds: usize) -> String {
-        let redo = if matches!(self.strategy, LogStrategy::Redo) {
-            " --redo"
-        } else {
-            ""
-        };
-        format!(
-            "swctl {subcommand} {} --lang {} --design {} --threads {} --regions {} \
-             --ops {} --rounds {rounds} --seed {}{redo}",
+    /// The copy-pasteable `swctl` invocation replaying `campaign` on this
+    /// cell exactly (the seed pins workload generation, crash sampling,
+    /// and fault injection). Of the campaigns only chaos simulates the
+    /// machine (its probe runs on [`sim`](Experiment::sim)), so only its
+    /// reproducer carries `--sq`/`--pq`, where they differ from Table I.
+    pub fn repro_cmd(&self, campaign: Campaign, rounds: usize) -> String {
+        let (subcommand, switch) = campaign.command();
+        let mut cmd = format!(
+            "swctl {subcommand} {}{switch} --lang {} --design {} --threads {} --regions {} \
+             --ops {} --rounds {rounds} --seed {}",
             self.bench,
             self.lang,
             self.design,
@@ -873,13 +873,26 @@ impl Experiment {
             self.total_regions,
             self.ops_per_region,
             self.seed,
-        )
+        );
+        if matches!(self.strategy, LogStrategy::Redo) {
+            cmd.push_str(" --redo");
+        }
+        if campaign == Campaign::Chaos {
+            let table_i = SimConfig::table_i();
+            if self.sim.store_queue_entries != table_i.store_queue_entries {
+                cmd.push_str(&format!(" --sq {}", self.sim.store_queue_entries));
+            }
+            if self.sim.persist_queue_entries != table_i.persist_queue_entries {
+                cmd.push_str(&format!(" --pq {}", self.sim.persist_queue_entries));
+            }
+        }
+        cmd
     }
 
     /// Formats a campaign failure with its minimal reproducer attached.
     fn campaign_failure(
         &self,
-        subcommand: &str,
+        campaign: Campaign,
         rounds: usize,
         round: usize,
         detail: String,
@@ -887,8 +900,38 @@ impl Experiment {
         format!(
             "round {round}: {detail}\n  seed {}: reproduce with `{}`",
             self.seed,
-            self.repro_cmd(subcommand, rounds)
+            self.repro_cmd(campaign, rounds)
         )
+    }
+}
+
+/// A seeded campaign whose failures embed a `swctl` reproducer
+/// ([`Experiment::repro_cmd`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Campaign {
+    /// [`Experiment::run_crash_campaign`].
+    Crash,
+    /// [`Experiment::run_fault_campaign`].
+    Faults,
+    /// [`Experiment::run_heap_fault_campaign`].
+    HeapFaults,
+    /// [`Experiment::run_heap_smoke`].
+    HeapSmoke,
+    /// [`Experiment::run_chaos_campaign`].
+    Chaos,
+}
+
+impl Campaign {
+    /// The `swctl` subcommand that runs it, and its mode switch (empty,
+    /// or with a leading space).
+    fn command(self) -> (&'static str, &'static str) {
+        match self {
+            Campaign::Crash => ("crash", ""),
+            Campaign::Faults => ("faults", ""),
+            Campaign::HeapFaults => ("faults", " --heap"),
+            Campaign::HeapSmoke => ("heap", " --verify"),
+            Campaign::Chaos => ("chaos", ""),
+        }
     }
 }
 
@@ -903,6 +946,8 @@ trait FaultTarget {
     const COUNTERS: [&'static str; 5];
     /// Salt of the campaign's crash-sampling RNG seed.
     const SALT: u64;
+    /// The campaign its failures reproduce.
+    const CAMPAIGN: Campaign;
     /// Places the injector's plan into `img`.
     fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed>;
     /// The threads or pools `Salvage` quarantined.
@@ -947,6 +992,7 @@ impl FaultTarget for LogSlots {
         "faults.control_rounds",
     ];
     const SALT: u64 = 0xfa017;
+    const CAMPAIGN: Campaign = Campaign::Faults;
 
     fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed> {
         let placed = |f: &InjectedFault| {
@@ -1006,6 +1052,7 @@ impl FaultTarget for HeapJournal {
         "alloc_faults.control_rounds",
     ];
     const SALT: u64 = 0x4ea9;
+    const CAMPAIGN: Campaign = Campaign::HeapFaults;
 
     fn inject(injector: &mut FaultInjector, img: &mut PmImage, layout: &PmLayout) -> Vec<Placed> {
         let placed = |f: &InjectedHeapFault| {
@@ -2146,7 +2193,7 @@ mod tests {
     #[test]
     fn chaos_failures_embed_a_reproducer() {
         let e = small(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver).seed(123);
-        let msg = e.campaign_failure("chaos", 5, 2, "boom".into());
+        let msg = e.campaign_failure(Campaign::Chaos, 5, 2, "boom".into());
         assert!(msg.contains("round 2: boom"), "{msg}");
         assert!(
             msg.contains("swctl chaos queue --lang txn --design strandweaver"),
