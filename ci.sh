@@ -153,7 +153,22 @@ cli_golden run.json run queue "${scale[@]}" --regions 24 --stats --json
 cli_golden heap_churn.json heap hashmap --churn --json "${scale[@]}" --regions 24
 cli_golden table2.json table2 --json
 cli_golden fig7_strandweaver.json fig7 --design strandweaver --json
+cli_golden fig9.json fig9 --json
+cli_golden fig10.json fig10 --json
+cli_golden summary.json summary --json
 echo "CLI goldens bit-identical"
+# Trace goldens: the Perfetto export of one small traced run per design
+# class. Together they emit every event kind of a fault-free timing run;
+# crates/trace/tests/export_golden.rs pins every variant of both exporters.
+trace_out=$(mktemp)
+for design in strandweaver eadr; do
+  "$SWCTL" trace queue --design "$design" --threads 2 --regions 4 --ops 1 \
+    --out "$trace_out" >/dev/null
+  cmp "expected/trace_$design.json" "$trace_out" \
+    || { echo "ci: trace_$design drifted from expected/trace_$design.json" >&2; exit 1; }
+done
+rm -f "$trace_out"
+echo "trace goldens bit-identical"
 
 echo "== swctl chaos (fixed-seed online-fault smoke) =="
 # Deterministic online-fault campaign: every device-fault class must fire

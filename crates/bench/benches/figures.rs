@@ -1,6 +1,7 @@
 //! Regenerates every table and figure in one pass. Not a statistical
 //! benchmark: `harness = false` is used so `cargo bench` executes the full
 //! evaluation in release mode and prints the paper-style reports.
+use strandweaver::{HwDesign, LangModel};
 use sw_bench::*;
 
 fn main() {
@@ -14,11 +15,13 @@ fn main() {
     println!("{}", fig2_report());
     let rows = table2(scale);
     println!("{}", table2_report(&rows));
-    let cells = full_sweep(scale);
+    // One sweep feeds Figures 7 and 8 and the summary.
+    let cells = full_sweep_matrix(scale, &HwDesign::ALL, &LangModel::ALL);
     println!("{}", fig7_report(&cells));
     println!("{}", fig8_report(&cells));
-    println!("{}", fig9_report(scale));
-    println!("{}", fig10_report(scale));
+    let (measured, lang) = (HwDesign::StrandWeaver, LangModel::Sfr);
+    println!("{}", fig9_matrix(scale, measured, lang).render());
+    println!("{}", fig10_matrix(scale, measured, lang).render());
     println!("{}", summary_report(&cells));
     println!("{}", lang_sensitivity_report(&cells));
     println!("{}", native_bound_report(&native_bound(scale)));

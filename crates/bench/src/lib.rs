@@ -1,8 +1,8 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
 //! evaluation (Section VI).
 //!
-//! Each `fig*`/`table*` function runs the corresponding experiment and
-//! returns a formatted report; `swctl <target>` prints one through
+//! The `fig*`/`table*` functions run the corresponding experiment and
+//! format its report; `swctl <target>` prints one through
 //! [`Target::run`] and `benches/figures.rs` regenerates everything in one
 //! pass (run with `cargo bench -p sw-bench --bench figures`).
 //!
@@ -23,7 +23,7 @@ pub use targets::{sweep_designs, Target, TargetFilters, TargetOutput};
 
 use std::fmt::Write as _;
 
-use strandweaver::experiment::{design_sweep_of, Experiment};
+use strandweaver::experiment::{design_sweep_of, fan_out, Experiment};
 use strandweaver::model::litmus;
 use strandweaver::{BenchmarkId, HwDesign, LangModel, MemoryModel, SimConfig, SimStats};
 use sw_trace::Json;
@@ -177,14 +177,18 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// Cycles of `design`.
-    pub fn cycles(&self, design: HwDesign) -> u64 {
-        self.designs
+    fn stats(&self, design: HwDesign) -> &SimStats {
+        let (_, stats) = self
+            .designs
             .iter()
             .find(|(d, _)| *d == design)
-            .expect("design present")
-            .1
-            .cycles
+            .expect("design present");
+        stats
+    }
+
+    /// Cycles of `design`.
+    pub fn cycles(&self, design: HwDesign) -> u64 {
+        self.stats(design).cycles
     }
 
     /// Speedup of `design` over the Intel x86 baseline.
@@ -205,20 +209,8 @@ impl SweepCell {
     /// Persist-ordering stall cycles of `design`, normalized to Intel x86
     /// (the Figure 8 metric).
     pub fn stall_ratio(&self, design: HwDesign) -> f64 {
-        let intel = self
-            .designs
-            .iter()
-            .find(|(d, _)| *d == HwDesign::IntelX86)
-            .expect("intel present")
-            .1
-            .persist_stall_cycles() as f64;
-        let d = self
-            .designs
-            .iter()
-            .find(|(x, _)| *x == design)
-            .expect("design present")
-            .1
-            .persist_stall_cycles() as f64;
+        let intel = self.stats(HwDesign::IntelX86).persist_stall_cycles() as f64;
+        let d = self.stats(design).persist_stall_cycles() as f64;
         if intel == 0.0 {
             0.0
         } else {
@@ -227,28 +219,16 @@ impl SweepCell {
     }
 }
 
-/// Runs the full Figure 7/8 sweep: every benchmark × language model ×
-/// design. This is the workhorse; Figures 7, 8 and the summary all read
-/// from its output.
-pub fn full_sweep(scale: Scale) -> Vec<SweepCell> {
-    full_sweep_of(scale, &HwDesign::ALL)
-}
-
-/// As [`full_sweep`], restricted to `designs` (the `swctl --design`
-/// filter), sweeping every language model legal on all of them.
-pub fn full_sweep_of(scale: Scale, designs: &[HwDesign]) -> Vec<SweepCell> {
-    full_sweep_matrix(scale, designs, &LangModel::ALL)
-}
-
-/// The fully-filtered sweep: `designs` × the subset of `langs` legal on
+/// The Figure 7/8 sweep, the workhorse that Figures 7, 8 and the summary
+/// all read: every benchmark × `designs` × the subset of `langs` legal on
 /// every swept design (a [`SweepCell`] holds one language model's stats
 /// for *all* designs, so a model that cannot run on one of them — the
 /// log-free Native model off eADR — is skipped; `swctl` validates explicit
 /// filters before calling, so a skip here is never silent). The (language
-/// model × benchmark) cells run on concurrent threads — each cell
-/// regenerates its own workload from the shared seed and owns its
-/// machines, so the cells are independent — and each cell's design sweep
-/// fans out further inside [`design_sweep_of`].
+/// model × benchmark) cells [`fan_out`] — each cell regenerates its own
+/// workload from the shared seed and owns its machines, so the cells are
+/// independent — and each cell's design sweep fans out further inside
+/// [`design_sweep_of`].
 pub fn full_sweep_matrix(
     scale: Scale,
     designs: &[HwDesign],
@@ -263,7 +243,7 @@ pub fn full_sweep_matrix(
             pairs.push((lang, bench));
         }
     }
-    let cell = |(lang, bench): (LangModel, BenchmarkId)| {
+    fan_out(&pairs, |&(lang, bench)| {
         let proto_design = *designs.first().unwrap_or(&HwDesign::StrandWeaver);
         let proto = scale.experiment(bench, lang, proto_design);
         SweepCell {
@@ -271,21 +251,6 @@ pub fn full_sweep_matrix(
             lang,
             designs: design_sweep_of(designs, bench, lang, &proto),
         }
-    };
-    // Threads cannot overlap compute on a single hardware thread; run the
-    // cells inline there (identical results either way).
-    if !strandweaver::experiment::host_is_multicore() {
-        return pairs.into_iter().map(cell).collect();
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .iter()
-            .map(|&pair| s.spawn(move || cell(pair)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep cell thread panicked"))
-            .collect()
     })
 }
 
@@ -299,30 +264,46 @@ fn swept_designs(cells: &[SweepCell]) -> Vec<HwDesign> {
         .unwrap_or_default()
 }
 
-/// Figure 7: speedup over Intel x86 per benchmark, language model, design.
-pub fn fig7_report(cells: &[SweepCell]) -> String {
-    let designs = swept_designs(cells);
+/// Figures 7 and 8 share one table: a block per language model, a row per
+/// benchmark and a column per design; `value` formats one cell for a
+/// column `w` characters wide.
+fn sweep_table(
+    title: &str,
+    cells: &[SweepCell],
+    designs: &[HwDesign],
+    value: impl Fn(&SweepCell, HwDesign, usize) -> String,
+) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "Figure 7 — Speedup over the Intel x86 design");
+    let _ = writeln!(s, "{title}");
     for &lang in &LangModel::ALL {
         if !cells.iter().any(|c| c.lang == lang) {
             continue;
         }
         let _ = writeln!(s, "  [{}]", lang.label());
         let _ = write!(s, "  {:12}", "benchmark");
-        for d in &designs {
+        for d in designs {
             let _ = write!(s, " {:>w$}", d.label(), w = col_width(*d));
         }
         let _ = writeln!(s);
         for cell in cells.iter().filter(|c| c.lang == lang) {
             let _ = write!(s, "  {:12}", cell.bench.label());
-            for d in &designs {
-                let _ = write!(s, " {:>w$.2}x", cell.speedup(*d), w = col_width(*d) - 1);
+            for &d in designs {
+                let _ = write!(s, " {}", value(cell, d, col_width(d)));
             }
             let _ = writeln!(s);
         }
     }
     s
+}
+
+/// Figure 7: speedup over Intel x86 per benchmark, language model, design.
+pub fn fig7_report(cells: &[SweepCell]) -> String {
+    sweep_table(
+        "Figure 7 — Speedup over the Intel x86 design",
+        cells,
+        &swept_designs(cells),
+        |cell, d, w| format!("{:>w$.2}x", cell.speedup(d), w = w - 1),
+    )
 }
 
 /// Column width for a design's figure column: wide enough for its label
@@ -339,30 +320,12 @@ pub fn fig8_report(cells: &[SweepCell]) -> String {
         .into_iter()
         .filter(|d| *d != HwDesign::NonAtomic)
         .collect();
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Figure 8 — Persist-ordering CPU stalls (normalized to Intel x86)"
-    );
-    for &lang in &LangModel::ALL {
-        if !cells.iter().any(|c| c.lang == lang) {
-            continue;
-        }
-        let _ = writeln!(s, "  [{}]", lang.label());
-        let _ = write!(s, "  {:12}", "benchmark");
-        for d in &designs {
-            let _ = write!(s, " {:>w$}", d.label(), w = col_width(*d));
-        }
-        let _ = writeln!(s);
-        for cell in cells.iter().filter(|c| c.lang == lang) {
-            let _ = write!(s, "  {:12}", cell.bench.label());
-            for d in &designs {
-                let _ = write!(s, " {:>w$.2}", cell.stall_ratio(*d), w = col_width(*d));
-            }
-            let _ = writeln!(s);
-        }
-    }
-    s
+    sweep_table(
+        "Figure 8 — Persist-ordering CPU stalls (normalized to Intel x86)",
+        cells,
+        &designs,
+        |cell, d, w| format!("{:>w$.2}", cell.stall_ratio(d)),
+    )
 }
 
 /// The Figure 9 strand-buffer-unit shapes `(buffers, entries per buffer)`.
@@ -398,16 +361,9 @@ pub struct MatrixReport {
 
 impl MatrixReport {
     fn from_rows(title: &str, col_labels: Vec<String>, rows: Vec<(String, Vec<f64>)>) -> Self {
-        let mut geomean = vec![1.0f64; col_labels.len()];
-        for (_, vals) in &rows {
-            for (g, v) in geomean.iter_mut().zip(vals) {
-                *g *= v;
-            }
-        }
-        let n = rows.len().max(1) as f64;
-        for g in &mut geomean {
-            *g = g.powf(1.0 / n);
-        }
+        let geomean = (0..col_labels.len())
+            .map(|i| geomean(&rows.iter().map(|(_, vals)| vals[i]).collect::<Vec<_>>()))
+            .collect();
         Self {
             title: title.to_string(),
             col_labels,
@@ -524,11 +480,6 @@ pub fn fig9_matrix(scale: Scale, measured: HwDesign, lang: LangModel) -> MatrixR
     m
 }
 
-/// Figure 9 rendered as text (the paper's StrandWeaver/SFR measurement).
-pub fn fig9_report(scale: Scale) -> String {
-    fig9_matrix(scale, HwDesign::StrandWeaver, LangModel::Sfr).render()
-}
-
 /// Figure 10 data: speedup over Intel x86 as operations per region vary,
 /// for the `measured` design under `lang` (the paper measures StrandWeaver
 /// under SFR). The caller validates `lang` legality on both `measured` and
@@ -545,15 +496,15 @@ pub fn fig10_matrix(scale: Scale, measured: HwDesign, lang: LangModel) -> Matrix
                 .into_iter()
                 .map(|ops| {
                     // Hold total logical work constant across the axis.
-                    let regions = (scale.regions * scale.ops_per_region / ops).max(scale.threads);
-                    let mk = |design| {
-                        Experiment::new(bench, lang, design)
-                            .threads(scale.threads)
-                            .total_regions(regions)
-                            .ops_per_region(ops)
+                    let at_ops = Scale {
+                        regions: (scale.regions * scale.ops_per_region / ops).max(scale.threads),
+                        ops_per_region: ops,
+                        ..scale
                     };
-                    let sw = mk(measured).run_timing();
-                    let intel = mk(HwDesign::IntelX86).run_timing();
+                    let sw = at_ops.experiment(bench, lang, measured).run_timing();
+                    let intel = at_ops
+                        .experiment(bench, lang, HwDesign::IntelX86)
+                        .run_timing();
                     events_processed += sw.events.total() + intel.events.total();
                     sim_cycles += sw.cycles + intel.cycles;
                     intel.cycles as f64 / sw.cycles as f64
@@ -574,11 +525,6 @@ pub fn fig10_matrix(scale: Scale, measured: HwDesign, lang: LangModel) -> Matrix
     m.events_processed = events_processed;
     m.sim_cycles = sim_cycles;
     m
-}
-
-/// Figure 10 rendered as text (the paper's StrandWeaver/SFR measurement).
-pub fn fig10_report(scale: Scale) -> String {
-    fig10_matrix(scale, HwDesign::StrandWeaver, LangModel::Sfr).render()
 }
 
 /// Figure 2: litmus outcomes under the strand persistency model.
@@ -637,66 +583,97 @@ pub fn fig1_report() -> String {
     s
 }
 
+/// Geometric mean of `xs` (1.0 for none).
+fn geomean(xs: &[f64]) -> f64 {
+    xs.iter().product::<f64>().powf(1.0 / xs.len() as f64)
+}
+
+/// Largest of `xs` (`f64::MIN` for none).
+fn max(xs: &[f64]) -> f64 {
+    xs.iter().cloned().fold(f64::MIN, f64::max)
+}
+
+/// The headline numbers of Section VI-B, computed once from the sweep for
+/// both the text and the JSON summary.
+struct Headline {
+    over_intel_avg: f64,
+    over_intel_max: f64,
+    over_hops_avg: f64,
+    over_hops_max: f64,
+    /// StrandWeaver's persist-stall cycles relative to Intel x86's.
+    stall_ratio: f64,
+    /// Slowdown against the non-atomic (no-ordering) bound, in percent.
+    non_atomic_gap_pct: f64,
+    eadr_over_intel_avg: f64,
+    eadr_over_intel_max: f64,
+    /// Slowdown against the eADR persistent-cache bound, in percent.
+    eadr_gap_pct: f64,
+}
+
+impl Headline {
+    fn of(cells: &[SweepCell]) -> Self {
+        let sw = HwDesign::StrandWeaver;
+        // Per-cell cycles of `num` over cycles of `den`.
+        let ratio = |num: HwDesign, den: HwDesign| -> Vec<f64> {
+            cells
+                .iter()
+                .map(|c| c.cycles(num) as f64 / c.cycles(den) as f64)
+                .collect()
+        };
+        let gap_pct = |bound: HwDesign| (geomean(&ratio(sw, bound)) - 1.0) * 100.0;
+        let over_intel = ratio(HwDesign::IntelX86, sw);
+        let over_hops = ratio(HwDesign::Hops, sw);
+        let eadr = ratio(HwDesign::IntelX86, HwDesign::Eadr);
+        let stall: Vec<f64> = cells.iter().map(|c| c.stall_ratio(sw)).collect();
+        Headline {
+            over_intel_avg: geomean(&over_intel),
+            over_intel_max: max(&over_intel),
+            over_hops_avg: geomean(&over_hops),
+            over_hops_max: max(&over_hops),
+            stall_ratio: geomean(&stall),
+            non_atomic_gap_pct: gap_pct(HwDesign::NonAtomic),
+            eadr_over_intel_avg: geomean(&eadr),
+            eadr_over_intel_max: max(&eadr),
+            eadr_gap_pct: gap_pct(HwDesign::Eadr),
+        }
+    }
+}
+
 /// Headline numbers (Section VI-B): average/max speedups of StrandWeaver
 /// over Intel x86 and HOPS, stall reduction, distance to non-atomic.
 pub fn summary_report(cells: &[SweepCell]) -> String {
-    let geo = |xs: &[f64]| xs.iter().product::<f64>().powf(1.0 / xs.len() as f64);
-    let over_intel: Vec<f64> = cells
-        .iter()
-        .map(|c| c.speedup(HwDesign::StrandWeaver))
-        .collect();
-    let over_hops: Vec<f64> = cells
-        .iter()
-        .map(|c| c.cycles(HwDesign::Hops) as f64 / c.cycles(HwDesign::StrandWeaver) as f64)
-        .collect();
-    let below_na: Vec<f64> = cells
-        .iter()
-        .map(|c| c.cycles(HwDesign::StrandWeaver) as f64 / c.cycles(HwDesign::NonAtomic) as f64)
-        .collect();
-    let stall: Vec<f64> = cells
-        .iter()
-        .map(|c| c.stall_ratio(HwDesign::StrandWeaver))
-        .collect();
-    let eadr: Vec<f64> = cells.iter().map(|c| c.speedup(HwDesign::Eadr)).collect();
-    let sw_vs_eadr: Vec<f64> = cells
-        .iter()
-        .map(|c| c.cycles(HwDesign::StrandWeaver) as f64 / c.cycles(HwDesign::Eadr) as f64)
-        .collect();
-    let max = |xs: &[f64]| xs.iter().cloned().fold(f64::MIN, f64::max);
+    let h = Headline::of(cells);
     let mut s = String::new();
     let _ = writeln!(s, "Headline numbers (paper values in parentheses)");
     let _ = writeln!(
         s,
         "  StrandWeaver over Intel x86: {:.2}x avg (1.45x), {:.2}x max (1.97x)",
-        geo(&over_intel),
-        max(&over_intel)
+        h.over_intel_avg, h.over_intel_max
     );
     let _ = writeln!(
         s,
         "  StrandWeaver over HOPS:      {:.2}x avg (1.20x), {:.2}x max (1.55x)",
-        geo(&over_hops),
-        max(&over_hops)
+        h.over_hops_avg, h.over_hops_max
     );
     let _ = writeln!(
         s,
         "  Persist-stall cycles vs Intel: {:.1}% of baseline (paper: 62.4% fewer)",
-        geo(&stall) * 100.0
+        h.stall_ratio * 100.0
     );
     let _ = writeln!(
         s,
         "  Slowdown vs non-atomic bound: {:.1}% (paper: 3.1-5.7%)",
-        (geo(&below_na) - 1.0) * 100.0
+        h.non_atomic_gap_pct
     );
     let _ = writeln!(
         s,
         "  eADR (battery-backed caches) over Intel x86: {:.2}x avg, {:.2}x max",
-        geo(&eadr),
-        max(&eadr)
+        h.eadr_over_intel_avg, h.eadr_over_intel_max
     );
     let _ = writeln!(
         s,
         "  StrandWeaver within {:.1}% of the eADR persistent-cache bound",
-        (geo(&sw_vs_eadr) - 1.0) * 100.0
+        h.eadr_gap_pct
     );
     s
 }
@@ -830,11 +807,21 @@ pub fn native_bound(scale: Scale) -> Vec<NativeBoundRow> {
         .collect()
 }
 
+/// Geometric means of the Native-bound rows' hardware, log-free and total
+/// speedups.
+fn native_geomeans(rows: &[NativeBoundRow]) -> [f64; 3] {
+    [
+        NativeBoundRow::hardware,
+        NativeBoundRow::log_deletion,
+        NativeBoundRow::total,
+    ]
+    .map(|speedup| geomean(&rows.iter().map(speedup).collect::<Vec<_>>()))
+}
+
 /// Formats the Native-bound decomposition (the paper bounds eADR at 2.40x
 /// over Intel x86; this splits that bound into its hardware and software
 /// halves).
 pub fn native_bound_report(rows: &[NativeBoundRow]) -> String {
-    let geo = |xs: &[f64]| xs.iter().product::<f64>().powf(1.0 / xs.len() as f64);
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -855,16 +842,11 @@ pub fn native_bound_report(rows: &[NativeBoundRow]) -> String {
             r.total()
         );
     }
-    let hw: Vec<f64> = rows.iter().map(NativeBoundRow::hardware).collect();
-    let lf: Vec<f64> = rows.iter().map(NativeBoundRow::log_deletion).collect();
-    let tot: Vec<f64> = rows.iter().map(NativeBoundRow::total).collect();
+    let [hw, lf, tot] = native_geomeans(rows);
     let _ = writeln!(
         s,
         "  {:12} {:>9.2}x {:>9.2}x {:>9.2}x",
-        "geomean",
-        geo(&hw),
-        geo(&lf),
-        geo(&tot)
+        "geomean", hw, lf, tot
     );
     s
 }
@@ -872,10 +854,7 @@ pub fn native_bound_report(rows: &[NativeBoundRow]) -> String {
 /// The Native-bound decomposition as JSON (the `native_on_eadr` section of
 /// `swctl summary --json`).
 pub fn native_bound_json(rows: &[NativeBoundRow]) -> Json {
-    let geo = |xs: &[f64]| xs.iter().product::<f64>().powf(1.0 / xs.len() as f64);
-    let hw: Vec<f64> = rows.iter().map(NativeBoundRow::hardware).collect();
-    let lf: Vec<f64> = rows.iter().map(NativeBoundRow::log_deletion).collect();
-    let tot: Vec<f64> = rows.iter().map(NativeBoundRow::total).collect();
+    let [hw, lf, tot] = native_geomeans(rows);
     Json::obj([
         ("lang", Json::Str(LangModel::Native.label().to_string())),
         ("design", Json::Str(HwDesign::Eadr.label().to_string())),
@@ -898,64 +877,60 @@ pub fn native_bound_json(rows: &[NativeBoundRow]) -> Json {
                     .collect(),
             ),
         ),
-        ("hardware_speedup_geomean", Json::F64(geo(&hw))),
-        ("log_free_speedup_geomean", Json::F64(geo(&lf))),
-        ("total_speedup_geomean", Json::F64(geo(&tot))),
+        ("hardware_speedup_geomean", Json::F64(hw)),
+        ("log_free_speedup_geomean", Json::F64(lf)),
+        ("total_speedup_geomean", Json::F64(tot)),
     ])
+}
+
+/// StrandWeaver's geometric-mean speedup over Intel x86 per language
+/// model, `None` for a model absent from the sweep.
+fn lang_speedups(cells: &[SweepCell]) -> impl Iterator<Item = (LangModel, Option<f64>)> + '_ {
+    LangModel::ALL.into_iter().map(|lang| {
+        let xs: Vec<f64> = cells
+            .iter()
+            .filter(|c| c.lang == lang)
+            .map(|c| c.speedup(HwDesign::StrandWeaver))
+            .collect();
+        (lang, (!xs.is_empty()).then(|| geomean(&xs)))
+    })
 }
 
 /// The headline numbers as JSON (`swctl summary --json`); the
 /// Native-bound decomposition lands under `native_on_eadr`.
 pub fn summary_json(cells: &[SweepCell], native: &[NativeBoundRow]) -> Json {
-    let geo = |xs: &[f64]| xs.iter().product::<f64>().powf(1.0 / xs.len() as f64);
-    let max = |xs: &[f64]| xs.iter().cloned().fold(f64::MIN, f64::max);
-    let over_intel: Vec<f64> = cells
-        .iter()
-        .map(|c| c.speedup(HwDesign::StrandWeaver))
-        .collect();
-    let over_hops: Vec<f64> = cells
-        .iter()
-        .map(|c| c.cycles(HwDesign::Hops) as f64 / c.cycles(HwDesign::StrandWeaver) as f64)
-        .collect();
-    let below_na: Vec<f64> = cells
-        .iter()
-        .map(|c| c.cycles(HwDesign::StrandWeaver) as f64 / c.cycles(HwDesign::NonAtomic) as f64)
-        .collect();
-    let stall: Vec<f64> = cells
-        .iter()
-        .map(|c| c.stall_ratio(HwDesign::StrandWeaver))
-        .collect();
-    let eadr: Vec<f64> = cells.iter().map(|c| c.speedup(HwDesign::Eadr)).collect();
+    let h = Headline::of(cells);
     // Models absent from the sweep (Native is not legal on the full
     // design matrix) are skipped rather than reported as an empty mean.
-    let per_lang = LangModel::ALL
-        .iter()
-        .filter_map(|&lang| {
-            let xs: Vec<f64> = cells
-                .iter()
-                .filter(|c| c.lang == lang)
-                .map(|c| c.speedup(HwDesign::StrandWeaver))
-                .collect();
-            if xs.is_empty() {
-                return None;
-            }
-            Some(Json::obj([
-                ("lang", Json::Str(lang.label().to_string())),
-                ("speedup_geomean", Json::F64(geo(&xs))),
-            ]))
+    let per_lang = lang_speedups(cells)
+        .filter_map(|(lang, geo)| {
+            geo.map(|geo| {
+                Json::obj([
+                    ("lang", Json::Str(lang.label().to_string())),
+                    ("speedup_geomean", Json::F64(geo)),
+                ])
+            })
         })
         .collect();
     Json::obj([
-        ("speedup_over_intel_geomean", Json::F64(geo(&over_intel))),
-        ("speedup_over_intel_max", Json::F64(max(&over_intel))),
-        ("speedup_over_hops_geomean", Json::F64(geo(&over_hops))),
-        ("speedup_over_hops_max", Json::F64(max(&over_hops))),
-        ("stall_ratio_vs_intel_geomean", Json::F64(geo(&stall))),
+        ("speedup_over_intel_geomean", Json::F64(h.over_intel_avg)),
+        ("speedup_over_intel_max", Json::F64(h.over_intel_max)),
+        ("speedup_over_hops_geomean", Json::F64(h.over_hops_avg)),
+        ("speedup_over_hops_max", Json::F64(h.over_hops_max)),
+        ("stall_ratio_vs_intel_geomean", Json::F64(h.stall_ratio)),
         (
             "slowdown_vs_non_atomic_pct",
-            Json::F64((geo(&below_na) - 1.0) * 100.0),
+            Json::F64(h.non_atomic_gap_pct),
         ),
-        ("eadr_speedup_over_intel_geomean", Json::F64(geo(&eadr))),
+        (
+            "eadr_speedup_over_intel_geomean",
+            Json::F64(h.eadr_over_intel_avg),
+        ),
+        (
+            "eadr_speedup_over_intel_max",
+            Json::F64(h.eadr_over_intel_max),
+        ),
+        ("slowdown_vs_eadr_pct", Json::F64(h.eadr_gap_pct)),
         (
             "events_processed",
             Json::U64(
@@ -968,7 +943,7 @@ pub fn summary_json(cells: &[SweepCell], native: &[NativeBoundRow]) -> Json {
     ])
 }
 
-/// Per-language-model speedup averages (Section VI-B "sensitivity to
+/// Per-language-model average speedups (Section VI-B "sensitivity to
 /// language-level persistency model": SFR 1.50x > TXN 1.45x > ATLAS 1.40x).
 /// Models absent from the sweep — the log-free Native model cannot run on
 /// the StrandWeaver/Intel designs this report normalizes over — are noted
@@ -979,26 +954,22 @@ pub fn lang_sensitivity_report(cells: &[SweepCell]) -> String {
         s,
         "Per-language-model average speedup of StrandWeaver over Intel x86"
     );
-    for &lang in &LangModel::ALL {
-        let xs: Vec<f64> = cells
-            .iter()
-            .filter(|c| c.lang == lang)
-            .map(|c| c.speedup(HwDesign::StrandWeaver))
-            .collect();
-        if xs.is_empty() {
+    for (lang, geo) in lang_speedups(cells) {
+        match geo {
+            Some(geo) => {
+                let _ = writeln!(s, "  {:6} {:.2}x", lang.label(), geo);
+            }
             // Absent because it cannot run here (vs. filtered out by the
             // caller): only the former deserves a note.
-            if !lang.legal_on(HwDesign::StrandWeaver) {
+            None if !lang.legal_on(HwDesign::StrandWeaver) => {
                 let _ = writeln!(
                     s,
                     "  {:6} (eADR-only; see the Native-on-eADR decomposition)",
                     lang.label()
                 );
             }
-            continue;
+            None => {}
         }
-        let geo = xs.iter().product::<f64>().powf(1.0 / xs.len() as f64);
-        let _ = writeln!(s, "  {:6} {:.2}x", lang.label(), geo);
     }
     s
 }

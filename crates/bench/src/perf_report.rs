@@ -251,44 +251,15 @@ impl BenchReport {
     }
 }
 
-/// Extracts a float from any numeric [`Json`] variant.
-fn num(j: &Json) -> Option<f64> {
-    match j {
-        Json::U64(v) => Some(*v as f64),
-        Json::I64(v) => Some(*v as f64),
-        Json::F64(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn get_num(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(num)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field '{key}'"))
-}
-
-fn get_str(j: &Json, key: &str) -> Result<String, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
 /// Parses a report previously serialized by [`BenchReport::to_json`]
 /// (e.g. a committed `BENCH_baseline.json`).
 pub fn parse(text: &str) -> Result<BenchReport, String> {
     let j = sw_trace::json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     let scale = j.get("scale").ok_or("missing 'scale'")?;
     let scale = Scale {
-        threads: get_u64(scale, "threads")? as usize,
-        regions: get_u64(scale, "regions")? as usize,
-        ops_per_region: get_u64(scale, "ops_per_region")? as usize,
+        threads: scale.field("threads", Json::as_u64)? as usize,
+        regions: scale.field("regions", Json::as_u64)? as usize,
+        ops_per_region: scale.field("ops_per_region", Json::as_u64)? as usize,
     };
     let targets = j
         .get("targets")
@@ -303,10 +274,10 @@ pub fn parse(text: &str) -> Result<BenchReport, String> {
                 .iter()
                 .map(|p| {
                     Ok(BenchPhase {
-                        phase: get_str(p, "phase")?,
-                        nanos: get_u64(p, "nanos")?,
-                        calls: get_u64(p, "calls")?,
-                        pct: get_num(p, "pct")?,
+                        phase: p.field("phase", Json::as_str)?.to_string(),
+                        nanos: p.field("nanos", Json::as_u64)?,
+                        calls: p.field("calls", Json::as_u64)?,
+                        pct: p.field("pct", Json::as_f64)?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?;
@@ -318,22 +289,22 @@ pub fn parse(text: &str) -> Result<BenchReport, String> {
                 .map(|h| h.as_str().map(str::to_string).ok_or("non-string hot phase"))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(BenchTargetResult {
-                target: get_str(t, "target")?,
-                wall_secs_min: get_num(t, "wall_secs_min")?,
-                wall_secs_mean: get_num(t, "wall_secs_mean")?,
-                events_processed: get_u64(t, "events_processed")?,
-                sim_cycles: get_u64(t, "sim_cycles")?,
-                events_per_sec: get_num(t, "events_per_sec")?,
+                target: t.field("target", Json::as_str)?.to_string(),
+                wall_secs_min: t.field("wall_secs_min", Json::as_f64)?,
+                wall_secs_mean: t.field("wall_secs_mean", Json::as_f64)?,
+                events_processed: t.field("events_processed", Json::as_u64)?,
+                sim_cycles: t.field("sim_cycles", Json::as_u64)?,
+                events_per_sec: t.field("events_per_sec", Json::as_f64)?,
                 phases,
                 hot_phases,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(BenchReport {
-        label: get_str(&j, "label")?,
+        label: j.field("label", Json::as_str)?.to_string(),
         scale,
-        warmup: get_u64(&j, "warmup")? as usize,
-        repeats: get_u64(&j, "repeats")? as usize,
+        warmup: j.field("warmup", Json::as_u64)? as usize,
+        repeats: j.field("repeats", Json::as_u64)? as usize,
         targets,
     })
 }

@@ -162,7 +162,8 @@ impl Target {
                 }
             }
             Target::Fig7 | Target::Fig8 => {
-                let cells = crate::full_sweep_of(scale, &sweep_designs(filters.design));
+                let designs = sweep_designs(filters.design);
+                let cells = crate::full_sweep_matrix(scale, &designs, &LangModel::ALL);
                 let text = if self == Target::Fig7 {
                     crate::fig7_report(&cells)
                 } else {

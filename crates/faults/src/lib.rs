@@ -65,7 +65,7 @@ pub use device::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sw_lang::log::{W_CHECKSUM, W_TYPE};
+use sw_lang::log::W_CHECKSUM;
 use sw_lang::{classify_slot, SlotState};
 use sw_pmem::{
     classify_heap_slot, Addr, HeapSlotState, PmImage, PmLayout, CACHE_LINE_BYTES,
@@ -196,67 +196,119 @@ impl FaultInjector {
 
     /// Injects the plan's faults into `img` and returns what was placed.
     pub fn inject(&mut self, img: &mut PmImage, layout: &PmLayout) -> Vec<InjectedFault> {
-        let mut candidates = valid_slots(img, layout);
-        let mut injected = Vec::new();
-        for &class in &self.plan.classes.clone() {
-            if candidates.is_empty() {
-                break;
-            }
-            let pick = self.rng.gen_range(0..candidates.len());
-            let (tid, slot, base) = candidates.swap_remove(pick);
-            let resulting = self.damage_slot(img, base, class);
-            debug_assert!(resulting.is_damaged(), "injection must be detectable");
-            injected.push(InjectedFault {
+        let candidates = valid_slots(img, layout);
+        self.inject_slots(img, candidates)
+            .into_iter()
+            .map(|(class, tid, slot, line, resulting)| InjectedFault {
                 class,
                 tid,
                 slot,
-                line: base.line().raw(),
+                line,
                 resulting,
-            });
+            })
+            .collect()
+    }
+
+    /// The one injection loop behind [`inject`](Self::inject) and
+    /// [`inject_heap`](Self::inject_heap): each planned class damages a
+    /// distinct slot drawn from `candidates` (`(owner, slot, base)`, the
+    /// owner being a thread or a pool), and comes back as `(class, owner,
+    /// slot, line, verified state)`.
+    fn inject_slots<S: Slot>(
+        &mut self,
+        img: &mut PmImage,
+        mut candidates: Vec<(usize, u64, Addr)>,
+    ) -> Vec<(FaultClass, usize, u64, u64, S)> {
+        let Self { plan, rng } = self;
+        let mut injected = Vec::new();
+        for &class in &plan.classes {
+            if candidates.is_empty() {
+                break;
+            }
+            let pick = rng.gen_range(0..candidates.len());
+            let (owner, slot, base) = candidates.swap_remove(pick);
+            let resulting = damage::<S>(rng, img, base, class);
+            debug_assert!(resulting.damaged(), "injection must be detectable");
+            injected.push((class, owner, slot, base.line().raw(), resulting));
         }
         injected
     }
+}
 
-    /// Perturbs the slot at `base` and returns its verified new state.
-    fn damage_slot(&mut self, img: &mut PmImage, base: Addr, class: FaultClass) -> SlotState {
-        match class {
-            FaultClass::PoisonLine => img.poison_line(base.line()),
-            FaultClass::TornLine => {
-                // Zero the checksum word (guaranteeing a detectable tear —
-                // `entry_checksum` is never 0) plus a random subset of the
-                // other non-TYPE words, mimicking an arbitrary partial
-                // persist. TYPE is kept: zeroing it would classify as a
-                // benign invalidated slot.
-                img.store(base.offset_words(W_CHECKSUM), 0);
-                for w in (W_TYPE + 1)..W_CHECKSUM {
-                    if self.rng.gen_bool(0.25) {
-                        img.store(base.offset_words(w), 0);
-                    }
-                }
-            }
-            FaultClass::BitFlip => {
-                // Random flips can land on benign states (an invalidated
-                // TYPE, a zero word of a tear-shaped entry that still
-                // classifies Valid is impossible, but Invalidated/Free
-                // are): retry until the slot classifies as damaged, then
-                // fall back to a guaranteed checksum flip.
-                for _ in 0..64 {
-                    let w = self.rng.gen_range(0..=W_CHECKSUM);
-                    let bit = self.rng.gen_range(0..64u32);
-                    let addr = base.offset_words(w);
-                    let old = img.load(addr);
-                    img.store(addr, old ^ (1u64 << bit));
-                    if classify_slot(img, base).is_damaged() {
-                        return classify_slot(img, base);
-                    }
-                    img.store(addr, old);
-                }
-                let addr = base.offset_words(W_CHECKSUM);
-                img.store(addr, img.load(addr) ^ (1u64 << 63));
-            }
-        }
+/// A slot format the injector damages: workload log slots
+/// ([`SlotState`]) and allocator-journal slots ([`HeapSlotState`]).
+trait Slot: Copy {
+    /// The checksum word. Words `1..CHECKSUM` are payload; word 0 (the
+    /// entry type or record kind) is never zero in a published slot.
+    const CHECKSUM: u64;
+    /// Classifies the slot at `base`.
+    fn classify(img: &PmImage, base: Addr) -> Self;
+    /// `true` for the states recovery must notice.
+    fn damaged(self) -> bool;
+}
+
+impl Slot for SlotState {
+    const CHECKSUM: u64 = W_CHECKSUM;
+    fn classify(img: &PmImage, base: Addr) -> Self {
         classify_slot(img, base)
     }
+    fn damaged(self) -> bool {
+        self.is_damaged()
+    }
+}
+
+impl Slot for HeapSlotState {
+    const CHECKSUM: u64 = HW_CHECKSUM;
+    fn classify(img: &PmImage, base: Addr) -> Self {
+        classify_heap_slot(img, base)
+    }
+    fn damaged(self) -> bool {
+        matches!(
+            self,
+            HeapSlotState::Torn | HeapSlotState::Corrupt | HeapSlotState::Poisoned
+        )
+    }
+}
+
+/// Perturbs the slot at `base` and returns its verified new state.
+fn damage<S: Slot>(rng: &mut SmallRng, img: &mut PmImage, base: Addr, class: FaultClass) -> S {
+    match class {
+        FaultClass::PoisonLine => img.poison_line(base.line()),
+        FaultClass::TornLine => {
+            // Zero the checksum word (guaranteeing a detectable tear — a
+            // published checksum is never 0) plus a random subset of the
+            // payload words, mimicking an arbitrary partial persist. Word
+            // 0 is kept: zeroing it would classify as a benign
+            // invalidated (log) or free (heap) slot.
+            img.store(base.offset_words(S::CHECKSUM), 0);
+            for w in 1..S::CHECKSUM {
+                if rng.gen_bool(0.25) {
+                    img.store(base.offset_words(w), 0);
+                }
+            }
+        }
+        FaultClass::BitFlip => {
+            // Random flips can land on benign states (a flipped log TYPE
+            // can read as an invalidated slot): retry until the slot
+            // classifies as damaged, then fall back to a guaranteed
+            // checksum flip.
+            for _ in 0..64 {
+                let w = rng.gen_range(0..=S::CHECKSUM);
+                let bit = rng.gen_range(0..64u32);
+                let addr = base.offset_words(w);
+                let old = img.load(addr);
+                img.store(addr, old ^ (1u64 << bit));
+                let got = S::classify(img, base);
+                if got.damaged() {
+                    return got;
+                }
+                img.store(addr, old);
+            }
+            let addr = base.offset_words(S::CHECKSUM);
+            img.store(addr, img.load(addr) ^ (1u64 << 63));
+        }
+    }
+    S::classify(img, base)
 }
 
 /// One allocator-metadata fault the injector placed, with its verified
@@ -304,84 +356,18 @@ impl FaultInjector {
     /// is self-verifying exactly like the log path: the slot must
     /// re-classify as damaged or the perturbation is re-rolled.
     pub fn inject_heap(&mut self, img: &mut PmImage, layout: &PmLayout) -> Vec<InjectedHeapFault> {
-        let mut candidates = valid_heap_slots(img, layout);
-        let mut injected = Vec::new();
-        for &class in &self.plan.classes.clone() {
-            if candidates.is_empty() {
-                break;
-            }
-            let pick = self.rng.gen_range(0..candidates.len());
-            let (pool, slot, base) = candidates.swap_remove(pick);
-            let resulting = self.damage_heap_slot(img, base, class);
-            debug_assert!(
-                heap_state_damaged(&resulting),
-                "heap injection must be detectable"
-            );
-            injected.push(InjectedHeapFault {
+        let candidates = valid_heap_slots(img, layout);
+        self.inject_slots(img, candidates)
+            .into_iter()
+            .map(|(class, pool, slot, line, resulting)| InjectedHeapFault {
                 class,
                 pool,
                 slot,
-                line: base.line().raw(),
+                line,
                 resulting,
-            });
-        }
-        injected
+            })
+            .collect()
     }
-
-    /// Perturbs the journal slot at `base` and returns its verified new
-    /// state.
-    fn damage_heap_slot(
-        &mut self,
-        img: &mut PmImage,
-        base: Addr,
-        class: FaultClass,
-    ) -> HeapSlotState {
-        match class {
-            FaultClass::PoisonLine => img.poison_line(base.line()),
-            FaultClass::TornLine => {
-                // Zero the checksum (a valid record's checksum is never
-                // zero) plus a random subset of the payload words after
-                // KIND; keeping KIND non-zero rules out the all-zero
-                // `Free` classification, so the result is always `Torn`.
-                img.store(base.offset_words(HW_CHECKSUM), 0);
-                for w in 1..HW_CHECKSUM {
-                    if self.rng.gen_bool(0.25) {
-                        img.store(base.offset_words(w), 0);
-                    }
-                }
-            }
-            FaultClass::BitFlip => {
-                // Re-roll flips that land benign (e.g. one that zeroes a
-                // word turns the record into a tear-shaped — still
-                // detectable — state, but a flip restricted to the unused
-                // eighth word would not); fall back to a checksum flip
-                // that keeps every word non-zero, i.e. `Corrupt`.
-                for _ in 0..64 {
-                    let w = self.rng.gen_range(0..=HW_CHECKSUM);
-                    let bit = self.rng.gen_range(0..64u32);
-                    let addr = base.offset_words(w);
-                    let old = img.load(addr);
-                    img.store(addr, old ^ (1u64 << bit));
-                    let got = classify_heap_slot(img, base);
-                    if heap_state_damaged(&got) {
-                        return got;
-                    }
-                    img.store(addr, old);
-                }
-                let addr = base.offset_words(HW_CHECKSUM);
-                img.store(addr, img.load(addr) ^ (1u64 << 63));
-            }
-        }
-        classify_heap_slot(img, base)
-    }
-}
-
-/// `true` for heap-slot states recovery must notice.
-fn heap_state_damaged(s: &HeapSlotState) -> bool {
-    matches!(
-        s,
-        HeapSlotState::Torn | HeapSlotState::Corrupt | HeapSlotState::Poisoned
-    )
 }
 
 /// Enumerates the published (checksum-valid) allocator-journal slots of

@@ -237,16 +237,16 @@ impl ServeReport {
     /// A description of the first malformed or missing field.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| format!("serve report JSON: {e}"))?;
-        let bench_label = str_field(&doc, "bench")?;
+        let bench_label = doc.field("bench", Json::as_str)?;
         let bench = BenchmarkId::ALL
             .into_iter()
             .find(|b| b.label() == bench_label)
             .ok_or_else(|| format!("unknown bench '{bench_label}'"))?;
-        let arrival_label = str_field(&doc, "arrival")?;
-        let arrival = ArrivalKind::from_label(&arrival_label)
+        let arrival_label = doc.field("arrival", Json::as_str)?;
+        let arrival = ArrivalKind::from_label(arrival_label)
             .ok_or_else(|| format!("unknown arrival '{arrival_label}'"))?;
-        let shed_label = str_field(&doc, "shed_policy")?;
-        let shed_policy = ShedPolicy::from_label(&shed_label)
+        let shed_label = doc.field("shed_policy", Json::as_str)?;
+        let shed_policy = ShedPolicy::from_label(shed_label)
             .ok_or_else(|| format!("unknown shed policy '{shed_label}'"))?;
         let cells = doc
             .get("cells")
@@ -257,14 +257,14 @@ impl ServeReport {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ServeReport {
             bench,
-            seed: u64_field(&doc, "seed")?,
-            shards: u64_field(&doc, "shards")? as usize,
-            requests: u64_field(&doc, "requests")?,
-            queue_depth: u64_field(&doc, "queue_depth")? as usize,
-            deadline_factor: u64_field(&doc, "deadline_factor")?,
+            seed: doc.field("seed", Json::as_u64)?,
+            shards: doc.field("shards", Json::as_u64)? as usize,
+            requests: doc.field("requests", Json::as_u64)?,
+            queue_depth: doc.field("queue_depth", Json::as_u64)? as usize,
+            deadline_factor: doc.field("deadline_factor", Json::as_u64)?,
             arrival,
             shed_policy,
-            faults: bool_field(&doc, "faults")?,
+            faults: doc.field("faults", Json::as_bool)?,
             cells,
         })
     }
@@ -328,34 +328,6 @@ fn cell_json(c: &ServeCellReport) -> Json {
     ])
 }
 
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn str_field(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    match doc.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-bool field '{key}'")),
-    }
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, String> {
-    match doc.get(key) {
-        Some(Json::F64(f)) => Ok(*f),
-        Some(Json::U64(n)) => Ok(*n as f64),
-        _ => Err(format!("missing or non-number field '{key}'")),
-    }
-}
-
 fn breaker_state(label: &str) -> Result<BreakerState, String> {
     [
         BreakerState::Closed,
@@ -368,12 +340,12 @@ fn breaker_state(label: &str) -> Result<BreakerState, String> {
 }
 
 fn parse_cell(cell: &Json) -> Result<ServeCellReport, String> {
-    let design_label = str_field(cell, "design")?;
-    let design = HwDesign::from_label(&design_label)
+    let design_label = cell.field("design", Json::as_str)?;
+    let design = HwDesign::from_label(design_label)
         .ok_or_else(|| format!("unknown design '{design_label}'"))?;
-    let lang_label = str_field(cell, "lang")?;
+    let lang_label = cell.field("lang", Json::as_str)?;
     let lang =
-        LangModel::from_label(&lang_label).ok_or_else(|| format!("unknown lang '{lang_label}'"))?;
+        LangModel::from_label(lang_label).ok_or_else(|| format!("unknown lang '{lang_label}'"))?;
     let buckets = cell
         .get("latency_buckets")
         .and_then(Json::as_arr)
@@ -381,12 +353,12 @@ fn parse_cell(cell: &Json) -> Result<ServeCellReport, String> {
         .iter()
         .map(|b| b.as_u64().ok_or("non-integer latency bucket".to_string()))
         .collect::<Result<Vec<_>, _>>()?;
-    let max_latency = u64_field(cell, "max_latency")?;
+    let max_latency = cell.field("max_latency", Json::as_u64)?;
     let latency = HistogramSnapshot {
         name: "serve.latency_cycles".to_string(),
         buckets,
-        count: u64_field(cell, "latency_count")?,
-        sum: u64_field(cell, "latency_sum")?,
+        count: cell.field("latency_count", Json::as_u64)?,
+        sum: cell.field("latency_sum", Json::as_u64)?,
         max: max_latency,
     };
     let shards = cell
@@ -396,46 +368,46 @@ fn parse_cell(cell: &Json) -> Result<ServeCellReport, String> {
         .iter()
         .map(|s| {
             Ok(ShardReport {
-                shard: u64_field(s, "shard")? as usize,
-                state: breaker_state(&str_field(s, "state")?)?,
-                served: u64_field(s, "served")?,
-                shed: u64_field(s, "shed")?,
-                unavailable: u64_field(s, "unavailable")?,
-                trips: u64_field(s, "trips")?,
-                failed_over: bool_field(s, "failed_over")?,
-                recovered: u64_field(s, "recovered")?,
+                shard: s.field("shard", Json::as_u64)? as usize,
+                state: breaker_state(s.field("state", Json::as_str)?)?,
+                served: s.field("served", Json::as_u64)?,
+                shed: s.field("shed", Json::as_u64)?,
+                unavailable: s.field("unavailable", Json::as_u64)?,
+                trips: s.field("trips", Json::as_u64)?,
+                failed_over: s.field("failed_over", Json::as_bool)?,
+                recovered: s.field("recovered", Json::as_u64)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(ServeCellReport {
         design,
         lang,
-        offered_load: f64_field(cell, "offered_load")?,
-        service_cycles: u64_field(cell, "service_cycles")?,
-        offered: u64_field(cell, "offered")?,
-        completed: u64_field(cell, "completed")?,
-        shed: u64_field(cell, "shed")?,
-        timeouts: u64_field(cell, "timeouts")?,
-        unavailable: u64_field(cell, "unavailable")?,
-        failed: u64_field(cell, "failed")?,
-        retries: u64_field(cell, "retries")?,
-        poisoned_reads: u64_field(cell, "poisoned_reads")?,
-        breaker_trips: u64_field(cell, "breaker_trips")?,
-        failovers: u64_field(cell, "failovers")?,
-        failover_redirects: u64_field(cell, "failover_redirects")?,
-        recovery_legs: u64_field(cell, "recovery_legs")?,
-        durable_set_checks: u64_field(cell, "durable_set_checks")?,
-        pmo_edges_checked: u64_field(cell, "pmo_edges_checked")?,
-        reconverged_strict: u64_field(cell, "reconverged_strict")?,
-        reconverged_salvage: u64_field(cell, "reconverged_salvage")?,
-        silent_corruptions: u64_field(cell, "silent_corruptions")?,
-        p50: u64_field(cell, "p50")?,
-        p99: u64_field(cell, "p99")?,
-        p999: u64_field(cell, "p999")?,
+        offered_load: cell.field("offered_load", Json::as_f64)?,
+        service_cycles: cell.field("service_cycles", Json::as_u64)?,
+        offered: cell.field("offered", Json::as_u64)?,
+        completed: cell.field("completed", Json::as_u64)?,
+        shed: cell.field("shed", Json::as_u64)?,
+        timeouts: cell.field("timeouts", Json::as_u64)?,
+        unavailable: cell.field("unavailable", Json::as_u64)?,
+        failed: cell.field("failed", Json::as_u64)?,
+        retries: cell.field("retries", Json::as_u64)?,
+        poisoned_reads: cell.field("poisoned_reads", Json::as_u64)?,
+        breaker_trips: cell.field("breaker_trips", Json::as_u64)?,
+        failovers: cell.field("failovers", Json::as_u64)?,
+        failover_redirects: cell.field("failover_redirects", Json::as_u64)?,
+        recovery_legs: cell.field("recovery_legs", Json::as_u64)?,
+        durable_set_checks: cell.field("durable_set_checks", Json::as_u64)?,
+        pmo_edges_checked: cell.field("pmo_edges_checked", Json::as_u64)?,
+        reconverged_strict: cell.field("reconverged_strict", Json::as_u64)?,
+        reconverged_salvage: cell.field("reconverged_salvage", Json::as_u64)?,
+        silent_corruptions: cell.field("silent_corruptions", Json::as_u64)?,
+        p50: cell.field("p50", Json::as_u64)?,
+        p99: cell.field("p99", Json::as_u64)?,
+        p999: cell.field("p999", Json::as_u64)?,
         max_latency,
         latency,
         shards,
-        events_processed: u64_field(cell, "events_processed")?,
-        sim_cycles: u64_field(cell, "sim_cycles")?,
+        events_processed: cell.field("events_processed", Json::as_u64)?,
+        sim_cycles: cell.field("sim_cycles", Json::as_u64)?,
     })
 }

@@ -1805,7 +1805,7 @@ pub fn design_sweep_of(
     let sim = &scale.sim;
     let metrics = scale.metrics;
     let profile = scale.profile;
-    let cell = move |design: HwDesign| {
+    fan_out(designs, |&design| {
         let e = Experiment {
             bench,
             lang,
@@ -1821,28 +1821,31 @@ pub fn design_sweep_of(
             profile,
         };
         (design, e.run_timing())
-    };
-    // On a single hardware thread the spawns only add scheduler overhead
-    // (each cell is pure compute); run inline there.
+    })
+}
+
+/// Maps `f` over `items` in order: one scoped thread per item when
+/// [`host_is_multicore`], inline otherwise. On a single hardware thread
+/// the spawns only add scheduler overhead (sweep cells are pure compute),
+/// and the results are identical either way. The design sweep and
+/// `sw-bench`'s figure sweep both fan out through this.
+pub fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if !host_is_multicore() {
-        return designs.iter().map(|&d| cell(d)).collect();
+        return items.iter().map(f).collect();
     }
+    let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = designs
-            .iter()
-            .map(|&design| s.spawn(move || cell(design)))
-            .collect();
+        let handles: Vec<_> = items.iter().map(|item| s.spawn(move || f(item))).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("design sweep thread panicked"))
+            .map(|h| h.join().expect("sweep thread panicked"))
             .collect()
     })
 }
 
 /// `true` when the host offers more than one hardware thread, i.e. when
-/// fanning sweep cells out across OS threads can actually overlap work.
-/// The sweep helpers (and `sw-bench`'s figure harness) fall back to inline
-/// execution otherwise — same results, no scheduler overhead.
+/// fanning sweep cells out across OS threads can actually overlap work
+/// (see [`fan_out`]).
 pub fn host_is_multicore() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }

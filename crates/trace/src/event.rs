@@ -318,6 +318,127 @@ impl TraceEvent {
             TraceEvent::PerfPhase { .. } => "perf_phase",
         }
     }
+
+    /// The event's payload as `(name, value)` pairs, in export order.
+    ///
+    /// This is the one per-variant field list: the JSONL exporter prints
+    /// it after `cycle` and `type`, and the Perfetto exporter derives every
+    /// event's args from it.
+    pub fn fields(&self) -> Vec<(&'static str, Json)> {
+        use TraceEvent::*;
+        fn n(v: impl Into<u64>) -> Json {
+            Json::U64(v.into())
+        }
+        fn s(v: &str) -> Json {
+            Json::Str(v.to_string())
+        }
+        match *self {
+            StoreIssue { core, line }
+            | ClwbIssue { core, line }
+            | PersistVisible { core, line } => {
+                vec![("core", n(core)), ("line", n(line))]
+            }
+            PqEnqueue { core, depth } | PqDequeue { core, depth } => {
+                vec![("core", n(core)), ("depth", n(depth))]
+            }
+            SbEnqueue {
+                core,
+                buffer,
+                occupancy,
+            }
+            | SbRetire {
+                core,
+                buffer,
+                occupancy,
+            } => vec![
+                ("core", n(core)),
+                ("buffer", n(buffer)),
+                ("occupancy", n(occupancy)),
+            ],
+            StallBegin { core, cause } | StallEnd { core, cause } => {
+                vec![("core", n(core)), ("cause", s(cause.label()))]
+            }
+            FenceRetire { core, kind } => vec![("core", n(core)), ("kind", s(kind))],
+            AdrAccept { line, queue_depth } => {
+                vec![("line", n(line)), ("queue_depth", n(queue_depth))]
+            }
+            LogAppend { thread, seq } => vec![("thread", n(thread)), ("seq", n(seq))],
+            LogCommit {
+                thread,
+                entries,
+                cut,
+            } => vec![
+                ("thread", n(thread)),
+                ("entries", n(entries)),
+                ("cut", n(cut)),
+            ],
+            RecoveryBegin { phase } => vec![("phase", s(phase))],
+            RecoveryEnd { phase, items } => vec![("phase", s(phase)), ("items", n(items))],
+            FaultInjected {
+                thread,
+                line,
+                class,
+            } => vec![
+                ("thread", n(thread)),
+                ("line", n(line)),
+                ("class", s(class)),
+            ],
+            CorruptionDetected { thread, line, kind } => {
+                vec![("thread", n(thread)), ("line", n(line)), ("kind", s(kind))]
+            }
+            RegionSalvaged { thread, dropped } => {
+                vec![("thread", n(thread)), ("dropped", n(dropped))]
+            }
+            DeviceFault { line, class } => vec![("line", n(line)), ("class", s(class))],
+            PersistRetried { line, attempts } => {
+                vec![("line", n(line)), ("attempts", n(attempts))]
+            }
+            LineRemapped { from, to } => vec![("from", n(from)), ("to", n(to))],
+            SparesExhausted { line } => vec![("line", n(line))],
+            HeapAlloc {
+                pool,
+                off,
+                lines,
+                carve,
+            } => vec![
+                ("pool", n(pool)),
+                ("off", n(off)),
+                ("lines", n(lines)),
+                ("carve", Json::Bool(carve)),
+            ],
+            HeapFree { pool, off, lines } => {
+                vec![("pool", n(pool)), ("off", n(off)), ("lines", n(lines))]
+            }
+            HeapCheckpoint {
+                pool,
+                epoch,
+                blocks,
+            } => vec![
+                ("pool", n(pool)),
+                ("epoch", n(epoch)),
+                ("blocks", n(blocks)),
+            ],
+            HeapRecovered {
+                pool,
+                live,
+                reclaimed,
+            } => vec![
+                ("pool", n(pool)),
+                ("live", n(live)),
+                ("reclaimed", n(reclaimed)),
+            ],
+            PoolSalvaged { pool, faults } => vec![("pool", n(pool)), ("faults", n(faults))],
+            PerfPhase {
+                phase,
+                nanos,
+                calls,
+            } => vec![
+                ("phase", s(phase)),
+                ("nanos", n(nanos)),
+                ("calls", n(calls)),
+            ],
+        }
+    }
 }
 
 /// A [`TraceEvent`] stamped with the cycle (or runtime sequence number) at
@@ -332,154 +453,14 @@ pub struct TimedEvent {
 }
 
 impl TimedEvent {
-    /// Flat JSON object used by the JSONL exporter.
+    /// Flat JSON object used by the JSONL exporter: `cycle`, `type`, then
+    /// the event's [`fields`](TraceEvent::fields).
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("cycle".to_string(), Json::U64(self.cycle)),
-            ("type".to_string(), Json::Str(self.event.kind().to_string())),
+        let head = [
+            ("cycle", Json::U64(self.cycle)),
+            ("type", Json::Str(self.event.kind().to_string())),
         ];
-        let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
-        match self.event {
-            TraceEvent::StoreIssue { core, line } | TraceEvent::ClwbIssue { core, line } => {
-                push("core", Json::U64(core.into()));
-                push("line", Json::U64(line));
-            }
-            TraceEvent::PqEnqueue { core, depth } | TraceEvent::PqDequeue { core, depth } => {
-                push("core", Json::U64(core.into()));
-                push("depth", Json::U64(depth.into()));
-            }
-            TraceEvent::SbEnqueue {
-                core,
-                buffer,
-                occupancy,
-            }
-            | TraceEvent::SbRetire {
-                core,
-                buffer,
-                occupancy,
-            } => {
-                push("core", Json::U64(core.into()));
-                push("buffer", Json::U64(buffer.into()));
-                push("occupancy", Json::U64(occupancy.into()));
-            }
-            TraceEvent::StallBegin { core, cause } | TraceEvent::StallEnd { core, cause } => {
-                push("core", Json::U64(core.into()));
-                push("cause", Json::Str(cause.label().to_string()));
-            }
-            TraceEvent::FenceRetire { core, kind } => {
-                push("core", Json::U64(core.into()));
-                push("kind", Json::Str(kind.to_string()));
-            }
-            TraceEvent::AdrAccept { line, queue_depth } => {
-                push("line", Json::U64(line));
-                push("queue_depth", Json::U64(queue_depth.into()));
-            }
-            TraceEvent::PersistVisible { core, line } => {
-                push("core", Json::U64(core.into()));
-                push("line", Json::U64(line));
-            }
-            TraceEvent::LogAppend { thread, seq } => {
-                push("thread", Json::U64(thread.into()));
-                push("seq", Json::U64(seq));
-            }
-            TraceEvent::LogCommit {
-                thread,
-                entries,
-                cut,
-            } => {
-                push("thread", Json::U64(thread.into()));
-                push("entries", Json::U64(entries));
-                push("cut", Json::U64(cut));
-            }
-            TraceEvent::RecoveryBegin { phase } => {
-                push("phase", Json::Str(phase.to_string()));
-            }
-            TraceEvent::RecoveryEnd { phase, items } => {
-                push("phase", Json::Str(phase.to_string()));
-                push("items", Json::U64(items));
-            }
-            TraceEvent::FaultInjected {
-                thread,
-                line,
-                class,
-            } => {
-                push("thread", Json::U64(thread.into()));
-                push("line", Json::U64(line));
-                push("class", Json::Str(class.to_string()));
-            }
-            TraceEvent::CorruptionDetected { thread, line, kind } => {
-                push("thread", Json::U64(thread.into()));
-                push("line", Json::U64(line));
-                push("kind", Json::Str(kind.to_string()));
-            }
-            TraceEvent::RegionSalvaged { thread, dropped } => {
-                push("thread", Json::U64(thread.into()));
-                push("dropped", Json::U64(dropped));
-            }
-            TraceEvent::DeviceFault { line, class } => {
-                push("line", Json::U64(line));
-                push("class", Json::Str(class.to_string()));
-            }
-            TraceEvent::PersistRetried { line, attempts } => {
-                push("line", Json::U64(line));
-                push("attempts", Json::U64(attempts.into()));
-            }
-            TraceEvent::LineRemapped { from, to } => {
-                push("from", Json::U64(from));
-                push("to", Json::U64(to));
-            }
-            TraceEvent::SparesExhausted { line } => {
-                push("line", Json::U64(line));
-            }
-            TraceEvent::HeapAlloc {
-                pool,
-                off,
-                lines,
-                carve,
-            } => {
-                push("pool", Json::U64(pool.into()));
-                push("off", Json::U64(off));
-                push("lines", Json::U64(lines));
-                push("carve", Json::Bool(carve));
-            }
-            TraceEvent::HeapFree { pool, off, lines } => {
-                push("pool", Json::U64(pool.into()));
-                push("off", Json::U64(off));
-                push("lines", Json::U64(lines));
-            }
-            TraceEvent::HeapCheckpoint {
-                pool,
-                epoch,
-                blocks,
-            } => {
-                push("pool", Json::U64(pool.into()));
-                push("epoch", Json::U64(epoch));
-                push("blocks", Json::U64(blocks));
-            }
-            TraceEvent::HeapRecovered {
-                pool,
-                live,
-                reclaimed,
-            } => {
-                push("pool", Json::U64(pool.into()));
-                push("live", Json::U64(live));
-                push("reclaimed", Json::U64(reclaimed));
-            }
-            TraceEvent::PoolSalvaged { pool, faults } => {
-                push("pool", Json::U64(pool.into()));
-                push("faults", Json::U64(faults));
-            }
-            TraceEvent::PerfPhase {
-                phase,
-                nanos,
-                calls,
-            } => {
-                push("phase", Json::Str(phase.to_string()));
-                push("nanos", Json::U64(nanos));
-                push("calls", Json::U64(calls));
-            }
-        }
-        Json::Obj(fields)
+        Json::obj(head.into_iter().chain(self.event.fields()))
     }
 }
 

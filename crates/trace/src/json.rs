@@ -127,6 +127,36 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value as an `f64` if it is a number of any shape.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::U64(n) => Some(n as f64),
+            Json::I64(n) => Some(n as f64),
+            Json::F64(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The value of a boolean; `None` for non-booleans.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            Json::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Reads the required field `key` of an object through `read` (one of
+    /// the `as_*` accessors); the error names a missing or mistyped field.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("missing or mistyped field '{key}'"))
+    }
 }
 
 impl fmt::Display for Json {
@@ -449,5 +479,26 @@ mod tests {
         assert_eq!(parse("{}").unwrap(), Json::Obj(vec![]));
         assert_eq!(parse("[]").unwrap(), Json::Arr(vec![]));
         assert_eq!(parse(" [ ] ").unwrap(), Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn typed_field_readers() {
+        let doc = Json::obj([
+            ("n", Json::U64(3)),
+            ("neg", Json::I64(-2)),
+            ("f", Json::F64(0.5)),
+            ("b", Json::Bool(true)),
+            ("s", Json::Str("x".to_string())),
+        ]);
+        assert_eq!(doc.field("n", Json::as_f64), Ok(3.0));
+        assert_eq!(doc.field("neg", Json::as_f64), Ok(-2.0));
+        assert_eq!(doc.field("f", Json::as_f64), Ok(0.5));
+        assert_eq!(doc.field("b", Json::as_bool), Ok(true));
+        assert_eq!(doc.field("s", Json::as_str), Ok("x"));
+        assert_eq!(doc.field("n", Json::as_u64), Ok(3));
+        assert!(doc.field("neg", Json::as_u64).is_err());
+        assert!(doc.field("s", Json::as_bool).is_err());
+        let missing = doc.field("absent", Json::as_u64).unwrap_err();
+        assert!(missing.contains("'absent'"), "{missing}");
     }
 }

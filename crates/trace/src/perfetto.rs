@@ -17,8 +17,11 @@
 //! * `tid = 1200`            — recovery phases as `ph B`/`E` durations,
 //!   plus corruption-detected / region-salvaged instants;
 //! * `tid = 1300`            — fault-injection instants.
+//!
+//! Args are never written out per event: an event's args are its
+//! [`TraceEvent::fields`] minus those its track or name already carries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::event::{StallKind, TimedEvent, TraceEvent};
 use crate::json::Json;
@@ -32,51 +35,113 @@ pub const TID_RECOVERY: u32 = 1200;
 /// `tid` used for the fault-injection track.
 pub const TID_FAULTS: u32 = 1300;
 
-fn meta_thread_name(tid: u32, name: &str) -> Json {
+/// The name Perfetto shows for a track.
+fn track_name(tid: u32) -> String {
+    match tid {
+        TID_PM_CONTROLLER => "pm controller".to_string(),
+        TID_RECOVERY => "recovery".to_string(),
+        TID_FAULTS => "faults".to_string(),
+        t if t >= TID_LOG_BASE => format!("log thread {}", t - TID_LOG_BASE),
+        core => format!("core {core}"),
+    }
+}
+
+fn meta_thread_name(tid: u32) -> Json {
     Json::obj([
         ("ph", Json::Str("M".to_string())),
         ("pid", Json::U64(0)),
         ("tid", Json::U64(tid.into())),
         ("name", Json::Str("thread_name".to_string())),
-        ("args", Json::obj([("name", Json::Str(name.to_string()))])),
+        ("args", Json::obj([("name", Json::Str(track_name(tid)))])),
     ])
 }
 
-fn duration(ph: &str, ts: u64, tid: u32, name: &str, cat: &str) -> Json {
-    Json::obj([
+/// The leading fields of an event on a track (instants and durations).
+fn on_track(ph: &str, ts: u64, tid: u32, name: &str, cat: &str) -> Vec<(&'static str, Json)> {
+    vec![
         ("ph", Json::Str(ph.to_string())),
         ("ts", Json::U64(ts)),
         ("pid", Json::U64(0)),
         ("tid", Json::U64(tid.into())),
         ("name", Json::Str(name.to_string())),
         ("cat", Json::Str(cat.to_string())),
-    ])
+    ]
 }
 
-fn instant(ts: u64, tid: u32, name: &str, cat: &str, args: Vec<(String, Json)>) -> Json {
-    Json::obj([
-        ("ph", Json::Str("i".to_string())),
-        ("ts", Json::U64(ts)),
-        ("pid", Json::U64(0)),
-        ("tid", Json::U64(tid.into())),
-        ("name", Json::Str(name.to_string())),
-        ("cat", Json::Str(cat.to_string())),
-        ("s", Json::Str("t".to_string())),
-        ("args", Json::Obj(args)),
-    ])
+fn stall(ph: &str, ts: u64, core: u32, cause: StallKind) -> Json {
+    let name = format!("stall:{}", cause.label());
+    Json::obj(on_track(ph, ts, core, &name, "stall"))
 }
 
-fn counter(ts: u64, name: &str, series: &str, value: u64) -> Json {
+fn counter(ts: u64, name: &str, series: &'static str, value: u64) -> Json {
     Json::obj([
         ("ph", Json::Str("C".to_string())),
         ("ts", Json::U64(ts)),
         ("pid", Json::U64(0)),
         ("name", Json::Str(name.to_string())),
-        (
-            "args",
-            Json::Obj(vec![(series.to_string(), Json::U64(value))]),
-        ),
+        ("args", Json::obj([(series, Json::U64(value))])),
     ])
+}
+
+/// The event's [`fields`](TraceEvent::fields) minus those its track,
+/// name or companion counter already carries.
+fn args(event: &TraceEvent, carried: &[&str]) -> Json {
+    Json::obj(
+        event
+            .fields()
+            .into_iter()
+            .filter(|(k, _)| !carried.contains(k)),
+    )
+}
+
+/// Where an instant event lands: its track, name and category, and the
+/// fields those already carry (dropped from its args).
+type Placement = (u32, String, &'static str, &'static [&'static str]);
+
+/// The placement row of every event exported as an instant; `None` for
+/// the counters and durations that [`chrome_trace`] lays out itself.
+fn placement(event: &TraceEvent) -> Option<Placement> {
+    use TraceEvent::*;
+    let kind = event.kind().to_string();
+    Some(match *event {
+        StoreIssue { core, .. } => (core, "store".to_string(), "issue", &["core"]),
+        ClwbIssue { core, .. } => (core, "clwb".to_string(), "issue", &["core"]),
+        FenceRetire { core, kind } => (core, format!("fence:{kind}"), "fence", &["core", "kind"]),
+        // The queue depth goes to the `pm_queue_depth` counter.
+        AdrAccept { .. } => (TID_PM_CONTROLLER, kind, "pm", &["queue_depth"]),
+        PersistVisible { .. } | PersistRetried { .. } | LineRemapped { .. } => {
+            (TID_PM_CONTROLLER, kind, "pm", &[])
+        }
+        LogAppend { thread, .. } | LogCommit { thread, .. } => {
+            (TID_LOG_BASE + thread, kind, "log", &["thread"])
+        }
+        FaultInjected { class, .. } => (TID_FAULTS, format!("fault:{class}"), "fault", &["class"]),
+        DeviceFault { class, .. } => (TID_FAULTS, format!("device:{class}"), "fault", &["class"]),
+        SparesExhausted { .. } => (TID_FAULTS, kind, "fault", &[]),
+        CorruptionDetected { kind, .. } => (
+            TID_RECOVERY,
+            format!("corruption:{kind}"),
+            "fault",
+            &["kind"],
+        ),
+        RegionSalvaged { .. } | PoolSalvaged { .. } => (TID_RECOVERY, kind, "fault", &[]),
+        HeapAlloc { carve: true, .. } => {
+            (TID_RECOVERY, "heap_carve".to_string(), "heap", &["carve"])
+        }
+        HeapAlloc { .. } => (TID_RECOVERY, kind, "heap", &["carve"]),
+        HeapFree { .. } | HeapCheckpoint { .. } | HeapRecovered { .. } => {
+            (TID_RECOVERY, kind, "heap", &[])
+        }
+        PqEnqueue { .. }
+        | PqDequeue { .. }
+        | SbEnqueue { .. }
+        | SbRetire { .. }
+        | StallBegin { .. }
+        | StallEnd { .. }
+        | RecoveryBegin { .. }
+        | RecoveryEnd { .. }
+        | PerfPhase { .. } => return None,
+    })
 }
 
 /// Converts recorded events into a Chrome/Perfetto trace-event JSON
@@ -88,53 +153,26 @@ fn counter(ts: u64, name: &str, series: &str, value: u64) -> Json {
 /// never receives an unbalanced stack.
 pub fn chrome_trace(events: &[TimedEvent]) -> Json {
     let mut out: Vec<Json> = Vec::new();
-    let mut cores: Vec<u32> = Vec::new();
-    let mut log_threads: Vec<u32> = Vec::new();
-    let mut saw_pm = false;
-    let mut saw_recovery = false;
-    let mut saw_faults = false;
+    // Every track an event names, labelled up front in ascending tid order.
+    let mut tracks: BTreeSet<u32> = BTreeSet::new();
     // (core, cause) -> begin cycle, for closing dangling stalls.
     let mut open_stalls: HashMap<(u32, StallKind), u64> = HashMap::new();
     let mut max_ts = 0u64;
 
-    let note_core = |cores: &mut Vec<u32>, core: u32| {
-        if !cores.contains(&core) {
-            cores.push(core);
-        }
-    };
-
-    for te in events {
-        let ts = te.cycle;
+    for &TimedEvent { cycle: ts, event } in events {
         max_ts = max_ts.max(ts);
-        match te.event {
-            TraceEvent::StoreIssue { core, line } => {
-                note_core(&mut cores, core);
-                out.push(instant(
-                    ts,
-                    core,
-                    "store",
-                    "issue",
-                    vec![("line".to_string(), Json::U64(line))],
-                ));
-            }
-            TraceEvent::ClwbIssue { core, line } => {
-                note_core(&mut cores, core);
-                out.push(instant(
-                    ts,
-                    core,
-                    "clwb",
-                    "issue",
-                    vec![("line".to_string(), Json::U64(line))],
-                ));
-            }
+        if let Some((tid, name, cat, carried)) = placement(&event) {
+            tracks.insert(tid);
+            let mut e = on_track("i", ts, tid, &name, cat);
+            e.push(("s", Json::Str("t".to_string())));
+            e.push(("args", args(&event, carried)));
+            out.push(Json::obj(e));
+        }
+        match event {
             TraceEvent::PqEnqueue { core, depth } | TraceEvent::PqDequeue { core, depth } => {
-                note_core(&mut cores, core);
-                out.push(counter(
-                    ts,
-                    &format!("pq_depth/core{core}"),
-                    "depth",
-                    depth.into(),
-                ));
+                tracks.insert(core);
+                let name = format!("pq_depth/core{core}");
+                out.push(counter(ts, &name, "depth", depth.into()));
             }
             TraceEvent::SbEnqueue {
                 core,
@@ -146,299 +184,42 @@ pub fn chrome_trace(events: &[TimedEvent]) -> Json {
                 buffer,
                 occupancy,
             } => {
-                note_core(&mut cores, core);
-                out.push(counter(
-                    ts,
-                    &format!("sb_occupancy/core{core}/buf{buffer}"),
-                    "occupancy",
-                    occupancy.into(),
-                ));
+                tracks.insert(core);
+                let name = format!("sb_occupancy/core{core}/buf{buffer}");
+                out.push(counter(ts, &name, "occupancy", occupancy.into()));
             }
-            TraceEvent::StallBegin { core, cause } => {
-                note_core(&mut cores, core);
-                // A duplicate begin (shouldn't happen) keeps the first.
-                open_stalls.entry((core, cause)).or_insert(ts);
-                out.push(duration(
-                    "B",
-                    ts,
-                    core,
-                    &format!("stall:{}", cause.label()),
-                    "stall",
-                ));
-            }
-            TraceEvent::StallEnd { core, cause } => {
-                note_core(&mut cores, core);
-                if open_stalls.remove(&(core, cause)).is_some() {
-                    out.push(duration(
-                        "E",
-                        ts,
-                        core,
-                        &format!("stall:{}", cause.label()),
-                        "stall",
-                    ));
-                }
-            }
-            TraceEvent::FenceRetire { core, kind } => {
-                note_core(&mut cores, core);
-                out.push(instant(ts, core, &format!("fence:{kind}"), "fence", vec![]));
-            }
-            TraceEvent::AdrAccept { line, queue_depth } => {
-                saw_pm = true;
-                out.push(instant(
-                    ts,
-                    TID_PM_CONTROLLER,
-                    "adr_accept",
-                    "pm",
-                    vec![("line".to_string(), Json::U64(line))],
-                ));
+            TraceEvent::AdrAccept { queue_depth, .. } => {
                 out.push(counter(ts, "pm_queue_depth", "depth", queue_depth.into()));
             }
-            TraceEvent::PersistVisible { core, line } => {
-                saw_pm = true;
-                out.push(instant(
-                    ts,
-                    TID_PM_CONTROLLER,
-                    "persist_visible",
-                    "pm",
-                    vec![
-                        ("core".to_string(), Json::U64(core.into())),
-                        ("line".to_string(), Json::U64(line)),
-                    ],
-                ));
-            }
-            TraceEvent::LogAppend { thread, seq } => {
-                if !log_threads.contains(&thread) {
-                    log_threads.push(thread);
-                }
-                out.push(instant(
-                    ts,
-                    TID_LOG_BASE + thread,
-                    "log_append",
-                    "log",
-                    vec![("seq".to_string(), Json::U64(seq))],
-                ));
-            }
-            TraceEvent::LogCommit {
-                thread,
-                entries,
-                cut,
-            } => {
-                if !log_threads.contains(&thread) {
-                    log_threads.push(thread);
-                }
-                out.push(instant(
-                    ts,
-                    TID_LOG_BASE + thread,
-                    "log_commit",
-                    "log",
-                    vec![
-                        ("entries".to_string(), Json::U64(entries)),
-                        ("cut".to_string(), Json::U64(cut)),
-                    ],
-                ));
-            }
-            TraceEvent::RecoveryBegin { phase } => {
-                saw_recovery = true;
-                out.push(duration(
-                    "B",
-                    ts,
-                    TID_RECOVERY,
-                    &format!("recovery:{phase}"),
-                    "recovery",
-                ));
-            }
-            TraceEvent::RecoveryEnd { phase, items } => {
-                saw_recovery = true;
-                let mut e = duration(
-                    "E",
-                    ts,
-                    TID_RECOVERY,
-                    &format!("recovery:{phase}"),
-                    "recovery",
-                );
-                if let Json::Obj(fields) = &mut e {
-                    fields.push(("args".to_string(), Json::obj([("items", Json::U64(items))])));
-                }
-                out.push(e);
-            }
-            TraceEvent::FaultInjected {
-                thread,
-                line,
-                class,
-            } => {
-                saw_faults = true;
-                out.push(instant(
-                    ts,
-                    TID_FAULTS,
-                    &format!("fault:{class}"),
-                    "fault",
-                    vec![
-                        ("thread".to_string(), Json::U64(thread.into())),
-                        ("line".to_string(), Json::U64(line)),
-                    ],
-                ));
-            }
-            TraceEvent::CorruptionDetected { thread, line, kind } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    &format!("corruption:{kind}"),
-                    "fault",
-                    vec![
-                        ("thread".to_string(), Json::U64(thread.into())),
-                        ("line".to_string(), Json::U64(line)),
-                    ],
-                ));
-            }
-            TraceEvent::RegionSalvaged { thread, dropped } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    "region_salvaged",
-                    "fault",
-                    vec![
-                        ("thread".to_string(), Json::U64(thread.into())),
-                        ("dropped".to_string(), Json::U64(dropped)),
-                    ],
-                ));
-            }
-            TraceEvent::DeviceFault { line, class } => {
-                saw_faults = true;
-                out.push(instant(
-                    ts,
-                    TID_FAULTS,
-                    &format!("device:{class}"),
-                    "fault",
-                    vec![("line".to_string(), Json::U64(line))],
-                ));
-            }
-            TraceEvent::PersistRetried { line, attempts } => {
-                saw_pm = true;
-                out.push(instant(
-                    ts,
-                    TID_PM_CONTROLLER,
-                    "persist_retried",
-                    "pm",
-                    vec![
-                        ("line".to_string(), Json::U64(line)),
-                        ("attempts".to_string(), Json::U64(attempts.into())),
-                    ],
-                ));
-            }
-            TraceEvent::LineRemapped { from, to } => {
-                saw_pm = true;
-                out.push(instant(
-                    ts,
-                    TID_PM_CONTROLLER,
-                    "line_remapped",
-                    "pm",
-                    vec![
-                        ("from".to_string(), Json::U64(from)),
-                        ("to".to_string(), Json::U64(to)),
-                    ],
-                ));
-            }
-            TraceEvent::SparesExhausted { line } => {
-                saw_faults = true;
-                out.push(instant(
-                    ts,
-                    TID_FAULTS,
-                    "spares_exhausted",
-                    "fault",
-                    vec![("line".to_string(), Json::U64(line))],
-                ));
-            }
-            TraceEvent::HeapAlloc {
-                pool,
-                off,
-                lines,
-                carve,
-            } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    if carve { "heap_carve" } else { "heap_alloc" },
-                    "heap",
-                    vec![
-                        ("pool".to_string(), Json::U64(pool.into())),
-                        ("off".to_string(), Json::U64(off)),
-                        ("lines".to_string(), Json::U64(lines)),
-                    ],
-                ));
-            }
-            TraceEvent::HeapFree { pool, off, lines } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    "heap_free",
-                    "heap",
-                    vec![
-                        ("pool".to_string(), Json::U64(pool.into())),
-                        ("off".to_string(), Json::U64(off)),
-                        ("lines".to_string(), Json::U64(lines)),
-                    ],
-                ));
-            }
-            TraceEvent::HeapCheckpoint {
-                pool,
-                epoch,
-                blocks,
-            } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    "heap_checkpoint",
-                    "heap",
-                    vec![
-                        ("pool".to_string(), Json::U64(pool.into())),
-                        ("epoch".to_string(), Json::U64(epoch)),
-                        ("blocks".to_string(), Json::U64(blocks)),
-                    ],
-                ));
-            }
-            TraceEvent::HeapRecovered {
-                pool,
-                live,
-                reclaimed,
-            } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    "heap_recovered",
-                    "heap",
-                    vec![
-                        ("pool".to_string(), Json::U64(pool.into())),
-                        ("live".to_string(), Json::U64(live)),
-                        ("reclaimed".to_string(), Json::U64(reclaimed)),
-                    ],
-                ));
-            }
-            TraceEvent::PoolSalvaged { pool, faults } => {
-                saw_recovery = true;
-                out.push(instant(
-                    ts,
-                    TID_RECOVERY,
-                    "pool_salvaged",
-                    "fault",
-                    vec![
-                        ("pool".to_string(), Json::U64(pool.into())),
-                        ("faults".to_string(), Json::U64(faults)),
-                    ],
-                ));
-            }
-            TraceEvent::PerfPhase {
-                phase,
-                nanos,
-                calls: _,
-            } => {
+            TraceEvent::PerfPhase { phase, nanos, .. } => {
                 out.push(counter(ts, &format!("perf/{phase}"), "nanos", nanos));
             }
+            TraceEvent::StallBegin { core, cause } => {
+                tracks.insert(core);
+                // A duplicate begin (shouldn't happen) keeps the first.
+                open_stalls.entry((core, cause)).or_insert(ts);
+                out.push(stall("B", ts, core, cause));
+            }
+            TraceEvent::StallEnd { core, cause } => {
+                tracks.insert(core);
+                if open_stalls.remove(&(core, cause)).is_some() {
+                    out.push(stall("E", ts, core, cause));
+                }
+            }
+            TraceEvent::RecoveryBegin { phase } => {
+                tracks.insert(TID_RECOVERY);
+                let name = format!("recovery:{phase}");
+                let e = on_track("B", ts, TID_RECOVERY, &name, "recovery");
+                out.push(Json::obj(e));
+            }
+            TraceEvent::RecoveryEnd { phase, .. } => {
+                tracks.insert(TID_RECOVERY);
+                let name = format!("recovery:{phase}");
+                let mut e = on_track("E", ts, TID_RECOVERY, &name, "recovery");
+                e.push(("args", args(&event, &["phase"])));
+                out.push(Json::obj(e));
+            }
+            _ => {}
         }
     }
 
@@ -446,41 +227,14 @@ pub fn chrome_trace(events: &[TimedEvent]) -> Json {
     let mut dangling: Vec<_> = open_stalls.into_iter().collect();
     dangling.sort_by_key(|((core, cause), begin)| (*core, cause.label(), *begin));
     for ((core, cause), _) in dangling {
-        out.push(duration(
-            "E",
-            max_ts,
-            core,
-            &format!("stall:{}", cause.label()),
-            "stall",
-        ));
+        out.push(stall("E", max_ts, core, cause));
     }
 
     // Thread-name metadata, prepended so viewers label tracks immediately.
-    let mut meta: Vec<Json> = Vec::new();
-    cores.sort_unstable();
-    for core in &cores {
-        meta.push(meta_thread_name(*core, &format!("core {core}")));
-    }
-    if saw_pm {
-        meta.push(meta_thread_name(TID_PM_CONTROLLER, "pm controller"));
-    }
-    log_threads.sort_unstable();
-    for t in &log_threads {
-        meta.push(meta_thread_name(
-            TID_LOG_BASE + t,
-            &format!("log thread {t}"),
-        ));
-    }
-    if saw_recovery {
-        meta.push(meta_thread_name(TID_RECOVERY, "recovery"));
-    }
-    if saw_faults {
-        meta.push(meta_thread_name(TID_FAULTS, "faults"));
-    }
-    meta.extend(out);
-
+    let mut trace: Vec<Json> = tracks.into_iter().map(meta_thread_name).collect();
+    trace.extend(out);
     Json::obj([
-        ("traceEvents", Json::Arr(meta)),
+        ("traceEvents", Json::Arr(trace)),
         ("displayTimeUnit", Json::Str("ns".to_string())),
     ])
 }
