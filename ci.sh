@@ -150,6 +150,10 @@ cli_golden() {
 }
 cli_golden run_stats.txt run queue "${scale[@]}" --regions 24 --stats
 cli_golden run.json run queue "${scale[@]}" --regions 24 --stats --json
+# Small queues, so the fence, sq_full, pq_full and lock stall counters
+# and the pq/sb gauges and histograms are all populated.
+cli_golden run_stalls.json run queue --design strandweaver --sq 2 --pq 1 "${scale[@]}" \
+  --regions 24 --json
 cli_golden heap_churn.json heap hashmap --churn --json "${scale[@]}" --regions 24
 cli_golden table2.json table2 --json
 cli_golden fig7_strandweaver.json fig7 --design strandweaver --json

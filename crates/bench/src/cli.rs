@@ -305,7 +305,7 @@ impl Args {
         cfg.shards = self.count("--shards", cfg.shards)?;
         cfg.requests = self.count("--requests", cfg.requests)?;
         cfg.offered_load = self.num("--load", cfg.offered_load)?;
-        cfg.queue_depth = self.num("--queue-depth", cfg.queue_depth)?;
+        cfg.queue_depth = self.count("--queue-depth", cfg.queue_depth)?;
         cfg.deadline_factor = self.num("--deadline-factor", cfg.deadline_factor)?;
         if let Some(v) = self.value("--arrival") {
             cfg.arrival = ArrivalKind::from_label(v)
@@ -318,6 +318,9 @@ impl Args {
         }
         if cfg.offered_load <= 0.0 {
             return Err(CliError::msg("--load must be positive"));
+        }
+        if cfg.deadline_factor < 2 {
+            return Err(CliError::msg("--deadline-factor must be at least 2"));
         }
         Ok(cfg)
     }

@@ -98,6 +98,15 @@ const REJECTED: &[(&str, &str)] = &[
         "chaos queue --sweep --rounds 0",
         "--rounds must be at least 1",
     ),
+    // Serving knobs the engine cannot run with as given.
+    (
+        "serve queue --queue-depth 0",
+        "--queue-depth must be at least 1",
+    ),
+    (
+        "serve queue --deadline-factor 1",
+        "--deadline-factor must be at least 2",
+    ),
     // Flags no subcommand knows.
     ("run queue --bogus", "unknown flag: --bogus"),
     ("fig9 --bogus", "unknown flag: --bogus"),

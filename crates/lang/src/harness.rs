@@ -99,30 +99,56 @@ pub fn check_replay_consistency(
     regions: &[RegionRecord],
 ) -> Result<(), String> {
     let cuts = &outcome.report.per_thread_cut;
+    committed_replay(&outcome.image, cuts, &[], baseline, regions).map_err(
+        |(addr, want, got, committed)| {
+            format!(
+                "replay mismatch at {addr}: expected {want}, recovered {got} \
+                 ({committed}/{} regions committed, cuts {:?})",
+                regions.len(),
+                cuts
+            )
+        },
+    )
+}
+
+/// The committed-replay check both [`check_replay_consistency`] and
+/// [`check_salvage_consistency`] run: replays, over `baseline`, every
+/// region at or below its thread's cut, in region order, then compares
+/// `image` against it at every address a region wrote — except the
+/// regions of `salvaged` threads and every address any of them wrote.
+///
+/// Returns the first mismatch as `(addr, expected, recovered, committed
+/// regions)`.
+fn committed_replay(
+    image: &PmImage,
+    cuts: &[u64],
+    salvaged: &[usize],
+    baseline: &PmImage,
+    regions: &[RegionRecord],
+) -> Result<(), (Addr, u64, u64, usize)> {
+    let excluded: HashSet<Addr> = regions
+        .iter()
+        .filter(|r| salvaged.contains(&r.tid))
+        .flat_map(|r| r.writes.iter().map(|&(addr, _, _)| addr))
+        .collect();
     let mut expected = baseline.clone();
     let mut ordered: Vec<&RegionRecord> = regions.iter().collect();
     ordered.sort_unstable_by_key(|r| r.first_seq);
-    let mut applied = 0usize;
+    let mut committed = 0usize;
     for region in &ordered {
         let cut = cuts.get(region.tid).copied().unwrap_or(0);
         if region.last_seq <= cut {
-            applied += 1;
+            committed += 1;
             for &(addr, _old, new) in &region.writes {
                 expected.store(addr, new);
             }
         }
     }
-    for region in &ordered {
+    for region in ordered.iter().filter(|r| !salvaged.contains(&r.tid)) {
         for &(addr, _, _) in &region.writes {
-            let want = expected.load(addr);
-            let got = outcome.image.load(addr);
-            if want != got {
-                return Err(format!(
-                    "replay mismatch at {addr}: expected {want}, recovered {got} \
-                     ({applied}/{} regions committed, cuts {:?})",
-                    ordered.len(),
-                    cuts
-                ));
+            let (want, got) = (expected.load(addr), image.load(addr));
+            if want != got && !excluded.contains(&addr) {
+                return Err((addr, want, got, committed));
             }
         }
     }
@@ -214,44 +240,16 @@ pub fn check_salvage_consistency(
     baseline: &PmImage,
     regions: &[RegionRecord],
 ) -> Result<(), String> {
-    let salvaged: HashSet<usize> = outcome.salvaged_threads.iter().copied().collect();
-    let excluded: HashSet<Addr> = regions
-        .iter()
-        .filter(|r| salvaged.contains(&r.tid))
-        .flat_map(|r| r.writes.iter().map(|&(addr, _, _)| addr))
-        .collect();
     let cuts = &outcome.report.per_thread_cut;
-    let mut expected = baseline.clone();
-    let mut ordered: Vec<&RegionRecord> = regions.iter().collect();
-    ordered.sort_unstable_by_key(|r| r.first_seq);
-    for region in &ordered {
-        let cut = cuts.get(region.tid).copied().unwrap_or(0);
-        if region.last_seq <= cut {
-            for &(addr, _old, new) in &region.writes {
-                expected.store(addr, new);
-            }
-        }
-    }
-    for region in &ordered {
-        if salvaged.contains(&region.tid) {
-            continue;
-        }
-        for &(addr, _, _) in &region.writes {
-            if excluded.contains(&addr) {
-                continue;
-            }
-            let want = expected.load(addr);
-            let got = image.load(addr);
-            if want != got {
-                return Err(format!(
-                    "salvage mismatch at {addr}: expected {want}, recovered {got} \
-                     (salvaged threads {:?}, cuts {:?})",
-                    outcome.salvaged_threads, cuts
-                ));
-            }
-        }
-    }
-    Ok(())
+    committed_replay(image, cuts, &outcome.salvaged_threads, baseline, regions).map_err(
+        |(addr, want, got, _)| {
+            format!(
+                "salvage mismatch at {addr}: expected {want}, recovered {got} \
+                 (salvaged threads {:?}, cuts {:?})",
+                outcome.salvaged_threads, cuts
+            )
+        },
+    )
 }
 
 /// Checks that recovery converges when it is itself interrupted by a

@@ -30,8 +30,8 @@
 
 use sw_model::isa::FenceKind;
 use sw_pmem::{
-    encode_checkpoint, encode_heap_record, Addr, BlockKind, Bump, PoolAlloc, Region, RegionKind,
-    CACHE_LINE_BYTES, HEAP_JOURNAL_SLOTS,
+    encode_checkpoint, Addr, BlockKind, Bump, PoolAlloc, Region, RegionKind, CACHE_LINE_BYTES,
+    HEAP_JOURNAL_SLOTS,
 };
 use sw_trace::TraceEvent;
 
@@ -81,16 +81,6 @@ impl HeapState {
     /// Number of pools.
     pub fn pool_count(&self) -> usize {
         self.pools.len()
-    }
-
-    /// Marks `pool` quarantined (damaged metadata; Salvage recovery).
-    pub fn quarantine(&mut self, pool: usize) {
-        self.quarantined[pool] = true;
-    }
-
-    /// `true` when `pool` was quarantined by recovery.
-    pub fn is_quarantined(&self, pool: usize) -> bool {
-        self.quarantined[pool]
     }
 
     /// Rebuilds allocator state from a recovered image: each healthy
@@ -240,39 +230,6 @@ impl FuncCtx {
             blocks: blocks.len() as u64,
         });
     }
-
-    /// Appends a journal record through raw memory stores (setup path:
-    /// persists with the baseline, invisible to traces and the
-    /// recorded program).
-    fn heap_journal_raw(
-        &mut self,
-        pool: usize,
-        is_alloc: bool,
-        off: u64,
-        lines: u64,
-        kind: BlockKind,
-    ) {
-        let layout = self.mem().layout().clone();
-        let (slot, words) = {
-            let p = self.heap_state_mut().pool_mut(pool);
-            assert!(
-                p.next_slot < HEAP_JOURNAL_SLOTS,
-                "allocator journal full during setup; checkpoint required"
-            );
-            let slot = p.next_slot;
-            let seq = p.next_seq;
-            p.next_slot += 1;
-            p.next_seq += 1;
-            (
-                slot,
-                encode_heap_record(is_alloc, off, lines, seq, p.epoch, kind),
-            )
-        };
-        let base = layout.heap_journal_slot(pool, slot);
-        for (i, &v) in words.iter().enumerate() {
-            self.mem_mut().store(base.offset_words(i as u64), v);
-        }
-    }
 }
 
 impl<'a> HeapHandle<'a> {
@@ -283,6 +240,30 @@ impl<'a> HeapHandle<'a> {
 
     fn arena_base(&self) -> Addr {
         self.ctx.mem().layout().pool_arena_base(self.pool)
+    }
+
+    /// Carves `lines` lines at the pool frontier and journals the carve
+    /// through raw memory stores: the record persists with the baseline
+    /// but stays out of the ISA traces and the recorded program. Returns
+    /// the carve's line offset.
+    fn carve(&mut self, lines: u64) -> u64 {
+        let (off, slot, words) = {
+            let p = self.ctx.heap_state_mut().pool_mut(self.pool);
+            let off = p.carve(lines).expect("heap pool exhausted");
+            let (slot, words) = p.journal(true, off, lines, BlockKind::Carve);
+            (off, slot, words)
+        };
+        let base = self.ctx.mem().layout().heap_journal_slot(self.pool, slot);
+        for (i, &v) in words.iter().enumerate() {
+            self.ctx.mem_mut().store(base.offset_words(i as u64), v);
+        }
+        self.ctx.trace_event(TraceEvent::HeapAlloc {
+            pool: self.pool as u32,
+            off,
+            lines,
+            carve: true,
+        });
+        off
     }
 
     /// Carves `lines` whole cache lines at the pool frontier,
@@ -306,24 +287,11 @@ impl<'a> HeapHandle<'a> {
         if lines == 0 {
             return aligned;
         }
-        let off = self
-            .ctx
-            .heap_state_mut()
-            .pool_mut(self.pool)
-            .carve(lines)
-            .expect("heap pool exhausted");
+        let off = self.carve(lines);
         let addr = Addr(base.raw() + off * CACHE_LINE_BYTES);
         debug_assert_eq!(addr, aligned, "carve frontier out of sync");
         self.ctx.heap_state_mut().word_next[self.pool] =
             Addr(addr.raw() + lines * CACHE_LINE_BYTES);
-        self.ctx
-            .heap_journal_raw(self.pool, true, off, lines, BlockKind::Carve);
-        self.ctx.trace_event(TraceEvent::HeapAlloc {
-            pool: self.pool as u32,
-            off,
-            lines,
-            carve: true,
-        });
         addr
     }
 
@@ -350,20 +318,7 @@ impl<'a> HeapHandle<'a> {
             (a, end_line.saturating_sub(covered))
         };
         if need > 0 {
-            let off = self
-                .ctx
-                .heap_state_mut()
-                .pool_mut(self.pool)
-                .carve(need)
-                .expect("heap pool exhausted");
-            self.ctx
-                .heap_journal_raw(self.pool, true, off, need, BlockKind::Carve);
-            self.ctx.trace_event(TraceEvent::HeapAlloc {
-                pool: self.pool as u32,
-                off,
-                lines: need,
-                carve: true,
-            });
+            self.carve(need);
         }
         addr
     }
@@ -397,37 +352,17 @@ impl ThreadRuntime {
     /// must reach a [`FuncCtx::heap_quiesce`] point often enough).
     pub fn heap_alloc(&mut self, ctx: &mut FuncCtx, lines: u64) -> Addr {
         let pool = self.tid() % ctx.heap_state().pool_count();
-        let layout = ctx.mem().layout().clone();
-        let (off, block, slot, words) = {
-            let p = ctx.heap_state_mut().pool_mut(pool);
-            assert!(
-                p.next_slot < HEAP_JOURNAL_SLOTS,
-                "allocator journal full; call heap_quiesce at a commit boundary"
-            );
-            let off = p.alloc(lines).expect("heap pool exhausted");
-            let block = lines.max(1).next_power_of_two();
-            let slot = p.next_slot;
-            let seq = p.next_seq;
-            p.next_slot += 1;
-            p.next_seq += 1;
-            (
-                off,
-                block,
-                slot,
-                encode_heap_record(true, off, block, seq, p.epoch, BlockKind::Dynamic),
-            )
-        };
-        let base = layout.heap_journal_slot(pool, slot);
-        for (i, &v) in words.iter().enumerate() {
-            self.store(ctx, base.offset_words(i as u64), v);
-        }
+        let p = ctx.heap_state_mut().pool_mut(pool);
+        let off = p.alloc(lines).expect("heap pool exhausted");
+        let block = lines.max(1).next_power_of_two();
+        self.heap_journal(ctx, pool, true, off, block);
         ctx.trace_event(TraceEvent::HeapAlloc {
             pool: pool as u32,
             off,
             lines: block,
             carve: false,
         });
-        layout.pool_line_addr(pool, off)
+        ctx.mem().layout().pool_line_addr(pool, off)
     }
 
     /// Frees the dynamic block at `addr`, journaling the free with the
@@ -438,35 +373,35 @@ impl ThreadRuntime {
     ///
     /// Panics if `addr` is not the base of a live dynamic block.
     pub fn heap_free(&mut self, ctx: &mut FuncCtx, addr: Addr) {
-        let layout = ctx.mem().layout().clone();
+        let layout = ctx.mem().layout();
         let pool = layout.pool_of(addr).expect("address outside heap arenas");
         let off = (addr.raw() - layout.pool_arena_base(pool).raw()) / CACHE_LINE_BYTES;
-        let (lines, slot, words) = {
-            let p = ctx.heap_state_mut().pool_mut(pool);
-            assert!(
-                p.next_slot < HEAP_JOURNAL_SLOTS,
-                "allocator journal full; call heap_quiesce at a commit boundary"
-            );
-            let lines = p.free(off).expect("not a live dynamic block");
-            let slot = p.next_slot;
-            let seq = p.next_seq;
-            p.next_slot += 1;
-            p.next_seq += 1;
-            (
-                lines,
-                slot,
-                encode_heap_record(false, off, lines, seq, p.epoch, BlockKind::Dynamic),
-            )
-        };
-        let base = layout.heap_journal_slot(pool, slot);
-        for (i, &v) in words.iter().enumerate() {
-            self.store(ctx, base.offset_words(i as u64), v);
-        }
+        let p = ctx.heap_state_mut().pool_mut(pool);
+        let lines = p.free(off).expect("not a live dynamic block");
+        self.heap_journal(ctx, pool, false, off, lines);
         ctx.trace_event(TraceEvent::HeapFree {
             pool: pool as u32,
             off,
             lines,
         });
+    }
+
+    /// Journals a dynamic alloc or free through [`ThreadRuntime::store`],
+    /// so the record is logged with the current region.
+    fn heap_journal(
+        &mut self,
+        ctx: &mut FuncCtx,
+        pool: usize,
+        is_alloc: bool,
+        off: u64,
+        lines: u64,
+    ) {
+        let p = ctx.heap_state_mut().pool_mut(pool);
+        let (slot, words) = p.journal(is_alloc, off, lines, BlockKind::Dynamic);
+        let base = ctx.mem().layout().heap_journal_slot(pool, slot);
+        for (i, &v) in words.iter().enumerate() {
+            self.store(ctx, base.offset_words(i as u64), v);
+        }
     }
 }
 

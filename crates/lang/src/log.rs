@@ -36,7 +36,7 @@
 //! thread as committed.
 
 use sw_model::isa::FenceKind;
-use sw_pmem::{Addr, PmImage, Region, CACHE_LINE_BYTES};
+use sw_pmem::{record_checksum, Addr, PmImage, Region, CACHE_LINE_BYTES};
 
 use crate::ctx::FuncCtx;
 use sw_model::HwDesign;
@@ -131,19 +131,8 @@ pub struct DecodedEntry {
     pub aux: u64,
 }
 
-/// Entry checksum: a cheap mix over the five payload words. Its purpose is
-/// tear detection under randomized crash sampling, not adversarial
-/// integrity.
-pub(crate) fn entry_checksum(ty: u64, addr: u64, value: u64, seq: u64, aux: u64) -> u64 {
-    const SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h = SALT;
-    for w in [ty, addr, value, seq, aux] {
-        h = (h ^ w).wrapping_mul(0x100_0000_01b3);
-        h = h.rotate_left(23);
-    }
-    // Never collide with the all-zero free slot.
-    h | 1
-}
+/// Salt of the entry checksum ([`record_checksum`] over words 0–4).
+const ENTRY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Classification of one log slot in a crashed PM image, as the
 /// fault-aware recovery scan sees it.
@@ -188,7 +177,7 @@ impl SlotState {
 /// Soundness of the `Corrupt` verdict on natural (uninjected) crash
 /// states: a slot that has never been reused holds at most one entry, each
 /// of whose words either persisted (reads its true value) or did not
-/// (reads zero). The checksum word is written as `entry_checksum(..) | 1`,
+/// (reads zero). The checksum word is written as `record_checksum(..)`,
 /// never zero — so a nonzero stored checksum that fails verification means
 /// some covered word differs from what was written, and on a fresh slot a
 /// differing word can only read zero. Such tears classify as `Torn`;
@@ -214,7 +203,7 @@ pub fn classify_slot(img: &PmImage, line_base: Addr) -> SlotState {
     if ty == 0 {
         return SlotState::Invalidated;
     }
-    if checksum == entry_checksum(ty, addr, value, seq, aux) {
+    if checksum == record_checksum(ENTRY_SALT, &payload) {
         return match EntryType::from_code(ty) {
             Some(etype) => SlotState::Valid(DecodedEntry {
                 etype,
@@ -263,10 +252,9 @@ impl DetailedScan {
     }
 }
 
-/// Classifies every slot of thread `tid`'s log region. Unlike [`scan_log`]
-/// (which silently skips anything that fails to decode), the detailed scan
-/// reports *why* each undecodable slot failed, so recovery can distinguish
-/// benign tears from corruption.
+/// Classifies every slot of one thread's log region: the one log decoder
+/// recovery runs. It reports *why* each undecodable slot failed, so
+/// recovery can distinguish benign tears from corruption.
 pub fn scan_log_detailed(img: &PmImage, region: Region) -> DetailedScan {
     let lines = region.bytes / CACHE_LINE_BYTES;
     let mut scan = DetailedScan::default();
@@ -282,28 +270,6 @@ pub fn scan_log_detailed(img: &PmImage, region: Region) -> DetailedScan {
         }
     }
     scan
-}
-
-/// Decodes the entry stored at `line_base` in a PM image. Returns `None`
-/// for free, invalidated, or torn entries.
-pub fn decode_entry(img: &PmImage, line_base: Addr) -> Option<DecodedEntry> {
-    let ty = img.load(line_base.offset_words(W_TYPE));
-    let addr = img.load(line_base.offset_words(W_ADDR));
-    let value = img.load(line_base.offset_words(W_VALUE));
-    let seq = img.load(line_base.offset_words(W_SEQ));
-    let aux = img.load(line_base.offset_words(W_AUX));
-    let checksum = img.load(line_base.offset_words(W_CHECKSUM));
-    if checksum != entry_checksum(ty, addr, value, seq, aux) {
-        return None;
-    }
-    let etype = EntryType::from_code(ty)?;
-    Some(DecodedEntry {
-        etype,
-        addr: Addr(addr),
-        value,
-        seq,
-        aux,
-    })
 }
 
 /// The per-thread undo log runtime state.
@@ -416,7 +382,10 @@ impl UndoLog {
         ctx.store(
             self.tid,
             base.offset_words(W_CHECKSUM),
-            entry_checksum(ty, payload.addr.raw(), payload.value, seq, payload.aux),
+            record_checksum(
+                ENTRY_SALT,
+                &[ty, payload.addr.raw(), payload.value, seq, payload.aux],
+            ),
         );
         ctx.clwb(self.tid, base);
         self.tail = (self.tail + 1) % self.capacity;
@@ -441,6 +410,7 @@ impl UndoLog {
             return;
         }
         let cut = self.last_seq;
+        let committed = self.uncommitted + u64::from(self.has_committed);
         // 1. All region updates and entries become durable before the
         //    commit intent is recorded.
         self.fence(ctx, design.drain_fence());
@@ -456,32 +426,11 @@ impl UndoLog {
             },
         );
         self.fence(ctx, design.drain_fence());
-        // 3. Invalidate the committed entries and the previous commit
-        //    record (Figure 6a step 3). The fresh record at `c_slot` stays
-        //    live so the cut remains durably visible.
-        let mut slot = self.head;
-        let mut invalidated = 0u64;
-        while slot != c_slot {
-            let base = self.slot(slot);
-            ctx.store(self.tid, base.offset_words(W_TYPE), 0);
-            ctx.clwb(self.tid, base);
-            slot = (slot + 1) % self.capacity;
-            invalidated += 1;
-        }
-        self.fence(ctx, design.drain_fence());
-        // 4. Advance and flush the persistent head (Figure 6a step 4).
-        self.head = c_slot;
-        self.uncommitted = 0;
-        self.has_committed = true;
-        ctx.store(self.tid, self.header(), self.head);
-        ctx.clwb(self.tid, self.header());
-        self.fence(ctx, design.drain_fence());
-        ctx.trace_event(sw_trace::TraceEvent::LogCommit {
-            thread: self.tid as u32,
-            entries: invalidated,
-            cut,
-        });
-        ctx.note_log_live(self.tid, 0);
+        // 3–4. Invalidate the committed entries and the previous commit
+        //    record, then advance the head (Figure 6a steps 3 and 4). The
+        //    fresh record at `c_slot` stays live so the cut remains durably
+        //    visible.
+        self.retire(ctx, design, committed, c_slot, cut);
     }
 
     /// Durable-cut header word (word 1 of the header line): everything at
@@ -507,22 +456,31 @@ impl UndoLog {
         ctx.store(self.tid, self.header_cut_addr(), self.last_seq);
         ctx.clwb(self.tid, self.header_cut_addr());
         self.fence(ctx, design.drain_fence());
+        self.retire(ctx, design, count, self.tail, self.last_seq);
+    }
+
+    /// Retires the `count` entries from the head: invalidates each
+    /// (`TYPE := 0`), drains, advances and flushes the persistent head to
+    /// `new_head`, drains, and reports the commit of everything up to
+    /// `cut`. A retained commit record exists afterwards exactly when
+    /// `new_head` is not the tail.
+    fn retire(&mut self, ctx: &mut FuncCtx, design: HwDesign, count: u64, new_head: u64, cut: u64) {
         for k in 0..count {
             let base = self.slot((self.head + k) % self.capacity);
             ctx.store(self.tid, base.offset_words(W_TYPE), 0);
             ctx.clwb(self.tid, base);
         }
         self.fence(ctx, design.drain_fence());
-        self.head = self.tail;
+        self.head = new_head;
         self.uncommitted = 0;
-        self.has_committed = false;
+        self.has_committed = new_head != self.tail;
         ctx.store(self.tid, self.header(), self.head);
         ctx.clwb(self.tid, self.header());
         self.fence(ctx, design.drain_fence());
         ctx.trace_event(sw_trace::TraceEvent::LogCommit {
             thread: self.tid as u32,
             entries: count,
-            cut: self.last_seq,
+            cut,
         });
         ctx.note_log_live(self.tid, 0);
     }
@@ -532,14 +490,6 @@ impl UndoLog {
             ctx.fence(self.tid, kind);
         }
     }
-}
-
-/// Iterates over the decodable entries of thread `tid`'s log region in a
-/// crashed PM image. Used by recovery.
-pub fn scan_log(img: &PmImage, region: Region) -> impl Iterator<Item = DecodedEntry> + '_ {
-    let lines = region.bytes / CACHE_LINE_BYTES;
-    (1..lines)
-        .filter_map(move |i| decode_entry(img, Addr(region.base.raw() + i * CACHE_LINE_BYTES)))
 }
 
 #[cfg(test)]
@@ -568,7 +518,7 @@ mod tests {
         let seq = log.append(&mut ctx, store_payload(0x2000_0000, 42));
         ctx.mem_mut().persist_all();
         let img = ctx.mem().persisted_image().clone();
-        let entries: Vec<_> = scan_log(&img, layout_region(&ctx)).collect();
+        let entries = scan_log_detailed(&img, layout_region(&ctx)).entries;
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].etype, EntryType::Store);
         assert_eq!(entries[0].addr, Addr(0x2000_0000));
@@ -586,7 +536,9 @@ mod tests {
         log.append(&mut ctx, store_payload(0x2000_0000, 42));
         // Nothing persisted: the image shows a free slot.
         let img = ctx.mem().persisted_image().clone();
-        assert_eq!(scan_log(&img, layout_region(&ctx)).count(), 0);
+        assert!(scan_log_detailed(&img, layout_region(&ctx))
+            .entries
+            .is_empty());
     }
 
     #[test]
@@ -600,9 +552,8 @@ mod tests {
         let entry_base = Addr(region.base.raw() + CACHE_LINE_BYTES);
         let mut img = ctx.mem().persisted_image().clone();
         img.store(entry_base.offset_words(W_VALUE), 0xdead);
-        assert_eq!(
-            scan_log(&img, region).count(),
-            0,
+        assert!(
+            scan_log_detailed(&img, region).entries.is_empty(),
             "torn entry must be ignored"
         );
     }
@@ -618,7 +569,7 @@ mod tests {
         ctx.mem_mut().persist_all();
         let img = ctx.mem().persisted_image().clone();
         // Only the retained commit record survives.
-        let entries: Vec<_> = scan_log(&img, layout_region(&ctx)).collect();
+        let entries = scan_log_detailed(&img, layout_region(&ctx)).entries;
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].etype, EntryType::Commit);
     }
@@ -632,7 +583,9 @@ mod tests {
         log.commit_all(&mut ctx, HwDesign::StrandWeaver);
         ctx.mem_mut().persist_all();
         let img = ctx.mem().persisted_image().clone();
-        let commits: Vec<_> = scan_log(&img, layout_region(&ctx))
+        let commits: Vec<_> = scan_log_detailed(&img, layout_region(&ctx))
+            .entries
+            .into_iter()
             .filter(|e| e.etype == EntryType::Commit)
             .collect();
         assert_eq!(
@@ -668,9 +621,9 @@ mod tests {
         img.store(rec.offset_words(W_SEQ), cut + 1);
         img.store(
             rec.offset_words(W_CHECKSUM),
-            entry_checksum(ty, 0, cut, cut + 1, 0),
+            record_checksum(ENTRY_SALT, &[ty, 0, cut, cut + 1, 0]),
         );
-        let entries: Vec<_> = scan_log(&img, region).collect();
+        let entries = scan_log_detailed(&img, region).entries;
         let commits: Vec<_> = entries
             .iter()
             .filter(|e| e.etype == EntryType::Commit)
@@ -746,7 +699,7 @@ mod tests {
     fn checksum_distinguishes_free_slot() {
         // An all-zero line must never decode as a valid entry.
         let img = PmImage::new();
-        assert!(decode_entry(&img, Addr(0x1000_0040)).is_none());
+        assert_eq!(classify_slot(&img, Addr(0x1000_0040)), SlotState::Free);
     }
 
     /// Builds an image holding one persisted entry and returns (image,
@@ -803,7 +756,7 @@ mod tests {
         img.store(base.offset_words(W_TYPE), 99);
         img.store(
             base.offset_words(W_CHECKSUM),
-            entry_checksum(99, addr, value, seq, aux),
+            record_checksum(ENTRY_SALT, &[99, addr, value, seq, aux]),
         );
         assert_eq!(classify_slot(&img, base), SlotState::Corrupt);
     }
@@ -831,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn detailed_scan_agrees_with_scan_log_and_reports_damage() {
+    fn detailed_scan_decodes_entries_and_reports_damage() {
         let (mut ctx, mut log) = setup();
         for i in 0..4 {
             log.append(&mut ctx, store_payload(0x2000_0000 + i * 64, i));
@@ -839,9 +792,10 @@ mod tests {
         ctx.mem_mut().persist_all();
         let region = layout_region(&ctx);
         let mut img = ctx.mem().persisted_image().clone();
-        let legacy: Vec<_> = scan_log(&img, region).collect();
         let detailed = scan_log_detailed(&img, region);
-        assert_eq!(detailed.entries, legacy);
+        let values: Vec<_> = detailed.entries.iter().map(|e| e.value).collect();
+        assert_eq!(values, vec![0, 1, 2, 3]);
+        assert_eq!(detailed.free as u64, region.bytes / CACHE_LINE_BYTES - 5);
         assert!(!detailed.damaged());
         // Damage slot 2 (flip the zero AUX word so every word reads
         // nonzero → Corrupt) and poison slot 3.
@@ -853,9 +807,7 @@ mod tests {
         assert!(detailed.damaged());
         assert_eq!(detailed.corrupt, vec![2]);
         assert_eq!(detailed.poisoned, vec![3]);
+        // Slot 3 still reads as a valid entry, but poison excludes it.
         assert_eq!(detailed.entries.len(), 2);
-        // The legacy scan reads through poison (infallible loads), so it
-        // still decodes slot 3; the detailed scan correctly excludes it.
-        assert_eq!(scan_log(&img, region).count(), 3);
     }
 }

@@ -106,9 +106,10 @@ mod tests {
         ctx.mem_mut().persist_all();
         let img = ctx.mem().persisted_image().clone();
         let region = ctx.mem().layout().log_region(0);
-        assert_eq!(
-            crate::log::scan_log(&img, region).count(),
-            0,
+        assert!(
+            crate::log::scan_log_detailed(&img, region)
+                .entries
+                .is_empty(),
             "log region stays empty on PM too"
         );
     }

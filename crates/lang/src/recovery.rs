@@ -75,6 +75,19 @@ impl FaultCounts {
     pub fn fatal(&self) -> usize {
         self.checksum_mismatch + self.poisoned
     }
+
+    /// Tallies `faults` by their [`RecoveryFault::kind`].
+    pub fn of(faults: &[RecoveryFault]) -> Self {
+        let mut counts = Self::default();
+        for f in faults {
+            match f.kind() {
+                "torn" => counts.torn += 1,
+                "poison" => counts.poisoned += 1,
+                _ => counts.checksum_mismatch += 1,
+            }
+        }
+        counts
+    }
 }
 
 /// Summary of the allocator-metadata recovery that runs before the
@@ -230,6 +243,40 @@ impl RecoveryFault {
             _ => None,
         }
     }
+
+    /// Damage class: `"torn"`, `"checksum"` (a record or table failing its
+    /// checksum, or an unrecognizable pool header) or `"poison"`. It names
+    /// the [`FaultCounts`] field the fault counts toward and is the `kind`
+    /// of its `CorruptionDetected` trace event.
+    pub fn kind(self) -> &'static str {
+        match self {
+            RecoveryFault::TornEntry { .. } | RecoveryFault::HeapTorn { .. } => "torn",
+            RecoveryFault::PoisonedLine { .. }
+            | RecoveryFault::PoisonedMeta { .. }
+            | RecoveryFault::HeapPoisoned { .. } => "poison",
+            _ => "checksum",
+        }
+    }
+
+    /// The damaged cache line (`LineAddr` raw value) under `layout`: the
+    /// slot's line for log and journal slots, the pool's metadata header
+    /// line for table and header damage.
+    pub fn line(self, layout: &PmLayout) -> u64 {
+        match self {
+            RecoveryFault::TornEntry { tid, slot }
+            | RecoveryFault::ChecksumMismatch { tid, slot } => {
+                layout.log_region(tid).base.line().raw() + slot
+            }
+            RecoveryFault::PoisonedLine { line, .. }
+            | RecoveryFault::PoisonedMeta { line }
+            | RecoveryFault::HeapPoisoned { line, .. } => line,
+            RecoveryFault::HeapTorn { pool, slot } | RecoveryFault::HeapCorrupt { pool, slot } => {
+                layout.heap_journal_slot(pool, slot).line().raw()
+            }
+            RecoveryFault::HeapCorruptTable { pool, .. }
+            | RecoveryFault::HeapBadHeader { pool } => layout.pool_meta_base(pool).line().raw(),
+        }
+    }
 }
 
 impl From<HeapFault> for RecoveryFault {
@@ -329,16 +376,15 @@ pub struct PolicyOutcome {
 
 /// Runs recovery over a crashed PM image, mutating it to the recovered
 /// state, and reports what was done.
+///
+/// This is the reference pass that [`recover_with_policy`] is checked
+/// against: it reads through poisoned header and commit-metadata lines
+/// instead of reporting them.
 pub fn recover(img: &mut PmImage, layout: &PmLayout) -> RecoveryReport {
-    let mut state = ScanState {
-        cuts: vec![0u64; layout.threads()],
-        ..ScanState::default()
-    };
-
+    let mut state = ScanState::new(layout);
     // Allocator metadata is scanned before the workload logs (read-only;
     // the legacy pass reads through damage and reports best-effort).
-    let (_, heap_faults, heap_summary) = scan_heap(img, layout);
-    count_heap_faults(&mut state.detected, &heap_faults);
+    let (_, mut faults, heap_summary) = scan_heap(img, layout);
 
     // The coordinated-commit protocol publishes a machine-wide cut in a
     // dedicated PM word; it covers every thread.
@@ -346,6 +392,7 @@ pub fn recover(img: &mut PmImage, layout: &PmLayout) -> RecoveryReport {
     for tid in 0..layout.threads() {
         let region = layout.log_region(tid);
         let scan = scan_log_detailed(img, region);
+        faults.extend(slot_faults(tid, &scan, region.base.line().raw()));
         // Commit records carry the cut in their value field; stale records
         // from earlier batches have smaller cuts, so the max is correct.
         // The durable-cut header word covers entries truncated by a group
@@ -354,7 +401,7 @@ pub fn recover(img: &mut PmImage, layout: &PmLayout) -> RecoveryReport {
         fold_thread_scan(&mut state, tid, &scan, global_cut.max(header_cut));
     }
     apply_writes(img, &mut state, &mut NullSink, &mut 0);
-    report_of(state, heap_summary)
+    report_of(state, FaultCounts::of(&faults), heap_summary)
 }
 
 /// Runs fault-aware recovery under `policy`.
@@ -391,12 +438,47 @@ struct ScanState {
     discarded: usize,
     sync_entries: usize,
     scanned: u64,
-    detected: FaultCounts,
 }
 
-/// Folds one thread's detailed scan into the work lists. `header_cut` and
-/// `global_cut` participate in the cut computation exactly as in the
-/// legacy pass.
+impl ScanState {
+    fn new(layout: &PmLayout) -> Self {
+        let cuts = vec![0; layout.threads()];
+        Self {
+            cuts,
+            ..Self::default()
+        }
+    }
+}
+
+/// The damaged slots of thread `tid`'s log scan as faults: torn, then
+/// corrupt, then poisoned. `region_line` is the region's header line
+/// (slot `i` lives at `region_line + i`).
+fn slot_faults(
+    tid: usize,
+    scan: &DetailedScan,
+    region_line: u64,
+) -> impl Iterator<Item = RecoveryFault> + '_ {
+    let torn = scan
+        .torn
+        .iter()
+        .map(move |&slot| RecoveryFault::TornEntry { tid, slot });
+    let corrupt = scan
+        .corrupt
+        .iter()
+        .map(move |&slot| RecoveryFault::ChecksumMismatch { tid, slot });
+    let poisoned = scan
+        .poisoned
+        .iter()
+        .map(move |&slot| RecoveryFault::PoisonedLine {
+            tid,
+            line: region_line + slot,
+        });
+    torn.chain(corrupt).chain(poisoned)
+}
+
+/// Folds one thread's detailed scan into the work lists. `extra_cut` (the
+/// global and durable-cut header words) participates in the cut exactly
+/// as a commit record would.
 fn fold_thread_scan(state: &mut ScanState, tid: usize, scan: &DetailedScan, extra_cut: u64) {
     let cut = scan
         .entries
@@ -408,9 +490,6 @@ fn fold_thread_scan(state: &mut ScanState, tid: usize, scan: &DetailedScan, extr
         .max(extra_cut);
     state.cuts[tid] = cut;
     state.scanned += scan.entries.len() as u64;
-    state.detected.torn += scan.torn.len();
-    state.detected.checksum_mismatch += scan.corrupt.len();
-    state.detected.poisoned += scan.poisoned.len();
     for e in &scan.entries {
         match formats::recovery_action(e, cut) {
             RecoveryAction::None => {}
@@ -422,58 +501,41 @@ fn fold_thread_scan(state: &mut ScanState, tid: usize, scan: &DetailedScan, extr
     }
 }
 
-/// Orders the work lists and applies them to `img`, tracing the `redo` and
-/// `undo` phases. Returns the writes in application order.
+/// Orders the work lists and applies them to `img`: the `redo` phase
+/// replays committed redo entries forward in creation order, then the
+/// `undo` phase rolls back in reverse creation order across all threads.
+/// Each phase is traced. Returns the writes in application order.
 fn apply_writes(
     img: &mut PmImage,
     state: &mut ScanState,
     sink: &mut dyn TraceSink,
     t: &mut u64,
 ) -> Vec<(Addr, u64)> {
-    let mut writes = Vec::with_capacity(state.replayable.len() + state.rollback.len());
-    // Replay committed redo entries forward, in creation order.
-    note(sink, t, TraceEvent::RecoveryBegin { phase: "redo" });
     state.replayable.sort_unstable_by_key(|e| e.seq);
-    for e in &state.replayable {
-        img.store(e.addr, e.value);
-        writes.push((e.addr, e.value));
-    }
-    note(
-        sink,
-        t,
-        TraceEvent::RecoveryEnd {
-            phase: "redo",
-            items: state.replayable.len() as u64,
-        },
-    );
-    // Roll back in reverse order of creation, across all threads.
-    note(sink, t, TraceEvent::RecoveryBegin { phase: "undo" });
     state
         .rollback
         .sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-    for e in &state.rollback {
-        img.store(e.addr, e.value);
-        writes.push((e.addr, e.value));
+    let mut writes = Vec::with_capacity(state.replayable.len() + state.rollback.len());
+    for (phase, entries) in [("redo", &state.replayable), ("undo", &state.rollback)] {
+        note(sink, t, TraceEvent::RecoveryBegin { phase });
+        for e in entries {
+            img.store(e.addr, e.value);
+            writes.push((e.addr, e.value));
+        }
+        let items = entries.len() as u64;
+        note(sink, t, TraceEvent::RecoveryEnd { phase, items });
     }
-    note(
-        sink,
-        t,
-        TraceEvent::RecoveryEnd {
-            phase: "undo",
-            items: state.rollback.len() as u64,
-        },
-    );
     writes
 }
 
-fn report_of(state: ScanState, heap: HeapSummary) -> RecoveryReport {
+fn report_of(state: ScanState, detected: FaultCounts, heap: HeapSummary) -> RecoveryReport {
     RecoveryReport {
         per_thread_cut: state.cuts,
         discarded_committed: state.discarded,
         rolled_back_stores: state.rollback.len(),
         replayed_redo: state.replayable.len(),
         sync_entries: state.sync_entries,
-        detected: state.detected,
+        detected,
         heap,
     }
 }
@@ -490,20 +552,6 @@ fn scan_heap(img: &PmImage, layout: &PmLayout) -> (HeapRecovery, Vec<RecoveryFau
         damaged_pools: rec.damaged_pools().len(),
     };
     (rec, faults, summary)
-}
-
-/// Folds heap faults into the damage taxonomy counts.
-fn count_heap_faults(detected: &mut FaultCounts, faults: &[RecoveryFault]) {
-    for f in faults {
-        match f {
-            RecoveryFault::HeapTorn { .. } => detected.torn += 1,
-            RecoveryFault::HeapCorrupt { .. }
-            | RecoveryFault::HeapCorruptTable { .. }
-            | RecoveryFault::HeapBadHeader { .. } => detected.checksum_mismatch += 1,
-            RecoveryFault::HeapPoisoned { .. } => detected.poisoned += 1,
-            _ => {}
-        }
-    }
 }
 
 /// As [`recover_with_policy`], tracing into `sink`: `RecoveryBegin` /
@@ -523,21 +571,14 @@ pub fn recover_with_policy_traced(
     sink: &mut dyn TraceSink,
 ) -> Result<PolicyOutcome, RecoveryError> {
     let mut t = 0u64;
-    let mut state = ScanState {
-        cuts: vec![0u64; layout.threads()],
-        ..ScanState::default()
-    };
-    let mut faults: Vec<RecoveryFault> = Vec::new();
-    let mut salvaged: Vec<usize> = Vec::new();
+    let mut state = ScanState::new(layout);
 
     // The allocator metadata is scanned first: workload-log replay writes
     // into heap data, so the heap's own books must be judged before
     // anything mutates. The scan is read-only and per-pool independent.
     note(sink, &mut t, TraceEvent::RecoveryBegin { phase: "heap" });
-    let (heap_rec, heap_faults, heap_summary) = scan_heap(img, layout);
+    let (heap_rec, mut faults, heap_summary) = scan_heap(img, layout);
     let mut salvaged_pools = heap_rec.damaged_pools();
-    count_heap_faults(&mut state.detected, &heap_faults);
-    faults.extend(heap_faults.iter().copied());
     note(
         sink,
         &mut t,
@@ -575,28 +616,14 @@ pub fn recover_with_policy_traced(
     };
 
     note(sink, &mut t, TraceEvent::RecoveryBegin { phase: "scan" });
-    let mut scans = Vec::with_capacity(layout.threads());
     for tid in 0..layout.threads() {
         let region = layout.log_region(tid);
-        let scan = scan_log_detailed(img, region);
         let region_line = region.base.line().raw();
-        // Lines per slot == 1: slot i lives at region line + i.
-        for &slot in &scan.torn {
-            faults.push(RecoveryFault::TornEntry { tid, slot });
-        }
-        for &slot in &scan.corrupt {
-            faults.push(RecoveryFault::ChecksumMismatch { tid, slot });
-        }
-        for &slot in &scan.poisoned {
-            faults.push(RecoveryFault::PoisonedLine {
-                tid,
-                line: region_line + slot,
-            });
-        }
+        let scan = scan_log_detailed(img, region);
+        faults.extend(slot_faults(tid, &scan, region_line));
         // A poisoned header hides the durable-cut word; treat the cut as
         // unknown (0) and report the damage.
-        let header_poisoned = img.is_poisoned(region.base.line());
-        let header_cut = if header_poisoned {
+        let header_cut = if img.is_poisoned(region.base.line()) {
             faults.push(RecoveryFault::PoisonedLine {
                 tid,
                 line: region_line,
@@ -605,19 +632,7 @@ pub fn recover_with_policy_traced(
         } else {
             img.load(region.base.offset_words(1))
         };
-        if scan.damaged() || header_poisoned || meta_poisoned {
-            salvaged.push(tid);
-        }
-        scans.push((scan, global_cut.max(header_cut), header_poisoned));
-    }
-    for (tid, (scan, extra_cut, header_poisoned)) in scans.iter().enumerate() {
-        fold_thread_scan(&mut state, tid, scan, *extra_cut);
-        if *header_poisoned {
-            state.detected.poisoned += 1;
-        }
-    }
-    if meta_poisoned {
-        state.detected.poisoned += 1;
+        fold_thread_scan(&mut state, tid, &scan, global_cut.max(header_cut));
     }
     note(
         sink,
@@ -631,50 +646,25 @@ pub fn recover_with_policy_traced(
     // Surface every damage site as a trace event, whatever the policy.
     // Heap faults carry no owning thread; they report the metadata line.
     for f in &faults {
-        let (thread, line, kind) = match *f {
-            RecoveryFault::TornEntry { tid, slot } => {
-                let region_line = layout.log_region(tid).base.line().raw();
-                (tid as u32, region_line + slot, "torn")
-            }
-            RecoveryFault::ChecksumMismatch { tid, slot } => {
-                let region_line = layout.log_region(tid).base.line().raw();
-                (tid as u32, region_line + slot, "checksum")
-            }
-            RecoveryFault::PoisonedLine { tid, line } => (tid as u32, line, "poison"),
-            RecoveryFault::PoisonedMeta { line } => (u32::MAX, line, "poison"),
-            RecoveryFault::HeapTorn { pool, slot } => (
-                u32::MAX,
-                layout.heap_journal_slot(pool, slot).line().raw(),
-                "torn",
-            ),
-            RecoveryFault::HeapCorrupt { pool, slot } => (
-                u32::MAX,
-                layout.heap_journal_slot(pool, slot).line().raw(),
-                "checksum",
-            ),
-            RecoveryFault::HeapCorruptTable { pool, .. }
-            | RecoveryFault::HeapBadHeader { pool } => (
-                u32::MAX,
-                layout.pool_meta_base(pool).line().raw(),
-                "checksum",
-            ),
-            RecoveryFault::HeapPoisoned { line, .. } => (u32::MAX, line, "poison"),
+        let event = TraceEvent::CorruptionDetected {
+            thread: f.tid().map_or(u32::MAX, |tid| tid as u32),
+            line: f.line(layout),
+            kind: f.kind(),
         };
-        note(
-            sink,
-            &mut t,
-            TraceEvent::CorruptionDetected { thread, line, kind },
-        );
+        note(sink, &mut t, event);
     }
+    let detected = FaultCounts::of(&faults);
+    let owned_by = |tid: usize| faults.iter().filter(|f| f.tid() == Some(tid)).count();
+    // A poisoned commit-metadata line leaves every thread's cut unknown.
+    let mut salvaged: Vec<usize> = (0..layout.threads())
+        .filter(|&tid| meta_poisoned || owned_by(tid) > 0)
+        .collect();
 
     match policy {
         RecoveryPolicy::Strict => {
             if let Some(&first) = faults.iter().find(|f| f.is_fatal()) {
                 // Fail before mutating: `img` still holds the crash state.
-                return Err(RecoveryError {
-                    first,
-                    detected: state.detected,
-                });
+                return Err(RecoveryError { first, detected });
             }
             salvaged.clear();
             salvaged_pools.clear();
@@ -692,26 +682,19 @@ pub fn recover_with_policy_traced(
                 );
             }
             for &tid in &salvaged {
-                let dropped = {
-                    let (scan, _, header_poisoned) = &scans[tid];
-                    (scan.torn.len() + scan.corrupt.len() + scan.poisoned.len()) as u64
-                        + u64::from(*header_poisoned)
+                let dropped = owned_by(tid) as u64;
+                let event = TraceEvent::RegionSalvaged {
+                    thread: tid as u32,
+                    dropped,
                 };
-                note(
-                    sink,
-                    &mut t,
-                    TraceEvent::RegionSalvaged {
-                        thread: tid as u32,
-                        dropped,
-                    },
-                );
+                note(sink, &mut t, event);
             }
         }
     }
 
     let writes = apply_writes(img, &mut state, sink, &mut t);
     Ok(PolicyOutcome {
-        report: report_of(state, heap_summary),
+        report: report_of(state, detected, heap_summary),
         faults,
         salvaged_threads: salvaged,
         salvaged_pools,

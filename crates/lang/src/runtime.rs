@@ -566,17 +566,6 @@ impl ThreadRuntime {
     pub fn needs_commit(&self) -> bool {
         self.policy().needs_commit(self.log.live(), self.threshold)
     }
-
-    /// Commits this thread's log immediately (used by
-    /// [`coordinated_commit`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a region is open.
-    pub fn commit_now(&mut self, ctx: &mut FuncCtx) {
-        assert!(!self.in_region, "commit inside a region");
-        self.flush_log(ctx);
-    }
 }
 
 /// Lock-word slot reserved for the coordinated-commit token chain.

@@ -155,17 +155,22 @@ pub enum HeapSlotState {
     Poisoned,
 }
 
-/// Journal record checksum: a cheap mix over the six payload words,
-/// for tear detection under word-granular crash sampling (same shape as
-/// the undo-log entry checksum of `sw-lang`, distinct salt).
-pub fn heap_record_checksum(words: &[u64; 6]) -> u64 {
-    const SALT: u64 = 0x51f0_a11c_0de5_ee01;
-    let mut h = SALT;
+/// Salt of the journal record checksum ([`record_checksum`] over words
+/// 0–5).
+const RECORD_SALT: u64 = 0x51f0_a11c_0de5_ee01;
+
+/// Checksum of a checksum-last PM record (an undo-log entry of `sw-lang`
+/// or an allocator-journal record): a cheap mix over the payload words,
+/// seeded with a per-format `salt`. Its purpose is tear detection under
+/// word-granular crash sampling, not adversarial integrity. Never zero,
+/// so it never matches the zero word of a fresh slot.
+#[inline]
+pub fn record_checksum(salt: u64, words: &[u64]) -> u64 {
+    let mut h = salt;
     for &w in words {
         h = (h ^ w).wrapping_mul(0x100_0000_01b3);
         h = h.rotate_left(23);
     }
-    // Never collide with the zero word of a freshly-zeroed slot.
     h | 1
 }
 
@@ -189,7 +194,7 @@ pub fn encode_heap_record(
     ];
     let mut w = [0u64; 8];
     w[..6].copy_from_slice(&payload);
-    w[HW_CHECKSUM as usize] = heap_record_checksum(&payload);
+    w[HW_CHECKSUM as usize] = record_checksum(RECORD_SALT, &payload);
     w
 }
 
@@ -205,7 +210,7 @@ pub fn classify_heap_slot(img: &PmImage, base: Addr) -> HeapSlotState {
     let payload = [w[0], w[1], w[2], w[3], w[4], w[5]];
     let kind_ok = w[0] == KIND_ALLOC || w[0] == KIND_FREE;
     if kind_ok
-        && w[HW_CHECKSUM as usize] == heap_record_checksum(&payload)
+        && w[HW_CHECKSUM as usize] == record_checksum(RECORD_SALT, &payload)
         && payload.iter().all(|&v| v != 0)
     {
         if let Some(kind) = BlockKind::from_code(w[HW_AUX as usize] - 1) {
@@ -831,6 +836,32 @@ impl PoolAlloc {
     pub fn accounting_exact(&self) -> bool {
         let pending: u64 = self.pending.iter().map(|&(_, l)| l).sum();
         self.live_lines() + self.free_lines() + pending == self.arena_lines
+    }
+
+    /// Claims the next journal slot and sequence number for a record of
+    /// the block `[off, off + lines)` (an alloc when `is_alloc`, else a
+    /// free) and encodes it. Returns the slot and the eight words the
+    /// caller writes at `PmLayout::heap_journal_slot(pool, slot)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the journal is full: checkpoint before that point.
+    pub fn journal(
+        &mut self,
+        is_alloc: bool,
+        off: u64,
+        lines: u64,
+        kind: BlockKind,
+    ) -> (u64, [u64; 8]) {
+        assert!(
+            self.next_slot < HEAP_JOURNAL_SLOTS,
+            "allocator journal full: checkpoint at a quiesce point"
+        );
+        let slot = self.next_slot;
+        let words = encode_heap_record(is_alloc, off, lines, self.next_seq, self.epoch, kind);
+        self.next_slot += 1;
+        self.next_seq += 1;
+        (slot, words)
     }
 
     /// Rebuilds a pool from a recovery scan: checkpoint base blocks

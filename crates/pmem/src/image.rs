@@ -198,19 +198,6 @@ impl PmImage {
         }
     }
 
-    /// Returns the words of `line` (zeros if never written).
-    pub fn line_words(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
-        let (page, slot) = split(line);
-        match self.pages.get(&page) {
-            Some(p) => {
-                let mut out = [0; WORDS_PER_LINE];
-                out.copy_from_slice(p.line(slot));
-                out
-            }
-            None => [0; WORDS_PER_LINE],
-        }
-    }
-
     /// Overwrites the words of `line` (healing any poison).
     pub fn set_line_words(&mut self, line: LineAddr, words: [u64; WORDS_PER_LINE]) {
         if !self.poisoned.is_empty() {

@@ -45,10 +45,10 @@ pub mod timing;
 
 pub use addr::{Addr, LineAddr, CACHE_LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use alloc::{
-    classify_heap_slot, decode_table, encode_checkpoint, encode_heap_record, recover_heap,
-    scan_pool, BlockKind, CheckpointWrites, HeapFault, HeapRecord, HeapRecovery, HeapSlotState,
-    PoolAlloc, PoolScan, PoolStats, TableDecode, HEAP_JOURNAL_SLOTS, HEAP_MAGIC, HEAP_META_LINES,
-    HEAP_POOLS, HEAP_TABLE_LINES, HW_CHECKSUM, HW_KIND,
+    classify_heap_slot, decode_table, encode_checkpoint, encode_heap_record, record_checksum,
+    recover_heap, scan_pool, BlockKind, CheckpointWrites, HeapFault, HeapRecord, HeapRecovery,
+    HeapSlotState, PoolAlloc, PoolScan, PoolStats, TableDecode, HEAP_JOURNAL_SLOTS, HEAP_MAGIC,
+    HEAP_META_LINES, HEAP_POOLS, HEAP_TABLE_LINES, HW_CHECKSUM, HW_KIND,
 };
 pub use hash::{AddrHasher, FastMap, FastSet};
 pub use image::{PmImage, PoisonedLine};

@@ -69,11 +69,6 @@ impl RemapTable {
         self.entries.is_empty()
     }
 
-    /// Spare lines still available for retirement.
-    pub fn spares_left(&self) -> u64 {
-        self.spare_count - self.entries.len() as u64
-    }
-
     /// Resolves a line through the table: the spare if `line` was retired,
     /// otherwise `line` itself.
     #[inline]

@@ -107,9 +107,7 @@ proptest! {
 /// free record once the quarantined block is released.
 mod heap {
     use proptest::prelude::*;
-    use sw_pmem::{
-        encode_heap_record, recover_heap, scan_pool, BlockKind, PmImage, PmLayout, PoolAlloc,
-    };
+    use sw_pmem::{recover_heap, scan_pool, BlockKind, PmImage, PmLayout, PoolAlloc};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -126,7 +124,7 @@ mod heap {
         ]
     }
 
-    fn write_record(img: &mut PmImage, layout: &PmLayout, slot: u64, rec: [u64; 8]) {
+    fn write_record(img: &mut PmImage, layout: &PmLayout, (slot, rec): (u64, [u64; 8])) {
         let base = layout.heap_journal_slot(0, slot);
         for (i, &v) in rec.iter().enumerate() {
             img.store(base.offset_words(i as u64), v);
@@ -144,28 +142,14 @@ mod heap {
             match *op {
                 Op::Carve(n) if carving => {
                     let off = p.carve(n).expect("arena space");
-                    let rec =
-                        encode_heap_record(true, off, n, p.next_seq, p.epoch, BlockKind::Carve);
-                    write_record(img, layout, p.next_slot, rec);
-                    p.next_slot += 1;
-                    p.next_seq += 1;
+                    write_record(img, layout, p.journal(true, off, n, BlockKind::Carve));
                 }
                 Op::Carve(_) => {}
                 Op::Alloc(n) => {
                     carving = false;
                     let off = p.alloc(n).expect("arena space");
                     let block = n.max(1).next_power_of_two();
-                    let rec = encode_heap_record(
-                        true,
-                        off,
-                        block,
-                        p.next_seq,
-                        p.epoch,
-                        BlockKind::Dynamic,
-                    );
-                    write_record(img, layout, p.next_slot, rec);
-                    p.next_slot += 1;
-                    p.next_seq += 1;
+                    write_record(img, layout, p.journal(true, off, block, BlockKind::Dynamic));
                     dynamic.push(off);
                 }
                 Op::FreeNth(i) => {
@@ -174,17 +158,11 @@ mod heap {
                     }
                     let off = dynamic.remove(i % dynamic.len());
                     let lines = p.free(off).expect("live dynamic block");
-                    let rec = encode_heap_record(
-                        false,
-                        off,
-                        lines,
-                        p.next_seq,
-                        p.epoch,
-                        BlockKind::Dynamic,
+                    write_record(
+                        img,
+                        layout,
+                        p.journal(false, off, lines, BlockKind::Dynamic),
                     );
-                    write_record(img, layout, p.next_slot, rec);
-                    p.next_slot += 1;
-                    p.next_seq += 1;
                 }
             }
         }

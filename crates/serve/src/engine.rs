@@ -337,7 +337,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     }
     let calib = exp.run_timing();
     let service_cycles = (calib.cycles / cfg.regions.max(1) as u64).max(1);
-    let deadline_cycles = service_cycles.saturating_mul(cfg.deadline_factor.max(2));
+    let deadline_cycles = service_cycles.saturating_mul(cfg.deadline_factor);
 
     // The crash/recover legs run on the calibration cell itself, so they
     // share its machine configuration and driver parameters.
@@ -348,7 +348,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         .collect();
     let mut arrivals = Arrivals::new(
         cfg.arrival,
-        service_cycles as f64 / (cfg.offered_load.max(0.01) * shards_n as f64),
+        service_cycles as f64 / (cfg.offered_load * shards_n as f64),
         cfg.seed,
     );
 

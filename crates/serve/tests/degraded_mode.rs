@@ -74,6 +74,25 @@ fn degraded_mode_trips_fails_over_and_recovers() {
 
 /// Every offered request is accounted for exactly once, under every
 /// shed policy.
+/// The engine enforces the deadline factor the report echoes: a tighter
+/// factor times out more requests.
+#[test]
+fn tighter_deadline_factor_times_out_more_requests() {
+    let timeouts = |deadline_factor| {
+        let cfg = ServeConfig {
+            deadline_factor,
+            ..base_cfg()
+        };
+        let report = serve_report(&cfg).expect("serve invariants hold");
+        report.cells[0].timeouts
+    };
+    let (tight, loose) = (timeouts(1), timeouts(2));
+    assert!(
+        tight > loose,
+        "factor 1: {tight} timeouts, factor 2: {loose}"
+    );
+}
+
 #[test]
 fn outcomes_partition_offered_requests() {
     for shed in ShedPolicy::ALL {

@@ -12,11 +12,11 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::machine::SimMachine;
-use crate::stats::StallCause;
 
 use super::{EngineMeta, PersistEngine};
 
@@ -33,13 +33,9 @@ impl EngineMeta for Eadr {
         true
     }
 
-    fn stall_causes(&self) -> &'static [StallCause] {
+    fn stall_causes(&self) -> &'static [StallKind] {
         // No persist structure means no persist-queue back-pressure, ever.
-        &[
-            StallCause::Fence,
-            StallCause::StoreQueueFull,
-            StallCause::Lock,
-        ]
+        &[StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock]
     }
 }
 

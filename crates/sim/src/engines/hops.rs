@@ -7,11 +7,11 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::machine::SimMachine;
-use crate::stats::StallCause;
 use crate::strand_buffer::Sbu;
 
 use super::{EngineMeta, PersistEngine};
@@ -25,8 +25,8 @@ impl EngineMeta for Hops {
         HwDesign::Hops
     }
 
-    fn stall_causes(&self) -> &'static [StallCause] {
-        &StallCause::ALL
+    fn stall_causes(&self) -> &'static [StallKind] {
+        &StallKind::ALL
     }
 }
 

@@ -6,12 +6,12 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::machine::SimMachine;
 use crate::persist::FlushEngine;
-use crate::stats::StallCause;
 
 use super::{EngineMeta, PersistEngine};
 
@@ -24,8 +24,8 @@ impl EngineMeta for Intel {
         HwDesign::IntelX86
     }
 
-    fn stall_causes(&self) -> &'static [StallCause] {
-        &StallCause::ALL
+    fn stall_causes(&self) -> &'static [StallKind] {
+        &StallKind::ALL
     }
 }
 

@@ -33,12 +33,12 @@ mod strandweaver;
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, SqOp};
 use crate::machine::SimMachine;
 use crate::persist::ClwbState;
-use crate::stats::StallCause;
 use crate::strand_buffer::SbuEntry;
 
 pub use eadr::Eadr;
@@ -66,7 +66,7 @@ pub trait EngineMeta: std::fmt::Debug + Sync {
     /// this set stay zero in [`crate::CoreStats`] and in the metrics
     /// registry (which registers a counter per cause regardless, so
     /// snapshots always carry explicit zeros).
-    fn stall_causes(&self) -> &'static [StallCause];
+    fn stall_causes(&self) -> &'static [StallKind];
 }
 
 /// The timing semantics of one hardware persistency design.
@@ -228,16 +228,12 @@ mod tests {
     fn stall_causes_are_subsets_of_all() {
         for e in all_engines() {
             for c in e.stall_causes() {
-                assert!(StallCause::ALL.contains(c));
+                assert!(StallKind::ALL.contains(c));
             }
             // Every design can at least stall on fences, full store
             // queues, and contended locks (the design-agnostic frontend
             // produces those).
-            for c in [
-                StallCause::Fence,
-                StallCause::StoreQueueFull,
-                StallCause::Lock,
-            ] {
+            for c in [StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock] {
                 assert!(
                     e.stall_causes().contains(&c),
                     "{:?} missing {c:?}",

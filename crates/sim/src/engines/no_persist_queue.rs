@@ -6,11 +6,11 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, SqOp};
 use crate::machine::SimMachine;
-use crate::stats::StallCause;
 use crate::strand_buffer::Sbu;
 
 use super::{EngineMeta, PersistEngine};
@@ -24,14 +24,10 @@ impl EngineMeta for NoPersistQueue {
         HwDesign::NoPersistQueue
     }
 
-    fn stall_causes(&self) -> &'static [StallCause] {
+    fn stall_causes(&self) -> &'static [StallKind] {
         // No persist queue: CLWB back-pressure surfaces as store-queue
         // pressure, so `PersistQueueFull` can never occur.
-        &[
-            StallCause::Fence,
-            StallCause::StoreQueueFull,
-            StallCause::Lock,
-        ]
+        &[StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock]
     }
 }
 
@@ -46,7 +42,7 @@ impl PersistEngine for NoPersistQueue {
 
     fn issue_clwb(&self, m: &mut SimMachine<Self>, i: usize, line: LineAddr) -> bool {
         if m.cores[i].sq.len() >= m.cfg.store_queue_entries {
-            m.stall(i, StallCause::StoreQueueFull);
+            m.stall(i, StallKind::StoreQueueFull);
             return false;
         }
         m.cores[i].sq.push_back(SqOp::Clwb(line));
@@ -57,7 +53,7 @@ impl PersistEngine for NoPersistQueue {
         match kind {
             FenceKind::PersistBarrier | FenceKind::NewStrand => {
                 if m.cores[i].sq.len() >= m.cfg.store_queue_entries {
-                    m.stall(i, StallCause::StoreQueueFull);
+                    m.stall(i, StallKind::StoreQueueFull);
                     return false;
                 }
                 let op = if kind == FenceKind::PersistBarrier {

@@ -10,11 +10,11 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
+use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, PqOp};
 use crate::machine::SimMachine;
-use crate::stats::StallCause;
 use crate::strand_buffer::Sbu;
 
 use super::{EngineMeta, PersistEngine};
@@ -32,8 +32,8 @@ impl EngineMeta for StrandWeaver {
         HwDesign::StrandWeaver
     }
 
-    fn stall_causes(&self) -> &'static [StallCause] {
-        &StallCause::ALL
+    fn stall_causes(&self) -> &'static [StallKind] {
+        &StallKind::ALL
     }
 }
 

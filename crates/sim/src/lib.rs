@@ -66,5 +66,5 @@ pub use machine::{Machine, SimMachine};
 pub use memctrl::{DramController, PmController};
 pub use persist::{ClwbState, FlushEngine};
 pub use ring::Ring;
-pub use stats::{CoreStats, EventCounts, SimStats, StallCause};
+pub use stats::{CoreStats, EventCounts, SimStats};
 pub use strand_buffer::{DrainTargets, RetireOutcome, Sbu, SbuEntry, MAX_STRAND_BUFFERS};

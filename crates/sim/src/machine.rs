@@ -52,7 +52,7 @@ use crate::core::{Core, PendingAccess, Writeback};
 use crate::engines::{Eadr, Hops, Intel, NoPersistQueue, NonAtomic, PersistEngine, StrandWeaver};
 use crate::memctrl::{DramController, PmController, WriteOutcome};
 use crate::ring::Ring;
-use crate::stats::{EventCounts, SimStats, StallCause};
+use crate::stats::{EventCounts, SimStats};
 use crate::strand_buffer::Sbu;
 
 /// Short fence mnemonic used in trace exports.
@@ -93,7 +93,7 @@ pub(crate) enum TickNote {
     /// One `mem_busy` cycle (load outstanding).
     MemBusy,
     /// One stall cycle for the given cause.
-    Stalled(StallCause),
+    Stalled(StallKind),
 }
 
 #[derive(Debug)]
@@ -117,7 +117,7 @@ struct MachineMetrics {
     pq_enqueues: CounterId,
     sb_enqueues: CounterId,
     fence_retires: CounterId,
-    /// One counter per [`StallCause`], indexed by the cause's discriminant.
+    /// One counter per [`StallKind`], indexed by the cause's discriminant.
     /// Registered up front for *every* cause, so snapshots carry explicit
     /// zeros for causes a design can never produce.
     stalls: Vec<CounterId>,
@@ -261,7 +261,7 @@ impl<E: PersistEngine> SimMachine<E> {
         let pq_enqueues = reg.counter("pq.enqueues");
         let sb_enqueues = reg.counter("sb.enqueues");
         let fence_retires = reg.counter("fence.retires");
-        let stalls = StallCause::ALL
+        let stalls = StallKind::ALL
             .iter()
             .map(|c| reg.counter(&format!("stalls.{}", c.label())))
             .collect();
@@ -347,11 +347,11 @@ impl<E: PersistEngine> SimMachine<E> {
     /// per-cycle note that becomes a begin/end trace interval (and the
     /// skip-ahead replay record).
     #[inline]
-    pub(crate) fn stall(&mut self, i: usize, cause: StallCause) {
+    pub(crate) fn stall(&mut self, i: usize, cause: StallKind) {
         self.cores[i].stats.record_stall(cause);
         self.tick_note[i] = TickNote::Stalled(cause);
         if self.observing() {
-            self.stall_now[i] = Some(cause.kind());
+            self.stall_now[i] = Some(cause);
             if let Some(m) = self.metrics.as_mut() {
                 m.reg.inc(m.stalls[cause as usize]);
             }
@@ -372,11 +372,11 @@ impl<E: PersistEngine> SimMachine<E> {
     #[inline]
     pub(crate) fn stall_persist_full(&mut self, i: usize) {
         let cause = if self.pm.retry_pending() {
-            StallCause::RetryWait
+            StallKind::RetryWait
         } else if self.pm.write_queue_full() {
-            StallCause::PmWriteQueueFull
+            StallKind::PmWriteQueueFull
         } else {
-            StallCause::PersistQueueFull
+            StallKind::PersistQueueFull
         };
         self.stall(i, cause);
     }
@@ -1377,7 +1377,7 @@ mod tests {
         for &design in &HwDesign::ALL {
             let stats = run(design, vec![pair_trace(design, 48)]);
             let allowed = engine_for(design).stall_causes();
-            for cause in StallCause::ALL {
+            for cause in StallKind::ALL {
                 if !allowed.contains(&cause) {
                     assert_eq!(
                         stats.cores[0].stall_cycles(cause),
@@ -1402,7 +1402,7 @@ mod tests {
         );
         m.enable_metrics();
         let stats = m.run();
-        for cause in StallCause::ALL {
+        for cause in StallKind::ALL {
             let name = format!("stalls.{}", cause.label());
             assert!(
                 stats.metrics.counter(&name).is_some(),

@@ -140,11 +140,6 @@ impl PmController {
         self.faults = Some(Box::new(DeviceFaultUnit::new(schedule)));
     }
 
-    /// `true` when a fault unit is installed.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// `true` while any line sits in a fault-retry episode.
     pub fn retry_pending(&self) -> bool {
         self.faults.as_ref().is_some_and(|u| u.retry_pending())

@@ -4,12 +4,11 @@
 
 use sw_model::isa::{FenceKind, IsaOp, LockId};
 use sw_pmem::Addr;
-use sw_trace::TraceEvent;
+use sw_trace::{StallKind, TraceEvent};
 
 use crate::core::{PendingAccess, SqOp};
 use crate::engines::PersistEngine;
 use crate::machine::SimMachine;
-use crate::stats::StallCause;
 
 impl<E: PersistEngine> SimMachine<E> {
     /// `true` once the waiting condition of core `i`'s completion fence is
@@ -65,7 +64,7 @@ impl<E: PersistEngine> SimMachine<E> {
             IsaOp::Store(_) | IsaOp::Clwb(_) | IsaOp::Fence(_) | IsaOp::Lock(_) | IsaOp::Unlock(_)
         );
         if ordered_class && self.cores[i].pending_fence.is_some() {
-            self.stall(i, StallCause::Fence);
+            self.stall(i, StallKind::Fence);
             return;
         }
         match op {
@@ -76,7 +75,7 @@ impl<E: PersistEngine> SimMachine<E> {
             IsaOp::Load(addr) => self.issue_load(i, addr),
             IsaOp::Store(addr) => {
                 if self.cores[i].sq.len() >= self.cfg.store_queue_entries {
-                    self.stall(i, StallCause::StoreQueueFull);
+                    self.stall(i, StallKind::StoreQueueFull);
                     return;
                 }
                 self.cores[i].sq.push_back(SqOp::Store(addr.line()));
@@ -118,7 +117,7 @@ impl<E: PersistEngine> SimMachine<E> {
             }
             IsaOp::Lock(l) => {
                 if !self.try_acquire(l, i) {
-                    self.stall(i, StallCause::Lock);
+                    self.stall(i, StallKind::Lock);
                     return;
                 }
                 self.cores[i].busy_until = self.cycle + 1;

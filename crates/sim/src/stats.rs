@@ -4,56 +4,6 @@ use sw_faults::OnlineFaultStats;
 use sw_perf::PerfSnapshot;
 use sw_trace::{Json, MetricsSnapshot, StallKind};
 
-/// Why a core could not issue in a given cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StallCause {
-    /// Blocked by fence semantics (SFENCE completion wait, `JoinStrand`
-    /// drain, HOPS `dfence`).
-    Fence,
-    /// Store queue full.
-    StoreQueueFull,
-    /// Persist queue (or HOPS persist buffer / Intel flush slots) full.
-    PersistQueueFull,
-    /// Waiting for a contended lock.
-    Lock,
-    /// The PM controller's write queue itself is full: device
-    /// back-pressure reaching through the persist structure.
-    PmWriteQueueFull,
-    /// A faulted write is in retry backoff at the PM controller (online
-    /// device-fault model); the persist structure waits behind it.
-    RetryWait,
-}
-
-impl StallCause {
-    /// All causes, in reporting order.
-    pub const ALL: [StallCause; 6] = [
-        StallCause::Fence,
-        StallCause::StoreQueueFull,
-        StallCause::PersistQueueFull,
-        StallCause::Lock,
-        StallCause::PmWriteQueueFull,
-        StallCause::RetryWait,
-    ];
-
-    /// The equivalent `sw-trace` event vocabulary value.
-    pub fn kind(self) -> StallKind {
-        match self {
-            StallCause::Fence => StallKind::Fence,
-            StallCause::StoreQueueFull => StallKind::StoreQueueFull,
-            StallCause::PersistQueueFull => StallKind::PersistQueueFull,
-            StallCause::Lock => StallKind::Lock,
-            StallCause::PmWriteQueueFull => StallKind::PmWriteQueueFull,
-            StallCause::RetryWait => StallKind::RetryWait,
-        }
-    }
-
-    /// Short stable label (shared with the trace vocabulary), used for the
-    /// per-cause `stalls.*` metrics counters.
-    pub fn label(self) -> &'static str {
-        self.kind().label()
-    }
-}
-
 /// Per-core counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -102,32 +52,32 @@ impl CoreStats {
     }
 
     /// Bumps the stall counter for `cause` by one cycle.
-    pub fn record_stall(&mut self, cause: StallCause) {
+    pub fn record_stall(&mut self, cause: StallKind) {
         self.record_stall_n(cause, 1);
     }
 
     /// Bumps the stall counter for `cause` by `n` cycles (skip-ahead
     /// replays a quiescent cycle's stall across the whole jump).
-    pub fn record_stall_n(&mut self, cause: StallCause, n: u64) {
+    pub fn record_stall_n(&mut self, cause: StallKind, n: u64) {
         match cause {
-            StallCause::Fence => self.stall_fence += n,
-            StallCause::StoreQueueFull => self.stall_sq_full += n,
-            StallCause::PersistQueueFull => self.stall_pq_full += n,
-            StallCause::Lock => self.stall_lock += n,
-            StallCause::PmWriteQueueFull => self.stall_pm_wq_full += n,
-            StallCause::RetryWait => self.stall_retry_wait += n,
+            StallKind::Fence => self.stall_fence += n,
+            StallKind::StoreQueueFull => self.stall_sq_full += n,
+            StallKind::PersistQueueFull => self.stall_pq_full += n,
+            StallKind::Lock => self.stall_lock += n,
+            StallKind::PmWriteQueueFull => self.stall_pm_wq_full += n,
+            StallKind::RetryWait => self.stall_retry_wait += n,
         }
     }
 
     /// The stall counter for `cause`.
-    pub fn stall_cycles(&self, cause: StallCause) -> u64 {
+    pub fn stall_cycles(&self, cause: StallKind) -> u64 {
         match cause {
-            StallCause::Fence => self.stall_fence,
-            StallCause::StoreQueueFull => self.stall_sq_full,
-            StallCause::PersistQueueFull => self.stall_pq_full,
-            StallCause::Lock => self.stall_lock,
-            StallCause::PmWriteQueueFull => self.stall_pm_wq_full,
-            StallCause::RetryWait => self.stall_retry_wait,
+            StallKind::Fence => self.stall_fence,
+            StallKind::StoreQueueFull => self.stall_sq_full,
+            StallKind::PersistQueueFull => self.stall_pq_full,
+            StallKind::Lock => self.stall_lock,
+            StallKind::PmWriteQueueFull => self.stall_pm_wq_full,
+            StallKind::RetryWait => self.stall_retry_wait,
         }
     }
 

@@ -2,8 +2,9 @@
 
 use crate::json::Json;
 
-/// Why a core could not make progress (mirrors the simulator's
-/// `StallCause`, defined here so `sw-trace` stays dependency-free).
+/// Why a core could not make progress: the simulator counts its stall
+/// cycles by this kind, and trace events and the `stalls.*` metrics name
+/// it by [`StallKind::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallKind {
     /// Blocked by fence semantics (SFENCE wait, `JoinStrand` drain, HOPS
