@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the reproduction's hot paths: PMO
-//! computation, crash-state sampling, undo-log appends, litmus evaluation,
-//! and a small end-to-end simulation.
+//! computation, crash-state sampling, the acceptance-order check against
+//! the PMO, undo-log appends, litmus evaluation, and a small end-to-end
+//! simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use strandweaver::experiment::Experiment;
+use strandweaver::experiment::{order_extends_pmo, Experiment, ProbeOracle};
 use strandweaver::lang::{FuncCtx, LangModel, RuntimeConfig, ThreadRuntime};
 use strandweaver::model::isa::LockId;
 use strandweaver::model::{crash, litmus, MemoryModel, OpKind, Pmo, Program};
@@ -38,6 +39,19 @@ fn bench_crash_sampling(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(1);
     c.bench_function("crash_sample_400_stores", |b| {
         b.iter(|| crash::sample_state(&pmo, &mut rng))
+    });
+}
+
+/// The order check every chaos round and `serve` leg pays: the probe of
+/// the nstore-bal strandweaver × txn cell, held to its fault-free order.
+fn bench_order_check(c: &mut Criterion) {
+    let oracle = ProbeOracle::new(&Experiment::new(
+        BenchmarkId::NStoreBal,
+        LangModel::Txn,
+        HwDesign::StrandWeaver,
+    ));
+    c.bench_function("order_extends_pmo_probe", |b| {
+        b.iter(|| order_extends_pmo(oracle.pmo(), oracle.clean_order()).unwrap())
     });
 }
 
@@ -92,6 +106,7 @@ criterion_group!(
     benches,
     bench_pmo,
     bench_crash_sampling,
+    bench_order_check,
     bench_log_append,
     bench_litmus,
     bench_small_simulation

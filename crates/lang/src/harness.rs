@@ -5,10 +5,12 @@
 //!
 //! 1. A workload runs against [`FuncCtx`] (setup first with program
 //!    recording off, then the crash-able phase with recording on).
-//! 2. [`crash_image`] computes the phase's persist memory order under the
-//!    design's formal model and samples one reachable crash state — a
-//!    PMO-down-closed subset of the phase's stores layered over the
-//!    persisted baseline.
+//! 2. The caller computes the phase's persist memory order under the
+//!    design's formal model once
+//!    ([`Pmo::compute`](sw_model::Pmo::compute) over
+//!    [`FuncCtx::execution`]); each round, [`crash_image`] samples from it
+//!    one reachable crash state — a PMO-down-closed subset of the phase's
+//!    stores layered over the persisted baseline.
 //! 3. [`recover`](crate::recovery::recover()) repairs the image.
 //! 4. A consistency check matching the model's contract
 //!    ([`Consistency`](crate::Consistency)) verifies the recovered state:
@@ -46,17 +48,14 @@ pub struct CrashOutcome {
 }
 
 /// Samples one crash state of the recorded phase over `baseline` (the
-/// persisted image at phase start) **without** running recovery.
-pub fn crash_image<R: Rng>(
-    ctx: &FuncCtx,
-    baseline: &PmImage,
-    design: HwDesign,
-    rng: &mut R,
-) -> (PmImage, usize) {
-    let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
-    let set = sample_set(&pmo, rng);
+/// persisted image at phase start) **without** running recovery. `pmo` is
+/// the phase's persist memory order: computed once from the phase's
+/// [`FuncCtx::execution`] under the design's memory model, then shared by
+/// every round.
+pub fn crash_image<R: Rng>(pmo: &Pmo, baseline: &PmImage, rng: &mut R) -> (PmImage, usize) {
+    let set = sample_set(pmo, rng);
     let persisted = set.iter().filter(|&&b| b).count();
-    let state = crash::materialize(&pmo, &set);
+    let state = crash::materialize(pmo, &set);
     let mut img = baseline.clone();
     // `materialize` resolves same-word winners by visibility order, so the
     // map can be applied in any order.
@@ -66,14 +65,16 @@ pub fn crash_image<R: Rng>(
     (img, persisted)
 }
 
-/// Samples one crash state, runs recovery, and returns the outcome.
+/// Samples one crash state from `pmo`, the persist memory order of `ctx`'s
+/// recorded phase (see [`crash_image`]), runs recovery, and returns the
+/// outcome.
 pub fn crash_and_recover<R: Rng>(
     ctx: &FuncCtx,
     baseline: &PmImage,
-    design: HwDesign,
+    pmo: &Pmo,
     rng: &mut R,
 ) -> CrashOutcome {
-    let (mut image, persisted_stores) = crash_image(ctx, baseline, design, rng);
+    let (mut image, persisted_stores) = crash_image(pmo, baseline, rng);
     let report = recover(&mut image, ctx.mem().layout());
     CrashOutcome {
         image,
@@ -314,9 +315,10 @@ pub fn crash_rounds<R: Rng>(
     iterations: usize,
     rng: &mut R,
 ) -> usize {
+    let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
     let mut failures = 0;
     for _ in 0..iterations {
-        let outcome = crash_and_recover(ctx, baseline, design, rng);
+        let outcome = crash_and_recover(ctx, baseline, &pmo, rng);
         if check_replay_consistency(&outcome, baseline, regions).is_err() {
             failures += 1;
         }

@@ -11,6 +11,7 @@ use sw_lang::{
     coordinated_commit, FuncCtx, HwDesign, LangModel, RegionRecord, RuntimeConfig, ThreadRuntime,
 };
 use sw_model::isa::LockId;
+use sw_model::Pmo;
 use sw_pmem::{Addr, PmImage, PmLayout};
 
 /// Runs `regions_per_thread` regions on each of `threads` threads, each
@@ -158,9 +159,10 @@ fn non_atomic_eventually_violates_consistency() {
 fn canary_pairs_match_after_recovery() {
     let (ctx, base, regions) = canary_workload(HwDesign::StrandWeaver, LangModel::Sfr, 2, 4, false);
     let heap = ctx.mem().layout().heap_base();
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = SmallRng::seed_from_u64(3);
     for _ in 0..40 {
-        let outcome = crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
         check_replay_consistency(&outcome, &base, &regions).unwrap();
         for t in 0..2u64 {
             let pair = heap.offset_words(16 * t);
@@ -179,9 +181,10 @@ fn native_on_eadr_satisfies_prefix_consistency() {
     // crash state must be the baseline plus a prefix of the store order
     // (shared data — strict persistency chains the global order).
     let (ctx, base, regions) = canary_workload(HwDesign::Eadr, LangModel::Native, 2, 4, true);
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::Eadr.memory_model());
     let mut rng = SmallRng::seed_from_u64(29);
     for _ in 0..120 {
-        let outcome = crash_and_recover(&ctx, &base, HwDesign::Eadr, &mut rng);
+        let outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
         assert!(
             outcome.report.was_clean(),
             "log-free recovery has nothing to repair"
@@ -208,8 +211,9 @@ fn prefix_check_rejects_non_prefix_images() {
     // region but not the first: no prefix of the store order matches.
     let (ctx, base, regions) = canary_workload(HwDesign::Eadr, LangModel::Native, 1, 1, true);
     let heap = ctx.mem().layout().heap_base();
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::Eadr.memory_model());
     let mut rng = SmallRng::seed_from_u64(41);
-    let mut outcome = crash_and_recover(&ctx, &base, HwDesign::Eadr, &mut rng);
+    let mut outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
     outcome.image.store(heap, 0); // undo write 1
     outcome.image.store(heap.offset_words(8), 1); // keep write 2
     assert!(check_prefix_consistency(&outcome, &base, &regions).is_err());
@@ -224,8 +228,9 @@ fn crash_image_layers_over_baseline() {
     ctx.store(0, heap.offset_words(100), 55); // setup data
     let base = baseline(&mut ctx);
     ctx.set_record_program(true);
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = SmallRng::seed_from_u64(1);
-    let (img, persisted) = crash_image(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+    let (img, persisted) = crash_image(&pmo, &base, &mut rng);
     assert_eq!(persisted, 0, "no phase stores were executed");
     assert_eq!(img.load(heap.offset_words(100)), 55, "baseline survives");
     assert_eq!(img.load(Addr(0x1000_0000)), 0);

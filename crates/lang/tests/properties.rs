@@ -9,6 +9,7 @@ use sw_lang::{
     FuncCtx, HwDesign, LangModel, LogStrategy, RegionRecord, RuntimeConfig, ThreadRuntime,
 };
 use sw_model::isa::LockId;
+use sw_model::Pmo;
 use sw_pmem::PmLayout;
 
 /// One region: which thread runs it and which (word, value) writes it does.
@@ -78,9 +79,10 @@ proptest! {
         for design in [HwDesign::StrandWeaver, HwDesign::NoPersistQueue,
                        HwDesign::IntelX86, HwDesign::Hops] {
             let (ctx, base, records) = run_plan(&plan, design, LangModel::Txn);
+            let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
             let mut rng = SmallRng::seed_from_u64(seed);
             for _ in 0..8 {
-                let outcome = crash_and_recover(&ctx, &base, design, &mut rng);
+                let outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
                 let r = check_replay_consistency(&outcome, &base, &records);
                 prop_assert!(r.is_ok(), "{design:?}: {:?}", r);
             }
@@ -93,9 +95,10 @@ proptest! {
     fn batched_crashes_recover_consistently(plan in arb_regions(), seed in 0u64..10_000) {
         for lang in [LangModel::Sfr, LangModel::Atlas] {
             let (ctx, base, records) = run_plan(&plan, HwDesign::StrandWeaver, lang);
+            let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
             let mut rng = SmallRng::seed_from_u64(seed);
             for _ in 0..8 {
-                let outcome = crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+                let outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
                 let r = check_replay_consistency(&outcome, &base, &records);
                 prop_assert!(r.is_ok(), "{lang:?}: {:?}", r);
             }
@@ -108,9 +111,10 @@ proptest! {
         for design in [HwDesign::StrandWeaver, HwDesign::IntelX86] {
             let (ctx, base, records) =
                 run_plan_with(&plan, design, LangModel::Txn, LogStrategy::Redo);
+            let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
             let mut rng = SmallRng::seed_from_u64(seed);
             for _ in 0..8 {
-                let outcome = crash_and_recover(&ctx, &base, design, &mut rng);
+                let outcome = crash_and_recover(&ctx, &base, &pmo, &mut rng);
                 let r = check_replay_consistency(&outcome, &base, &records);
                 prop_assert!(r.is_ok(), "{design:?} redo: {:?}", r);
             }
@@ -132,8 +136,9 @@ proptest! {
                     HwDesign::Eadr
                 };
                 let (ctx, base, _records) = run_plan_with(&plan, design, lang, strategy);
+                let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let (mut img, _) = sw_lang::harness::crash_image(&ctx, &base, design, &mut rng);
+                let (mut img, _) = sw_lang::harness::crash_image(&pmo, &base, &mut rng);
                 let layout = ctx.mem().layout().clone();
                 sw_lang::recovery::recover(&mut img, &layout);
                 let snapshot = img.clone();
@@ -159,8 +164,9 @@ proptest! {
                     HwDesign::Eadr
                 };
                 let (ctx, base, _records) = run_plan_with(&plan, design, lang, strategy);
+                let pmo = Pmo::compute(&ctx.execution(), design.memory_model());
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let (img, _) = sw_lang::harness::crash_image(&ctx, &base, design, &mut rng);
+                let (img, _) = sw_lang::harness::crash_image(&pmo, &base, &mut rng);
                 let layout = ctx.mem().layout().clone();
                 let mut legacy = img.clone();
                 let legacy_report = sw_lang::recovery::recover(&mut legacy, &layout);

@@ -4,6 +4,7 @@
 use rand::SeedableRng;
 use sw_lang::{FuncCtx, HwDesign, LangModel, RegionRecord, RuntimeConfig, ThreadRuntime};
 use sw_model::isa::{FenceKind, IsaOp, LockId};
+use sw_model::Pmo;
 use sw_pmem::{Addr, PmLayout};
 
 fn setup(design: HwDesign) -> (FuncCtx, ThreadRuntime, Addr) {
@@ -87,11 +88,11 @@ fn redo_recovery_replays_committed_but_unapplied_region() {
     // in-place update. Find the update via the execution and verify the
     // formal model + recovery handle it: sample many crashes and check
     // that whenever recovery reports a replay, the value is correct.
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
     let mut saw_replay = false;
     for _ in 0..200 {
-        let outcome =
-            sw_lang::harness::crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let outcome = sw_lang::harness::crash_and_recover(&ctx, &base, &pmo, &mut rng);
         let v = outcome.image.load(heap);
         assert!(
             v == 0 || v == 7,
@@ -167,10 +168,10 @@ fn redo_crashes_are_always_consistent_across_threads() {
         .into_iter()
         .flat_map(ThreadRuntime::into_records)
         .collect();
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
     for _ in 0..120 {
-        let outcome =
-            sw_lang::harness::crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let outcome = sw_lang::harness::crash_and_recover(&ctx, &base, &pmo, &mut rng);
         sw_lang::harness::check_replay_consistency(&outcome, &base, &regions).unwrap();
         assert_eq!(
             outcome.image.load(heap),

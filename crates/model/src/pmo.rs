@@ -78,11 +78,15 @@ pub struct StoreInfo {
 }
 
 /// The persist memory order of an execution under a memory model: a DAG over
-/// the execution's stores, closed under transitivity (Equation 4).
+/// the execution's stores whose transitive closure is the order
+/// (Equation 4).
 ///
-/// Every edge points forward in the witnessed execution order, so the
-/// relation is acyclic by construction and crash states are exactly the
-/// down-closed subsets of stores (see [`crate::crash`]).
+/// Only the direct edges are stored. Store ids follow the witnessed
+/// execution order and every edge points forward in it, so the relation is
+/// acyclic by construction and crash states are exactly the down-closed
+/// subsets of stores (see [`crate::crash`]); transitivity is answered on
+/// demand by [`ordered_before`](Pmo::ordered_before), a forward search over
+/// direct successors.
 #[derive(Debug, Clone)]
 pub struct Pmo {
     stores: Vec<StoreInfo>,
@@ -90,9 +94,6 @@ pub struct Pmo {
     succs: Vec<Vec<StoreId>>,
     /// Direct predecessor lists, sorted.
     preds: Vec<Vec<StoreId>>,
-    /// Transitive reachability bitsets: `reach[i]` has bit `j` set iff
-    /// store `i` is ordered before store `j`.
-    reach: Vec<Vec<u64>>,
     /// Lookup from (thread, program index) to StoreId.
     by_op: HashMap<(ThreadId, usize), StoreId>,
     model: MemoryModel,
@@ -205,36 +206,15 @@ impl Pmo {
         edges.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
         edges.dedup();
         for (a, b) in edges {
-            debug_assert!(stores[a.0].exec_pos < stores[b.0].exec_pos);
+            debug_assert!(a < b && stores[a.0].exec_pos < stores[b.0].exec_pos);
             succs[a.0].push(b);
             preds[b.0].push(a);
-        }
-
-        // Transitive closure. Every edge points forward in execution order,
-        // so processing stores in reverse execution order visits successors
-        // before predecessors.
-        let words = n.div_ceil(64);
-        let mut reach = vec![vec![0u64; words]; n];
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| stores[i].exec_pos);
-        for &i in order.iter().rev() {
-            // Split borrows: successors have larger index-in-order, compute
-            // into a scratch row then store.
-            let mut row = vec![0u64; words];
-            for &StoreId(s) in &succs[i] {
-                row[s / 64] |= 1 << (s % 64);
-                for (w, bits) in reach[s].iter().enumerate() {
-                    row[w] |= bits;
-                }
-            }
-            reach[i] = row;
         }
 
         Self {
             stores,
             succs,
             preds,
-            reach,
             by_op,
             model,
         }
@@ -272,11 +252,35 @@ impl Pmo {
 
     /// Returns `true` if `a` must persist before `b` (transitive).
     ///
+    /// Answered by a forward search over direct successors. Ids follow
+    /// execution order and every edge points forward, so the search only
+    /// visits stores between `a` and `b`: it costs O(V+E) of that span.
+    ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     pub fn ordered_before(&self, a: StoreId, b: StoreId) -> bool {
-        self.reach[a.0][b.0 / 64] & (1 << (b.0 % 64)) != 0
+        let n = self.stores.len();
+        assert!(
+            a.0 < n && b.0 < n,
+            "store ids {a:?}, {b:?} out of range for {n} stores"
+        );
+        if b <= a {
+            return false;
+        }
+        let mut seen = vec![false; b.0 - a.0];
+        let mut stack = vec![a];
+        while let Some(s) = stack.pop() {
+            for &t in self.succs[s.0].iter().take_while(|&&t| t <= b) {
+                if t == b {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[t.0 - a.0], true) {
+                    stack.push(t);
+                }
+            }
+        }
+        false
     }
 
     /// Direct (non-transitive) successors of `a`.
@@ -593,6 +597,24 @@ mod tests {
         assert!(pmo.is_down_closed(&[true, false, true]));
         assert!(!pmo.is_down_closed(&[false, true, false]), "B without A");
         assert!(pmo.is_down_closed(&[true, true, true]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ordered_before_rejects_a_target_past_the_last_store() {
+        let mut p = Program::new(1);
+        p.push(0, OpKind::store(pm(0), 1));
+        p.push(0, OpKind::store(pm(64), 1));
+        compute(&p, MemoryModel::StrandWeaver).ordered_before(StoreId(0), StoreId(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ordered_before_rejects_a_target_at_the_end_of_a_word() {
+        let mut p = Program::new(1);
+        p.push(0, OpKind::store(pm(0), 1));
+        p.push(0, OpKind::store(pm(64), 1));
+        compute(&p, MemoryModel::StrandWeaver).ordered_before(StoreId(0), StoreId(63));
     }
 
     #[test]

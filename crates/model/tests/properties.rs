@@ -32,6 +32,30 @@ fn arb_program(threads: usize, ops: usize) -> impl Strategy<Value = Program> {
     })
 }
 
+/// The transitive closure of `pmo`'s direct edges as one bitset row per
+/// store: bit `j` of row `i` is set iff a path of direct edges leads from
+/// store `i` to store `j`. Every edge points forward in execution order, so
+/// visiting stores in reverse execution order finishes each successor's row
+/// before any row that reads it.
+fn bitset_closure(pmo: &Pmo) -> Vec<Vec<u64>> {
+    let n = pmo.num_stores();
+    let words = n.div_ceil(64);
+    let mut reach = vec![vec![0u64; words]; n];
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by_key(|&i| pmo.store(StoreId(i)).exec_pos);
+    for &i in order.iter().rev() {
+        let mut row = vec![0u64; words];
+        for &StoreId(s) in pmo.direct_successors(StoreId(i)) {
+            row[s / 64] |= 1 << (s % 64);
+            for (w, bits) in reach[s].iter().enumerate() {
+                row[w] |= bits;
+            }
+        }
+        reach[i] = row;
+    }
+    reach
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -135,6 +159,35 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `ordered_before` answers exactly the transitive closure of the
+    /// direct edges, under every model — including programs long enough
+    /// for the closure rows to span several words.
+    #[test]
+    fn ordered_before_is_the_closure_of_direct_edges(
+        p in arb_program(2, 96),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let exec = random_interleaving(&p, &mut rng);
+        for model in MemoryModel::ALL {
+            let pmo = Pmo::compute(&exec, model);
+            let reach = bitset_closure(&pmo);
+            for (i, row) in reach.iter().enumerate() {
+                for j in 0..pmo.num_stores() {
+                    let closed = row[j / 64] & (1 << (j % 64)) != 0;
+                    prop_assert_eq!(
+                        pmo.ordered_before(StoreId(i), StoreId(j)),
+                        closed,
+                        "{:?}: store {} -> store {}",
+                        model,
+                        i,
+                        j
+                    );
+                }
+            }
+        }
+    }
 
     /// The two crash APIs agree: every sampled state is in the enumerated
     /// set (sampling is sound w.r.t. exhaustive enumeration).

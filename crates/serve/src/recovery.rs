@@ -23,6 +23,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use strandweaver::experiment::{Experiment, ProbeOracle};
+use strandweaver::model::Pmo;
 use strandweaver::workloads::driver::DriverOutput;
 
 use crate::ServeConfig;
@@ -44,27 +45,31 @@ pub(crate) struct LegStats {
 }
 
 /// Per-cell context for the legs: the calibration experiment, its probe
-/// oracle, and its driven multi-threaded run to crash.
+/// oracle, and its driven multi-threaded run to crash with the run's
+/// persist memory order, which every leg samples.
 #[derive(Debug)]
 pub(crate) struct RecoveryContext {
     cfg: ServeConfig,
     cell: Experiment,
     oracle: ProbeOracle,
     out: DriverOutput,
+    pmo: Pmo,
     rng: SmallRng,
     pub stats: LegStats,
 }
 
 impl RecoveryContext {
-    /// Builds the probe oracle and the driven run for `cell`, the
-    /// calibration experiment of `cfg`'s serving cell.
+    /// Builds the probe oracle, the driven run and its persist memory
+    /// order for `cell`, the calibration experiment of `cfg`'s serving
+    /// cell.
     pub fn new(cfg: &ServeConfig, cell: Experiment) -> Self {
-        let (_, out) = cell.drive();
+        let (_, out, pmo) = cell.drive();
         RecoveryContext {
             cfg: cfg.clone(),
             oracle: ProbeOracle::new(&cell),
             cell,
             out,
+            pmo,
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x5e12_7e5e_12c0_4e12),
             stats: LegStats::default(),
         }
@@ -96,7 +101,7 @@ impl RecoveryContext {
         self.stats.pmo_edges += probe.pmo_edges as u64;
 
         self.cell
-            .crash_leg(&self.out, &mut self.rng)
+            .crash_leg(&self.out, &self.pmo, &mut self.rng)
             .map_err(fail)?;
         self.stats.reconverged_strict += 1;
         self.stats.reconverged_salvage += 1;

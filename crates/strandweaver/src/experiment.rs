@@ -1,7 +1,7 @@
 //! End-to-end experiment runner: workload → runtime lowering → ISA traces
 //! → timing simulation, plus crash-consistency campaigns.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -160,13 +160,21 @@ impl Experiment {
 
     /// Drives this cell's workload under [`driver_params`] to the run the
     /// campaigns crash, returning the workload (for its structural
-    /// checks) with the run.
+    /// checks) with the run and the run's persist memory order — computed
+    /// once here, and sampled by every crash round over the run.
     ///
     /// [`driver_params`]: Experiment::driver_params
-    pub fn drive(&self) -> (Box<dyn Workload>, DriverOutput) {
+    pub fn drive(&self) -> (Box<dyn Workload>, DriverOutput, Pmo) {
         let mut workload = self.bench.instantiate();
         let out = drive(workload.as_mut(), &self.driver_params());
-        (workload, out)
+        let pmo = self.pmo_of(&out);
+        (workload, out, pmo)
+    }
+
+    /// The persist memory order of `out`, a run of this cell, under the
+    /// cell's design.
+    fn pmo_of(&self, out: &DriverOutput) -> Pmo {
+        Pmo::compute(&out.ctx.execution(), self.design.memory_model())
     }
 
     /// Runs the timing simulation and returns machine statistics.
@@ -225,10 +233,10 @@ impl Experiment {
     /// Returns the first inconsistency found (expected for
     /// [`HwDesign::NonAtomic`]).
     pub fn run_crash_campaign(&self, rounds: usize) -> Result<(), String> {
-        let (workload, out) = self.drive();
+        let (workload, out, pmo) = self.drive();
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc0ffee);
         for round in 0..rounds {
-            let outcome = crash_and_recover(&out.ctx, &out.baseline, self.design, &mut rng);
+            let outcome = crash_and_recover(&out.ctx, &out.baseline, &pmo, &mut rng);
             self.check_contract(workload.as_ref(), &out, &outcome)
                 .map_err(|e| self.campaign_failure(Campaign::Crash, rounds, round, e))?;
         }
@@ -331,7 +339,7 @@ impl Experiment {
         &self,
         rounds: usize,
     ) -> Result<FaultCampaignReport, String> {
-        let (workload, out) = self.drive();
+        let (workload, out, pmo) = self.drive();
         let layout = &out.layout;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ T::SALT);
         let mut sink = self.sink();
@@ -350,7 +358,7 @@ impl Experiment {
         let mut reconverged = 0usize;
 
         for round in 0..rounds {
-            let (crash, persisted) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
+            let (crash, persisted) = crash_image(&pmo, &out.baseline, &mut rng);
             let idx = round % FaultClass::ALL.len();
             // Per-round injector seed: deterministic, round-decorrelated.
             let inj_seed = self.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -543,6 +551,7 @@ impl Experiment {
             )
         })?;
         let out = drive(workload.as_mut(), &self.driver_params());
+        let pmo = self.pmo_of(&out);
         let layout = &out.layout;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4eaf);
         let fail =
@@ -552,7 +561,7 @@ impl Experiment {
         let mut rounds_with_leaks = 0usize;
         let mut rooted_blocks = 0u64;
         for round in 0..rounds {
-            let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
+            let (crash, _) = crash_image(&pmo, &out.baseline, &mut rng);
             let mut image = crash.clone();
             recover_with_policy(&mut image, layout, RecoveryPolicy::Strict).map_err(|e| {
                 fail(
@@ -677,7 +686,7 @@ impl Experiment {
             |round: usize, e: String| self.campaign_failure(Campaign::Chaos, rounds, round, e);
 
         let oracle = ProbeOracle::new(self);
-        let (_, out) = self.drive();
+        let (_, out, pmo) = self.drive();
 
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc4a0_5eed);
         let mut online = OnlineFaultStats::default();
@@ -697,7 +706,8 @@ impl Experiment {
             }
 
             // --- Leg 2: crash points × recovery policies. ---
-            self.crash_leg(&out, &mut rng).map_err(|e| fail(round, e))?;
+            self.crash_leg(&out, &pmo, &mut rng)
+                .map_err(|e| fail(round, e))?;
             reconverged += 1;
 
             // --- Leg 3: remap-table crash-prefix consistency. ---
@@ -827,16 +837,22 @@ impl Experiment {
     }
 
     /// One crash leg over `out`, this cell's [driven](Experiment::drive)
-    /// run: sample a formal crash image, require interrupted-and-rerun
-    /// `Strict` recovery to reconverge, then poison one log line of a
-    /// random thread and require `Salvage` to reconverge. The chaos
-    /// campaign's second leg and the serving layer's quarantine leg.
+    /// run, whose persist memory order is `pmo`: sample a formal crash
+    /// image, require interrupted-and-rerun `Strict` recovery to
+    /// reconverge, then poison one log line of a random thread and require
+    /// `Salvage` to reconverge. The chaos campaign's second leg and the
+    /// serving layer's quarantine leg.
     ///
     /// # Errors
     ///
     /// Which reconvergence failed, and how.
-    pub fn crash_leg<R: Rng>(&self, out: &DriverOutput, rng: &mut R) -> Result<(), String> {
-        let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, rng);
+    pub fn crash_leg<R: Rng>(
+        &self,
+        out: &DriverOutput,
+        pmo: &Pmo,
+        rng: &mut R,
+    ) -> Result<(), String> {
+        let (crash, _) = crash_image(pmo, &out.baseline, rng);
         recovery_reconverges(&crash, &out.layout, RecoveryPolicy::Strict, rng)
             .map_err(|e| format!("strict reconvergence: {e}"))?;
         let mut damaged = crash;
@@ -1130,8 +1146,9 @@ pub struct ProbeOracle {
 /// What one [`ProbeOracle::check`] verified.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeCheck {
-    /// Transitive cross-line PMO edges the faulted acceptance order was
-    /// verified against.
+    /// Transitively ordered *store* pairs on distinct lines the faulted
+    /// acceptance order was verified against (see [`order_extends_pmo`]):
+    /// one pair of lines counts once per ordered pair of their stores.
     pub pmo_edges: usize,
     /// The faulted run's online-fault activity (`None` when no fault unit
     /// was consulted).
@@ -1216,41 +1233,68 @@ impl ProbeOracle {
     }
 }
 
-/// Checks that a machine's PM acceptance order respects every applicable
-/// transitive cross-line PMO edge. Only lines accepted exactly once map
-/// one-to-one onto formal stores (same-line stores share flushes), so
-/// edges touching multiply-accepted lines are skipped. Returns the number
-/// of edges verified; errors on the first violation.
+/// Checks that a machine's PM acceptance order respects the PMO: every
+/// transitively ordered pair of *stores* on distinct lines must be
+/// accepted in order. Only lines accepted exactly once map one-to-one onto
+/// formal stores (same-line stores share flushes), so pairs touching
+/// multiply-accepted lines are skipped. Returns the number of store pairs
+/// verified — one pair of lines counts once per ordered pair of their
+/// stores — or the first violation in (source id, target id) order.
+///
+/// Each store's acceptance position is looked up once; then one forward
+/// search over direct edges runs from each store that has a position,
+/// reusing one visited buffer. The cost is O(order + P·(V+E)) for P such
+/// stores, V stores and E direct edges, with no closure built.
 ///
 /// Public so other harnesses can hold their acceptance orders to the same
 /// linear-extension bar as [`ProbeOracle`].
 pub fn order_extends_pmo(pmo: &Pmo, order: &[LineAddr]) -> Result<usize, String> {
-    let mut count = std::collections::HashMap::new();
-    let mut first_pos = std::collections::HashMap::new();
-    for (pos, line) in order.iter().enumerate() {
-        *count.entry(*line).or_insert(0usize) += 1;
-        first_pos.entry(*line).or_insert(pos);
+    // Per line: its first acceptance position and how often it was
+    // accepted.
+    let mut accepted: HashMap<LineAddr, (usize, usize)> = HashMap::new();
+    for (pos, &line) in order.iter().enumerate() {
+        accepted.entry(line).or_insert((pos, 0)).1 += 1;
     }
-    let pos_of = |line: LineAddr| (count.get(&line) == Some(&1)).then(|| first_pos[&line]);
+    let line = |s: StoreId| pmo.store(s).addr.line();
+    let pos: Vec<Option<usize>> = pmo
+        .stores()
+        .map(|(_, info)| match accepted.get(&info.addr.line()) {
+            Some(&(p, 1)) => Some(p),
+            _ => None,
+        })
+        .collect();
+    // `seen[s] == Some(i)` once the search from `i` has reached `s`.
+    let mut seen: Vec<Option<StoreId>> = vec![None; pmo.num_stores()];
+    let mut stack = Vec::new();
     let mut checked = 0;
-    for i in 0..pmo.num_stores() {
-        for j in 0..pmo.num_stores() {
-            if i == j || !pmo.ordered_before(StoreId(i), StoreId(j)) {
-                continue;
-            }
-            let la = pmo.store(StoreId(i)).addr.line();
-            let lb = pmo.store(StoreId(j)).addr.line();
-            if la == lb {
-                continue;
-            }
-            if let (Some(pa), Some(pb)) = (pos_of(la), pos_of(lb)) {
-                if pa >= pb {
-                    return Err(format!(
-                        "PMO edge {la} -> {lb} violated by acceptance order ({pa} >= {pb})"
-                    ));
+    for (i, _) in pmo.stores() {
+        let Some(pa) = pos[i.0] else { continue };
+        let la = line(i);
+        let mut violated: Option<(StoreId, usize)> = None;
+        stack.push(i);
+        while let Some(s) = stack.pop() {
+            for &j in pmo.direct_successors(s) {
+                if seen[j.0] == Some(i) {
+                    continue;
                 }
-                checked += 1;
+                seen[j.0] = Some(i);
+                stack.push(j);
+                let Some(pb) = pos[j.0] else { continue };
+                if line(j) == la {
+                    continue;
+                }
+                if pa < pb {
+                    checked += 1;
+                } else if violated.is_none_or(|(v, _)| j < v) {
+                    violated = Some((j, pb));
+                }
             }
+        }
+        if let Some((j, pb)) = violated {
+            let lb = line(j);
+            return Err(format!(
+                "PMO edge {la} -> {lb} violated by acceptance order ({pa} >= {pb})"
+            ));
         }
     }
     Ok(checked)
@@ -1270,8 +1314,9 @@ pub struct ChaosCampaignReport {
     /// (all-zero on designs that bypass the PM controller write path,
     /// e.g. battery-backed eADR).
     pub online: OnlineFaultStats,
-    /// Transitive PMO edges the faulted acceptance orders were verified
-    /// against.
+    /// Transitively ordered store pairs on distinct lines the faulted
+    /// acceptance orders were verified against (summed
+    /// [`ProbeCheck::pmo_edges`]).
     pub pmo_edges_checked: usize,
     /// Rounds whose interrupted `Strict` recovery reconverged.
     pub reconverged_strict: usize,

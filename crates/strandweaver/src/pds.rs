@@ -36,6 +36,7 @@ use rand::SeedableRng;
 use sw_lang::harness;
 use sw_lang::{FuncCtx, HwDesign, LangModel, RuntimeConfig, ThreadRuntime};
 use sw_model::isa::LockId;
+use sw_model::Pmo;
 use sw_pmem::{Addr, PmImage, PmLayout};
 
 /// A single-threaded persistent-heap session.
@@ -130,12 +131,12 @@ impl Heap {
 
     /// Samples one formally-allowed crash state, runs recovery, and returns
     /// the recovered PM image. The session itself is unaffected (crashes
-    /// are explored counterfactually).
+    /// are explored counterfactually). The session's execution grows
+    /// between calls, so each call computes its persist memory order anew.
     pub fn simulate_crash(&self, seed: u64) -> PmImage {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let outcome =
-            harness::crash_and_recover(&self.ctx, &self.baseline, self.design(), &mut rng);
-        outcome.image
+        let pmo = Pmo::compute(&self.ctx.execution(), self.design().memory_model());
+        harness::crash_and_recover(&self.ctx, &self.baseline, &pmo, &mut rng).image
     }
 
     /// Flushes and commits everything, then returns the durable image — the

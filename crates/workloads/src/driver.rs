@@ -326,14 +326,11 @@ mod tests {
             // entries remain anywhere (a double commit would have tripped
             // the log's commit-of-empty assertions or re-published cuts).
             assert_eq!(out.regions.len(), 24, "threshold {threshold}");
+            let pmo =
+                sw_model::Pmo::compute(&out.ctx.execution(), HwDesign::StrandWeaver.memory_model());
             let mut rng = SmallRng::seed_from_u64(threshold ^ 0x5eed);
             for _ in 0..20 {
-                let outcome = harness::crash_and_recover(
-                    &out.ctx,
-                    &out.baseline,
-                    HwDesign::StrandWeaver,
-                    &mut rng,
-                );
+                let outcome = harness::crash_and_recover(&out.ctx, &out.baseline, &pmo, &mut rng);
                 harness::check_replay_consistency(&outcome, &out.baseline, &out.regions)
                     .unwrap_or_else(|e| panic!("threshold {threshold}: {e}"));
             }

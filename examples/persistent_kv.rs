@@ -9,7 +9,9 @@ use rand::SeedableRng;
 use strandweaver::lang::harness;
 use strandweaver::model::isa::LockId;
 use strandweaver::pmem::Addr;
-use strandweaver::{FuncCtx, HwDesign, LangModel, PmImage, PmLayout, RuntimeConfig, ThreadRuntime};
+use strandweaver::{
+    FuncCtx, HwDesign, LangModel, PmImage, PmLayout, Pmo, RuntimeConfig, ThreadRuntime,
+};
 
 /// A fixed-capacity persistent KV store: one cache line per slot holding
 /// `[key, value, valid]`.
@@ -74,10 +76,11 @@ fn main() {
     kv.put(&mut ctx, &mut rt, 7, 999); // update
 
     // Crash anywhere; every recovered state must be a consistent prefix.
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = SmallRng::seed_from_u64(99);
     let mut seen_partial = false;
     for _ in 0..300 {
-        let out = harness::crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let out = harness::crash_and_recover(&ctx, &base, &pmo, &mut rng);
         let mut present = 0;
         for k in 0..20u64 {
             if let Some(v) = kv.get(&out.image, k) {

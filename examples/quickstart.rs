@@ -9,7 +9,7 @@ use strandweaver::experiment::Experiment;
 use strandweaver::lang::harness;
 use strandweaver::model::isa::LockId;
 use strandweaver::{
-    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, RuntimeConfig, ThreadRuntime,
+    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, Pmo, RuntimeConfig, ThreadRuntime,
 };
 
 fn main() {
@@ -37,9 +37,12 @@ fn main() {
     );
 
     // --- 2. Crash at a model-allowed point and recover. ---
+    // The persist memory order of the recorded updates bounds which
+    // crash states are reachable; compute it once, sample it every round.
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = SmallRng::seed_from_u64(7);
     for round in 0..3 {
-        let outcome = harness::crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let outcome = harness::crash_and_recover(&ctx, &base, &pmo, &mut rng);
         let (a, b) = (outcome.image.load(account_a), outcome.image.load(account_b));
         println!(
             "crash {round}: recovered a={a} b={b} ({}), rolled back {} stores",

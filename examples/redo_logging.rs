@@ -11,7 +11,7 @@ use strandweaver::experiment::Experiment;
 use strandweaver::lang::harness;
 use strandweaver::model::isa::LockId;
 use strandweaver::{
-    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, RuntimeConfig, ThreadRuntime,
+    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, Pmo, RuntimeConfig, ThreadRuntime,
 };
 
 fn main() {
@@ -51,10 +51,11 @@ fn main() {
     rt.store(&mut ctx, x, 42);
     rt.region_end(&mut ctx);
 
+    let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
     let mut rng = SmallRng::seed_from_u64(5);
     let mut replays = 0;
     for _ in 0..300 {
-        let out = harness::crash_and_recover(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let out = harness::crash_and_recover(&ctx, &base, &pmo, &mut rng);
         let v = out.image.load(x);
         assert!(v == 0 || v == 42, "all-or-nothing violated: {v}");
         if out.report.replayed_redo > 0 {

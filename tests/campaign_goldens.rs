@@ -1,7 +1,8 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
 //! under `expected/`, rebuilt through the library and compared byte for
 //! byte. `serve_sweep.json` is left to `ci.sh`, which diffs it against the
-//! release binary: a debug build takes about 40 s to serve the sweep.
+//! release binary: a debug build takes 24–25 s to serve the sweep on a
+//! 2-vCPU host.
 //!
 //! Each golden names the `swctl` command that printed it (see `ci.sh`).
 

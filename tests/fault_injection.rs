@@ -16,7 +16,7 @@ use strandweaver::lang::recovery::{recover_with_policy, RecoveryPolicy};
 use strandweaver::lang::{LogStrategy, RegionRecord};
 use strandweaver::model::isa::LockId;
 use strandweaver::{
-    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, RuntimeConfig, ThreadRuntime,
+    BenchmarkId, FuncCtx, HwDesign, LangModel, PmLayout, Pmo, RuntimeConfig, ThreadRuntime,
 };
 
 fn campaign(bench: BenchmarkId, lang: LangModel, design: HwDesign, redo: bool) {
@@ -168,8 +168,9 @@ proptest! {
     ) {
         let (ctx, base, records) = run_plan(&plan);
         let layout = ctx.mem().layout().clone();
+        let pmo = Pmo::compute(&ctx.execution(), HwDesign::StrandWeaver.memory_model());
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (mut img, _) = crash_image(&ctx, &base, HwDesign::StrandWeaver, &mut rng);
+        let (mut img, _) = crash_image(&pmo, &base, &mut rng);
         let class = FaultClass::ALL[class_idx];
         let injected = FaultInjector::new(FaultPlan::single(class), seed ^ 0xabcd)
             .inject(&mut img, &layout);
