@@ -113,8 +113,8 @@ echo "== campaign goldens byte-identical to committed outputs =="
 # engine serves crash, faults, chaos and serve, so a refactor of it must
 # not move a byte; expected/ holds the committed outputs (regenerate with
 # the same command + redirect if a change is ever intended, and say so in
-# the PR). tests/campaign_goldens.rs rebuilds all but serve_sweep through
-# the library.
+# the PR). tests/campaign_goldens.rs rebuilds every one through the
+# library.
 golden() {
   local name=$1; shift
   diff "expected/$name.json" <("$SWCTL" "$@") \

@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks for the reproduction's hot paths: PMO
-//! computation, crash-state sampling, the acceptance-order check against
-//! the PMO, undo-log appends, litmus evaluation, and a small end-to-end
-//! simulation.
+//! computation (a small program and a campaign's driven run), crash-state
+//! sampling, recovery of a campaign crash image, the acceptance-order check
+//! against the PMO, undo-log appends, litmus evaluation, and a small
+//! end-to-end simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use strandweaver::experiment::{order_extends_pmo, Experiment, ProbeOracle};
+use strandweaver::lang::harness::crash_image;
+use strandweaver::lang::recovery::{recover_with_policy, RecoveryPolicy};
 use strandweaver::lang::{FuncCtx, LangModel, RuntimeConfig, ThreadRuntime};
 use strandweaver::model::isa::LockId;
 use strandweaver::model::{crash, litmus, MemoryModel, OpKind, Pmo, Program};
@@ -52,6 +55,31 @@ fn bench_order_check(c: &mut Criterion) {
     ));
     c.bench_function("order_extends_pmo_probe", |b| {
         b.iter(|| order_extends_pmo(oracle.pmo(), oracle.clean_order()).unwrap())
+    });
+}
+
+/// The two per-round costs of a crash campaign, on the run the crash and
+/// fault campaigns drive: one seeded queue txn × strandweaver run at 8
+/// threads × 240 regions × 4 ops. `recover_campaign_image` clones one
+/// crash image and runs `Strict` recovery on it; `pmo_compute_driven_run`
+/// computes the run's PMO.
+fn bench_campaign_run(c: &mut Criterion) {
+    let (_, out, pmo) = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
+        .threads(8)
+        .total_regions(240)
+        .ops_per_region(4)
+        .seed(42)
+        .drive();
+    let (img, _) = crash_image(&pmo, &out.baseline, &mut SmallRng::seed_from_u64(42));
+    c.bench_function("recover_campaign_image", |b| {
+        b.iter(|| {
+            let mut img = img.clone();
+            recover_with_policy(&mut img, &out.layout, RecoveryPolicy::Strict).unwrap()
+        })
+    });
+    let exec = out.ctx.execution();
+    c.bench_function("pmo_compute_driven_run", |b| {
+        b.iter(|| Pmo::compute(&exec, MemoryModel::StrandWeaver))
     });
 }
 
@@ -107,6 +135,7 @@ criterion_group!(
     bench_pmo,
     bench_crash_sampling,
     bench_order_check,
+    bench_campaign_run,
     bench_log_append,
     bench_litmus,
     bench_small_simulation

@@ -68,7 +68,7 @@ use rand::{Rng, SeedableRng};
 use sw_lang::log::W_CHECKSUM;
 use sw_lang::{classify_slot, SlotState};
 use sw_pmem::{
-    classify_heap_slot, Addr, HeapSlotState, PmImage, PmLayout, CACHE_LINE_BYTES,
+    classify_heap_slot, Addr, HeapSlotState, LineAddr, PmImage, PmLayout, CACHE_LINE_BYTES,
     HEAP_JOURNAL_SLOTS, HW_CHECKSUM,
 };
 use sw_trace::TraceEvent;
@@ -245,6 +245,8 @@ trait Slot: Copy {
     fn classify(img: &PmImage, base: Addr) -> Self;
     /// `true` for the states recovery must notice.
     fn damaged(self) -> bool;
+    /// `true` for a checksum-valid slot: the only kind the injector damages.
+    fn published(self) -> bool;
 }
 
 impl Slot for SlotState {
@@ -254,6 +256,9 @@ impl Slot for SlotState {
     }
     fn damaged(self) -> bool {
         self.is_damaged()
+    }
+    fn published(self) -> bool {
+        matches!(self, SlotState::Valid(_))
     }
 }
 
@@ -267,6 +272,9 @@ impl Slot for HeapSlotState {
             self,
             HeapSlotState::Torn | HeapSlotState::Corrupt | HeapSlotState::Poisoned
         )
+    }
+    fn published(self) -> bool {
+        matches!(self, HeapSlotState::Valid(_))
     }
 }
 
@@ -373,32 +381,39 @@ impl FaultInjector {
 /// Enumerates the published (checksum-valid) allocator-journal slots of
 /// every heap pool.
 fn valid_heap_slots(img: &PmImage, layout: &PmLayout) -> Vec<(usize, u64, Addr)> {
-    let mut out = Vec::new();
-    for pool in 0..layout.heap_pools() {
-        for slot in 0..HEAP_JOURNAL_SLOTS {
-            let base = layout.heap_journal_slot(pool, slot);
-            if matches!(classify_heap_slot(img, base), HeapSlotState::Valid(_)) {
-                out.push((pool, slot, base));
-            }
-        }
-    }
-    out
+    (0..layout.heap_pools())
+        .flat_map(|pool| {
+            let slot0 = layout.heap_journal_slot(pool, 0).line();
+            published::<HeapSlotState>(img, pool, slot0, 0..HEAP_JOURNAL_SLOTS)
+        })
+        .collect()
 }
 
 /// Enumerates the published (checksum-valid) log slots of every thread.
 fn valid_slots(img: &PmImage, layout: &PmLayout) -> Vec<(usize, u64, Addr)> {
-    let mut out = Vec::new();
-    for tid in 0..layout.threads() {
-        let region = layout.log_region(tid);
-        let lines = region.bytes / CACHE_LINE_BYTES;
-        for slot in 1..lines {
-            let base = Addr(region.base.raw() + slot * CACHE_LINE_BYTES);
-            if matches!(classify_slot(img, base), SlotState::Valid(_)) {
-                out.push((tid, slot, base));
-            }
-        }
-    }
-    out
+    (0..layout.threads())
+        .flat_map(|tid| {
+            let region = layout.log_region(tid);
+            let lines = region.bytes / CACHE_LINE_BYTES;
+            published::<SlotState>(img, tid, region.base.line(), 1..lines)
+        })
+        .collect()
+}
+
+/// The published slots among `slots` (slot `i` lives on line `slot0 + i`)
+/// of one thread's log or one pool's journal, as `(owner, slot, base)`.
+/// Only a written or poisoned line can hold a published slot, so only
+/// those lines are classified.
+fn published<'a, S: Slot + 'a>(
+    img: &'a PmImage,
+    owner: usize,
+    slot0: LineAddr,
+    slots: std::ops::Range<u64>,
+) -> impl Iterator<Item = (usize, u64, Addr)> + 'a {
+    let lines = LineAddr(slot0.0 + slots.start)..LineAddr(slot0.0 + slots.end);
+    img.occupied_lines(lines)
+        .filter(|line| S::classify(img, line.base()).published())
+        .map(move |line| (owner, line.0 - slot0.0, line.base()))
 }
 
 #[cfg(test)]
@@ -644,6 +659,109 @@ mod tests {
                     class: f.class.label(),
                 }
             );
+        }
+    }
+
+    /// The injector enumerates only written or poisoned slots; it must find
+    /// the same published slots as a walk over every slot.
+    mod enumeration {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Slots = Vec<(usize, u64, Addr)>;
+
+        /// The published log and journal slots, found by classifying every
+        /// slot of every log region and pool journal.
+        fn dense_published(img: &PmImage, layout: &PmLayout) -> (Slots, Slots) {
+            let mut log = Vec::new();
+            for tid in 0..layout.threads() {
+                let region = layout.log_region(tid);
+                for slot in 1..region.bytes / CACHE_LINE_BYTES {
+                    let base = Addr(region.base.raw() + slot * CACHE_LINE_BYTES);
+                    if matches!(classify_slot(img, base), SlotState::Valid(_)) {
+                        log.push((tid, slot, base));
+                    }
+                }
+            }
+            let mut heap = Vec::new();
+            for pool in 0..layout.heap_pools() {
+                for slot in 0..HEAP_JOURNAL_SLOTS {
+                    let base = layout.heap_journal_slot(pool, slot);
+                    if matches!(classify_heap_slot(img, base), HeapSlotState::Valid(_)) {
+                        heap.push((pool, slot, base));
+                    }
+                }
+            }
+            (log, heap)
+        }
+
+        /// A log slot: most land among the slots the run wrote, the rest
+        /// anywhere, at the first data slot, or in the last bitmap word of
+        /// the region's last page, which is partial for every region.
+        fn slot() -> impl Strategy<Value = u64> {
+            prop_oneof![3 => 0u64..48, 1 => 0u64..1500, 1 => 1440u64..1500, 1 => Just(1u64)]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Under `PmLayout::new(3, 1500)` log regions and pool journals
+            /// start mid-page and cross page boundaries. Each touch hits
+            /// log region `target` (0–2) or pool journal `target - 3`
+            /// (3–6; the slot scaled into the journal) with a word store
+            /// (often of zero), an all-zero line persist, poison, or a copy
+            /// of a published slot picked by `value` (which publishes the
+            /// target slot too).
+            #[test]
+            fn slot_enumeration_matches_a_dense_walk(
+                regions in prop::collection::vec((0usize..3, 1u64..4), 1..16),
+                touches in prop::collection::vec(
+                    (0usize..7, slot(), 0u64..4, 0usize..8, prop_oneof![Just(0u64), 1u64..u64::MAX]),
+                    0..32,
+                ),
+            ) {
+                let layout = PmLayout::new(3, 1500);
+                let mut ctx = FuncCtx::new(layout.clone(), 3);
+                ctx.heap().alloc_lines(2);
+                let mut rts: Vec<ThreadRuntime> = (0..3)
+                    .map(|t| {
+                        let cfg = RuntimeConfig::new(HwDesign::StrandWeaver, LangModel::Txn);
+                        ThreadRuntime::new(&layout, t, cfg)
+                    })
+                    .collect();
+                for (tid, lines) in regions {
+                    let rt = &mut rts[tid];
+                    rt.region_begin(&mut ctx, &[LockId(0)]);
+                    let a = rt.heap_alloc(&mut ctx, lines);
+                    rt.store(&mut ctx, a, lines);
+                    rt.region_end(&mut ctx);
+                }
+                ctx.mem_mut().persist_all();
+                let mut img = ctx.mem().persisted_image().clone();
+                for (target, slot, kind, word, value) in touches {
+                    let line = if target < 3 {
+                        LineAddr(layout.log_region(target).base.line().0 + slot)
+                    } else {
+                        layout.heap_journal_slot(target - 3, slot * HEAP_JOURNAL_SLOTS / 1500).line()
+                    };
+                    match kind {
+                        0 => img.store(line.word(word), value),
+                        1 => img.set_line_words(line, [0; 8]),
+                        2 => img.poison_line(line),
+                        _ => {
+                            let (log, heap) = dense_published(&img, &layout);
+                            let all: Vec<Addr> = log.iter().chain(&heap).map(|s| s.2).collect();
+                            if !all.is_empty() {
+                                let src = all[value as usize % all.len()].line();
+                                img.set_line_words(line, img.line_words(src));
+                            }
+                        }
+                    }
+                }
+                let (log, heap) = dense_published(&img, &layout);
+                prop_assert_eq!(valid_slots(&img, &layout), log);
+                prop_assert_eq!(valid_heap_slots(&img, &layout), heap);
+            }
         }
     }
 }

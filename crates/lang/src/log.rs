@@ -36,7 +36,7 @@
 //! thread as committed.
 
 use sw_model::isa::FenceKind;
-use sw_pmem::{record_checksum, Addr, PmImage, Region, CACHE_LINE_BYTES};
+use sw_pmem::{record_checksum, Addr, LineAddr, PmImage, Region, CACHE_LINE_BYTES};
 
 use crate::ctx::FuncCtx;
 use sw_model::HwDesign;
@@ -190,12 +190,10 @@ pub fn classify_slot(img: &PmImage, line_base: Addr) -> SlotState {
     if img.is_poisoned(line_base.line()) {
         return SlotState::Poisoned;
     }
-    let ty = img.load(line_base.offset_words(W_TYPE));
-    let addr = img.load(line_base.offset_words(W_ADDR));
-    let value = img.load(line_base.offset_words(W_VALUE));
-    let seq = img.load(line_base.offset_words(W_SEQ));
-    let aux = img.load(line_base.offset_words(W_AUX));
-    let checksum = img.load(line_base.offset_words(W_CHECKSUM));
+    let words = img.line_words(line_base.line());
+    let field = |w: u64| words[w as usize];
+    let (ty, addr, value) = (field(W_TYPE), field(W_ADDR), field(W_VALUE));
+    let (seq, aux, checksum) = (field(W_SEQ), field(W_AUX), field(W_CHECKSUM));
     let payload = [ty, addr, value, seq, aux];
     if checksum == 0 && payload == [0; 5] {
         return SlotState::Free;
@@ -252,15 +250,25 @@ impl DetailedScan {
     }
 }
 
-/// Classifies every slot of one thread's log region: the one log decoder
+/// Scans the data slots of one thread's log region: the one log decoder
 /// recovery runs. It reports *why* each undecodable slot failed, so
 /// recovery can distinguish benign tears from corruption.
+///
+/// Only the slots whose lines are written or poisoned
+/// ([`PmImage::occupied_lines`]) are classified, in slot order. Every
+/// other slot reads all-zero and unpoisoned, which [`classify_slot`] calls
+/// [`SlotState::Free`], so those are counted rather than visited: the
+/// result equals classifying every slot.
 pub fn scan_log_detailed(img: &PmImage, region: Region) -> DetailedScan {
-    let lines = region.bytes / CACHE_LINE_BYTES;
+    let header = region.base.line();
+    let slots = (region.bytes / CACHE_LINE_BYTES).saturating_sub(1);
+    let data = LineAddr(header.0 + 1)..LineAddr(header.0 + 1 + slots);
     let mut scan = DetailedScan::default();
-    for i in 1..lines {
-        let base = Addr(region.base.raw() + i * CACHE_LINE_BYTES);
-        match classify_slot(img, base) {
+    let mut visited = 0;
+    for line in img.occupied_lines(data) {
+        visited += 1;
+        let i = line.0 - header.0;
+        match classify_slot(img, line.base()) {
             SlotState::Free => scan.free += 1,
             SlotState::Invalidated => scan.invalidated += 1,
             SlotState::Valid(e) => scan.entries.push(e),
@@ -269,6 +277,7 @@ pub fn scan_log_detailed(img: &PmImage, region: Region) -> DetailedScan {
             SlotState::Poisoned => scan.poisoned.push(i),
         }
     }
+    scan.free += (slots - visited) as usize;
     scan
 }
 

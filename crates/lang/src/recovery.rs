@@ -22,9 +22,10 @@
 //!
 //! ## Fault awareness
 //!
-//! The scan classifies every log slot ([`crate::log::classify_slot`]) and
-//! reports damage in a [`FaultCounts`] taxonomy. [`recover_with_policy`]
-//! layers a [`RecoveryPolicy`] on top:
+//! The scan classifies the written or poisoned log slots
+//! ([`crate::log::classify_slot`]; every other slot reads all-zero and is
+//! free) and reports damage in a [`FaultCounts`] taxonomy.
+//! [`recover_with_policy`] layers a [`RecoveryPolicy`] on top:
 //!
 //! * `Strict` — fail fast (before mutating anything) on damage that cannot
 //!   occur in a natural crash state: corrupt slots and poisoned lines.

@@ -186,3 +186,112 @@ proptest! {
         }
     }
 }
+
+/// `scan_log_detailed` classifies only the written or poisoned slots of a
+/// log region and counts the rest as free; it must equal a scan that
+/// classifies every slot.
+mod sparse_scan {
+    use proptest::prelude::*;
+    use sw_lang::log::{EntryPayload, EntryType, UndoLog};
+    use sw_lang::{classify_slot, scan_log_detailed, DetailedScan, FuncCtx, HwDesign, SlotState};
+    use sw_pmem::{Addr, LineAddr, PmImage, PmLayout, Region, CACHE_LINE_BYTES, WORDS_PER_LINE};
+
+    /// Classifies every data slot of `region`: the reference the sparse
+    /// scan must equal.
+    fn dense_scan(img: &PmImage, region: Region) -> DetailedScan {
+        let mut scan = DetailedScan::default();
+        for i in 1..region.bytes / CACHE_LINE_BYTES {
+            match classify_slot(img, Addr(region.base.raw() + i * CACHE_LINE_BYTES)) {
+                SlotState::Free => scan.free += 1,
+                SlotState::Invalidated => scan.invalidated += 1,
+                SlotState::Valid(e) => scan.entries.push(e),
+                SlotState::Torn => scan.torn.push(i),
+                SlotState::Corrupt => scan.corrupt.push(i),
+                SlotState::Poisoned => scan.poisoned.push(i),
+            }
+        }
+        scan
+    }
+
+    /// One change to slot `slot` of thread `tid`'s log region after the
+    /// log was persisted.
+    #[derive(Debug, Clone)]
+    enum Touch {
+        /// One word store; the value is often zero.
+        Word {
+            tid: usize,
+            slot: u64,
+            word: usize,
+            value: u64,
+        },
+        /// A full-line persist of zeros, which drops the line again.
+        Clear { tid: usize, slot: u64 },
+        /// An uncorrectable media error, on a line written or not.
+        Poison { tid: usize, slot: u64 },
+    }
+
+    /// Most touches land among the appended entries; the rest anywhere in
+    /// the region, header included.
+    fn slot() -> impl Strategy<Value = u64> {
+        prop_oneof![3 => 0u64..48, 1 => 0u64..1500]
+    }
+
+    fn touch() -> impl Strategy<Value = Touch> {
+        let value = prop_oneof![Just(0u64), 1u64..u64::MAX];
+        prop_oneof![
+            (0usize..3, slot(), 0..WORDS_PER_LINE, value).prop_map(|(tid, slot, word, value)| {
+                Touch::Word {
+                    tid,
+                    slot,
+                    word,
+                    value,
+                }
+            }),
+            (0usize..3, slot()).prop_map(|(tid, slot)| Touch::Clear { tid, slot }),
+            (0usize..3, slot()).prop_map(|(tid, slot)| Touch::Poison { tid, slot }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under `PmLayout::new(3, 1500)` thread 1's region starts mid-page
+        /// and thread 2's crosses two page boundaries (1,024 lines each).
+        #[test]
+        fn sparse_log_scan_matches_a_dense_scan(
+            appends in prop::collection::vec((0usize..3, 1u64..1000, 0u64..3, any::<bool>()), 0..40),
+            touches in prop::collection::vec(touch(), 0..40),
+        ) {
+            let layout = PmLayout::new(3, 1500);
+            let mut ctx = FuncCtx::new(layout.clone(), 3);
+            let mut logs: Vec<UndoLog> =
+                (0..3).map(|t| UndoLog::new(layout.log_region(t), t)).collect();
+            for (tid, value, aux, commit) in appends {
+                let payload = EntryPayload {
+                    etype: EntryType::Store,
+                    addr: layout.heap_base().offset_words(value),
+                    value,
+                    aux,
+                };
+                logs[tid].append(&mut ctx, payload);
+                if commit {
+                    logs[tid].commit_all(&mut ctx, HwDesign::StrandWeaver);
+                }
+            }
+            ctx.mem_mut().persist_all();
+            let mut img = ctx.mem().persisted_image().clone();
+            let line = |tid: usize, slot: u64| LineAddr(layout.log_region(tid).base.line().0 + slot);
+            for t in touches {
+                match t {
+                    Touch::Word { tid, slot, word, value } => img.store(line(tid, slot).word(word), value),
+                    Touch::Clear { tid, slot } => img.set_line_words(line(tid, slot), [0; WORDS_PER_LINE]),
+                    Touch::Poison { tid, slot } => img.poison_line(line(tid, slot)),
+                }
+            }
+            for tid in 0..3 {
+                let region = layout.log_region(tid);
+                prop_assert_eq!(scan_log_detailed(&img, region), dense_scan(&img, region), "thread {}", tid);
+            }
+        }
+    }
+}

@@ -1,8 +1,6 @@
 //! Persist memory order (PMO) computation — Equations 1–4 of the paper.
 
-use std::collections::HashMap;
-
-use sw_pmem::Addr;
+use sw_pmem::{Addr, FastMap};
 
 use crate::exec::{Execution, OpRef};
 use crate::ops::{OpKind, ThreadId};
@@ -81,21 +79,27 @@ pub struct StoreInfo {
 /// the execution's stores whose transitive closure is the order
 /// (Equation 4).
 ///
-/// Only the direct edges are stored. Store ids follow the witnessed
-/// execution order and every edge points forward in it, so the relation is
-/// acyclic by construction and crash states are exactly the down-closed
-/// subsets of stores (see [`crate::crash`]); transitivity is answered on
-/// demand by [`ordered_before`](Pmo::ordered_before), a forward search over
-/// direct successors.
+/// Only the direct edges are stored, in compressed sparse row (CSR) form:
+/// store `b`'s predecessors are `pred_ids[pred_start[b]..pred_start[b + 1]]`,
+/// and likewise for successors. Store ids follow the witnessed execution
+/// order and every edge points forward in it, so the relation is acyclic
+/// by construction and crash states are exactly the down-closed subsets of
+/// stores (see [`crate::crash`]); transitivity is answered on demand by
+/// [`ordered_before`](Pmo::ordered_before), a forward search over direct
+/// successors.
 #[derive(Debug, Clone)]
 pub struct Pmo {
     stores: Vec<StoreInfo>,
-    /// Direct (non-transitive) successor lists, sorted.
-    succs: Vec<Vec<StoreId>>,
-    /// Direct predecessor lists, sorted.
-    preds: Vec<Vec<StoreId>>,
+    /// Row offsets into `succ_ids`, one per store plus an end marker.
+    succ_start: Vec<usize>,
+    /// Direct (non-transitive) successors, each row sorted.
+    succ_ids: Vec<StoreId>,
+    /// Row offsets into `pred_ids`, one per store plus an end marker.
+    pred_start: Vec<usize>,
+    /// Direct (non-transitive) predecessors, each row sorted.
+    pred_ids: Vec<StoreId>,
     /// Lookup from (thread, program index) to StoreId.
-    by_op: HashMap<(ThreadId, usize), StoreId>,
+    by_op: FastMap<(ThreadId, usize), StoreId>,
     model: MemoryModel,
 }
 
@@ -119,13 +123,22 @@ struct ThreadScan {
 
 impl Pmo {
     /// Computes the persist memory order of `exec` under `model`.
+    ///
+    /// One pass over the execution emits each store's predecessor row as
+    /// the store is met (edges come out grouped by target); only that short
+    /// row is sorted and deduplicated. Successor rows follow by a counting
+    /// transpose, which visits targets in ascending order and so leaves
+    /// every row sorted.
     pub fn compute(exec: &Execution, model: MemoryModel) -> Self {
         let mut stores: Vec<StoreInfo> = Vec::new();
-        let mut by_op = HashMap::new();
+        let mut by_op = FastMap::default();
         let mut scans: Vec<ThreadScan> = Vec::new();
-        let mut edges: Vec<(StoreId, StoreId)> = Vec::new();
+        let mut pred_start = vec![0];
+        let mut pred_ids: Vec<StoreId> = Vec::new();
+        // The predecessor row of the store being scanned.
+        let mut row: Vec<StoreId> = Vec::new();
         // Strong persist atomicity: last store to each word (Eq. 3).
-        let mut last_to_word: HashMap<Addr, StoreId> = HashMap::new();
+        let mut last_to_word: FastMap<Addr, StoreId> = FastMap::default();
         // Strict persistency: previous store in global visibility order.
         let mut prev_global: Option<StoreId> = None;
 
@@ -146,33 +159,33 @@ impl Pmo {
                         strand: scan.strand,
                     });
                     by_op.insert((op_ref.thread, op_ref.index), id);
+                    row.clear();
 
                     // Eq. 1: persist-barrier frontier (per model).
                     if model == MemoryModel::StrandWeaver {
-                        for &p in &scan.pb_frontier {
-                            edges.push((p, id));
-                        }
+                        row.extend_from_slice(&scan.pb_frontier);
                         scan.since_pb.push(id);
                     }
                     // Eq. 2 (and epoch models): full-thread barrier frontier.
-                    for &p in &scan.js_frontier {
-                        edges.push((p, id));
-                    }
+                    row.extend_from_slice(&scan.js_frontier);
                     scan.since_js.push(id);
 
                     // Eq. 3: strong persist atomicity, word-granular.
-                    if let Some(&prev) = last_to_word.get(&addr) {
-                        edges.push((prev, id));
-                    }
-                    last_to_word.insert(addr, id);
+                    row.extend(last_to_word.insert(addr, id));
 
                     // Strict persistency: chain the global visibility order.
                     if model == MemoryModel::Strict {
-                        if let Some(prev) = prev_global {
-                            edges.push((prev, id));
-                        }
+                        row.extend(prev_global);
                         prev_global = Some(id);
                     }
+
+                    // A store can be a predecessor by two rules (an SPA
+                    // predecessor that also sits in a frontier).
+                    row.sort_unstable();
+                    row.dedup();
+                    debug_assert!(row.iter().all(|&a| a < id && stores[a.0].exec_pos < pos));
+                    pred_ids.extend_from_slice(&row);
+                    pred_start.push(pred_ids.len());
                 }
                 OpKind::PersistBarrier
                     if model == MemoryModel::StrandWeaver && !scan.since_pb.is_empty() =>
@@ -200,21 +213,32 @@ impl Pmo {
             }
         }
 
+        // Counting transpose: count each source's out-degree, prefix-sum
+        // the counts into row offsets, then place targets in ascending
+        // order.
         let n = stores.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        edges.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-        edges.dedup();
-        for (a, b) in edges {
-            debug_assert!(a < b && stores[a.0].exec_pos < stores[b.0].exec_pos);
-            succs[a.0].push(b);
-            preds[b.0].push(a);
+        let mut succ_start = vec![0; n + 1];
+        for &a in &pred_ids {
+            succ_start[a.0 + 1] += 1;
+        }
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut fill = succ_start[..n].to_vec();
+        let mut succ_ids = vec![StoreId(0); pred_ids.len()];
+        for b in 0..n {
+            for &a in &pred_ids[pred_start[b]..pred_start[b + 1]] {
+                succ_ids[fill[a.0]] = StoreId(b);
+                fill[a.0] += 1;
+            }
         }
 
         Self {
             stores,
-            succs,
-            preds,
+            succ_start,
+            succ_ids,
+            pred_start,
+            pred_ids,
             by_op,
             model,
         }
@@ -271,7 +295,7 @@ impl Pmo {
         let mut seen = vec![false; b.0 - a.0];
         let mut stack = vec![a];
         while let Some(s) = stack.pop() {
-            for &t in self.succs[s.0].iter().take_while(|&&t| t <= b) {
+            for &t in self.direct_successors(s).iter().take_while(|&&t| t <= b) {
                 if t == b {
                     return true;
                 }
@@ -289,7 +313,7 @@ impl Pmo {
     ///
     /// Panics if `a` is out of range.
     pub fn direct_successors(&self, a: StoreId) -> &[StoreId] {
-        &self.succs[a.0]
+        &self.succ_ids[self.succ_start[a.0]..self.succ_start[a.0 + 1]]
     }
 
     /// Direct (non-transitive) predecessors of `a`.
@@ -298,12 +322,12 @@ impl Pmo {
     ///
     /// Panics if `a` is out of range.
     pub fn direct_predecessors(&self, a: StoreId) -> &[StoreId] {
-        &self.preds[a.0]
+        &self.pred_ids[self.pred_start[a.0]..self.pred_start[a.0 + 1]]
     }
 
     /// Total number of direct edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.pred_ids.len()
     }
 
     /// Checks that `order` (a sequence of distinct StoreIds covering all
@@ -320,14 +344,11 @@ impl Pmo {
             }
             pos[s.0] = i;
         }
-        for (a, succs) in self.succs.iter().enumerate() {
-            for &b in succs {
-                if pos[a] >= pos[b.0] {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..self.stores.len()).all(|a| {
+            self.direct_successors(StoreId(a))
+                .iter()
+                .all(|b| pos[a] < pos[b.0])
+        })
     }
 
     /// Checks that a set of stores (given as a boolean per store) is
@@ -335,16 +356,13 @@ impl Pmo {
     /// ordered before `b` is too.
     pub fn is_down_closed(&self, in_set: &[bool]) -> bool {
         assert_eq!(in_set.len(), self.stores.len());
-        for (b, &present) in in_set.iter().enumerate() {
-            if present {
-                for &a in &self.preds[b] {
-                    if !in_set[a.0] {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        in_set.iter().enumerate().all(|(b, &present)| {
+            !present
+                || self
+                    .direct_predecessors(StoreId(b))
+                    .iter()
+                    .all(|a| in_set[a.0])
+        })
     }
 }
 

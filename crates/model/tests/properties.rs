@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sw_model::{crash, random_interleaving, MemoryModel, OpKind, Pmo, Program, StoreId};
+use std::collections::HashMap;
+
+use sw_model::{crash, random_interleaving, Execution, MemoryModel, OpKind, Pmo, Program, StoreId};
 use sw_pmem::Addr;
 
 /// A random operation over a small address pool.
@@ -238,5 +240,124 @@ proptest! {
             fenced_states.is_subset(&base),
             "a fence created a new reachable state"
         );
+    }
+}
+
+/// The reference for `Pmo::compute`'s CSR rows: the direct edges of `exec`
+/// under `model`, every edge of Eq. 1–3 (and Strict's chain) collected
+/// into one list, then one global sort and dedup. Returns the deduplicated
+/// list and the raw edge count.
+fn reference_edges(exec: &Execution, model: MemoryModel) -> (Vec<(usize, usize)>, usize) {
+    #[derive(Default, Clone)]
+    struct Scan {
+        pb_frontier: Vec<usize>,
+        since_pb: Vec<usize>,
+        js_frontier: Vec<usize>,
+        since_js: Vec<usize>,
+    }
+    let full_barrier = |kind: OpKind| match model {
+        MemoryModel::IntelX86 => kind == OpKind::Sfence,
+        MemoryModel::Hops => matches!(kind, OpKind::Ofence | OpKind::Dfence),
+        MemoryModel::StrandWeaver => kind == OpKind::JoinStrand,
+        MemoryModel::NonAtomic | MemoryModel::Strict => false,
+    };
+    let sw = model == MemoryModel::StrandWeaver;
+    let mut scans: Vec<Scan> = Vec::new();
+    let mut edges = Vec::new();
+    let mut last_to_word: HashMap<Addr, usize> = HashMap::new();
+    let mut prev_global = None;
+    let mut stores = 0;
+    for (_, op, kind) in exec.iter() {
+        let tid = op.thread.0;
+        if scans.len() <= tid {
+            scans.resize(tid + 1, Scan::default());
+        }
+        let scan = &mut scans[tid];
+        match kind {
+            OpKind::Store { addr, .. } => {
+                let id = stores;
+                stores += 1;
+                if sw {
+                    edges.extend(scan.pb_frontier.iter().map(|&p| (p, id)));
+                    scan.since_pb.push(id);
+                }
+                edges.extend(scan.js_frontier.iter().map(|&p| (p, id)));
+                scan.since_js.push(id);
+                if let Some(prev) = last_to_word.insert(addr, id) {
+                    edges.push((prev, id));
+                }
+                if model == MemoryModel::Strict {
+                    edges.extend(prev_global.map(|p| (p, id)));
+                    prev_global = Some(id);
+                }
+            }
+            OpKind::PersistBarrier if sw && !scan.since_pb.is_empty() => {
+                scan.pb_frontier = std::mem::take(&mut scan.since_pb);
+            }
+            OpKind::NewStrand if sw => {
+                scan.pb_frontier.clear();
+                scan.since_pb.clear();
+            }
+            kind if full_barrier(kind) => {
+                if !scan.since_js.is_empty() {
+                    scan.js_frontier = std::mem::take(&mut scan.since_js);
+                }
+                if sw {
+                    scan.pb_frontier.clear();
+                    scan.since_pb.clear();
+                }
+            }
+            _ => {}
+        }
+    }
+    let raw = edges.len();
+    edges.sort_unstable();
+    edges.dedup();
+    (edges, raw)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The CSR rows equal the reference's (one global sort and dedup of
+    /// every edge) on random multi-threaded programs under every model. Thread 0 ends by storing word X, passing every model's
+    /// barriers, and storing X again: under the three models with barrier
+    /// frontiers the second store's SPA predecessor also sits in its PB or
+    /// JoinStrand frontier, so the edge is emitted twice and must come out
+    /// once. (Under Strict it doubles whenever no other store intervenes.)
+    #[test]
+    fn csr_rows_match_a_global_sort_of_every_edge(p in arb_program(3, 14), seed in 0u64..1000) {
+        let mut p = p;
+        let x = Addr(0x1000_0000 + 9 * 64);
+        for op in [
+            OpKind::store(x, 7),
+            OpKind::PersistBarrier,
+            OpKind::JoinStrand,
+            OpKind::Sfence,
+            OpKind::Ofence,
+            OpKind::store(x, 8),
+        ] {
+            p.push(0, op);
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let exec = random_interleaving(&p, &mut rng);
+        for model in MemoryModel::ALL {
+            let pmo = Pmo::compute(&exec, model);
+            let (edges, raw) = reference_edges(&exec, model);
+            let frontier_model = !matches!(model, MemoryModel::NonAtomic | MemoryModel::Strict);
+            if frontier_model {
+                prop_assert!(raw > edges.len(), "{model:?}: no duplicate edge was emitted");
+            }
+            prop_assert_eq!(pmo.num_edges(), edges.len(), "{:?}", model);
+            let n = pmo.num_stores();
+            for s in 0..n {
+                let preds: Vec<StoreId> =
+                    edges.iter().filter(|e| e.1 == s).map(|e| StoreId(e.0)).collect();
+                let succs: Vec<StoreId> =
+                    edges.iter().filter(|e| e.0 == s).map(|e| StoreId(e.1)).collect();
+                prop_assert_eq!(pmo.direct_predecessors(StoreId(s)), &preds[..], "{:?} preds of {}", model, s);
+                prop_assert_eq!(pmo.direct_successors(StoreId(s)), &succs[..], "{:?} succs of {}", model, s);
+            }
+        }
     }
 }

@@ -46,7 +46,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::addr::{Addr, CACHE_LINE_BYTES, WORDS_PER_LINE};
+use crate::addr::{Addr, LineAddr, CACHE_LINE_BYTES, WORDS_PER_LINE};
 use crate::image::PmImage;
 use crate::layout::PmLayout;
 
@@ -203,8 +203,8 @@ pub fn classify_heap_slot(img: &PmImage, base: Addr) -> HeapSlotState {
     if img.is_poisoned(base.line()) {
         return HeapSlotState::Poisoned;
     }
-    let w: Vec<u64> = (0..8).map(|i| img.load(base.offset_words(i))).collect();
-    if w.iter().all(|&v| v == 0) {
+    let w = img.line_words(base.line());
+    if w == [0; WORDS_PER_LINE] {
         return HeapSlotState::Free;
     }
     let payload = [w[0], w[1], w[2], w[3], w[4], w[5]];
@@ -471,7 +471,9 @@ impl PoolScan {
 }
 
 /// Scans pool `pool`'s PM metadata: header, both checkpoint tables, and
-/// every journal slot. Read-only; never mutates the image.
+/// the journal. Only written or poisoned journal slots are classified;
+/// every other slot reads all-zero and is `Free`. Read-only; never mutates
+/// the image.
 pub fn scan_pool(img: &PmImage, layout: &PmLayout, pool: usize) -> PoolScan {
     let mut scan = PoolScan {
         pool,
@@ -528,9 +530,11 @@ pub fn scan_pool(img: &PmImage, layout: &PmLayout, pool: usize) -> PoolScan {
         scan.epoch = epoch;
         scan.base_blocks = blocks;
     }
-    for slot in 0..HEAP_JOURNAL_SLOTS {
-        let base = layout.heap_journal_slot(pool, slot);
-        let state = classify_heap_slot(img, base);
+    let first = layout.heap_journal_slot(pool, 0).line();
+    let journal = first..LineAddr(first.0 + HEAP_JOURNAL_SLOTS);
+    for line in img.occupied_lines(journal) {
+        let slot = line.0 - first.0;
+        let state = classify_heap_slot(img, line.base());
         if state != HeapSlotState::Free {
             scan.high_slot = slot + 1;
         }
@@ -548,7 +552,7 @@ pub fn scan_pool(img: &PmImage, layout: &PmLayout, pool: usize) -> PoolScan {
             HeapSlotState::Corrupt => scan.faults.push(HeapFault::CorruptRecord { pool, slot }),
             HeapSlotState::Poisoned => scan.faults.push(HeapFault::Poisoned {
                 pool,
-                line: base.line().raw(),
+                line: line.raw(),
             }),
         }
     }
@@ -946,25 +950,19 @@ impl HeapRecovery {
     }
 }
 
-/// Scans and rebuilds every pool of `img`, pools in parallel (each pool
-/// is independently recoverable; the scans never mutate the image).
+/// Scans and rebuilds every pool of `img`, one pool after another. Each
+/// pool is independently recoverable and its metadata is a fixed
+/// [`HEAP_META_LINES`] lines, so a scan costs less than spawning a thread
+/// for it would.
 pub fn recover_heap(img: &PmImage, layout: &PmLayout) -> HeapRecovery {
     let pools = layout.heap_pools();
-    let scans: Vec<PoolScan> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..pools)
-            .map(|p| s.spawn(move || scan_pool(img, layout, p)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool scan"))
-            .collect()
-    });
     let mut out = HeapRecovery {
         pools: Vec::with_capacity(pools),
-        scans: Vec::new(),
+        scans: Vec::with_capacity(pools),
         faults: Vec::new(),
     };
-    for (p, scan) in scans.into_iter().enumerate() {
+    for p in 0..pools {
+        let scan = scan_pool(img, layout, p);
         out.faults.extend(scan.faults.iter().copied());
         if scan.has_fatal() {
             out.pools.push(None);
@@ -1194,7 +1192,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_heap_is_parallel_safe_and_deterministic() {
+    fn recover_heap_is_deterministic() {
         let layout = PmLayout::new(2, 64);
         let mut img = PmImage::new();
         for p in 0..layout.heap_pools() {

@@ -1,5 +1,7 @@
 //! Durable PM contents at word granularity.
 
+use std::ops::Range;
+
 use crate::addr::{Addr, LineAddr, WORDS_PER_LINE};
 use crate::hash::{FastMap, FastSet};
 
@@ -74,6 +76,26 @@ impl Page {
     #[inline]
     fn line(&self, slot: usize) -> &[u64] {
         &self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE]
+    }
+
+    /// The slots in `lo..hi` whose presence bit is set, ascending.
+    fn present(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+            let mut bits = self.written[w];
+            if w == lo / 64 {
+                bits &= !0u64 << (lo % 64);
+            }
+            if w == hi / 64 {
+                bits &= (1u64 << (hi % 64)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -215,7 +237,62 @@ impl PmImage {
         }
     }
 
-    /// Returns an iterator over all lines that have ever been written.
+    /// Reads the words of `line` with one page probe. Unwritten memory
+    /// reads as zero; like [`PmImage::load`], this ignores poison.
+    pub fn line_words(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
+        let (page, slot) = split(line);
+        let mut words = [0; WORDS_PER_LINE];
+        if let Some(p) = self.pages.get(&page) {
+            words.copy_from_slice(p.line(slot));
+        }
+        words
+    }
+
+    /// The lines of `range` that are written or poisoned, in ascending
+    /// order. Every other line of the range reads as zero and is not
+    /// poisoned, so a scan that classifies these lines and counts the rest
+    /// as blank sees the same image as one that visits every line. Absent
+    /// pages are skipped without a visit.
+    pub fn occupied_lines(&self, range: Range<LineAddr>) -> impl Iterator<Item = LineAddr> + '_ {
+        let (start, end) = (range.start.0, range.end.0.max(range.start.0));
+        let mut written = (start / LINES_PER_PAGE..end.div_ceil(LINES_PER_PAGE))
+            .filter_map(move |page| self.pages.get(&page).map(|p| (page, p)))
+            .flat_map(move |(page, p)| {
+                let base = page * LINES_PER_PAGE;
+                let lo = start.max(base) - base;
+                let hi = end.min(base + LINES_PER_PAGE) - base;
+                p.present(lo as usize, hi as usize)
+                    .map(move |slot| base + slot as u64)
+            })
+            .peekable();
+        let mut poisoned: Vec<u64> = self
+            .poisoned
+            .iter()
+            .map(|l| l.0)
+            .filter(|l| (start..end).contains(l))
+            .collect();
+        poisoned.sort_unstable();
+        let mut poisoned = poisoned.into_iter().peekable();
+        // Merge the two ascending streams; a written, poisoned line comes
+        // out once.
+        std::iter::from_fn(move || {
+            let next = match (written.peek().copied(), poisoned.peek().copied()) {
+                (Some(w), Some(p)) if p < w => poisoned.next(),
+                (Some(w), Some(p)) if p == w => {
+                    poisoned.next();
+                    written.next()
+                }
+                (Some(_), _) => written.next(),
+                (None, _) => poisoned.next(),
+            };
+            next.map(LineAddr)
+        })
+    }
+
+    /// Returns an iterator over the lines currently counted as written: a
+    /// line drops out again when a full-line persist clears it to zero
+    /// ([`PmImage::absorb_line`] of an unwritten line, or
+    /// [`PmImage::set_line_words`] with all-zero words).
     pub fn written_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.pages.iter().flat_map(|(&page, p)| {
             (0..LINES_PER_PAGE as usize)
@@ -392,6 +469,43 @@ mod tests {
         img.set_line_words(LineAddr(0), [0; WORDS_PER_LINE]);
         assert_eq!(img.line_count(), 0);
         assert_eq!(img.load(Addr(0)), 0);
+    }
+
+    #[test]
+    fn line_words_reads_a_whole_line() {
+        let mut img = PmImage::new();
+        img.store(LineAddr(9).word(2), 5);
+        img.store(LineAddr(9).word(7), 6);
+        assert_eq!(img.line_words(LineAddr(9)), [0, 0, 5, 0, 0, 0, 0, 6]);
+        assert_eq!(img.line_words(LineAddr(10)), [0; WORDS_PER_LINE]);
+        assert_eq!(
+            img.line_words(LineAddr(7 * LINES_PER_PAGE)),
+            [0; WORDS_PER_LINE]
+        );
+    }
+
+    #[test]
+    fn occupied_lines_merge_written_and_poisoned_lines_in_order() {
+        let mut img = PmImage::new();
+        let page = LINES_PER_PAGE;
+        img.store(LineAddr(page - 1).word(0), 0); // zero-valued store
+        img.store(LineAddr(page + 64).word(3), 1);
+        img.store(LineAddr(page + 65).word(0), 1);
+        img.set_line_words(LineAddr(page + 65), [0; WORDS_PER_LINE]); // cleared
+        img.poison_line(LineAddr(page + 64)); // written and poisoned
+        img.poison_line(LineAddr(3 * page + 5)); // poisoned, never written
+        img.store(LineAddr(5 * page).word(0), 2);
+        let all: Vec<u64> = img
+            .occupied_lines(LineAddr(page - 1)..LineAddr(5 * page))
+            .map(LineAddr::raw)
+            .collect();
+        assert_eq!(all, vec![page - 1, page + 64, 3 * page + 5]);
+        let tail: Vec<u64> = img
+            .occupied_lines(LineAddr(page + 65)..LineAddr(5 * page + 1))
+            .map(LineAddr::raw)
+            .collect();
+        assert_eq!(tail, vec![3 * page + 5, 5 * page]);
+        assert_eq!(img.occupied_lines(LineAddr(9)..LineAddr(3)).count(), 0);
     }
 
     #[test]

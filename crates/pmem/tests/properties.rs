@@ -262,3 +262,150 @@ mod heap {
         }
     }
 }
+
+/// The sparse line walk ([`sw_pmem::PmImage::occupied_lines`]) and the scans
+/// built on it must see exactly what a dense walk over every line sees, on
+/// images holding written lines, zero-valued stores, lines cleared by an
+/// all-zero `set_line_words`, and lines poisoned without ever being written.
+mod sparse {
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use sw_pmem::{
+        classify_heap_slot, encode_heap_record, scan_pool, BlockKind, HeapFault, HeapSlotState,
+        LineAddr, PmImage, PmLayout, PoolScan, HEAP_JOURNAL_SLOTS, HEAP_MAGIC, WORDS_PER_LINE,
+    };
+
+    /// One change to one line of an image.
+    #[derive(Debug, Clone)]
+    enum Touch {
+        /// A checksum-valid allocator record of `epoch`.
+        Record { line: u64, epoch: u64, seq: u64 },
+        /// One word store; the value is often zero.
+        Word { line: u64, word: u64, value: u64 },
+        /// A full-line persist of zeros, which drops the line again.
+        Clear { line: u64 },
+        /// An uncorrectable media error, on a line written or not.
+        Poison { line: u64 },
+    }
+
+    fn touch(lines: u64) -> impl Strategy<Value = Touch> {
+        let value = prop_oneof![Just(0u64), 1u64..u64::MAX];
+        prop_oneof![
+            (0..lines, 0u64..2, 0u64..64).prop_map(|(line, epoch, seq)| Touch::Record {
+                line,
+                epoch,
+                seq
+            }),
+            (0..lines, 0u64..WORDS_PER_LINE as u64, value)
+                .prop_map(|(line, word, value)| Touch::Word { line, word, value }),
+            (0..lines).prop_map(|line| Touch::Clear { line }),
+            (0..lines).prop_map(|line| Touch::Poison { line }),
+        ]
+    }
+
+    /// Applies `touches` to the lines `first + touch.line`.
+    fn apply(img: &mut PmImage, first: LineAddr, touches: &[Touch]) {
+        let at = |line: u64| LineAddr(first.0 + line);
+        for t in touches {
+            match *t {
+                Touch::Record { line, epoch, seq } => {
+                    let words = encode_heap_record(true, seq, 1, seq, epoch, BlockKind::Dynamic);
+                    img.set_line_words(at(line), words);
+                }
+                Touch::Word { line, word, value } => img.store(at(line).word(word as usize), value),
+                Touch::Clear { line } => img.set_line_words(at(line), [0; WORDS_PER_LINE]),
+                Touch::Poison { line } => img.poison_line(at(line)),
+            }
+        }
+    }
+
+    /// The journal part of `scan_pool`, visiting every slot (the pool has
+    /// no published table, so the active epoch is 0).
+    fn dense_journal(img: &PmImage, layout: &PmLayout, pool: usize) -> PoolScan {
+        let mut scan = PoolScan {
+            pool,
+            formatted: true,
+            epoch: 0,
+            base_blocks: Vec::new(),
+            records: Vec::new(),
+            stale_records: 0,
+            high_slot: 0,
+            faults: Vec::new(),
+        };
+        for slot in 0..HEAP_JOURNAL_SLOTS {
+            let base = layout.heap_journal_slot(pool, slot);
+            let state = classify_heap_slot(img, base);
+            if state != HeapSlotState::Free {
+                scan.high_slot = slot + 1;
+            }
+            match state {
+                HeapSlotState::Free => {}
+                HeapSlotState::Valid(mut r) if r.epoch == 0 => {
+                    r.slot = slot;
+                    scan.records.push(r);
+                }
+                HeapSlotState::Valid(_) => scan.stale_records += 1,
+                HeapSlotState::Torn => scan.faults.push(HeapFault::TornRecord { pool, slot }),
+                HeapSlotState::Corrupt => scan.faults.push(HeapFault::CorruptRecord { pool, slot }),
+                HeapSlotState::Poisoned => scan.faults.push(HeapFault::Poisoned {
+                    pool,
+                    line: base.line().raw(),
+                }),
+            }
+        }
+        scan.records.sort_by_key(|r| r.seq);
+        scan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `occupied_lines` yields, in ascending order, exactly the lines
+        /// of the range that are written or poisoned; every other line
+        /// reads zero. `line_words` agrees with word loads everywhere.
+        /// The window straddles two page boundaries (1,024 lines each).
+        #[test]
+        fn occupied_lines_match_a_dense_walk(
+            touches in prop::collection::vec(touch(2600), 0..80),
+            lo in 0u64..2600,
+            len in 0u64..2600,
+        ) {
+            let first = LineAddr(3 * 1024 - 300);
+            let mut img = PmImage::new();
+            apply(&mut img, first, &touches);
+            let written: HashSet<LineAddr> = img.written_lines().collect();
+            let range = LineAddr(first.0 + lo)..LineAddr(first.0 + (lo + len).min(2600));
+            let dense: Vec<LineAddr> = (range.start.0..range.end.0)
+                .map(LineAddr)
+                .filter(|l| written.contains(l) || img.is_poisoned(*l))
+                .collect();
+            let sparse: Vec<LineAddr> = img.occupied_lines(range.clone()).collect();
+            prop_assert_eq!(&sparse, &dense);
+            for l in (range.start.0..range.end.0).map(LineAddr) {
+                let loads: Vec<u64> = (0..WORDS_PER_LINE).map(|w| img.load(l.word(w))).collect();
+                prop_assert_eq!(img.line_words(l).to_vec(), loads.clone());
+                if !dense.contains(&l) {
+                    prop_assert!(loads.iter().all(|&v| v == 0), "unoccupied line {l:?} reads nonzero");
+                }
+            }
+        }
+
+        /// `scan_pool` classifies only occupied journal slots, and equals a
+        /// scan that classifies all of them. Under `PmLayout::new(3, 1500)`
+        /// every pool's journal starts mid-page and crosses a page boundary.
+        #[test]
+        fn scan_pool_matches_a_dense_journal_scan(
+            pool in 0usize..4,
+            touches in prop::collection::vec(touch(HEAP_JOURNAL_SLOTS), 0..60),
+        ) {
+            let layout = PmLayout::new(3, 1500);
+            let first = layout.heap_journal_slot(pool, 0).line();
+            let last = layout.heap_journal_slot(pool, HEAP_JOURNAL_SLOTS - 1).line();
+            prop_assert!(first.0 / 1024 != last.0 / 1024, "the journal crosses a page");
+            let mut img = PmImage::new();
+            img.store(layout.pool_meta_base(pool), HEAP_MAGIC);
+            apply(&mut img, first, &touches);
+            prop_assert_eq!(scan_pool(&img, &layout, pool), dense_journal(&img, &layout, pool));
+        }
+    }
+}

@@ -1,8 +1,8 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
 //! under `expected/`, rebuilt through the library and compared byte for
-//! byte. `serve_sweep.json` is left to `ci.sh`, which diffs it against the
-//! release binary: a debug build takes 24–25 s to serve the sweep on a
-//! 2-vCPU host.
+//! byte. `ci.sh` also diffs each against the release binary's output. The
+//! largest, `serve_sweep.json` (57 serving cells), takes 3–5 s in a debug
+//! build on a 2-vCPU host.
 //!
 //! Each golden names the `swctl` command that printed it (see `ci.sh`).
 
@@ -86,14 +86,31 @@ fn chaos_campaigns_match_their_goldens() {
     golden("chaos_sweep", chaos_sweep(&chaos, 2).unwrap().to_json());
 }
 
+/// The serving config `swctl serve <bench> --threads 2 --regions 24 --ops 2
+/// --seed 1234` builds (txn on strandweaver, the defaults).
+fn serve_cell(bench: BenchmarkId) -> ServeConfig {
+    let mut cfg = ServeConfig::new(bench, LangModel::Txn, HwDesign::StrandWeaver).seed(1234);
+    cfg.threads = 2;
+    cfg.regions = 24;
+    cfg.ops = 2;
+    cfg
+}
+
 #[test]
 fn serve_cell_matches_its_golden() {
     // `serve queue --lang txn --design strandweaver --threads 2 --regions
     // 24 --ops 2 --seed 1234`.
-    let mut cfg =
-        ServeConfig::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver).seed(1234);
-    cfg.threads = 2;
-    cfg.regions = 24;
-    cfg.ops = 2;
+    let cfg = serve_cell(BenchmarkId::Queue);
     golden("serve", sw_serve::serve_report(&cfg).unwrap().to_json());
+}
+
+#[test]
+fn serve_sweep_matches_its_golden() {
+    // `serve nstore-bal --sweep --threads 2 --regions 24 --ops 2 --seed
+    // 1234`.
+    let cfg = serve_cell(BenchmarkId::NStoreBal);
+    golden(
+        "serve_sweep",
+        sw_serve::serve_sweep(&cfg).unwrap().to_json(),
+    );
 }
