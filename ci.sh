@@ -47,55 +47,6 @@ for design in $designs; do
 done
 echo "compatibility matrix ok"
 
-echo "== swctl faults (fixed-seed injection smoke) =="
-# Deterministic campaign: every injected fault (including the bitflip
-# class — checksum corruption) must be detected at its exact location,
-# and any Strict rejection of an uninjected control image would fail the
-# whole campaign (zero false positives).
-faults_out=$("$SWCTL" faults queue --lang txn --design strandweaver \
-  --threads 2 --regions 16 --ops 2 --rounds 9 --seed 42 --json)
-if ! grep -q '"fully_detected":true' <<<"$faults_out"; then
-  echo "ci: fault campaign missed an injection: $faults_out" >&2
-  exit 1
-fi
-if ! grep -q '"class":"bitflip","injected":3,"detected":3' <<<"$faults_out"; then
-  echo "ci: bitflip (checksum corruption) tally unexpected: $faults_out" >&2
-  exit 1
-fi
-echo "fault smoke ok"
-
-echo "== swctl faults --heap (allocator-metadata injection smoke) =="
-# Same classes aimed at the allocator's journal slots: tears must stay
-# benign, corruption/poison must Strict-reject with exact (pool, slot)
-# location and Salvage-quarantine exactly the damaged pool.
-heap_faults_out=$("$SWCTL" faults queue --heap --lang txn --design strandweaver \
-  --threads 2 --regions 16 --ops 2 --rounds 9 --seed 42 --json)
-for probe in '"fully_detected":true' '"class":"bitflip","injected":3,"detected":3' \
-             '"alloc_faults.detected":9'; do
-  if ! grep -q "$probe" <<<"$heap_faults_out"; then
-    echo "ci: heap fault campaign: expected $probe in: $heap_faults_out" >&2
-    exit 1
-  fi
-done
-echo "heap fault smoke ok"
-
-echo "== swctl heap --verify (allocator crash/reclaim smoke) =="
-# Fixed-seed churn -> crash -> recover -> reclaim loop on the log-free
-# native model (eADR), where only the root sweep stands between a crash
-# and a leak: every rooted block must survive live (use-after-free
-# check), every unrooted dynamic block must be reclaimed, and a Strict
-# recovery of each un-injected crash image doubles as the false-positive
-# control. The seed is pinned so the leak count is a known quantity.
-heap_smoke_out=$("$SWCTL" heap hashmap --verify --lang native --design eadr \
-  --threads 2 --regions 40 --ops 2 --rounds 40 --seed 7 --json)
-for probe in '"zero_leaks":true' '"reclaimed_blocks":20' '"rounds":40'; do
-  if ! grep -q "$probe" <<<"$heap_smoke_out"; then
-    echo "ci: allocator smoke: expected $probe in: $heap_smoke_out" >&2
-    exit 1
-  fi
-done
-echo "allocator smoke ok (20 leaked blocks reclaimed, zero remain)"
-
 echo "== figures bit-identical to committed outputs =="
 # The allocator migration must not move a single byte of the paper
 # artifacts at the pinned CI scale; expected/ holds the committed
@@ -174,14 +125,60 @@ done
 rm -f "$trace_out"
 echo "trace goldens bit-identical"
 
+echo "== swctl faults (fixed-seed injection smoke) =="
+# Deterministic campaign: every injected fault (including the bitflip
+# class — checksum corruption) must be detected at its exact location,
+# and any Strict rejection of an uninjected control image would fail the
+# whole campaign (zero false positives). This stage and the four below
+# probe the goldens the campaign diffs above pinned to the live output.
+faults_out=$(<expected/faults.json)
+if ! grep -q '"fully_detected":true' <<<"$faults_out"; then
+  echo "ci: fault campaign missed an injection: $faults_out" >&2
+  exit 1
+fi
+if ! grep -q '"class":"bitflip","injected":3,"detected":3' <<<"$faults_out"; then
+  echo "ci: bitflip (checksum corruption) tally unexpected: $faults_out" >&2
+  exit 1
+fi
+echo "fault smoke ok"
+
+echo "== swctl faults --heap (allocator-metadata injection smoke) =="
+# Same classes aimed at the allocator's journal slots: tears must stay
+# benign, corruption/poison must Strict-reject with exact (pool, slot)
+# location and Salvage-quarantine exactly the damaged pool.
+heap_faults_out=$(<expected/faults_heap.json)
+for probe in '"fully_detected":true' '"class":"bitflip","injected":3,"detected":3' \
+             '"alloc_faults.detected":9'; do
+  if ! grep -q "$probe" <<<"$heap_faults_out"; then
+    echo "ci: heap fault campaign: expected $probe in: $heap_faults_out" >&2
+    exit 1
+  fi
+done
+echo "heap fault smoke ok"
+
+echo "== swctl heap --verify (allocator crash/reclaim smoke) =="
+# Fixed-seed churn -> crash -> recover -> reclaim loop on the log-free
+# native model (eADR), where only the root sweep stands between a crash
+# and a leak: every rooted block must survive live (use-after-free
+# check), every unrooted dynamic block must be reclaimed, and a Strict
+# recovery of each un-injected crash image doubles as the false-positive
+# control. The seed is pinned so the leak count is a known quantity.
+heap_smoke_out=$(<expected/heap_verify.json)
+for probe in '"zero_leaks":true' '"reclaimed_blocks":20' '"rounds":40'; do
+  if ! grep -q "$probe" <<<"$heap_smoke_out"; then
+    echo "ci: allocator smoke: expected $probe in: $heap_smoke_out" >&2
+    exit 1
+  fi
+done
+echo "allocator smoke ok (20 leaked blocks reclaimed, zero remain)"
+
 echo "== swctl chaos (fixed-seed online-fault smoke) =="
 # Deterministic online-fault campaign: every device-fault class must fire
 # (transient write failures, permanent media errors, read poison), at
 # least one retry must heal and one line must be remapped, both machine
 # checks must be delivered, and the persisted state must show zero silent
 # corruptions with every recovery leg reconverging.
-chaos_out=$("$SWCTL" chaos queue --lang txn --design strandweaver \
-  --threads 2 --regions 24 --ops 2 --rounds 3 --seed 1 --json)
+chaos_out=$(<expected/chaos.json)
 chaos_field() { sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p" <<<"$chaos_out"; }
 for k in faults.online.transient_failures faults.online.retries_succeeded \
          faults.online.permanent_errors faults.online.lines_remapped \
@@ -207,8 +204,7 @@ echo "== swctl serve (fixed-seed degraded-mode smoke) =="
 # over, every quarantine's crash/recover leg must reconverge with zero
 # silent corruptions, and the JSON must round-trip byte-identically
 # through the in-workspace parser.
-serve_out=$("$SWCTL" serve queue --lang txn --design strandweaver \
-  --threads 2 --regions 24 --ops 2 --seed 1234 --json)
+serve_out=$(<expected/serve.json)
 serve_field() { sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p" <<<"$serve_out"; }
 for k in breaker_trips failovers recovery_legs reconverged_salvage; do
   v=$(serve_field "$k")
@@ -221,7 +217,7 @@ if ! grep -q '"silent_corruptions":0' <<<"$serve_out"; then
   echo "ci: serve smoke: silent corruption reported: $serve_out" >&2
   exit 1
 fi
-printf '%s\n' "$serve_out" | target/debug/examples/serve_roundtrip
+target/debug/examples/serve_roundtrip <expected/serve.json
 echo "serve smoke ok"
 
 echo "== perfbench (the repository benchmark builds and self-tests) =="
@@ -237,12 +233,12 @@ echo "== swctl bench (perf trajectory + regression gate) =="
 # to compare mismatched scales. SW_PERF_GATE=off skips only the comparison:
 # the BENCH_ci.json artifact is emitted either way.
 bench_env=(SW_BENCH_THREADS=2 SW_BENCH_REGIONS=24 SW_BENCH_OPS_PER_REGION=2)
-# Profiling must not change simulated results: stdout byte-identical with
-# the ambient profiler on (phase table goes to stderr).
-diff <(env "${bench_env[@]}" "$SWCTL" table2) \
-     <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" table2 2>/dev/null)
-diff <(env "${bench_env[@]}" "$SWCTL" fig7 --design strandweaver) \
-     <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" fig7 --design strandweaver 2>/dev/null)
+# Profiling must not change simulated results: stdout byte-identical to
+# the committed goldens with the ambient profiler on (phase table goes to
+# stderr). bench_env is the figure scale the goldens were recorded at.
+diff expected/table2.txt <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" table2 2>/dev/null)
+diff expected/fig7_strandweaver.json \
+     <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" fig7 --design strandweaver --json 2>/dev/null)
 echo "profiled outputs bit-identical"
 env "${bench_env[@]}" "$SWCTL" bench --label ci --warmup 1 --repeat 3
 if [ "${SW_PERF_GATE:-on}" = off ]; then

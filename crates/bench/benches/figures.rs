@@ -5,7 +5,7 @@ use strandweaver::{HwDesign, LangModel};
 use sw_bench::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| panic!("{e}"));
     println!(
         "== StrandWeaver evaluation (threads={}, regions={}, ops/region={}) ==\n",
         scale.threads, scale.regions, scale.ops_per_region

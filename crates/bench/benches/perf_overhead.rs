@@ -37,7 +37,10 @@ fn bench_disabled_vs_profiled(c: &mut Criterion) {
         b.iter(|| cell().run_timing())
     });
     c.bench_function("run_timing_profiler_enabled", |b| {
-        b.iter(|| cell().with_profiling().run_timing())
+        sw_perf::set_global_enabled(true);
+        b.iter(|| cell().run_timing());
+        sw_perf::set_global_enabled(false);
+        let _ = sw_perf::global_take();
     });
     let disabled = c
         .median_of("run_timing_profiler_disabled")

@@ -8,7 +8,10 @@ use strandweaver::{BenchmarkId, HwDesign, LangModel};
 use sw_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!("Ablation — undo vs. redo logging (speedup over Intel x86 + undo)");
     println!(
         "  {:12} {:>12} {:>12} {:>12} {:>12}",

@@ -71,6 +71,11 @@ fn or_exit<T>(r: Result<T, CliError>) -> T {
     })
 }
 
+/// The `SW_BENCH_*` run scale, or exit 2 naming the malformed variable.
+fn scale() -> Scale {
+    or_exit(Scale::from_env().map_err(CliError::Message))
+}
+
 /// A report a workload subcommand prints: text under its banner, or one
 /// JSON line under `--json`.
 trait Report {
@@ -147,7 +152,7 @@ fn dispatch() {
             let label = args.value("--label").unwrap_or("local");
             let warmup = or_exit(args.num("--warmup", 1));
             let repeat = or_exit(args.count("--repeat", 3));
-            let report = sw_bench::run_bench(Scale::from_env(), &filters, label, warmup, repeat);
+            let report = sw_bench::run_bench(scale(), &filters, label, warmup, repeat);
             let path = args
                 .value("--out")
                 .map_or_else(|| format!("BENCH_{label}.json"), str::to_string);
@@ -188,7 +193,7 @@ fn dispatch() {
         _ if args.operands().is_empty() => {
             let t = Target::from_label(args.command()).expect("every other command is a target");
             let filters = or_exit(args.target_filters(&[t]));
-            let out = t.run(Scale::from_env(), &filters);
+            let out = t.run(scale(), &filters);
             if args.has("--json") {
                 println!("{}", out.json.expect("tabular target").render());
             } else {
@@ -304,19 +309,6 @@ fn workload(args: &Args) {
                 rec.recorded(),
                 rec.dropped(),
             );
-        }
-        "perf" => {
-            let stats = e.with_profiling().run_timing();
-            let snap = stats
-                .perf
-                .as_ref()
-                .expect("profiled run carries a snapshot");
-            println!(
-                "{cell}: {} cycles, {} events processed",
-                stats.cycles,
-                stats.events.total(),
-            );
-            print!("{}", snap.render_table());
         }
         other => unreachable!("{other} has a <benchmark> row but no arm"),
     }

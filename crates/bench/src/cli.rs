@@ -125,9 +125,6 @@ const COMMANDS: &[Command] = &[
         flags: "--lang --design --redo --threads --regions --ops --seed --sq --pq --out --jsonl",
         about: "simulate with event tracing and write a Perfetto timeline to --out \
                 (default trace.json), or JSON lines with --jsonl" },
-    Command { names: "perf", operands: "<benchmark>", mode: None,
-        flags: "--lang --design --redo --threads --regions --ops --seed --sq --pq",
-        about: "one profiled run: print the per-phase wall-time table" },
     Command { names: "litmus|fig1|fig2|table1", operands: "", mode: None, flags: "",
         about: "the Figure 2 litmus suite (also fig2), Figure 1, Table I" },
     Command { names: "table2", operands: "", mode: None, flags: "--json",
@@ -278,7 +275,7 @@ impl Args {
     /// `--threads/--regions/--ops` (defaults from [`Scale::from_env`]),
     /// with `--seed`, `--sq`, `--pq` and `--redo` applied.
     pub fn experiment(&self) -> Result<Experiment, CliError> {
-        let scale = Scale::from_env();
+        let scale = Scale::from_env().map_err(CliError::Message)?;
         let lang = self.lang()?.unwrap_or(LangModel::Txn);
         let design = self.design()?.unwrap_or(HwDesign::StrandWeaver);
         check_legal(lang, design)?;

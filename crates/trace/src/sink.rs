@@ -4,9 +4,8 @@
 //! the emit sites reduce to a branch on a `None` discriminant, which is the
 //! zero-overhead-when-disabled contract the microbenchmark checks.
 
-use std::cell::RefCell;
 use std::fmt::Debug;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{TimedEvent, TraceEvent};
 
@@ -45,13 +44,14 @@ struct RingState {
 ///
 /// Cloning the recorder clones a *handle* to the same ring, so a caller can
 /// keep one handle, hand the other to the simulator (which consumes itself
-/// on `run`), and read the events back afterwards. When the ring fills,
-/// the oldest events are overwritten and counted in [`dropped`].
+/// on `run`), and read the events back afterwards. Handles are `Send +
+/// Sync`, so a configuration holding one can cross threads. When the ring
+/// fills, the oldest events are overwritten and counted in [`dropped`].
 ///
 /// [`dropped`]: RingRecorder::dropped
 #[derive(Debug, Clone)]
 pub struct RingRecorder {
-    state: Rc<RefCell<RingState>>,
+    state: Arc<Mutex<RingState>>,
 }
 
 impl RingRecorder {
@@ -59,7 +59,7 @@ impl RingRecorder {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         RingRecorder {
-            state: Rc::new(RefCell::new(RingState {
+            state: Arc::new(Mutex::new(RingState {
                 events: Vec::new(),
                 capacity,
                 head: 0,
@@ -69,9 +69,14 @@ impl RingRecorder {
         }
     }
 
+    /// The shared ring (nothing panics while holding its lock).
+    fn state(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().expect("ring recorder lock poisoned")
+    }
+
     /// Events currently held, oldest first.
     pub fn events(&self) -> Vec<TimedEvent> {
-        let s = self.state.borrow();
+        let s = self.state();
         if s.events.len() < s.capacity {
             s.events.clone()
         } else {
@@ -85,17 +90,17 @@ impl RingRecorder {
 
     /// Total events offered to the recorder (kept + dropped).
     pub fn recorded(&self) -> u64 {
-        self.state.borrow().recorded
+        self.state().recorded
     }
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.state.borrow().dropped
+        self.state().dropped
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.state.borrow().events.len()
+        self.state().events.len()
     }
 
     /// Whether the ring holds no events.
@@ -106,7 +111,7 @@ impl RingRecorder {
 
 impl TraceSink for RingRecorder {
     fn record(&mut self, cycle: u64, event: TraceEvent) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.state();
         s.recorded += 1;
         let timed = TimedEvent { cycle, event };
         if s.events.len() < s.capacity {

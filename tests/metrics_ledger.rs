@@ -1,0 +1,245 @@
+//! Integration: every metrics counter of a timing run agrees with the
+//! simulator tally that owns the same count — the per-core `CoreStats`,
+//! the run's `EventCounts`, its durable write order and the fault unit's
+//! `OnlineFaultStats` — on every legal design × lang, with and without
+//! online device faults, and with skip-ahead on and off.
+
+use strandweaver::experiment::Experiment;
+use strandweaver::faults::{
+    DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger, OnlineFaultStats,
+};
+use strandweaver::model::isa::{FenceKind, IsaOp};
+use strandweaver::sim::{engine_for, CoreStats};
+use strandweaver::trace::StallKind;
+use strandweaver::{BenchmarkId, HwDesign, LangModel, Machine, PmLayout, SimConfig, SimStats};
+
+/// A schedule holding the single fault `class` on `trigger`.
+fn one_fault(class: DeviceFaultClass, trigger: FaultTrigger, sticky: bool) -> DeviceFaultSchedule {
+    let mut s = DeviceFaultSchedule::none();
+    s.faults.push(DeviceFault {
+        class,
+        trigger,
+        sticky,
+    });
+    s
+}
+
+/// One run configuration of every cell: the online device fault it
+/// installs (class, trigger, sticky), whether it shrinks the store and
+/// persist queues to 2 and 1 entries so every queue-full stall cause shows
+/// up, and the fault count that shows its fault fired.
+struct Case {
+    name: &'static str,
+    fault: Option<(DeviceFaultClass, FaultTrigger, bool)>,
+    tiny_queues: bool,
+    fired: fn(&OnlineFaultStats) -> u64,
+}
+
+/// No faults (at Table I and at tiny queues), a transient that one retry
+/// heals, a sticky transient that escalates to a remap, a direct permanent
+/// error, and a poisoned read.
+fn cases() -> [Case; 6] {
+    use DeviceFaultClass::{PermanentMediaError, ReadPoison, TransientWriteFail};
+    let third_write = FaultTrigger::NthWrite(3);
+    [
+        Case {
+            name: "no faults",
+            fault: None,
+            tiny_queues: false,
+            fired: |_| 0,
+        },
+        Case {
+            name: "no faults, tiny queues",
+            fault: None,
+            tiny_queues: true,
+            fired: |_| 0,
+        },
+        Case {
+            name: "transient",
+            fault: Some((TransientWriteFail, third_write, false)),
+            tiny_queues: false,
+            fired: |f| f.retries_succeeded,
+        },
+        Case {
+            name: "sticky",
+            fault: Some((TransientWriteFail, third_write, true)),
+            tiny_queues: false,
+            fired: |f| f.retries_failed.min(f.lines_remapped),
+        },
+        Case {
+            name: "permanent",
+            fault: Some((PermanentMediaError, third_write, true)),
+            tiny_queues: false,
+            fired: |f| f.permanent_errors,
+        },
+        Case {
+            name: "poison",
+            fault: Some((ReadPoison, FaultTrigger::NthRead(1), false)),
+            tiny_queues: false,
+            fired: |f| f.reads_poisoned,
+        },
+    ]
+}
+
+/// Checks every counter of `stats.metrics` against the tally that owns
+/// the same count.
+fn assert_ledger(stats: &SimStats, design: HwDesign, cell: &str) {
+    let counter = |name: &str| {
+        stats
+            .metrics
+            .counter(name)
+            .unwrap_or_else(|| panic!("{cell}: {name} is not registered"))
+    };
+    let total = |f: fn(&CoreStats) -> u64| stats.cores.iter().map(f).sum::<u64>();
+    let ev = stats.events;
+    let durable = stats.pm_write_order.len() as u64;
+
+    assert_eq!(counter("pm.writes_accepted"), ev.pm_writes, "{cell}");
+    assert_eq!(
+        counter("pm.persists_visible"),
+        ev.persists_visible,
+        "{cell}"
+    );
+    if engine_for(design).persists_at_visibility() {
+        assert_eq!(ev.persists_visible, durable, "{cell}");
+    } else {
+        assert_eq!(ev.pm_writes, durable, "{cell}");
+    }
+    // Every enqueue is dequeued again before its core finishes.
+    assert_eq!(ev.pq_events % 2, 0, "{cell}");
+    assert_eq!(counter("pq.enqueues"), ev.pq_events / 2, "{cell}");
+    assert_eq!(counter("sb.enqueues"), ev.sb_enqueues, "{cell}");
+    assert_eq!(counter("fence.retires"), total(|c| c.fences), "{cell}");
+    assert_eq!(ev.store_retires, total(|c| c.stores), "{cell}");
+    for cause in StallKind::ALL {
+        let cycles: u64 = stats.cores.iter().map(|c| c.stall_cycles(cause)).sum();
+        let name = format!("stalls.{}", cause.label());
+        assert_eq!(counter(&name), cycles, "{cell}: {name}");
+    }
+
+    let f = stats.online_faults.unwrap_or_default();
+    assert_eq!(
+        counter("faults.online.device_faults"),
+        f.transient_failures + f.lines_remapped + f.spares_exhausted + f.reads_poisoned,
+        "{cell}"
+    );
+    assert_eq!(
+        counter("faults.online.lines_remapped"),
+        f.lines_remapped,
+        "{cell}"
+    );
+    assert_eq!(
+        counter("faults.online.reads_poisoned"),
+        f.reads_poisoned,
+        "{cell}"
+    );
+    assert_eq!(
+        counter("faults.online.spares_exhausted"),
+        f.spares_exhausted,
+        "{cell}"
+    );
+    // Retries that healed, plus sticky episodes that escalated to a
+    // remap: no tally holds this sum, so the counter owns it.
+    let retries = counter("faults.online.persist_retries");
+    assert!(
+        (f.retries_succeeded..=f.retries_succeeded + f.lines_remapped).contains(&retries),
+        "{cell}: {retries} persist retries against {f:?}"
+    );
+}
+
+/// Runs `run` with skip-ahead on and off and checks the ledger of each.
+/// Fault-free runs must also report the same counts in both modes. (Under
+/// a retry backoff they need not: skip-ahead wakes at the retry's
+/// admission cycle, while a CLWB offers its write one L1 lookup later.)
+fn both_skip_modes(
+    design: HwDesign,
+    cell: &str,
+    fault_free: bool,
+    run: impl Fn(bool) -> SimStats,
+) -> SimStats {
+    let on = run(true);
+    let off = run(false);
+    assert_ledger(&on, design, &format!("{cell} skip-ahead"));
+    assert_ledger(&off, design, &format!("{cell} single-step"));
+    if fault_free {
+        assert_eq!(on.cycles, off.cycles, "{cell}");
+        assert_eq!(on.cores, off.cores, "{cell}");
+        assert_eq!(on.events, off.events, "{cell}");
+        assert_eq!(on.metrics, off.metrics, "{cell}");
+    }
+    on
+}
+
+#[test]
+fn metric_counters_match_the_simulator_tallies() {
+    for case in cases() {
+        let mut fired = 0;
+        for design in HwDesign::ALL {
+            for lang in LangModel::ALL.into_iter().filter(|l| l.legal_on(design)) {
+                let cell = format!("{design:?} {lang:?} {}", case.name);
+                let stats = both_skip_modes(design, &cell, case.fault.is_none(), |skip| {
+                    let mut e = Experiment::new(BenchmarkId::Queue, lang, design)
+                        .threads(2)
+                        .total_regions(12)
+                        .ops_per_region(2)
+                        .with_metrics();
+                    e.sim.skip_ahead = skip;
+                    e.sim.device_faults = case.fault.map(|(c, t, sticky)| one_fault(c, t, sticky));
+                    if case.tiny_queues {
+                        e.sim.store_queue_entries = 2;
+                        e.sim.persist_queue_entries = 1;
+                    }
+                    e.run_timing()
+                });
+                fired += (case.fired)(&stats.online_faults.unwrap_or_default());
+            }
+        }
+        // The fault fired somewhere, so its part of the ledger is not vacuous.
+        assert!(
+            case.fault.is_none() || fired > 0,
+            "{} never fired",
+            case.name
+        );
+    }
+}
+
+/// Spare exhaustion parks the failed line for good, so a driven run that
+/// exhausts the spare pool never drains. On a two-core trace the line can
+/// still leave the stuck core: core 1 loads it, the coherence steal moves
+/// the dirty copy over, core 0's CLWB then finds its line clean, and the
+/// run finishes with the exhaustion counted. Only designs without a strand
+/// buffer resolve that steal at once.
+#[test]
+fn spare_exhaustion_is_counted_once() {
+    let layout = PmLayout::new(2, 64);
+    let x = layout.heap_base();
+    let mut faults = one_fault(
+        DeviceFaultClass::PermanentMediaError,
+        FaultTrigger::OnLine(x.line().raw()),
+        true,
+    );
+    faults.spare_count = 0;
+    for design in [HwDesign::IntelX86, HwDesign::NonAtomic] {
+        let drain = design.lowering().drain.unwrap_or(FenceKind::Sfence);
+        let stuck = vec![IsaOp::Store(x), IsaOp::Clwb(x), IsaOp::Fence(drain)];
+        let thief = vec![IsaOp::Compute(400), IsaOp::Load(x)];
+        let cell = format!("{design:?} spare exhaustion");
+        let stats = both_skip_modes(design, &cell, false, |skip| {
+            let mut cfg = SimConfig::table_i()
+                .with_cores(2)
+                .with_device_faults(faults.clone());
+            cfg.skip_ahead = skip;
+            cfg.max_cycles = 1_000_000;
+            let mut m = Machine::new(
+                cfg,
+                design,
+                layout.clone(),
+                vec![stuck.clone(), thief.clone()],
+            );
+            m.enable_metrics();
+            m.run()
+        });
+        let f = stats.online_faults.expect("fault unit installed");
+        assert_eq!(f.spares_exhausted, 1, "{cell}: {f:?}");
+    }
+}
