@@ -211,6 +211,11 @@ fn workload(args: &Args) {
     let rounds = or_exit(args.rounds());
     let bench = e.bench;
     let cell = format!("{bench} lang={} design={}", e.lang, e.design);
+    // Both churn modes of `heap` need a benchmark that has one: a usage
+    // error (exit 2), found before anything runs.
+    if args.command() == "heap" && (args.has("--churn") || args.has("--verify")) {
+        or_exit(e.churn_workload().map_err(CliError::Message));
+    }
     match args.command() {
         "run" => {
             let json = args.has("--json");
@@ -261,10 +266,8 @@ fn workload(args: &Args) {
             e.run_heap_smoke(rounds),
         ),
         "heap" => {
-            // A benchmark without a churn mode is a usage error (exit 2).
             let report = e.run_heap_report(args.has("--churn"));
-            let report = or_exit(report.map_err(CliError::Message));
-            verdict(args, bench, "heap occupancy", "", Ok(report));
+            verdict(args, bench, "heap occupancy", "", report);
         }
         "chaos" if args.has("--sweep") => verdict(
             args,

@@ -273,7 +273,8 @@ impl Args {
     /// The cell of a workload subcommand: `<benchmark>` under `--lang`
     /// (default txn) on `--design` (default strandweaver), sized by
     /// `--threads/--regions/--ops` (defaults from [`Scale::from_env`]),
-    /// with `--seed`, `--sq`, `--pq` and `--redo` applied.
+    /// with `--seed`, `--sq`, `--pq` (counts, like the scale) and `--redo`
+    /// applied.
     pub fn experiment(&self) -> Result<Experiment, CliError> {
         let scale = Scale::from_env().map_err(CliError::Message)?;
         let lang = self.lang()?.unwrap_or(LangModel::Txn);
@@ -284,8 +285,8 @@ impl Args {
             .total_regions(self.count("--regions", scale.regions)?)
             .ops_per_region(self.count("--ops", scale.ops_per_region)?);
         e.seed = self.num("--seed", e.seed)?;
-        e.sim.store_queue_entries = self.num("--sq", e.sim.store_queue_entries)?.max(1);
-        e.sim.persist_queue_entries = self.num("--pq", e.sim.persist_queue_entries)?.max(1);
+        e.sim.store_queue_entries = self.count("--sq", e.sim.store_queue_entries)?;
+        e.sim.persist_queue_entries = self.count("--pq", e.sim.persist_queue_entries)?;
         Ok(if self.has("--redo") { e.redo() } else { e })
     }
 
@@ -485,7 +486,7 @@ mod tests {
         assert_eq!((e.threads, e.total_regions, e.ops_per_region), (3, 9, 2));
         assert_eq!(e.seed, 7);
         assert_eq!(e.strategy, strandweaver::lang::LogStrategy::Undo);
-        let e = args("trace queue --sq 0 --pq 2 --redo")
+        let e = args("trace queue --sq 1 --pq 2 --redo")
             .experiment()
             .unwrap();
         assert_eq!(
@@ -493,6 +494,11 @@ mod tests {
             (1, 2)
         );
         assert_eq!(e.strategy, strandweaver::lang::LogStrategy::Redo);
+        // A zero-entry queue is rejected, not clamped to one entry.
+        for flag in ["--sq", "--pq"] {
+            let e = args(&format!("trace queue {flag} 0")).experiment();
+            assert_eq!(e.unwrap_err(), named(&format!("{flag} must be at least 1")));
+        }
     }
 
     #[test]

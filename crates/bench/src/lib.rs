@@ -18,7 +18,7 @@ pub mod cli;
 pub mod perf_report;
 pub mod targets;
 
-pub use perf_report::{compare_reports, run_bench, BenchPhase, BenchReport, BenchTargetResult};
+pub use perf_report::{compare_reports, run_bench, BenchReport, BenchTargetResult};
 pub use targets::{sweep_designs, Target, TargetFilters, TargetOutput};
 
 use std::fmt::Write as _;

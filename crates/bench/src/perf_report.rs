@@ -3,13 +3,14 @@
 //! CI gate.
 //!
 //! [`run_bench`] times each simulation-heavy target ([`Target::BENCH`])
-//! with warmup passes and repeated measurements, then takes one profiled
-//! pass to attribute wall time to simulator phases (via the `sw-perf`
-//! ambient profiler). The result serializes to JSON with the in-workspace
-//! writer and parses back with [`parse`], so a committed
-//! `BENCH_baseline.json` can be compared against a fresh run by
-//! [`compare_reports`]: the gate fails when any target's best wall time
-//! regresses past the tolerance, and *refuses* to compare reports taken at
+//! with warmup passes and repeated measurements. It leaves the `sw-perf`
+//! ambient profiler alone: under `SW_PERF=1` the timed runs profile like
+//! any other subcommand's, into the one phase table `swctl` prints at
+//! exit. The result serializes to JSON with the in-workspace writer and
+//! parses back with [`parse`], so a committed `BENCH_baseline.json` can be
+//! compared against a fresh run by [`compare_reports`]: the gate fails
+//! when any target's best wall time regresses past the tolerance or its
+//! deterministic counts drift, and *refuses* to compare reports taken at
 //! different scales or repeat counts (a comparison across scales would be
 //! noise dressed as signal).
 //!
@@ -25,7 +26,7 @@ use sw_trace::Json;
 use crate::targets::{Target, TargetFilters};
 use crate::Scale;
 
-/// Wall time and phase attribution for one timed target.
+/// Wall time and deterministic counts of one timed target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchTargetResult {
     /// Target label (`fig7`, `table2`, ...).
@@ -41,23 +42,6 @@ pub struct BenchTargetResult {
     pub sim_cycles: u64,
     /// Events per second of wall time, at the best repeat.
     pub events_per_sec: f64,
-    /// Per-phase attribution from the profiled pass, every phase present.
-    pub phases: Vec<BenchPhase>,
-    /// The hottest phases by share of attributed time, descending.
-    pub hot_phases: Vec<String>,
-}
-
-/// One simulator phase's share of a profiled target run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPhase {
-    /// Phase label (`engine`, `frontend`, ...).
-    pub phase: String,
-    /// Nanoseconds attributed to the phase.
-    pub nanos: u64,
-    /// Boundary crossings recorded for the phase.
-    pub calls: u64,
-    /// Percentage of all attributed time.
-    pub pct: f64,
 }
 
 /// A full benchmark run: the `BENCH_<label>.json` artifact.
@@ -75,15 +59,10 @@ pub struct BenchReport {
     pub targets: Vec<BenchTargetResult>,
 }
 
-/// How many hot phases a result names.
-const HOT_N: usize = 3;
-
 /// Times every [`Target::BENCH`] target at `scale` under `filters`.
 ///
-/// Each target gets `warmup` untimed passes, `repeats` timed passes
-/// (minimum one), and a final profiled pass that is *not* timed into the
-/// wall figures — profiling costs a clock read per phase boundary, so the
-/// gated numbers come from unprofiled runs only.
+/// Each target gets `warmup` untimed passes and `repeats` timed passes
+/// (minimum one).
 pub fn run_bench(
     scale: Scale,
     filters: &TargetFilters,
@@ -108,29 +87,8 @@ pub fn run_bench(
                 events_processed = out.events_processed;
                 sim_cycles = out.sim_cycles;
             }
-            sw_perf::set_global_enabled(true);
-            let _ = sw_perf::global_take();
-            let _ = t.run(scale, filters);
-            let snap = sw_perf::global_take();
-            sw_perf::set_global_enabled(false);
-
             let wall_secs_min = walls.iter().copied().fold(f64::INFINITY, f64::min);
             let wall_secs_mean = walls.iter().sum::<f64>() / walls.len() as f64;
-            let phases = snap
-                .phases
-                .iter()
-                .map(|p| BenchPhase {
-                    phase: p.phase.to_string(),
-                    nanos: p.nanos,
-                    calls: p.calls,
-                    pct: snap.pct(p.phase),
-                })
-                .collect();
-            let hot_phases = snap
-                .hot_phases(HOT_N)
-                .into_iter()
-                .map(|(name, _)| name.to_string())
-                .collect();
             BenchTargetResult {
                 target: t.label().to_string(),
                 wall_secs_min,
@@ -142,8 +100,6 @@ pub fn run_bench(
                 } else {
                     0.0
                 },
-                phases,
-                hot_phases,
             }
         })
         .collect();
@@ -187,28 +143,6 @@ impl BenchReport {
                                 ("events_processed", Json::U64(t.events_processed)),
                                 ("sim_cycles", Json::U64(t.sim_cycles)),
                                 ("events_per_sec", Json::F64(t.events_per_sec)),
-                                (
-                                    "phases",
-                                    Json::Arr(
-                                        t.phases
-                                            .iter()
-                                            .map(|p| {
-                                                Json::obj([
-                                                    ("phase", Json::Str(p.phase.clone())),
-                                                    ("nanos", Json::U64(p.nanos)),
-                                                    ("calls", Json::U64(p.calls)),
-                                                    ("pct", Json::F64(p.pct)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "hot_phases",
-                                    Json::Arr(
-                                        t.hot_phases.iter().map(|h| Json::Str(h.clone())).collect(),
-                                    ),
-                                ),
                             ])
                         })
                         .collect(),
@@ -232,19 +166,14 @@ impl BenchReport {
         );
         let _ = writeln!(
             s,
-            "  {:8} {:>10} {:>10} {:>12} {:>12}  hot phases",
+            "  {:8} {:>10} {:>10} {:>12} {:>12}",
             "target", "min (s)", "mean (s)", "events", "events/s"
         );
         for t in &self.targets {
             let _ = writeln!(
                 s,
-                "  {:8} {:>10.4} {:>10.4} {:>12} {:>12.0}  {}",
-                t.target,
-                t.wall_secs_min,
-                t.wall_secs_mean,
-                t.events_processed,
-                t.events_per_sec,
-                t.hot_phases.join(" ")
+                "  {:8} {:>10.4} {:>10.4} {:>12} {:>12.0}",
+                t.target, t.wall_secs_min, t.wall_secs_mean, t.events_processed, t.events_per_sec,
             );
         }
         s
@@ -252,7 +181,8 @@ impl BenchReport {
 }
 
 /// Parses a report previously serialized by [`BenchReport::to_json`]
-/// (e.g. a committed `BENCH_baseline.json`).
+/// (e.g. a committed `BENCH_baseline.json`). Keys it does not read, such
+/// as the per-phase attribution older reports carry, are ignored.
 pub fn parse(text: &str) -> Result<BenchReport, String> {
     let j = sw_trace::json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     let scale = j.get("scale").ok_or("missing 'scale'")?;
@@ -267,27 +197,6 @@ pub fn parse(text: &str) -> Result<BenchReport, String> {
         .ok_or("missing 'targets' array")?
         .iter()
         .map(|t| {
-            let phases = t
-                .get("phases")
-                .and_then(Json::as_arr)
-                .ok_or("missing 'phases' array")?
-                .iter()
-                .map(|p| {
-                    Ok(BenchPhase {
-                        phase: p.field("phase", Json::as_str)?.to_string(),
-                        nanos: p.field("nanos", Json::as_u64)?,
-                        calls: p.field("calls", Json::as_u64)?,
-                        pct: p.field("pct", Json::as_f64)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let hot_phases = t
-                .get("hot_phases")
-                .and_then(Json::as_arr)
-                .ok_or("missing 'hot_phases' array")?
-                .iter()
-                .map(|h| h.as_str().map(str::to_string).ok_or("non-string hot phase"))
-                .collect::<Result<Vec<_>, _>>()?;
             Ok(BenchTargetResult {
                 target: t.field("target", Json::as_str)?.to_string(),
                 wall_secs_min: t.field("wall_secs_min", Json::as_f64)?,
@@ -295,8 +204,6 @@ pub fn parse(text: &str) -> Result<BenchReport, String> {
                 events_processed: t.field("events_processed", Json::as_u64)?,
                 sim_cycles: t.field("sim_cycles", Json::as_u64)?,
                 events_per_sec: t.field("events_per_sec", Json::as_f64)?,
-                phases,
-                hot_phases,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -312,8 +219,11 @@ pub fn parse(text: &str) -> Result<BenchReport, String> {
 /// Compares a fresh report against a baseline; the CI regression gate.
 ///
 /// Returns `Ok` with a per-target summary when every target's best wall
-/// time stays within `tolerance_pct` percent of the baseline, `Err` with
-/// the offending targets otherwise. `scale_wall` multiplies the current
+/// time stays within `tolerance_pct` percent of the baseline and its
+/// `events_processed` and `sim_cycles` equal the baseline's, `Err` with
+/// the offending targets otherwise. The counts are deterministic, so any
+/// difference is *behaviour drift* — the simulation itself changed — and
+/// fails regardless of tolerance. `scale_wall` multiplies the current
 /// report's wall times before comparison — `1.0` in normal use; the CI
 /// self-test passes `3.0` to prove the gate actually fires.
 ///
@@ -345,6 +255,7 @@ pub fn compare_reports(
         ));
     }
     let mut summary = String::new();
+    let mut drifts = Vec::new();
     let mut regressions = Vec::new();
     for base in &baseline.targets {
         let Some(cur) = current.targets.iter().find(|t| t.target == base.target) else {
@@ -353,6 +264,16 @@ pub fn compare_reports(
                 base.target
             ));
         };
+        if (cur.events_processed, cur.sim_cycles) != (base.events_processed, base.sim_cycles) {
+            drifts.push(format!(
+                "{}: {} events, {} cycles vs baseline {} events, {} cycles",
+                base.target,
+                cur.events_processed,
+                cur.sim_cycles,
+                base.events_processed,
+                base.sim_cycles
+            ));
+        }
         let adjusted = cur.wall_secs_min * scale_wall;
         let delta_pct = if base.wall_secs_min > 0.0 {
             (adjusted / base.wall_secs_min - 1.0) * 100.0
@@ -401,14 +322,25 @@ pub fn compare_reports(
             );
         }
     }
-    if regressions.is_empty() {
-        Ok(summary)
-    } else {
-        Err(format!(
+    let mut failures = Vec::new();
+    if !drifts.is_empty() {
+        failures.push(format!(
+            "behaviour drift in {} target(s), simulated counts differ from the baseline:\n  {}",
+            drifts.len(),
+            drifts.join("\n  ")
+        ));
+    }
+    if !regressions.is_empty() {
+        failures.push(format!(
             "{} target(s) regressed:\n  {}",
             regressions.len(),
             regressions.join("\n  ")
-        ))
+        ));
+    }
+    if failures.is_empty() {
+        Ok(summary)
+    } else {
+        Err(failures.join("\n"))
     }
 }
 
@@ -437,13 +369,6 @@ mod tests {
                 events_processed: 1000,
                 sim_cycles: 2000,
                 events_per_sec: 8000.0,
-                phases: vec![BenchPhase {
-                    phase: "engine".into(),
-                    nanos: 42,
-                    calls: 7,
-                    pct: 100.0,
-                }],
-                hot_phases: vec!["engine".into()],
             }],
         }
     }
@@ -453,6 +378,15 @@ mod tests {
         let r = sample();
         let parsed = parse(&r.to_json().render()).expect("parse back");
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn parse_reads_the_committed_baseline() {
+        // The committed baseline still carries per-phase keys; the parser
+        // skips them.
+        let base = parse(include_str!("../../../BENCH_baseline.json")).expect("baseline parses");
+        assert!(base.targets.iter().any(|t| t.target == "fig7"));
+        assert!(base.targets.iter().all(|t| t.events_processed > 0));
     }
 
     #[test]
@@ -524,16 +458,39 @@ mod tests {
     }
 
     #[test]
+    fn compare_rejects_behaviour_drift() {
+        let base = sample();
+        for (events, cycles) in [(1001, 2000), (1000, 1999)] {
+            let mut cur = sample();
+            cur.targets[0].events_processed = events;
+            cur.targets[0].sim_cycles = cycles;
+            // Drift fails even when every wall time is within tolerance.
+            let err = compare_reports(&cur, &base, 100.0, 1.0, &[]).expect_err("counts differ");
+            assert!(err.contains("behaviour drift in 1 target(s)"), "{err}");
+            assert!(
+                err.contains(&format!(
+                    "fig7: {events} events, {cycles} cycles vs baseline 1000 events, 2000 cycles"
+                )),
+                "{err}"
+            );
+            assert!(!err.contains("regressed"), "{err}");
+        }
+        // A target only the current report has is not compared.
+        let mut cur = sample();
+        cur.targets.push(BenchTargetResult {
+            target: "serve".into(),
+            ..base.targets[0].clone()
+        });
+        compare_reports(&cur, &base, 25.0, 1.0, &[]).expect("extra targets are not gated");
+    }
+
+    #[test]
     fn run_bench_times_every_bench_target() {
         let report = run_bench(tiny(), &TargetFilters::default(), "unit", 0, 1);
         assert_eq!(report.targets.len(), Target::BENCH.len());
         for t in &report.targets {
             assert!(t.events_processed > 0, "{} processed no events", t.target);
             assert!(t.events_per_sec > 0.0);
-            assert_eq!(t.phases.len(), sw_perf::Phase::ALL.len());
-            let attributed: u64 = t.phases.iter().map(|p| p.nanos).sum();
-            assert!(attributed > 0, "{} attributed no time", t.target);
-            assert!(!t.hot_phases.is_empty());
         }
         // The artifact the harness writes must survive its own parser.
         let parsed = parse(&report.to_json().render()).expect("round-trip");

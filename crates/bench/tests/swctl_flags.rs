@@ -95,6 +95,23 @@ const REJECTED: &[(&str, &str)] = &[
         "chaos queue --sweep --rounds 0",
         "--rounds must be at least 1",
     ),
+    // A zero-entry store or persist queue is rejected, not clamped.
+    ("run queue --sq 0", "--sq must be at least 1"),
+    ("run queue --pq 0", "--pq must be at least 1"),
+    ("chaos queue --pq 0", "--pq must be at least 1"),
+    ("trace queue --sq 0", "--sq must be at least 1"),
+    // Both churn modes need a benchmark that has one; neither runs a
+    // cell without it.
+    (
+        "heap queue --churn",
+        "benchmark queue has no allocator-churn mode (churn: hashmap, nstore-rd, nstore-bal, \
+         nstore-wr)",
+    ),
+    (
+        "heap queue --verify",
+        "benchmark queue has no allocator-churn mode (churn: hashmap, nstore-rd, nstore-bal, \
+         nstore-wr)",
+    ),
     // Serving knobs the engine cannot run with as given.
     (
         "serve queue --queue-depth 0",

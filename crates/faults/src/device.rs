@@ -368,6 +368,13 @@ impl DeviceFaultUnit {
         self.retry.values().map(|s| s.next_at).min()
     }
 
+    /// The lowest line whose writes spare-pool exhaustion parked for
+    /// good (at `u64::MAX`), if any.
+    pub fn parked_line(&self) -> Option<u64> {
+        let parked = self.retry.iter().filter(|(_, s)| s.next_at == u64::MAX);
+        parked.map(|(&line, _)| line).min()
+    }
+
     fn backoff(&self, attempts: u32) -> u64 {
         self.schedule.backoff_base << attempts.min(BACKOFF_SHIFT_CAP)
     }

@@ -5,7 +5,7 @@
 use sw_model::isa::{FenceKind, IsaOp, IsaTrace, LockId};
 use sw_model::{Execution, OpKind, OpRef, Program, ThreadId};
 use sw_pmem::{Addr, Memory, PmLayout};
-use sw_trace::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink};
+use sw_trace::{TraceEvent, TraceSink};
 
 use crate::heap::HeapState;
 use crate::mce::{MceError, MceUnit};
@@ -52,7 +52,6 @@ pub struct FuncCtx {
     next_seq: u64,
     /// Optional runtime-event sink (log appends/commits, recovery phases).
     trace: Option<Box<dyn TraceSink>>,
-    metrics: Option<CtxMetrics>,
     /// Armed poisoned lines + pending machine-check trap (see [`mce`]).
     ///
     /// [`mce`]: crate::mce
@@ -61,21 +60,6 @@ pub struct FuncCtx {
     ///
     /// [`heap`]: crate::heap
     heap: HeapState,
-}
-
-/// Metric IDs registered by [`FuncCtx::enable_metrics`].
-#[derive(Debug)]
-struct CtxMetrics {
-    reg: MetricsRegistry,
-    log_appends: CounterId,
-    log_commits: CounterId,
-    /// Per-thread live (uncommitted) log-entry gauge; `max` is the
-    /// log high-water mark of the run.
-    log_live: Vec<GaugeId>,
-    alloc_carves: CounterId,
-    alloc_allocs: CounterId,
-    alloc_frees: CounterId,
-    alloc_checkpoints: CounterId,
 }
 
 impl FuncCtx {
@@ -99,7 +83,6 @@ impl FuncCtx {
             record_program: true,
             next_seq: 1,
             trace: None,
-            metrics: None,
             mce: None,
             heap,
         }
@@ -139,65 +122,11 @@ impl FuncCtx {
         self.trace = Some(sink);
     }
 
-    /// Enables the runtime metrics registry: log append/commit and
-    /// allocator counters plus a per-thread live-entry gauge whose `max`
-    /// is the log high-water mark.
-    pub fn enable_metrics(&mut self) {
-        let mut reg = MetricsRegistry::new();
-        let log_appends = reg.counter("log.appends");
-        let log_commits = reg.counter("log.commits");
-        let alloc_carves = reg.counter("alloc.carves");
-        let alloc_allocs = reg.counter("alloc.allocs");
-        let alloc_frees = reg.counter("alloc.frees");
-        let alloc_checkpoints = reg.counter("alloc.checkpoints");
-        let log_live = (0..self.traces.len())
-            .map(|t| reg.gauge(&format!("thread{t}.log_live")))
-            .collect();
-        self.metrics = Some(CtxMetrics {
-            reg,
-            log_appends,
-            log_commits,
-            log_live,
-            alloc_carves,
-            alloc_allocs,
-            alloc_frees,
-            alloc_checkpoints,
-        });
-    }
-
-    /// Frozen metrics values (empty when metrics are disabled).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics
-            .as_ref()
-            .map(|m| m.reg.snapshot())
-            .unwrap_or_default()
-    }
-
     /// Records a runtime observability event, stamped with the current
     /// logical sequence number. One branch when no sink is attached.
     pub fn trace_event(&mut self, event: TraceEvent) {
-        if let Some(m) = self.metrics.as_mut() {
-            match event {
-                TraceEvent::LogAppend { .. } => m.reg.inc(m.log_appends),
-                TraceEvent::LogCommit { .. } => m.reg.inc(m.log_commits),
-                TraceEvent::HeapAlloc { carve: true, .. } => m.reg.inc(m.alloc_carves),
-                TraceEvent::HeapAlloc { carve: false, .. } => m.reg.inc(m.alloc_allocs),
-                TraceEvent::HeapFree { .. } => m.reg.inc(m.alloc_frees),
-                TraceEvent::HeapCheckpoint { .. } => m.reg.inc(m.alloc_checkpoints),
-                _ => {}
-            }
-        }
         if let Some(sink) = self.trace.as_mut() {
             sink.record(self.next_seq - 1, event);
-        }
-    }
-
-    /// Notes thread `tid`'s live (uncommitted) log-entry count.
-    pub fn note_log_live(&mut self, tid: usize, live: u64) {
-        if let Some(m) = self.metrics.as_mut() {
-            if let Some(&g) = m.log_live.get(tid) {
-                m.reg.set(g, live);
-            }
         }
     }
 

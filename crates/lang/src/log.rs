@@ -404,7 +404,6 @@ impl UndoLog {
             thread: self.tid as u32,
             seq,
         });
-        ctx.note_log_live(self.tid, self.uncommitted);
         seq
     }
 
@@ -491,7 +490,6 @@ impl UndoLog {
             entries: count,
             cut,
         });
-        ctx.note_log_live(self.tid, 0);
     }
 
     fn fence(&self, ctx: &mut FuncCtx, kind: Option<FenceKind>) {
@@ -670,12 +668,11 @@ mod tests {
     }
 
     #[test]
-    fn log_operations_emit_trace_events_and_metrics() {
+    fn log_operations_emit_trace_events() {
         use sw_trace::{RingRecorder, TraceEvent};
         let (mut ctx, mut log) = setup();
         let rec = RingRecorder::new(64);
         ctx.set_trace_sink(Box::new(rec.clone()));
-        ctx.enable_metrics();
         log.append(&mut ctx, store_payload(0x2000_0000, 1));
         log.append(&mut ctx, store_payload(0x2000_0040, 2));
         log.commit_all(&mut ctx, HwDesign::StrandWeaver);
@@ -688,12 +685,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.event, TraceEvent::LogCommit { entries: 2, .. })));
-        let snap = ctx.metrics_snapshot();
-        assert_eq!(snap.counter("log.appends"), Some(3));
-        assert_eq!(snap.counter("log.commits"), Some(1));
-        let live = snap.gauge("thread0.log_live").expect("registered");
-        assert!(live.max >= 2, "high-water mark covers both appends");
-        assert_eq!(live.last, 0, "commit empties the live zone");
     }
 
     #[test]

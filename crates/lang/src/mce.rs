@@ -4,10 +4,11 @@
 //! parts raise a machine-check exception (MCE) and the OS delivers it to
 //! the faulting thread. This module models that delivery point for the
 //! functional runtime: a [`FuncCtx`](crate::FuncCtx) can be *armed* with
-//! the set of poisoned lines ([`FuncCtx::arm_mce`]); the first load that
-//! touches an armed persistent line trips a pending [`MceError`], which
-//! the driver collects at the next region boundary ([`FuncCtx::take_mce`])
-//! and resolves under a [`RecoveryPolicy`](crate::RecoveryPolicy):
+//! the set of poisoned lines ([`arm_mce`](crate::FuncCtx::arm_mce));
+//! the first load that touches an armed persistent line trips a pending
+//! [`MceError`], which the driver collects at the next region boundary
+//! ([`take_mce`](crate::FuncCtx::take_mce)) and resolves under a
+//! [`RecoveryPolicy`](crate::RecoveryPolicy):
 //!
 //! * `Strict` — the run aborts with the structured error (fail-stop, the
 //!   data cannot be trusted);

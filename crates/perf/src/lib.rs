@@ -74,7 +74,7 @@ impl Phase {
         Phase::Retire,
     ];
 
-    /// Short stable label used in exports and `BENCH_*.json`.
+    /// Short stable label used in exports and the phase table.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Memctrl => "memctrl",
@@ -204,8 +204,8 @@ pub struct PerfSnapshot {
 
 impl PerfSnapshot {
     /// Sum of nanoseconds attributed to phases. Laps are disjoint
-    /// subintervals of the run, so this never exceeds [`wall_nanos`]
-    /// (`PerfSnapshot::wall_nanos`) for an unmerged snapshot.
+    /// subintervals of the run, so this never exceeds
+    /// [`wall_nanos`](PerfSnapshot::wall_nanos) for an unmerged snapshot.
     pub fn phase_nanos_total(&self) -> u64 {
         self.phases.iter().map(|p| p.nanos).sum()
     }
@@ -223,18 +223,6 @@ impl PerfSnapshot {
             .find(|p| p.phase == phase)
             .map_or(0, |p| p.nanos);
         nanos as f64 * 100.0 / total as f64
-    }
-
-    /// The `n` phases with the largest attribution, descending, as
-    /// `(label, percent)` pairs. Zero-time phases are skipped.
-    pub fn hot_phases(&self, n: usize) -> Vec<(&'static str, f64)> {
-        let mut ranked: Vec<&PhaseStat> = self.phases.iter().filter(|p| p.nanos > 0).collect();
-        ranked.sort_by_key(|p| std::cmp::Reverse(p.nanos));
-        ranked
-            .into_iter()
-            .take(n)
-            .map(|p| (p.phase, self.pct(p.phase)))
-            .collect()
     }
 
     /// Whether any time or calls were attributed.
@@ -419,41 +407,6 @@ mod tests {
         assert_eq!(a.phases[0].nanos, 100);
         assert_eq!(a.phases[0].calls, 5);
         assert!((a.pct("engine") - 100.0 * 100.0 / 110.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hot_phases_rank_descending_and_skip_zeros() {
-        let snap = PerfSnapshot {
-            wall_nanos: 100,
-            phases: vec![
-                PhaseStat {
-                    phase: "memctrl",
-                    nanos: 10,
-                    calls: 1,
-                },
-                PhaseStat {
-                    phase: "engine",
-                    nanos: 70,
-                    calls: 1,
-                },
-                PhaseStat {
-                    phase: "observe",
-                    nanos: 0,
-                    calls: 0,
-                },
-                PhaseStat {
-                    phase: "frontend",
-                    nanos: 20,
-                    calls: 1,
-                },
-            ],
-        };
-        let hot = snap.hot_phases(3);
-        assert_eq!(
-            hot.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-            vec!["engine", "frontend", "memctrl"]
-        );
-        assert!((hot[0].1 - 70.0).abs() < 1e-9);
     }
 
     #[test]

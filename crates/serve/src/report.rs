@@ -1,7 +1,7 @@
-//! Serving reports: per-(design × lang) SLO accounting with render,
-//! JSON export, and a strict JSON parser for round-trip validation.
+//! Serving reports: per-(design × lang) SLO accounting with render and
+//! JSON export.
 
-use strandweaver::trace::json::{self, Json};
+use strandweaver::trace::json::Json;
 use strandweaver::trace::HistogramSnapshot;
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
@@ -225,49 +225,6 @@ impl ServeReport {
             ),
         ])
     }
-
-    /// Parses a JSON document produced by [`to_json`](Self::to_json).
-    ///
-    /// Strict: every field must be present and typed; re-rendering the
-    /// parsed report must reproduce the document byte for byte (the CI
-    /// round-trip check).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed or missing field.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| format!("serve report JSON: {e}"))?;
-        let bench_label = doc.field("bench", Json::as_str)?;
-        let bench = BenchmarkId::ALL
-            .into_iter()
-            .find(|b| b.label() == bench_label)
-            .ok_or_else(|| format!("unknown bench '{bench_label}'"))?;
-        let arrival_label = doc.field("arrival", Json::as_str)?;
-        let arrival = ArrivalKind::from_label(arrival_label)
-            .ok_or_else(|| format!("unknown arrival '{arrival_label}'"))?;
-        let shed_label = doc.field("shed_policy", Json::as_str)?;
-        let shed_policy = ShedPolicy::from_label(shed_label)
-            .ok_or_else(|| format!("unknown shed policy '{shed_label}'"))?;
-        let cells = doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing cells array")?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServeReport {
-            bench,
-            seed: doc.field("seed", Json::as_u64)?,
-            shards: doc.field("shards", Json::as_u64)? as usize,
-            requests: doc.field("requests", Json::as_u64)?,
-            queue_depth: doc.field("queue_depth", Json::as_u64)? as usize,
-            deadline_factor: doc.field("deadline_factor", Json::as_u64)?,
-            arrival,
-            shed_policy,
-            faults: doc.field("faults", Json::as_bool)?,
-            cells,
-        })
-    }
 }
 
 fn cell_json(c: &ServeCellReport) -> Json {
@@ -326,88 +283,4 @@ fn cell_json(c: &ServeCellReport) -> Json {
         ("events_processed", Json::U64(c.events_processed)),
         ("sim_cycles", Json::U64(c.sim_cycles)),
     ])
-}
-
-fn breaker_state(label: &str) -> Result<BreakerState, String> {
-    [
-        BreakerState::Closed,
-        BreakerState::Open,
-        BreakerState::HalfOpen,
-    ]
-    .into_iter()
-    .find(|s| s.label() == label)
-    .ok_or_else(|| format!("unknown breaker state '{label}'"))
-}
-
-fn parse_cell(cell: &Json) -> Result<ServeCellReport, String> {
-    let design_label = cell.field("design", Json::as_str)?;
-    let design = HwDesign::from_label(design_label)
-        .ok_or_else(|| format!("unknown design '{design_label}'"))?;
-    let lang_label = cell.field("lang", Json::as_str)?;
-    let lang =
-        LangModel::from_label(lang_label).ok_or_else(|| format!("unknown lang '{lang_label}'"))?;
-    let buckets = cell
-        .get("latency_buckets")
-        .and_then(Json::as_arr)
-        .ok_or("missing latency_buckets")?
-        .iter()
-        .map(|b| b.as_u64().ok_or("non-integer latency bucket".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let max_latency = cell.field("max_latency", Json::as_u64)?;
-    let latency = HistogramSnapshot {
-        name: "serve.latency_cycles".to_string(),
-        buckets,
-        count: cell.field("latency_count", Json::as_u64)?,
-        sum: cell.field("latency_sum", Json::as_u64)?,
-        max: max_latency,
-    };
-    let shards = cell
-        .get("shards")
-        .and_then(Json::as_arr)
-        .ok_or("missing shards array")?
-        .iter()
-        .map(|s| {
-            Ok(ShardReport {
-                shard: s.field("shard", Json::as_u64)? as usize,
-                state: breaker_state(s.field("state", Json::as_str)?)?,
-                served: s.field("served", Json::as_u64)?,
-                shed: s.field("shed", Json::as_u64)?,
-                unavailable: s.field("unavailable", Json::as_u64)?,
-                trips: s.field("trips", Json::as_u64)?,
-                failed_over: s.field("failed_over", Json::as_bool)?,
-                recovered: s.field("recovered", Json::as_u64)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ServeCellReport {
-        design,
-        lang,
-        offered_load: cell.field("offered_load", Json::as_f64)?,
-        service_cycles: cell.field("service_cycles", Json::as_u64)?,
-        offered: cell.field("offered", Json::as_u64)?,
-        completed: cell.field("completed", Json::as_u64)?,
-        shed: cell.field("shed", Json::as_u64)?,
-        timeouts: cell.field("timeouts", Json::as_u64)?,
-        unavailable: cell.field("unavailable", Json::as_u64)?,
-        failed: cell.field("failed", Json::as_u64)?,
-        retries: cell.field("retries", Json::as_u64)?,
-        poisoned_reads: cell.field("poisoned_reads", Json::as_u64)?,
-        breaker_trips: cell.field("breaker_trips", Json::as_u64)?,
-        failovers: cell.field("failovers", Json::as_u64)?,
-        failover_redirects: cell.field("failover_redirects", Json::as_u64)?,
-        recovery_legs: cell.field("recovery_legs", Json::as_u64)?,
-        durable_set_checks: cell.field("durable_set_checks", Json::as_u64)?,
-        pmo_edges_checked: cell.field("pmo_edges_checked", Json::as_u64)?,
-        reconverged_strict: cell.field("reconverged_strict", Json::as_u64)?,
-        reconverged_salvage: cell.field("reconverged_salvage", Json::as_u64)?,
-        silent_corruptions: cell.field("silent_corruptions", Json::as_u64)?,
-        p50: cell.field("p50", Json::as_u64)?,
-        p99: cell.field("p99", Json::as_u64)?,
-        p999: cell.field("p999", Json::as_u64)?,
-        max_latency,
-        latency,
-        shards,
-        events_processed: cell.field("events_processed", Json::as_u64)?,
-        sim_cycles: cell.field("sim_cycles", Json::as_u64)?,
-    })
 }

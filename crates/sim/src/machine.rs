@@ -611,8 +611,10 @@ impl<E: PersistEngine> SimMachine<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the configured cycle bound is exceeded (indicates a
-    /// modelling deadlock — a bug).
+    /// Panics on a deadlock — a tick made no progress and no event is
+    /// scheduled — naming spare-pool exhaustion when the fault unit parked
+    /// a line for good, and if the configured cycle bound is exceeded (a
+    /// modelling bug).
     pub fn run(mut self) -> SimStats {
         while !self.cores.iter().all(|c| c.done) {
             self.progress = false;
@@ -622,8 +624,13 @@ impl<E: PersistEngine> SimMachine<E> {
                 self.cycle < self.cfg.max_cycles,
                 "simulation exceeded cycle bound"
             );
-            if self.cfg.skip_ahead && !self.progress {
-                self.skip_quiescent();
+            if !self.progress {
+                let Some(next) = self.next_event_cycle() else {
+                    self.deadlock()
+                };
+                if self.cfg.skip_ahead {
+                    self.skip_quiescent(next);
+                }
             }
         }
         let cycles = self
@@ -666,8 +673,8 @@ impl<E: PersistEngine> SimMachine<E> {
         let perf = self.prof.take().map(|p| p.snapshot());
         if let Some(snap) = &perf {
             // Sweep-cell worker threads all merge into the ambient
-            // aggregate, so `SW_PERF=1` and `swctl bench` can attribute a
-            // whole sweep without plumbing a handle per machine.
+            // aggregate, so `SW_PERF=1` can attribute a whole sweep
+            // without plumbing a handle per machine.
             if sw_perf::global_enabled() {
                 sw_perf::global_merge(snap);
             }
@@ -747,14 +754,12 @@ impl<E: PersistEngine> SimMachine<E> {
     // ------------------------------------------------------------------
 
     /// Jumps over quiescent cycles after a tick that made no progress:
-    /// advances the clock to [`SimMachine::next_event_cycle`] and replays
-    /// each core's per-cycle accounting ([`TickNote`]) across the skipped
-    /// span, so counters and metrics are bit-identical to single-stepping.
-    fn skip_quiescent(&mut self) {
-        let target = self
-            .next_event_cycle()
-            .unwrap_or(self.cfg.max_cycles)
-            .min(self.cfg.max_cycles);
+    /// advances the clock to `next`, the [`SimMachine::next_event_cycle`],
+    /// and replays each core's per-cycle accounting ([`TickNote`]) across
+    /// the skipped span, so counters and metrics are bit-identical to
+    /// single-stepping.
+    fn skip_quiescent(&mut self, next: u64) {
+        let target = next.min(self.cfg.max_cycles);
         if target <= self.cycle {
             return;
         }
@@ -772,9 +777,8 @@ impl<E: PersistEngine> SimMachine<E> {
     /// The earliest future cycle at which any scheduled event fires: a PM
     /// write-queue drain, a core coming off `busy_until`, an in-flight
     /// access completing, or a persist-structure acknowledgement arriving.
-    /// `None` means nothing is scheduled (a genuine deadlock: the caller
-    /// jumps to the cycle bound and the next tick panics, exactly as
-    /// single-stepping eventually would).
+    /// `None` means nothing is scheduled: a genuine deadlock, on which
+    /// [`SimMachine::run`] panics in both stepping modes.
     ///
     /// Soundness: after a tick with no progress, every other wake-up
     /// source — steal resolution, fence conditions, queue drains — is
@@ -814,6 +818,23 @@ impl<E: PersistEngine> SimMachine<E> {
             }
         }
         (next != u64::MAX).then_some(next)
+    }
+
+    /// Panics for a deadlock found at the current cycle. A line the fault
+    /// unit parked for good (spare-pool exhaustion) is named as the cause:
+    /// the write-back holding it can never drain.
+    fn deadlock(&self) -> ! {
+        match self.pm.parked_line() {
+            Some(line) => panic!(
+                "simulation deadlocked at cycle {}: spare pool exhausted, line {line:#x} \
+                 failed for good and the write holding it never drains",
+                self.cycle
+            ),
+            None => panic!(
+                "simulation deadlocked at cycle {}: no core progressed and nothing is scheduled",
+                self.cycle
+            ),
+        }
     }
 
     // ------------------------------------------------------------------

@@ -144,6 +144,11 @@ impl PmController {
         self.faults.as_ref().and_then(|u| u.next_retry_at())
     }
 
+    /// The lowest line spare-pool exhaustion parked for good, if any.
+    pub(crate) fn parked_line(&self) -> Option<u64> {
+        self.faults.as_ref().and_then(|u| u.parked_line())
+    }
+
     /// `true` when the write queue is at capacity.
     pub fn write_queue_full(&self) -> bool {
         self.write_queued >= self.write_capacity

@@ -22,7 +22,7 @@ use sw_lang::{
 };
 use sw_model::isa::{IsaTrace, LockId};
 use sw_model::{Pmo, StoreId};
-use sw_pmem::{HeapSlotState, LineAddr, PmImage, PmLayout, RemapTable};
+use sw_pmem::{HeapSlotState, LineAddr, PmImage, PmLayout, PoolStats, RemapTable};
 use sw_sim::{Machine, SimConfig, SimStats};
 use sw_trace::{MetricsSnapshot, NullSink, TraceEvent, TraceSink};
 use sw_workloads::driver::{drive, DriverOutput, DriverParams};
@@ -468,28 +468,48 @@ impl Experiment {
         Ok(report)
     }
 
+    /// This cell's allocator-churn workload: the variant of the benchmark
+    /// that exercises run-time `heap_alloc`/`heap_free`.
+    ///
+    /// # Errors
+    ///
+    /// Names the benchmark and every benchmark that has a churn mode when
+    /// this one has none.
+    pub fn churn_workload(&self) -> Result<Box<dyn Workload>, String> {
+        self.bench.instantiate_churn().ok_or_else(|| {
+            let churn: Vec<_> = BenchmarkId::ALL
+                .into_iter()
+                .filter(|b| b.instantiate_churn().is_some())
+                .map(BenchmarkId::label)
+                .collect();
+            format!(
+                "benchmark {} has no allocator-churn mode (churn: {})",
+                self.bench,
+                churn.join(", ")
+            )
+        })
+    }
+
     /// Runs this cell to a clean shutdown and reports end-of-run heap-pool
     /// occupancy plus the run's allocator activity counters — the backend
-    /// of `swctl heap`. With `churn`, the workload variant that exercises
-    /// run-time `heap_alloc`/`heap_free` is used (an error names the
-    /// benchmark if it has no churn mode).
+    /// of `swctl heap`. With `churn`, the [churn workload] runs.
+    ///
+    /// # Errors
+    ///
+    /// With `churn`, on a benchmark that has no churn mode.
+    ///
+    /// [churn workload]: Experiment::churn_workload
     pub fn run_heap_report(&self, churn: bool) -> Result<HeapReport, String> {
         let mut workload = if churn {
-            self.bench.instantiate_churn().ok_or_else(|| {
-                format!(
-                    "benchmark {} has no allocator-churn mode (churn: hashmap, nstore-*)",
-                    self.bench
-                )
-            })?
+            self.churn_workload()?
         } else {
             self.bench.instantiate()
         };
-        let out = drive(
-            workload.as_mut(),
-            &self.driver_params().clean_shutdown().metrics(),
-        );
-        let snapshot = out.ctx.metrics_snapshot();
+        let out = drive(workload.as_mut(), &self.driver_params().clean_shutdown());
         let hs = out.ctx.heap_state();
+        let total = |count: fn(&PoolStats) -> u64| -> u64 {
+            (0..hs.pool_count()).map(|p| count(&hs.pool(p).stats)).sum()
+        };
         let pools = (0..hs.pool_count())
             .map(|p| {
                 let pa = hs.pool(p);
@@ -509,15 +529,15 @@ impl Experiment {
             .collect();
         Ok(HeapReport {
             pools,
-            carves: snapshot.counter("alloc.carves").unwrap_or(0),
-            allocs: snapshot.counter("alloc.allocs").unwrap_or(0),
-            frees: snapshot.counter("alloc.frees").unwrap_or(0),
-            checkpoints: snapshot.counter("alloc.checkpoints").unwrap_or(0),
+            carves: total(|s| s.carves),
+            allocs: total(|s| s.allocs),
+            frees: total(|s| s.frees),
+            checkpoints: total(|s| s.checkpoints),
         })
     }
 
     /// Runs the allocator leak smoke — the backend of `swctl heap
-    /// --verify` and the CI allocator stage. The cell's churn workload
+    /// --verify` and the CI allocator stage. The cell's [churn workload]
     /// runs to a crash; each of `rounds` sampled crash states must:
     ///
     /// * pass `Strict` recovery (false-positive control: natural crash
@@ -529,14 +549,11 @@ impl Experiment {
     ///   left unreachable by the crash (an allocation whose publishing
     ///   store never persisted) is reclaimed, deterministically so (a
     ///   second rebuild + reclaim finds the identical set).
+    ///
+    /// [churn workload]: Experiment::churn_workload
     pub fn run_heap_smoke(&self, rounds: usize) -> Result<HeapSmokeReport, String> {
         use sw_pmem::BlockKind;
-        let mut workload = self.bench.instantiate_churn().ok_or_else(|| {
-            format!(
-                "benchmark {} has no allocator-churn mode (churn: hashmap, nstore-*)",
-                self.bench
-            )
-        })?;
+        let mut workload = self.churn_workload()?;
         let out = drive(workload.as_mut(), &self.driver_params());
         let pmo = self.pmo_of(&out);
         let layout = &out.layout;
@@ -1982,10 +1999,14 @@ mod tests {
 
     #[test]
     fn heap_report_errors_on_churn_free_benchmarks() {
-        let err = small(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
-            .run_heap_report(true)
-            .unwrap_err();
-        assert!(err.contains("no allocator-churn mode"), "{err}");
+        let cell = small(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver);
+        let err = cell.run_heap_report(true).unwrap_err();
+        assert_eq!(
+            err,
+            "benchmark queue has no allocator-churn mode \
+             (churn: hashmap, nstore-rd, nstore-bal, nstore-wr)"
+        );
+        assert_eq!(cell.run_heap_smoke(1).unwrap_err(), err);
     }
 
     #[test]

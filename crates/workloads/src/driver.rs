@@ -56,9 +56,6 @@ pub struct DriverParams {
     /// structured error; `Salvage` quarantines the faulting thread and
     /// continues scheduling the rest.
     pub mce_policy: RecoveryPolicy,
-    /// Enable the context's metrics registry before setup (so allocator
-    /// carve counters include setup-time activity).
-    pub metrics: bool,
 }
 
 impl DriverParams {
@@ -79,15 +76,7 @@ impl DriverParams {
             clean_shutdown: false,
             mce_line: None,
             mce_policy: RecoveryPolicy::Strict,
-            metrics: false,
         }
-    }
-
-    /// Enables the runtime metrics registry on the context (counts
-    /// log appends/commits and allocator carves/allocs/frees).
-    pub fn metrics(mut self) -> Self {
-        self.metrics = true;
-        self
     }
 
     /// Sets the thread count.
@@ -165,9 +154,6 @@ pub struct DriverOutput {
 pub fn drive(workload: &mut dyn Workload, params: &DriverParams) -> DriverOutput {
     let layout = PmLayout::new(params.threads, params.log_entries);
     let mut ctx = FuncCtx::new(layout.clone(), params.threads);
-    if params.metrics {
-        ctx.enable_metrics();
-    }
     ctx.set_record_program(false);
     workload.setup(&mut ctx);
     let baseline = harness::baseline(&mut ctx);

@@ -2,7 +2,8 @@
 //! simulator tally that owns the same count — the per-core `CoreStats`,
 //! the run's `EventCounts`, its durable write order and the fault unit's
 //! `OnlineFaultStats` — on every legal design × lang, with and without
-//! online device faults, and with skip-ahead on and off.
+//! online device faults, and with skip-ahead on and off. A run that
+//! exhausts the spare pool must stop at once with the deadlock named.
 
 use strandweaver::experiment::Experiment;
 use strandweaver::faults::{
@@ -204,8 +205,8 @@ fn metric_counters_match_the_simulator_tallies() {
 }
 
 /// Spare exhaustion parks the failed line for good, so a driven run that
-/// exhausts the spare pool never drains. On a two-core trace the line can
-/// still leave the stuck core: core 1 loads it, the coherence steal moves
+/// exhausts the spare pool deadlocks (see below). On a two-core trace the
+/// line can still leave the stuck core: core 1 loads it, the coherence steal moves
 /// the dirty copy over, core 0's CLWB then finds its line clean, and the
 /// run finishes with the exhaustion counted. Only designs without a strand
 /// buffer resolve that steal at once.
@@ -242,4 +243,43 @@ fn spare_exhaustion_is_counted_once() {
         let f = stats.online_faults.expect("fault unit installed");
         assert_eq!(f.spares_exhausted, 1, "{cell}: {f:?}");
     }
+}
+
+/// Queue txn on StrandWeaver, 2×12×2, with no spare lines and a sticky
+/// permanent error on the first write: the write that exhausts the spare
+/// pool parks for good, and no other core ever takes its line away.
+fn exhaust_the_spare_pool(skip_ahead: bool) -> SimStats {
+    let mut faults = one_fault(
+        DeviceFaultClass::PermanentMediaError,
+        FaultTrigger::NthWrite(1),
+        true,
+    );
+    faults.spare_count = 0;
+    let mut e = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
+        .threads(2)
+        .total_regions(12)
+        .ops_per_region(2);
+    e.sim.skip_ahead = skip_ahead;
+    e.sim.device_faults = Some(faults);
+    e.run_timing()
+}
+
+/// Once nothing is scheduled the machine names the deadlock and its
+/// cause.
+#[test]
+#[should_panic(
+    expected = "simulation deadlocked at cycle 941: spare pool exhausted, line 0x400001"
+)]
+fn spare_exhaustion_deadlock_is_named_with_skip_ahead() {
+    exhaust_the_spare_pool(true);
+}
+
+/// Single-stepping stops at the same cycle: it must not tick on to the
+/// cycle bound.
+#[test]
+#[should_panic(
+    expected = "simulation deadlocked at cycle 941: spare pool exhausted, line 0x400001"
+)]
+fn spare_exhaustion_deadlock_is_named_single_stepped() {
+    exhaust_the_spare_pool(false);
 }
