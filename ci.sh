@@ -111,6 +111,11 @@ cli_golden fig7_strandweaver.json fig7 --design strandweaver --json
 cli_golden fig9.json fig9 --json
 cli_golden fig10.json fig10 --json
 cli_golden summary.json summary --json
+# Every golden above runs two threads; this one pins the eight-core lock
+# hand-offs and coherence steals the figures sweep spends its ticks on.
+diff expected/summary_8core.json <(SW_BENCH_THREADS=8 SW_BENCH_REGIONS=48 \
+  SW_BENCH_OPS_PER_REGION=2 "$SWCTL" summary --json) \
+  || { echo "ci: summary_8core.json drifted from expected/summary_8core.json" >&2; exit 1; }
 echo "CLI goldens bit-identical"
 # Trace goldens: the Perfetto export of one small traced run per design
 # class. Together they emit every event kind of a fault-free timing run;

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the simulator's per-cycle hot path:
 //! dirty-owner directory lookups, strand-buffer enqueue/drain, and a full
-//! engine step (a small end-to-end machine run per design).
+//! engine step (a small end-to-end machine run per design, on a two-core
+//! hand-written trace and on an eight-core driven one).
 //!
 //! These guard the monomorphized, allocation-free cycle loop: the
 //! directory and strand buffer are probed several times per core per
@@ -8,10 +9,12 @@
 //! dispatch plus skip-ahead scheduling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use strandweaver::experiment::Experiment;
 use strandweaver::model::isa::{FenceKind, IsaOp};
 use strandweaver::pmem::{LineAddr, PmLayout};
 use strandweaver::sim::{Directory, Machine, Sbu, SimConfig};
-use strandweaver::HwDesign;
+use strandweaver::workloads::driver::drive;
+use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
 fn bench_directory(c: &mut Criterion) {
     let layout = PmLayout::new(2, 1024);
@@ -49,10 +52,10 @@ fn bench_sbu_enqueue_drain(c: &mut Criterion) {
                 }
                 let mut cycle = 0u64;
                 while !sbu.is_empty() {
-                    let mut issues = Vec::new();
-                    sbu.for_each_issuable(|bidx, k, _line| issues.push((bidx, k)));
-                    for (bidx, k) in issues {
-                        sbu.mark_pending(bidx, k, cycle + 2);
+                    let (mut bidx, mut k) = (0, 0);
+                    while let Some((eb, ek, _line)) = sbu.next_issuable(bidx, k) {
+                        sbu.mark_pending(eb, ek, cycle + 2);
+                        (bidx, k) = (eb, ek + 1);
                     }
                     let _ = sbu.tick_retire(cycle);
                     cycle += 1;
@@ -107,6 +110,38 @@ fn bench_engine_step(c: &mut Criterion) {
     }
 }
 
+/// The per-tick cost where the figures sweep spends it: a driven queue
+/// txn run at 8 threads × 24 regions × 2 ops per design, replayed from
+/// machine construction to the end of the run. Eight cores contend for
+/// the queue's locks and steal each other's dirty lines, which the
+/// two-core `engine_step_*` traces rarely do.
+fn bench_engine_step_8core(c: &mut Criterion) {
+    for design in HwDesign::ALL {
+        let e = Experiment::new(BenchmarkId::Queue, LangModel::Txn, design)
+            .threads(8)
+            .total_regions(24)
+            .ops_per_region(2);
+        let mut workload = BenchmarkId::Queue.instantiate();
+        let params = e.driver_params().timing_only().clean_shutdown();
+        let out = drive(workload.as_mut(), &params);
+        let warm: Vec<LineAddr> = out.baseline.written_lines().collect();
+        let layout = out.layout.clone();
+        let traces = out.ctx.into_traces();
+        c.bench_function(&format!("engine_step_8core_{design:?}"), |b| {
+            b.iter_batched(
+                || {
+                    let cfg = e.sim.clone().with_cores(8);
+                    let mut m = Machine::new(cfg, design, layout.clone(), traces.clone());
+                    m.preload_l2(warm.iter().copied());
+                    m
+                },
+                |m| m.run(),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+}
+
 /// The same end-to-end engine step with an armed-but-idle online fault
 /// unit installed, for side-by-side comparison against
 /// `engine_step_StrandWeaver`: the fault check on the PM write path must
@@ -143,6 +178,7 @@ criterion_group!(
     bench_directory,
     bench_sbu_enqueue_drain,
     bench_engine_step,
+    bench_engine_step_8core,
     bench_engine_step_idle_faults
 );
 criterion_main!(sim_hot_path);

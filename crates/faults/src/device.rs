@@ -206,8 +206,6 @@ impl DeviceFaultSchedule {
 pub struct OnlineFaultStats {
     /// Transient write failures that fired (first failure per episode).
     pub transient_failures: u64,
-    /// Retry attempts rejected because the line was still in backoff.
-    pub retry_waits: u64,
     /// Failed retry attempts (the media rejected the retry itself).
     pub retries_failed: u64,
     /// Retries that succeeded after backoff.
@@ -232,7 +230,6 @@ impl OnlineFaultStats {
     /// Accumulates `other` into `self` (campaign-level aggregation).
     pub fn merge(&mut self, other: &OnlineFaultStats) {
         self.transient_failures += other.transient_failures;
-        self.retry_waits += other.retry_waits;
         self.retries_failed += other.retries_failed;
         self.retries_succeeded += other.retries_succeeded;
         self.permanent_errors += other.permanent_errors;
@@ -242,10 +239,9 @@ impl OnlineFaultStats {
     }
 
     /// Stable `(key, value)` pairs for JSON/metric export.
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
+    pub fn entries(&self) -> [(&'static str, u64); 7] {
         [
             ("transient_failures", self.transient_failures),
-            ("retry_waits", self.retry_waits),
             ("retries_failed", self.retries_failed),
             ("retries_succeeded", self.retries_succeeded),
             ("permanent_errors", self.permanent_errors),
@@ -453,7 +449,6 @@ impl DeviceFaultUnit {
         // An open retry episode owns the line until it closes.
         if let Some(state) = self.retry.get(&line).copied() {
             if cycle < state.next_at {
-                self.stats.retry_waits += 1;
                 return WriteDecision::Backoff {
                     until: state.next_at,
                 };
@@ -637,7 +632,6 @@ mod tests {
         assert!(!unit.retry_pending());
         let s = unit.stats();
         assert_eq!(s.transient_failures, 1);
-        assert_eq!(s.retry_waits, 1);
         assert_eq!(s.retries_succeeded, 1);
         assert_eq!(s.permanent_errors, 0);
     }

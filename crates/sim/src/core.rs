@@ -96,6 +96,9 @@ pub struct Core {
     pub stats: CoreStats,
     /// Set once the trace has fully issued and all queues drained.
     pub done: bool,
+    /// Set while the core sits in a lock's waiter ring (a core waits on
+    /// at most one lock at a time).
+    pub(crate) lock_queued: bool,
 }
 
 impl Core {
@@ -117,6 +120,7 @@ impl Core {
             l1: L1Cache::new(cfg.l1_sets, cfg.l1_ways),
             stats: CoreStats::default(),
             done: false,
+            lock_queued: false,
         }
     }
 

@@ -39,7 +39,7 @@ use crate::config::SimConfig;
 use crate::core::{Core, SqOp};
 use crate::machine::SimMachine;
 use crate::persist::ClwbState;
-use crate::strand_buffer::SbuEntry;
+use crate::strand_buffer::MAX_STRAND_BUFFERS;
 
 pub use eadr::Eadr;
 pub use hops::Hops;
@@ -136,79 +136,66 @@ impl<E: PersistEngine> SimMachine<E> {
     /// Intel / non-atomic: issue waiting flush slots, retire completed
     /// ones. Slots wait for elder same-line stores to retire first.
     pub(crate) fn backend_flush_engine(&mut self, i: usize) {
-        if self.cores[i].flush.is_none() {
+        let Some(flush) = self.cores[i].flush.as_ref() else {
             return;
-        }
-        let n = self.cores[i].flush.as_ref().expect("checked").len();
-        for s in 0..n {
-            let (line, waiting) = {
+        };
+        if flush.waiting() > 0 {
+            for s in 0..flush.len() {
                 let slot = self.cores[i].flush.as_ref().expect("checked").slots()[s];
-                (slot.line, slot.state == ClwbState::Waiting)
-            };
-            if !waiting || self.cores[i].sq_has_store_to(line) {
-                continue;
-            }
-            if let Some(done_at) = self.flush_access(i, line) {
-                self.cores[i].flush.as_mut().expect("checked").slots_mut()[s].state =
-                    ClwbState::Pending { done_at };
-                self.progress = true;
+                if slot.state != ClwbState::Waiting || self.cores[i].sq_has_store_to(slot.line) {
+                    continue;
+                }
+                if let Some(done_at) = self.flush_access(i, slot.line) {
+                    let flush = self.cores[i].flush.as_mut().expect("checked");
+                    flush.mark_pending(s, done_at);
+                    self.progress = true;
+                }
             }
         }
         let cycle = self.cycle;
-        let before = self.cores[i].flush.as_ref().expect("checked").len();
-        self.cores[i]
-            .flush
-            .as_mut()
-            .expect("checked")
-            .tick_retire(cycle);
-        if self.cores[i].flush.as_ref().expect("checked").len() != before {
+        let flush = self.cores[i].flush.as_mut().expect("checked");
+        if flush.tick_retire(cycle) > 0 {
             self.progress = true;
         }
     }
 
     /// Strand buffers (StrandWeaver, no-persist-queue, HOPS): issue the
-    /// ready CLWBs, advance completions, retire in order.
-    ///
-    /// The `Sbu` is moved out of the core for the duration (and restored
-    /// before returning) so the issue loop can call `flush_access` — which
-    /// borrows the whole machine — without re-fetching the unit per entry.
+    /// ready CLWBs, advance completions, retire in order. The unit stays
+    /// in the core: the issue walk re-reads it through
+    /// [`crate::Sbu::next_issuable`] around each `flush_access`, which
+    /// borrows the whole machine.
     pub(crate) fn backend_sbu(&mut self, i: usize) {
-        let Some(mut sbu) = self.cores[i].sbu.take() else {
+        let (mut b, mut k) = (0, 0);
+        loop {
+            let sbu = self.cores[i]
+                .sbu
+                .as_ref()
+                .expect("design has strand buffers");
+            let Some((eb, ek, line)) = sbu.next_issuable(b, k) else {
+                break;
+            };
+            // Note: no store-queue gate here — that check happened
+            // before insertion, preserving the paper's deadlock-freedom
+            // argument.
+            if let Some(done_at) = self.flush_access(i, line) {
+                let sbu = self.cores[i].sbu.as_mut().expect("checked");
+                sbu.mark_pending(eb, ek, done_at);
+                self.progress = true;
+            }
+            (b, k) = (eb, ek + 1);
+        }
+        let cycle = self.cycle;
+        let sbu = self.cores[i].sbu.as_mut().expect("checked");
+        let out = sbu.tick_retire(cycle);
+        if !out.changed() {
             return;
-        };
-        for b in 0..sbu.num_buffers() {
-            for k in 0..sbu.buffer_len(b) {
-                match sbu.entry(b, k) {
-                    SbuEntry::Pb => break,
-                    SbuEntry::Clwb {
-                        line,
-                        state: ClwbState::Waiting,
-                    } => {
-                        // Note: no store-queue gate here — that check
-                        // happened before insertion, preserving the
-                        // paper's deadlock-freedom argument.
-                        if let Some(done_at) = self.flush_access(i, line) {
-                            sbu.mark_pending(b, k, done_at);
-                            self.progress = true;
-                        }
-                    }
-                    SbuEntry::Clwb { .. } => {}
-                }
+        }
+        self.progress = true;
+        for b in 0..MAX_STRAND_BUFFERS {
+            if out.retired_mask & (1 << b) != 0 {
+                self.note_sb_retired(i, b);
             }
         }
-        let out = sbu.tick_retire(self.cycle);
-        if out.changed() {
-            self.progress = true;
-        }
-        if out.retired > 0 && self.observing() {
-            let total = sbu.len() as u64;
-            for b in 0..sbu.num_buffers() {
-                if out.retired_mask & (1 << b) != 0 {
-                    self.note_sb_retired(i, b, sbu.buffer_len(b) as u32, total);
-                }
-            }
-        }
-        self.cores[i].sbu = Some(sbu);
     }
 }
 

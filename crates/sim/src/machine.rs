@@ -28,10 +28,33 @@
 //!
 //! When a whole tick makes no architectural progress, the machine jumps
 //! straight to the next cycle at which anything can happen (the minimum
-//! over memory-controller drains, in-flight access completions, and
-//! persist-structure acknowledgements), replaying the skipped cycles'
-//! stall accounting so `SimStats` stay bit-identical to single-stepping
+//! over memory-controller drains, in-flight access completions,
+//! persist-structure acknowledgements, and device-fault retry admissions),
+//! replaying the skipped cycles' stall accounting so `SimStats` stay
+//! bit-identical to single-stepping, faults included
 //! (`SimConfig::skip_ahead` disables the jump for equivalence tests).
+//!
+//! A tick that does run visits every core, but each visit costs O(1)
+//! unless that core's state changed:
+//!
+//! - the strand buffer unit and the flush engine keep their count of
+//!   waiting CLWBs and their earliest pending completion current at push,
+//!   issue and retire: the issue walk runs only while a CLWB waits,
+//!   `tick_retire` returns at once before the earliest completion (and,
+//!   for strand buffers, while no barrier has reached a buffer head), and
+//!   skip-ahead reads the completion instead of rescanning;
+//! - a core waiting on a lock carries a queued flag instead of searching
+//!   the lock's waiter ring.
+//!
+//! The one per-tick walk left is the store-queue lookup of a CLWB held
+//! for an elder same-line store (at most `store_queue_entries` entries);
+//! a per-line count of queued stores did not measurably shorten the
+//! figures sweep. Each cached answer keeps the scan it replaced as a
+//! `debug_assert!` reference, so debug builds (every tier-1 test)
+//! cross-check the caches on every tick; property tests in
+//! `strand_buffer.rs` and `persist.rs` drive them with random operation
+//! sequences, and `tests/metrics_ledger.rs` compares skip-ahead against
+//! single-stepping at two and eight cores, with and without faults.
 //!
 //! Deadlock freedom follows the paper's argument: CLWBs wait for elder
 //! same-line stores *before* entering the strand buffer unit (at the
@@ -499,42 +522,45 @@ impl<E: PersistEngine> SimMachine<E> {
     /// Records an append to core `i`'s ongoing strand buffer.
     pub(crate) fn note_sb_enqueue(&mut self, i: usize) {
         self.events.sb_enqueues += 1;
-        if !self.observing() {
-            return;
+        if self.observing() {
+            let buffer = self.cores[i].sbu.as_ref().map_or(0, Sbu::ongoing_index);
+            self.note_sb_occupancy(i, buffer, true);
         }
+    }
+
+    /// Records a retirement from strand buffer `buffer` of core `i`.
+    pub(crate) fn note_sb_retired(&mut self, i: usize, buffer: usize) {
+        if self.observing() {
+            self.note_sb_occupancy(i, buffer, false);
+        }
+    }
+
+    /// Updates the occupancy gauge and histogram after an append to or a
+    /// retirement from strand buffer `buffer` of core `i`, and emits the
+    /// event.
+    fn note_sb_occupancy(&mut self, i: usize, buffer: usize, enqueue: bool) {
         let Some(sbu) = self.cores[i].sbu.as_ref() else {
             return;
         };
-        let buffer = sbu.ongoing_index();
         let occupancy = sbu.buffer_len(buffer) as u32;
         let total = sbu.len() as u64;
         if let Some(m) = self.metrics.as_mut() {
             m.reg.set(m.sb_occupancy[i], total);
             m.reg.observe(m.sb_occupancy_hist, occupancy.into());
         }
-        self.emit(TraceEvent::SbEnqueue {
-            core: i as u32,
-            buffer: buffer as u32,
-            occupancy,
-        });
-    }
-
-    /// Records a strand-buffer retirement on core `i`. `occupancy` and
-    /// `total` are the post-retirement buffer and unit occupancies, passed
-    /// explicitly because the engine back-end holds the `Sbu` out of the
-    /// core while retiring.
-    pub(crate) fn note_sb_retired(&mut self, i: usize, buffer: usize, occupancy: u32, total: u64) {
-        if !self.observing() {
-            return;
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.reg.set(m.sb_occupancy[i], total);
-            m.reg.observe(m.sb_occupancy_hist, occupancy.into());
-        }
-        self.emit(TraceEvent::SbRetire {
-            core: i as u32,
-            buffer: buffer as u32,
-            occupancy,
+        let (core, buffer) = (i as u32, buffer as u32);
+        self.emit(if enqueue {
+            TraceEvent::SbEnqueue {
+                core,
+                buffer,
+                occupancy,
+            }
+        } else {
+            TraceEvent::SbRetire {
+                core,
+                buffer,
+                occupancy,
+            }
         });
     }
 
@@ -796,7 +822,14 @@ impl<E: PersistEngine> SimMachine<E> {
             consider(self.pm.next_drain());
         }
         if let Some(t) = self.pm.next_retry_at() {
-            // A line parked in fault-retry back-off wakes its holder.
+            // A line parked in fault-retry back-off wakes its holder. A
+            // CLWB offers its write one L1 lookup after its cycle, so it
+            // is admitted from `t - l1_hit_cycles` on; a write-back offers
+            // at its cycle. A line parked for good (`u64::MAX`) wakes
+            // nothing.
+            if t != u64::MAX {
+                consider(t.saturating_sub(self.cfg.l1_hit_cycles));
+            }
             consider(t);
         }
         for core in &self.cores {

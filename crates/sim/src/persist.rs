@@ -35,6 +35,10 @@ pub struct FlushSlot {
 pub struct FlushEngine {
     slots: Vec<FlushSlot>,
     capacity: usize,
+    /// `Waiting` slots: the issue walk runs only while this is non-zero.
+    waiting: u32,
+    /// The earliest completion cycle among `Pending` slots.
+    next_done: Option<u64>,
 }
 
 impl FlushEngine {
@@ -44,6 +48,8 @@ impl FlushEngine {
         Self {
             slots: Vec::with_capacity(capacity),
             capacity,
+            waiting: 0,
+            next_done: None,
         }
     }
 
@@ -63,6 +69,7 @@ impl FlushEngine {
             line,
             state: ClwbState::Waiting,
         });
+        self.waiting += 1;
     }
 
     /// `true` when no CLWB is outstanding (the `SFENCE` condition).
@@ -75,38 +82,120 @@ impl FlushEngine {
         self.slots.len()
     }
 
+    /// Number of slots not yet issued.
+    pub(crate) fn waiting(&self) -> u32 {
+        self.waiting
+    }
+
     /// Read access to the slots.
     pub fn slots(&self) -> &[FlushSlot] {
         &self.slots
     }
 
-    /// Mutable access to the slots (issue logic lives in the machine).
-    pub fn slots_mut(&mut self) -> &mut Vec<FlushSlot> {
-        &mut self.slots
+    /// Marks waiting slot `s` as pending with the given completion cycle.
+    /// Any other slot is left as it is.
+    pub fn mark_pending(&mut self, s: usize, done_at: u64) {
+        let Some(slot) = self.slots.get_mut(s) else {
+            return;
+        };
+        if slot.state == ClwbState::Waiting {
+            slot.state = ClwbState::Pending { done_at };
+            self.waiting -= 1;
+            self.next_done = Some(self.next_done.map_or(done_at, |t| t.min(done_at)));
+        }
     }
 
-    /// Drops completed slots at `cycle`.
-    pub fn tick_retire(&mut self, cycle: u64) {
+    /// Drops the slots completed by `cycle` and returns how many. Returns
+    /// at once while no pending slot is due. Debug builds check the cached
+    /// waiting count and earliest completion against a walk over every
+    /// slot here, once per call.
+    pub fn tick_retire(&mut self, cycle: u64) -> usize {
+        let retired = if self.next_done.is_some_and(|t| t <= cycle) {
+            self.retire_scan(cycle)
+        } else {
+            0
+        };
+        debug_assert_eq!((self.waiting, self.next_done), self.scan());
+        retired
+    }
+
+    /// [`FlushEngine::tick_retire`] by a walk over every slot, recomputing
+    /// the earliest pending completion.
+    fn retire_scan(&mut self, cycle: u64) -> usize {
+        let before = self.slots.len();
         self.slots
             .retain(|s| !matches!(s.state, ClwbState::Pending { done_at } if done_at <= cycle));
+        self.next_done = self.scan().1;
+        before - self.slots.len()
     }
 
     /// The earliest completion cycle among `Pending` slots, if any — the
     /// engine's contribution to the machine's next-interesting-cycle.
     pub fn min_pending_done_at(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s.state {
-                ClwbState::Pending { done_at } => Some(done_at),
-                _ => None,
-            })
-            .min()
+        self.next_done
+    }
+
+    /// The waiting count and the earliest pending completion by a walk
+    /// over every slot: the reference the cached fields are checked
+    /// against.
+    fn scan(&self) -> (u32, Option<u64>) {
+        let mut waiting = 0;
+        let mut next_done: Option<u64> = None;
+        for slot in &self.slots {
+            match slot.state {
+                ClwbState::Waiting => waiting += 1,
+                ClwbState::Pending { done_at } => {
+                    next_done = Some(next_done.map_or(done_at, |t| t.min(done_at)));
+                }
+                ClwbState::Done => {}
+            }
+        }
+        (waiting, next_done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random pushes, issues of arbitrary slots (a no-op unless the
+        /// slot waits) and retirements: after every step the cached
+        /// waiting count and earliest completion equal a fresh scan, and
+        /// `tick_retire` leaves the same slots and retires as many as the
+        /// full scan it may skip.
+        #[test]
+        fn cached_state_matches_a_scan(
+            capacity in 1usize..8,
+            ops in prop::collection::vec((0u8..3, 0usize..8, 0u64..12), 1..160),
+        ) {
+            let mut fast = FlushEngine::new(capacity);
+            let mut slow = fast.clone();
+            let mut cycle = 0;
+            for (op, s, t) in ops {
+                match op {
+                    0 if fast.has_space() => {
+                        fast.push(LineAddr(t));
+                        slow.push(LineAddr(t));
+                    }
+                    1 => {
+                        fast.mark_pending(s, cycle + t);
+                        slow.mark_pending(s, cycle + t);
+                    }
+                    2 => {
+                        cycle += t % 4;
+                        prop_assert_eq!(fast.tick_retire(cycle), slow.retire_scan(cycle));
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(fast.slots(), slow.slots());
+                prop_assert_eq!((fast.waiting, fast.next_done), fast.scan());
+            }
+        }
+    }
 
     #[test]
     fn flush_engine_capacity_and_retire() {
@@ -114,8 +203,9 @@ mod tests {
         f.push(LineAddr(1));
         f.push(LineAddr(2));
         assert!(!f.has_space());
-        f.slots_mut()[0].state = ClwbState::Pending { done_at: 10 };
-        f.tick_retire(10);
+        f.mark_pending(0, 10);
+        assert_eq!(f.tick_retire(9), 0);
+        assert_eq!(f.tick_retire(10), 1);
         assert!(f.has_space());
         assert!(!f.is_empty());
     }

@@ -158,18 +158,25 @@ impl<E: PersistEngine> SimMachine<E> {
         self.progress = true;
     }
 
+    /// Takes lock `l` for core `i` if it is free and `i` is first in
+    /// line; otherwise queues `i` once (its `lock_queued` flag answers
+    /// "already queued" without a walk over the waiter ring).
     fn try_acquire(&mut self, l: LockId, i: usize) -> bool {
+        let queued = self.cores[i].lock_queued;
         let st = self.lock_state(l);
+        debug_assert_eq!(queued, st.waiters.iter().any(|&w| w == i));
         let first_in_line = st.waiters.front().is_none_or(|&w| w == i);
         if st.holder.is_none() && first_in_line {
-            if st.waiters.front() == Some(&i) {
+            if queued {
                 st.waiters.pop_front();
             }
             st.holder = Some(i);
+            self.cores[i].lock_queued = false;
             true
         } else {
-            if st.holder != Some(i) && !st.waiters.iter().any(|&w| w == i) {
+            if st.holder != Some(i) && !queued {
                 st.waiters.push_back(i);
+                self.cores[i].lock_queued = true;
                 self.progress = true;
             }
             false

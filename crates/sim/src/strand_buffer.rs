@@ -79,6 +79,14 @@ pub struct Sbu {
     num_buffers: usize,
     entries_per_buffer: usize,
     ongoing: usize,
+    /// `Waiting` CLWBs across all buffers: the issue walk runs only while
+    /// this is non-zero.
+    waiting: u32,
+    /// The earliest completion cycle among `Pending` entries.
+    next_done: Option<u64>,
+    /// Set when a persist barrier lands in an empty buffer, the one way a
+    /// buffer head becomes retirable without a completion.
+    head_barrier: bool,
 }
 
 impl Sbu {
@@ -97,6 +105,9 @@ impl Sbu {
             num_buffers: buffers,
             entries_per_buffer,
             ongoing: 0,
+            waiting: 0,
+            next_done: None,
+            head_barrier: false,
         }
     }
 
@@ -124,6 +135,10 @@ impl Sbu {
         let slot = b * self.entries_per_buffer
             + (self.head[b] as usize + self.len[b] as usize) % self.entries_per_buffer;
         self.entries[slot] = entry;
+        match entry {
+            SbuEntry::Pb => self.head_barrier |= self.len[b] == 0,
+            SbuEntry::Clwb { .. } => self.waiting += 1,
+        }
         self.len[b] += 1;
     }
 
@@ -183,60 +198,85 @@ impl Sbu {
             .sum()
     }
 
-    /// Calls `f(buffer, entry, line)` for every CLWB that may issue this
-    /// cycle: per buffer, the `Waiting` entries ahead of the first persist
-    /// barrier. Replaces the old `issuable() -> Vec` snapshot (the per-call
-    /// allocation dominated the backend when strand buffers were busy).
-    pub fn for_each_issuable(&self, mut f: impl FnMut(usize, usize, LineAddr)) {
-        for b in 0..self.num_buffers {
-            for k in 0..self.len[b] as usize {
+    /// The first CLWB at or after entry `k` of buffer `b`, in buffer
+    /// order, that may issue this cycle: per buffer, the `Waiting` entries
+    /// ahead of the first persist barrier. Returns its position and line;
+    /// the issue walk resumes from the entry after it. Answers `None` at
+    /// once while no CLWB waits.
+    pub fn next_issuable(&self, b: usize, k: usize) -> Option<(usize, usize, LineAddr)> {
+        if self.waiting == 0 {
+            return None;
+        }
+        let mut k = k;
+        for b in b..self.num_buffers {
+            while k < self.len[b] as usize {
                 match self.entries[self.slot(b, k)] {
                     SbuEntry::Pb => break,
                     SbuEntry::Clwb {
                         line,
                         state: ClwbState::Waiting,
-                    } => f(b, k, line),
-                    SbuEntry::Clwb { .. } => {}
+                    } => return Some((b, k, line)),
+                    SbuEntry::Clwb { .. } => k += 1,
                 }
             }
+            k = 0;
         }
+        None
     }
 
-    /// Marks the entry at `(buffer, index)` as pending with the given
-    /// completion cycle.
+    /// Marks the waiting CLWB at `(buffer, index)` as pending with the
+    /// given completion cycle. Any other entry is left as it is.
     pub fn mark_pending(&mut self, buffer: usize, index: usize, done_at: u64) {
         if index >= self.len[buffer] as usize {
             return;
         }
         let slot = self.slot(buffer, index);
         if let SbuEntry::Clwb { state, .. } = &mut self.entries[slot] {
-            *state = ClwbState::Pending { done_at };
+            if *state == ClwbState::Waiting {
+                *state = ClwbState::Pending { done_at };
+                self.waiting -= 1;
+                self.next_done = Some(self.next_done.map_or(done_at, |t| t.min(done_at)));
+            }
         }
     }
 
-    /// Advances completions and retirements at `cycle`.
+    /// Advances completions and retirements at `cycle`. Returns at once
+    /// when no pending entry is due and no barrier has reached a buffer
+    /// head since the last call: then nothing can complete or retire.
+    /// Debug builds check the cached waiting count and earliest
+    /// completion against a walk over every entry here, once per call.
     pub fn tick_retire(&mut self, cycle: u64) -> RetireOutcome {
+        let out = if self.head_barrier || self.next_done.is_some_and(|t| t <= cycle) {
+            self.retire_scan(cycle)
+        } else {
+            debug_assert!((0..self.num_buffers).all(|b| !self.head_retirable(b)));
+            RetireOutcome::default()
+        };
+        debug_assert_eq!((self.waiting, self.next_done), self.scan());
+        out
+    }
+
+    /// [`Sbu::tick_retire`] by a walk over every entry: completes each due
+    /// pending entry, pops retirable heads, and recomputes the earliest
+    /// pending completion.
+    fn retire_scan(&mut self, cycle: u64) -> RetireOutcome {
         let mut out = RetireOutcome::default();
+        let mut next_done: Option<u64> = None;
         for b in 0..self.num_buffers {
             for k in 0..self.len[b] as usize {
                 let slot = self.slot(b, k);
                 if let SbuEntry::Clwb { state, .. } = &mut self.entries[slot] {
-                    if matches!(*state, ClwbState::Pending { done_at } if done_at <= cycle) {
-                        *state = ClwbState::Done;
-                        out.completions += 1;
+                    if let ClwbState::Pending { done_at } = *state {
+                        if done_at <= cycle {
+                            *state = ClwbState::Done;
+                            out.completions += 1;
+                        } else {
+                            next_done = Some(next_done.map_or(done_at, |t| t.min(done_at)));
+                        }
                     }
                 }
             }
-            while self.len[b] > 0
-                && matches!(
-                    self.entries[b * self.entries_per_buffer + self.head[b] as usize],
-                    SbuEntry::Pb
-                        | SbuEntry::Clwb {
-                            state: ClwbState::Done,
-                            ..
-                        }
-                )
-            {
+            while self.head_retirable(b) {
                 self.head[b] = (self.head[b] + 1) % self.entries_per_buffer as u32;
                 self.len[b] -= 1;
                 self.retired[b] += 1;
@@ -244,25 +284,53 @@ impl Sbu {
                 out.retired_mask |= 1 << b;
             }
         }
+        self.next_done = next_done;
+        self.head_barrier = false;
         out
+    }
+
+    /// `true` when buffer `b`'s head entry may retire: a barrier, or an
+    /// acknowledged CLWB.
+    fn head_retirable(&self, b: usize) -> bool {
+        self.len[b] > 0
+            && matches!(
+                self.entries[b * self.entries_per_buffer + self.head[b] as usize],
+                SbuEntry::Pb
+                    | SbuEntry::Clwb {
+                        state: ClwbState::Done,
+                        ..
+                    }
+            )
     }
 
     /// The earliest completion cycle among `Pending` entries, if any — the
     /// unit's contribution to the machine's next-interesting-cycle.
     pub fn min_pending_done_at(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
+        self.next_done
+    }
+
+    /// The waiting count and the earliest pending completion by a walk
+    /// over every entry: the reference the cached fields are checked
+    /// against.
+    fn scan(&self) -> (u32, Option<u64>) {
+        let mut waiting = 0;
+        let mut next_done: Option<u64> = None;
         for b in 0..self.num_buffers {
             for k in 0..self.len[b] as usize {
-                if let SbuEntry::Clwb {
-                    state: ClwbState::Pending { done_at },
-                    ..
-                } = self.entries[self.slot(b, k)]
-                {
-                    min = Some(min.map_or(done_at, |m: u64| m.min(done_at)));
+                match self.entries[self.slot(b, k)] {
+                    SbuEntry::Clwb {
+                        state: ClwbState::Waiting,
+                        ..
+                    } => waiting += 1,
+                    SbuEntry::Clwb {
+                        state: ClwbState::Pending { done_at },
+                        ..
+                    } => next_done = Some(next_done.map_or(done_at, |t| t.min(done_at))),
+                    _ => {}
                 }
             }
         }
-        min
+        (waiting, next_done)
     }
 
     /// Snapshot of the drain targets a write-back or snoop buffer records:
@@ -292,14 +360,86 @@ impl Sbu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn l(n: u64) -> LineAddr {
         LineAddr(n)
     }
 
+    /// Every entry of every buffer, with each buffer's retirement count
+    /// (through the drain targets): what two units are compared by.
+    fn contents(s: &Sbu) -> (Vec<Vec<SbuEntry>>, DrainTargets) {
+        let buffer = |b| (0..s.buffer_len(b)).map(|k| s.entry(b, k)).collect();
+        (
+            (0..s.num_buffers()).map(buffer).collect(),
+            s.drain_targets(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random pushes, strand switches, issues (of the `pick`-th
+        /// issuable CLWB, or of an arbitrary entry, which must be a no-op
+        /// unless it waits) and retirements: after every step the cached
+        /// waiting count and earliest completion equal a fresh scan, and
+        /// `tick_retire` leaves the same entries and reports the same
+        /// outcome as the full scan it may skip.
+        #[test]
+        fn cached_state_matches_a_scan(
+            buffers in 1usize..5,
+            entries in 1usize..5,
+            ops in prop::collection::vec((0u8..6, 0usize..24, 0u64..12), 1..160),
+        ) {
+            let mut fast = Sbu::new(buffers, entries);
+            let mut slow = fast.clone();
+            let mut cycle = 0;
+            for (op, pick, t) in ops {
+                match op {
+                    0 if fast.has_space() => {
+                        fast.push_clwb(l(t));
+                        slow.push_clwb(l(t));
+                    }
+                    1 if fast.has_space() => {
+                        fast.push_pb();
+                        slow.push_pb();
+                    }
+                    2 => {
+                        fast.new_strand();
+                        slow.new_strand();
+                    }
+                    3 => {
+                        let ready = issuable(&fast);
+                        if !ready.is_empty() {
+                            let (b, k, _) = ready[pick % ready.len()];
+                            fast.mark_pending(b, k, cycle + t);
+                            slow.mark_pending(b, k, cycle + t);
+                        }
+                    }
+                    4 => {
+                        cycle += t % 4;
+                        prop_assert_eq!(fast.tick_retire(cycle), slow.retire_scan(cycle));
+                    }
+                    5 => {
+                        let (b, k) = (pick % buffers, pick / buffers % entries);
+                        fast.mark_pending(b, k, cycle + t);
+                        slow.mark_pending(b, k, cycle + t);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(contents(&fast), contents(&slow));
+                prop_assert_eq!((fast.waiting, fast.next_done), fast.scan());
+            }
+        }
+    }
+
     fn issuable(s: &Sbu) -> Vec<(usize, usize, LineAddr)> {
         let mut out = Vec::new();
-        s.for_each_issuable(|b, e, line| out.push((b, e, line)));
+        let (mut b, mut k) = (0, 0);
+        while let Some((eb, ek, line)) = s.next_issuable(b, k) {
+            out.push((eb, ek, line));
+            (b, k) = (eb, ek + 1);
+        }
         out
     }
 

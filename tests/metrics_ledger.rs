@@ -2,8 +2,9 @@
 //! simulator tally that owns the same count — the per-core `CoreStats`,
 //! the run's `EventCounts`, its durable write order and the fault unit's
 //! `OnlineFaultStats` — on every legal design × lang, with and without
-//! online device faults, and with skip-ahead on and off. A run that
-//! exhausts the spare pool must stop at once with the deadlock named.
+//! online device faults, at two and eight cores, and with skip-ahead on
+//! and off, which must report the same statistics. A run that exhausts
+//! the spare pool must stop at once with the deadlock named.
 
 use strandweaver::experiment::Experiment;
 use strandweaver::faults::{
@@ -16,72 +17,105 @@ use strandweaver::{BenchmarkId, HwDesign, LangModel, Machine, PmLayout, SimConfi
 
 /// A schedule holding the single fault `class` on `trigger`.
 fn one_fault(class: DeviceFaultClass, trigger: FaultTrigger, sticky: bool) -> DeviceFaultSchedule {
+    schedule(&[(class, trigger, sticky)])
+}
+
+/// A schedule holding each `(class, trigger, sticky)` fault of `faults`.
+fn schedule(faults: &[(DeviceFaultClass, FaultTrigger, bool)]) -> DeviceFaultSchedule {
     let mut s = DeviceFaultSchedule::none();
-    s.faults.push(DeviceFault {
-        class,
-        trigger,
-        sticky,
-    });
+    for &(class, trigger, sticky) in faults {
+        s.faults.push(DeviceFault {
+            class,
+            trigger,
+            sticky,
+        });
+    }
     s
 }
 
-/// One run configuration of every cell: the online device fault it
-/// installs (class, trigger, sticky), whether it shrinks the store and
-/// persist queues to 2 and 1 entries so every queue-full stall cause shows
-/// up, and the fault count that shows its fault fired.
+/// One run configuration of every cell: its scale (threads, total
+/// regions; two ops per region), the online device faults it installs
+/// (class, trigger, sticky), whether it shrinks the store and persist
+/// queues to 2 and 1 entries so every queue-full stall cause shows up,
+/// and the fault count that shows its faults fired.
 struct Case {
     name: &'static str,
-    fault: Option<(DeviceFaultClass, FaultTrigger, bool)>,
+    scale: (usize, usize),
+    faults: &'static [(DeviceFaultClass, FaultTrigger, bool)],
     tiny_queues: bool,
     fired: fn(&OnlineFaultStats) -> u64,
 }
 
-/// No faults (at Table I and at tiny queues), a transient that one retry
-/// heals, a sticky transient that escalates to a remap, a direct permanent
-/// error, and a poisoned read.
-fn cases() -> [Case; 6] {
+/// At two cores: no faults (at Table I and at tiny queues), a transient
+/// that one retry heals, a sticky transient that escalates to a remap, a
+/// direct permanent error, and a poisoned read. At eight cores, where
+/// lock hand-offs and coherence steals are frequent: no faults, and a
+/// transient plus a permanent error.
+fn cases() -> [Case; 8] {
     use DeviceFaultClass::{PermanentMediaError, ReadPoison, TransientWriteFail};
-    let third_write = FaultTrigger::NthWrite(3);
+    const THIRD_WRITE: FaultTrigger = FaultTrigger::NthWrite(3);
     [
         Case {
             name: "no faults",
-            fault: None,
+            scale: (2, 12),
+            faults: &[],
             tiny_queues: false,
             fired: |_| 0,
         },
         Case {
             name: "no faults, tiny queues",
-            fault: None,
+            scale: (2, 12),
+            faults: &[],
             tiny_queues: true,
             fired: |_| 0,
         },
         Case {
             name: "transient",
-            fault: Some((TransientWriteFail, third_write, false)),
+            scale: (2, 12),
+            faults: &[(TransientWriteFail, THIRD_WRITE, false)],
             tiny_queues: false,
             fired: |f| f.retries_succeeded,
         },
         Case {
             name: "sticky",
-            fault: Some((TransientWriteFail, third_write, true)),
+            scale: (2, 12),
+            faults: &[(TransientWriteFail, THIRD_WRITE, true)],
             tiny_queues: false,
             fired: |f| f.retries_failed.min(f.lines_remapped),
         },
         Case {
             name: "permanent",
-            fault: Some((PermanentMediaError, third_write, true)),
+            scale: (2, 12),
+            faults: &[(PermanentMediaError, THIRD_WRITE, true)],
             tiny_queues: false,
             fired: |f| f.permanent_errors,
         },
         Case {
             name: "poison",
-            fault: Some((ReadPoison, FaultTrigger::NthRead(1), false)),
+            scale: (2, 12),
+            faults: &[(ReadPoison, FaultTrigger::NthRead(1), false)],
             tiny_queues: false,
             fired: |f| f.reads_poisoned,
         },
+        Case {
+            name: "8 cores, no faults",
+            scale: (8, 24),
+            faults: &[],
+            tiny_queues: false,
+            fired: |_| 0,
+        },
+        Case {
+            name: "8 cores, transient and permanent",
+            scale: (8, 24),
+            faults: &[
+                (TransientWriteFail, THIRD_WRITE, false),
+                (PermanentMediaError, FaultTrigger::NthWrite(40), true),
+            ],
+            tiny_queues: false,
+            fired: |f| f.retries_succeeded.min(f.permanent_errors),
+        },
     ]
 }
-
 /// Checks every counter of `stats.metrics` against the tally that owns
 /// the same count.
 fn assert_ledger(stats: &SimStats, design: HwDesign, cell: &str) {
@@ -148,26 +182,26 @@ fn assert_ledger(stats: &SimStats, design: HwDesign, cell: &str) {
     );
 }
 
-/// Runs `run` with skip-ahead on and off and checks the ledger of each.
-/// Fault-free runs must also report the same counts in both modes. (Under
-/// a retry backoff they need not: skip-ahead wakes at the retry's
-/// admission cycle, while a CLWB offers its write one L1 lookup later.)
+/// Runs `run` with skip-ahead on and off, checks the ledger of each, and
+/// requires the two runs to report the same simulated statistics: skip-ahead
+/// may only jump cycles on which nothing can happen, faults or not.
 fn both_skip_modes(
     design: HwDesign,
     cell: &str,
-    fault_free: bool,
-    run: impl Fn(bool) -> SimStats,
+    run: impl Fn(bool) -> SimStats + Sync,
 ) -> SimStats {
-    let on = run(true);
-    let off = run(false);
+    let (on, off) = std::thread::scope(|s| {
+        let off = s.spawn(|| run(false));
+        (run(true), off.join().expect("single-stepped run panicked"))
+    });
     assert_ledger(&on, design, &format!("{cell} skip-ahead"));
     assert_ledger(&off, design, &format!("{cell} single-step"));
-    if fault_free {
-        assert_eq!(on.cycles, off.cycles, "{cell}");
-        assert_eq!(on.cores, off.cores, "{cell}");
-        assert_eq!(on.events, off.events, "{cell}");
-        assert_eq!(on.metrics, off.metrics, "{cell}");
-    }
+    assert_eq!(on.cycles, off.cycles, "{cell}");
+    assert_eq!(on.cores, off.cores, "{cell}");
+    assert_eq!(on.events, off.events, "{cell}");
+    assert_eq!(on.pm_write_order, off.pm_write_order, "{cell}");
+    assert_eq!(on.online_faults, off.online_faults, "{cell}");
+    assert_eq!(on.metrics, off.metrics, "{cell}");
     on
 }
 
@@ -178,14 +212,15 @@ fn metric_counters_match_the_simulator_tallies() {
         for design in HwDesign::ALL {
             for lang in LangModel::ALL.into_iter().filter(|l| l.legal_on(design)) {
                 let cell = format!("{design:?} {lang:?} {}", case.name);
-                let stats = both_skip_modes(design, &cell, case.fault.is_none(), |skip| {
+                let stats = both_skip_modes(design, &cell, |skip| {
+                    let (threads, regions) = case.scale;
                     let mut e = Experiment::new(BenchmarkId::Queue, lang, design)
-                        .threads(2)
-                        .total_regions(12)
+                        .threads(threads)
+                        .total_regions(regions)
                         .ops_per_region(2)
                         .with_metrics();
                     e.sim.skip_ahead = skip;
-                    e.sim.device_faults = case.fault.map(|(c, t, sticky)| one_fault(c, t, sticky));
+                    e.sim.device_faults = (!case.faults.is_empty()).then(|| schedule(case.faults));
                     if case.tiny_queues {
                         e.sim.store_queue_entries = 2;
                         e.sim.persist_queue_entries = 1;
@@ -195,9 +230,10 @@ fn metric_counters_match_the_simulator_tallies() {
                 fired += (case.fired)(&stats.online_faults.unwrap_or_default());
             }
         }
-        // The fault fired somewhere, so its part of the ledger is not vacuous.
+        // The faults fired somewhere, so their part of the ledger is not
+        // vacuous.
         assert!(
-            case.fault.is_none() || fired > 0,
+            case.faults.is_empty() || fired > 0,
             "{} never fired",
             case.name
         );
@@ -225,7 +261,7 @@ fn spare_exhaustion_is_counted_once() {
         let stuck = vec![IsaOp::Store(x), IsaOp::Clwb(x), IsaOp::Fence(drain)];
         let thief = vec![IsaOp::Compute(400), IsaOp::Load(x)];
         let cell = format!("{design:?} spare exhaustion");
-        let stats = both_skip_modes(design, &cell, false, |skip| {
+        let stats = both_skip_modes(design, &cell, |skip| {
             let mut cfg = SimConfig::table_i()
                 .with_cores(2)
                 .with_device_faults(faults.clone());
