@@ -176,6 +176,14 @@ for probe in '"zero_leaks":true' '"reclaimed_blocks":20' '"rounds":40'; do
   fi
 done
 echo "allocator smoke ok (20 leaked blocks reclaimed, zero remain)"
+# Under a batching model the heap quiesces only after a coordinated
+# commit; at this scale churn fills a pool's journal first unless its
+# high-water mark forces the coordination.
+for lang in sfr atlas; do
+  "$SWCTL" heap hashmap --churn --lang "$lang" --threads 8 --regions 400 --ops 4 >/dev/null \
+    || { echo "ci: heap hashmap --churn --lang $lang at 8x400x4 exited $?" >&2; exit 1; }
+done
+echo "batched churn ok (journals checkpoint before they fill)"
 
 echo "== swctl chaos (fixed-seed online-fault smoke) =="
 # Deterministic online-fault campaign: every device-fault class must fire

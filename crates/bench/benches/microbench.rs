@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the reproduction's hot paths: PMO
 //! computation (a small program and a campaign's driven run), crash-state
-//! sampling, recovery of a campaign crash image, the acceptance-order check
-//! against the PMO, undo-log appends, litmus evaluation, and a small
-//! end-to-end simulation.
+//! sampling, recovery of a campaign crash image, a whole crash leg on that
+//! run, the acceptance-order check against the PMO, undo-log appends,
+//! litmus evaluation, and a small end-to-end simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use strandweaver::experiment::{order_extends_pmo, Experiment, ProbeOracle};
-use strandweaver::lang::harness::crash_image;
+use strandweaver::lang::harness::{crash_image, recovery_reconverges};
 use strandweaver::lang::recovery::{recover_with_policy, RecoveryPolicy};
 use strandweaver::lang::{FuncCtx, LangModel, RuntimeConfig, ThreadRuntime};
 use strandweaver::model::isa::LockId;
@@ -58,11 +58,13 @@ fn bench_order_check(c: &mut Criterion) {
     });
 }
 
-/// The two per-round costs of a crash campaign, on the run the crash and
+/// The per-round costs of a crash campaign, on the run the crash and
 /// fault campaigns drive: one seeded queue txn × strandweaver run at 8
 /// threads × 240 regions × 4 ops. `recover_campaign_image` clones one
-/// crash image and runs `Strict` recovery on it; `pmo_compute_driven_run`
-/// computes the run's PMO.
+/// crash image and runs `Strict` recovery on it; `crash_leg_driven_run`
+/// is a whole crash leg as chaos and serve run it (sample a crash image,
+/// then check that `Strict` and `Salvage` recovery each reconverge after
+/// an interrupted pass); `pmo_compute_driven_run` computes the run's PMO.
 fn bench_campaign_run(c: &mut Criterion) {
     let (_, out, pmo) = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
         .threads(8)
@@ -75,6 +77,15 @@ fn bench_campaign_run(c: &mut Criterion) {
         b.iter(|| {
             let mut img = img.clone();
             recover_with_policy(&mut img, &out.layout, RecoveryPolicy::Strict).unwrap()
+        })
+    });
+    let mut rng = SmallRng::seed_from_u64(42);
+    c.bench_function("crash_leg_driven_run", |b| {
+        b.iter(|| {
+            let (crash, _) = crash_image(&pmo, &out.baseline, &mut rng);
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+                recovery_reconverges(&crash, &out.layout, policy, &mut rng).unwrap();
+            }
         })
     });
     let exec = out.ctx.execution();

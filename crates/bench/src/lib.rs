@@ -235,8 +235,9 @@ impl SweepCell {
 /// filters before calling, so a skip here is never silent). The (language
 /// model × benchmark) cells [`fan_out`] — each cell regenerates its own
 /// workload from the shared seed and owns its machines, so the cells are
-/// independent — and each cell's design sweep fans out further inside
-/// [`design_sweep_of`].
+/// independent — and each cell's [`design_sweep_of`] runs its designs
+/// inline on the cell's thread, so at most one timing run per hardware
+/// thread is in flight.
 pub fn full_sweep_matrix(
     scale: Scale,
     designs: &[HwDesign],

@@ -83,6 +83,12 @@ impl HeapState {
         self.pools.len()
     }
 
+    /// `true` when some pool's journal has reached [`JOURNAL_HIGH_WATER`],
+    /// so the next [`FuncCtx::heap_quiesce`] checkpoints it.
+    pub fn journal_high_water(&self) -> bool {
+        self.pools.iter().any(|p| p.next_slot >= JOURNAL_HIGH_WATER)
+    }
+
     /// Rebuilds allocator state from a recovered image: each healthy
     /// pool's checkpoint table and journal replay to its live-block set;
     /// damaged pools come up empty and quarantined. Returns the raw

@@ -1,6 +1,7 @@
 //! Durable PM contents at word granularity.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::addr::{Addr, LineAddr, WORDS_PER_LINE};
 use crate::hash::{FastMap, FastSet};
@@ -29,7 +30,11 @@ const BITMAP_WORDS: usize = (LINES_PER_PAGE / 64) as usize;
 /// Invariant: a line whose presence bit is clear has all-zero words, so
 /// whole-page word comparisons and zero-default loads need no per-line
 /// masking.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Images hold pages behind an [`Arc`] and copy them on write: cloning an
+/// image shares every page, and the first write through one copy to a
+/// shared page copies that page (64 KiB of words) and nothing else.
+#[derive(Debug, Clone)]
 struct Page {
     /// Presence bit per line: set iff the line counts as *written*.
     written: [u64; BITMAP_WORDS],
@@ -39,15 +44,17 @@ struct Page {
     words: Vec<u64>,
 }
 
-impl Page {
-    fn new() -> Self {
+impl Default for Page {
+    fn default() -> Self {
         Self {
             written: [0; BITMAP_WORDS],
             count: 0,
             words: vec![0; (LINES_PER_PAGE as usize) * WORDS_PER_LINE],
         }
     }
+}
 
+impl Page {
     #[inline]
     fn has(&self, slot: usize) -> bool {
         self.written[slot / 64] & (1 << (slot % 64)) != 0
@@ -62,15 +69,13 @@ impl Page {
         }
     }
 
-    /// Clears the presence bit and zeroes the line's words (upholding the
-    /// page invariant).
+    /// Clears the presence bit of a written line and zeroes its words
+    /// (upholding the page invariant).
     fn clear(&mut self, slot: usize) {
-        let bit = 1u64 << (slot % 64);
-        if self.written[slot / 64] & bit != 0 {
-            self.written[slot / 64] &= !bit;
-            self.count -= 1;
-            self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE].fill(0);
-        }
+        debug_assert!(self.has(slot), "clearing an absent line");
+        self.written[slot / 64] &= !(1u64 << (slot % 64));
+        self.count -= 1;
+        self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE].fill(0);
     }
 
     #[inline]
@@ -114,6 +119,13 @@ fn split(line: LineAddr) -> (u64, usize) {
 /// The image is word-granular because all workload data in this reproduction
 /// is word-sized; a persist (CLWB or cache writeback) transfers a whole line.
 ///
+/// Pages are copy-on-write. A clone costs one reference count per page;
+/// the first store, line persist or line clear that changes a shared page
+/// copies that one page, so a crash image sampled from a baseline, or an
+/// interrupted recovery's copy, pays only for the pages it writes.
+/// Clearing a line that is not written changes nothing and copies nothing,
+/// and comparing two images skips the pages they still share.
+///
 /// # Example
 ///
 /// ```
@@ -126,7 +138,7 @@ fn split(line: LineAddr) -> (u64, usize) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PmImage {
-    pages: FastMap<u64, Page>,
+    pages: FastMap<u64, Arc<Page>>,
     /// Lines the media reports as uncorrectable: [`PmImage::try_load`]
     /// errors on them. A store (which rewrites the location) heals the
     /// line, as does a full-line persist ([`PmImage::absorb_line`] /
@@ -174,9 +186,23 @@ impl PmImage {
             self.poisoned.remove(&addr.line());
         }
         let (page, slot) = split(addr.line());
-        let p = self.pages.entry(page).or_insert_with(Page::new);
+        let p = self.page_mut(page);
         p.mark(slot);
         p.words[slot * WORDS_PER_LINE + addr.word_in_line()] = value;
+    }
+
+    /// Page `page`, created empty if absent and copied first if another
+    /// image shares it.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        Arc::make_mut(self.pages.entry(page).or_default())
+    }
+
+    /// Clears `slot` of page `page` if that line is written. An absent
+    /// line is already zero, so its page is left shared.
+    fn clear_line(&mut self, page: u64, slot: usize) {
+        if let Some(p) = self.pages.get_mut(&page).filter(|p| p.has(slot)) {
+            Arc::make_mut(p).clear(slot);
+        }
     }
 
     /// Marks `line` as uncorrectable: [`PmImage::try_load`] will fail on
@@ -207,16 +233,12 @@ impl PmImage {
         let (page, slot) = split(line);
         match src.pages.get(&page).filter(|p| p.has(slot)) {
             Some(sp) => {
-                let dp = self.pages.entry(page).or_insert_with(Page::new);
+                let dp = self.page_mut(page);
                 dp.mark(slot);
                 dp.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE]
                     .copy_from_slice(sp.line(slot));
             }
-            None => {
-                if let Some(dp) = self.pages.get_mut(&page) {
-                    dp.clear(slot);
-                }
-            }
+            None => self.clear_line(page, slot),
         }
     }
 
@@ -227,11 +249,9 @@ impl PmImage {
         }
         let (page, slot) = split(line);
         if words == [0; WORDS_PER_LINE] {
-            if let Some(p) = self.pages.get_mut(&page) {
-                p.clear(slot);
-            }
+            self.clear_line(page, slot);
         } else {
-            let p = self.pages.entry(page).or_insert_with(Page::new);
+            let p = self.page_mut(page);
             p.mark(slot);
             p.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE].copy_from_slice(&words);
         }
@@ -310,7 +330,8 @@ impl PmImage {
 impl PartialEq for PmImage {
     /// Content equality: the same set of written lines with the same
     /// words, and the same poison set. Pages whose lines were all cleared
-    /// again compare equal to absent pages.
+    /// again compare equal to absent pages, and a page the two images
+    /// still share is equal without a look at its words.
     fn eq(&self, other: &Self) -> bool {
         if self.poisoned != other.poisoned {
             return false;
@@ -323,10 +344,9 @@ impl PartialEq for PmImage {
             .iter()
             .filter(|(_, p)| p.count > 0)
             .all(|(idx, p)| {
-                other
-                    .pages
-                    .get(idx)
-                    .is_some_and(|q| q.written == p.written && q.words == p.words)
+                other.pages.get(idx).is_some_and(|q| {
+                    Arc::ptr_eq(p, q) || (q.written == p.written && q.words == p.words)
+                })
             })
     }
 }
@@ -506,6 +526,44 @@ mod tests {
             .collect();
         assert_eq!(tail, vec![3 * page + 5, 5 * page]);
         assert_eq!(img.occupied_lines(LineAddr(9)..LineAddr(3)).count(), 0);
+    }
+
+    /// Pages of `a` that `b` holds by the same pointer.
+    fn shared_pages(a: &PmImage, b: &PmImage) -> usize {
+        a.pages
+            .iter()
+            .filter(|(idx, p)| b.pages.get(idx).is_some_and(|q| Arc::ptr_eq(p, q)))
+            .count()
+    }
+
+    #[test]
+    fn clones_share_pages_until_written() {
+        let mut a = PmImage::new();
+        for page in 0..4 {
+            a.store(LineAddr(page * LINES_PER_PAGE + 3).word(1), page + 1);
+        }
+        let mut b = a.clone();
+        assert_eq!(shared_pages(&a, &b), 4, "a fresh clone shares every page");
+
+        b.store(LineAddr(LINES_PER_PAGE + 9).word(0), 7);
+        assert_eq!(shared_pages(&a, &b), 3, "one store copies one page");
+        assert_eq!(a.load(LineAddr(LINES_PER_PAGE + 9).word(0)), 0);
+
+        // Clearing lines that are not written copies nothing, through
+        // either full-line persist.
+        b.set_line_words(LineAddr(2 * LINES_PER_PAGE + 4), [0; WORDS_PER_LINE]);
+        b.absorb_line(LineAddr(3 * LINES_PER_PAGE + 4), &PmImage::new());
+        assert_eq!(shared_pages(&a, &b), 3);
+        assert_ne!(a, b);
+        let mut c = b.clone();
+        c.set_line_words(LineAddr(LINES_PER_PAGE + 9), [0; WORDS_PER_LINE]);
+        assert_eq!(a, c, "a copied page equal in content compares equal");
+
+        // Clearing a written line copies its page, in the clone only.
+        b.set_line_words(LineAddr(3), [0; WORDS_PER_LINE]);
+        assert_eq!(shared_pages(&a, &b), 2);
+        assert_eq!(a.load(LineAddr(3).word(1)), 1);
+        assert_eq!(b.load(LineAddr(3).word(1)), 0);
     }
 
     #[test]

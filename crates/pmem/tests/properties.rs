@@ -409,3 +409,172 @@ mod sparse {
         }
     }
 }
+
+/// Copy-on-write pages: images that share pages after a clone must behave
+/// as fully independent copies. Random stores, full-line persists (zero
+/// lines included), line absorbs and poisonings go to several copies,
+/// cloned at random points, and every copy is checked against a plain
+/// line map after every step.
+mod copy_on_write {
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use sw_pmem::{LineAddr, PmImage, WORDS_PER_LINE};
+
+    /// Lines the steps touch: eight per page on three pages, so steps
+    /// collide on lines and on pages.
+    const LINES: u64 = 24;
+
+    fn line(i: u64) -> LineAddr {
+        LineAddr((i / 8) * 1024 + i % 8)
+    }
+
+    /// The reference: written lines with their words, and poisoned lines.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Model {
+        lines: BTreeMap<u64, [u64; WORDS_PER_LINE]>,
+        poisoned: BTreeSet<u64>,
+    }
+
+    /// One step on copy `copy % copies`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Store {
+            copy: usize,
+            line: u64,
+            word: usize,
+            value: u64,
+        },
+        SetLine {
+            copy: usize,
+            line: u64,
+            value: u64,
+        },
+        Absorb {
+            copy: usize,
+            from: usize,
+            line: u64,
+        },
+        Poison {
+            copy: usize,
+            line: u64,
+        },
+        Clone {
+            copy: usize,
+        },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let value = || prop_oneof![Just(0u64), 1u64..u64::MAX];
+        prop_oneof![
+            4 => (0usize..8, 0..LINES, 0..WORDS_PER_LINE, value())
+                .prop_map(|(copy, line, word, value)| Step::Store { copy, line, word, value }),
+            3 => (0usize..8, 0..LINES, value())
+                .prop_map(|(copy, line, value)| Step::SetLine { copy, line, value }),
+            2 => (0usize..8, 0usize..8, 0..LINES)
+                .prop_map(|(copy, from, line)| Step::Absorb { copy, from, line }),
+            1 => (0usize..8, 0..LINES).prop_map(|(copy, line)| Step::Poison { copy, line }),
+            1 => (0usize..8).prop_map(|copy| Step::Clone { copy }),
+        ]
+    }
+
+    fn apply(copies: &mut Vec<(PmImage, Model)>, step: &Step) {
+        let n = copies.len();
+        match *step {
+            Step::Store {
+                copy,
+                line: i,
+                word,
+                value,
+            } => {
+                let (img, model) = &mut copies[copy % n];
+                img.store(line(i).word(word), value);
+                model.lines.entry(i).or_default()[word] = value;
+                model.poisoned.remove(&i);
+            }
+            Step::SetLine {
+                copy,
+                line: i,
+                value,
+            } => {
+                // A line of `value`s except word 0, so zero lines and
+                // partly zero lines both occur.
+                let mut words = [value; WORDS_PER_LINE];
+                words[0] = 0;
+                let (img, model) = &mut copies[copy % n];
+                img.set_line_words(line(i), words);
+                if value == 0 {
+                    model.lines.remove(&i);
+                } else {
+                    model.lines.insert(i, words);
+                }
+                model.poisoned.remove(&i);
+            }
+            Step::Absorb {
+                copy,
+                from,
+                line: i,
+            } => {
+                let (src, src_model) = copies[from % n].clone();
+                let (img, model) = &mut copies[copy % n];
+                img.absorb_line(line(i), &src);
+                match src_model.lines.get(&i) {
+                    Some(&words) => model.lines.insert(i, words),
+                    None => model.lines.remove(&i),
+                };
+                model.poisoned.remove(&i);
+            }
+            Step::Poison { copy, line: i } => {
+                let (img, model) = &mut copies[copy % n];
+                img.poison_line(line(i));
+                model.poisoned.insert(i);
+            }
+            Step::Clone { copy } => {
+                let twin = copies[copy % n].clone();
+                copies.push(twin);
+            }
+        }
+    }
+
+    /// Checks `img` against `model` through every read surface.
+    fn check(img: &PmImage, model: &Model) -> Result<(), TestCaseError> {
+        for i in 0..LINES {
+            let want = model.lines.get(&i).copied().unwrap_or_default();
+            prop_assert_eq!(img.line_words(line(i)), want, "line {}", i);
+            prop_assert_eq!(img.is_poisoned(line(i)), model.poisoned.contains(&i));
+        }
+        prop_assert_eq!(img.line_count(), model.lines.len());
+        let mut written: Vec<LineAddr> = img.written_lines().collect();
+        written.sort_unstable();
+        let want: Vec<LineAddr> = model.lines.keys().map(|&i| line(i)).collect();
+        prop_assert_eq!(written, want);
+        let occupied: Vec<LineAddr> = img.occupied_lines(line(0)..line(LINES)).collect();
+        let keys: BTreeSet<u64> = model.lines.keys().chain(&model.poisoned).copied().collect();
+        let want: Vec<LineAddr> = keys.into_iter().map(line).collect();
+        prop_assert_eq!(occupied, want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A write through one copy is never seen through another, and
+        /// two copies compare equal exactly when their models do.
+        #[test]
+        fn a_clone_never_sees_its_twins_writes(
+            steps in prop::collection::vec(step(), 1..80),
+        ) {
+            let mut copies = vec![(PmImage::new(), Model::default())];
+            for s in &steps {
+                apply(&mut copies, s);
+                for (img, model) in &copies {
+                    check(img, model)?;
+                }
+            }
+            for (a, ma) in &copies {
+                for (b, mb) in &copies {
+                    prop_assert_eq!(a == b, ma == mb);
+                }
+            }
+        }
+    }
+}

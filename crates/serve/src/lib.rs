@@ -42,6 +42,7 @@
 
 use std::fmt;
 
+use strandweaver::experiment::fan_out;
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
 mod breaker;
@@ -270,11 +271,16 @@ pub fn serve_report(cfg: &ServeConfig) -> Result<ServeReport, String> {
 /// Tail-latency-vs-offered-load sweep: every legal (design × lang) cell
 /// at each load in [`SWEEP_LOADS`], with `cfg` supplying everything else.
 ///
+/// The cells run in parallel on [`fan_out`]'s bounded pool. Each cell
+/// owns its config, seed, calibration run and recovery context, so the
+/// report is byte-identical to running them one after another.
+///
 /// # Errors
 ///
-/// The first cell whose crash/recover legs fail, with its reproducer.
+/// The first cell, in sweep order, whose crash/recover legs fail, with
+/// its reproducer. The cells after it have run too.
 pub fn serve_sweep(cfg: &ServeConfig) -> Result<ServeReport, String> {
-    let mut cells = Vec::new();
+    let mut cell_cfgs = Vec::new();
     for design in HwDesign::ALL {
         for lang in LangModel::ALL {
             if !lang.legal_on(design) {
@@ -285,9 +291,12 @@ pub fn serve_sweep(cfg: &ServeConfig) -> Result<ServeReport, String> {
                 cell_cfg.design = design;
                 cell_cfg.lang = lang;
                 cell_cfg.offered_load = load;
-                cells.push(engine::serve_cell(&cell_cfg)?);
+                cell_cfgs.push(cell_cfg);
             }
         }
     }
+    let cells = fan_out(&cell_cfgs, engine::serve_cell)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     Ok(ServeReport::new(cfg, cells))
 }

@@ -217,7 +217,14 @@ pub fn drive(workload: &mut dyn Workload, params: &DriverParams) -> DriverOutput
                 }
             }
         }
-        if coordinates && rts.iter().any(|rt| rt.live_log_entries() >= threshold) {
+        // A batching model may quiesce the heap only after a coordinated
+        // commit, so a pool's journal that reaches the checkpoint mark
+        // forces one too: under allocator churn the 256-slot journals can
+        // fill long before any log holds `threshold` live entries.
+        if coordinates
+            && (rts.iter().any(|rt| rt.live_log_entries() >= threshold)
+                || ctx.heap_state().journal_high_water())
+        {
             coordinated_commit(&mut ctx, &mut rts);
             ctx.heap_quiesce();
         } else if !params.lang.batches_commits() {

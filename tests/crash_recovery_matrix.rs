@@ -224,6 +224,27 @@ fn allocator_journal_survives_a_crash_at_every_persist_point() {
     }
 }
 
+/// A batching model commits, and so quiesces the heap, only when the
+/// driver coordinates; at 8×400×4 hashmap churn fills a pool's 256-slot
+/// journal before any log reaches the coordination threshold, unless the
+/// journal's high-water mark forces a coordination of its own.
+#[test]
+fn batched_churn_checkpoints_before_the_journal_fills() {
+    for lang in [LangModel::Sfr, LangModel::Atlas] {
+        let report = Experiment::new(BenchmarkId::Hashmap, lang, HwDesign::StrandWeaver)
+            .threads(8)
+            .total_regions(400)
+            .ops_per_region(4)
+            .run_heap_report(true)
+            .unwrap_or_else(|e| panic!("hashmap {lang}: {e}"));
+        assert!(report.checkpoints > 0, "hashmap {lang}: no checkpoint ran");
+        assert!(report
+            .pools
+            .iter()
+            .all(|p| p.journal_next_slot < sw_lang::JOURNAL_HIGH_WATER));
+    }
+}
+
 #[test]
 fn non_atomic_design_corrupts_eventually() {
     let e = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::NonAtomic)
