@@ -6,6 +6,18 @@ cd "$(dirname "$0")"
 echo "== build (release, workspace) =="
 cargo build --release --workspace
 
+echo "== layering (the simulator stays free of the language runtime) =="
+# sw-sim models the machine, and the device-fault model its PM controller
+# consults lives in sw-pmem beside the device. Neither the crash-image
+# injector (sw-faults) nor the language runtime (sw-lang) may be a normal
+# dependency of the simulator.
+sim_deps=$(cargo tree --offline -p sw-sim -e normal --prefix none)
+if grep -E '^sw-(faults|lang) ' <<<"$sim_deps"; then
+  echo "ci: sw-sim depends on sw-faults or sw-lang (cargo tree -p sw-sim -e normal)" >&2
+  exit 1
+fi
+echo "layering ok"
+
 echo "== build (examples) =="
 cargo build --workspace --examples
 
@@ -100,6 +112,11 @@ cli_golden() {
     || { echo "ci: $file drifted from expected/$file" >&2; exit 1; }
 }
 cli_golden run_stats.txt run queue "${scale[@]}" --regions 24 --stats
+# The crash campaign's verdict: non-atomic hardware tears a region in the
+# first sampled crash state. It pins the campaign's seeded crash sampling
+# (exit status 1 is the expected verdict).
+cli_golden crash_non_atomic.txt crash queue --lang txn --design non-atomic "${scale[@]}" \
+  --regions 40 --rounds 150 --seed 77
 cli_golden run.json run queue "${scale[@]}" --regions 24 --stats --json
 # Small queues, so the fence, sq_full, pq_full and lock stall counters
 # and the pq/sb gauges and histograms are all populated.

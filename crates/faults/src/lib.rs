@@ -55,9 +55,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod device;
-
-pub use device::{
+// The online device-fault model lives beside the PM device it models;
+// its names stay reachable here as well.
+pub use sw_pmem::{
     DeviceFault, DeviceFaultClass, DeviceFaultSchedule, DeviceFaultUnit, FaultTrigger,
     OnlineFaultStats, ReadDecision, WriteDecision, BACKOFF_SHIFT_CAP,
 };

@@ -67,17 +67,6 @@ impl OpKind {
     pub fn load(addr: Addr) -> Self {
         OpKind::Load { addr }
     }
-
-    /// Returns `true` for [`OpKind::Store`].
-    pub fn is_store(&self) -> bool {
-        matches!(self, OpKind::Store { .. })
-    }
-
-    /// Returns `true` for the ordering primitives (everything that is
-    /// neither a load nor a store).
-    pub fn is_ordering(&self) -> bool {
-        !matches!(self, OpKind::Load { .. } | OpKind::Store { .. })
-    }
 }
 
 /// An operation tagged with its position: thread and program-order index.
@@ -208,15 +197,7 @@ mod tests {
         let op = p.op(1, 0);
         assert_eq!(op.thread, ThreadId(1));
         assert_eq!(op.index, 0);
-        assert!(op.kind.is_store());
-    }
-
-    #[test]
-    fn ordering_classification() {
-        assert!(OpKind::PersistBarrier.is_ordering());
-        assert!(OpKind::Sfence.is_ordering());
-        assert!(!OpKind::load(Addr(0)).is_ordering());
-        assert!(!OpKind::store(Addr(0), 1).is_ordering());
+        assert_eq!(op.kind, OpKind::store(Addr(64), 9));
     }
 
     #[test]

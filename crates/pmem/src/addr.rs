@@ -13,27 +13,16 @@ pub const WORDS_PER_LINE: usize = (CACHE_LINE_BYTES / WORD_BYTES) as usize;
 
 /// A byte address in the simulated physical address space.
 ///
-/// Addresses used for data accesses are word-aligned; [`Addr::word_aligned`]
-/// constructs one with a debug assertion. The zero address is valid (the
-/// substrate has no MMU), but [`PmLayout`](crate::PmLayout) never hands it
-/// out, so callers may use it as a null sentinel.
+/// Addresses used for data accesses are word-aligned (multiples of
+/// [`WORD_BYTES`]). The zero address is valid (the substrate has no MMU),
+/// but [`PmLayout`](crate::PmLayout) never hands it out, so callers may use
+/// it as a null sentinel.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 impl Addr {
     /// The null sentinel address. Never allocated by [`PmLayout`](crate::PmLayout).
     pub const NULL: Addr = Addr(0);
-
-    /// Creates a word-aligned address.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `raw` is not a multiple of [`WORD_BYTES`].
-    #[inline]
-    pub fn word_aligned(raw: u64) -> Self {
-        debug_assert_eq!(raw % WORD_BYTES, 0, "address {raw:#x} is not word aligned");
-        Addr(raw)
-    }
 
     /// Returns the cache line containing this address.
     #[inline]
@@ -173,12 +162,5 @@ mod tests {
         assert_eq!(format!("{}", Addr(0x40)), "0x40");
         assert_eq!(format!("{}", LineAddr(2)), "L0x2");
         assert_eq!(format!("{:?}", Addr(0x40)), "Addr(0x40)");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)] // the check is a debug_assert, absent in release
-    #[should_panic(expected = "not word aligned")]
-    fn misaligned_word_address_panics_in_debug() {
-        let _ = Addr::word_aligned(13);
     }
 }

@@ -1,8 +1,8 @@
 //! Online device-fault model: faults that fire *while the machine runs*.
 //!
-//! The crash-image `FaultPlan` in this crate perturbs memory after the
-//! fact; this module models the device behaviors that cause such damage
-//! in the first place:
+//! The crash-image fault injector of `sw-faults` perturbs memory after
+//! the fact; this module models the device behaviors that cause such
+//! damage in the first place:
 //!
 //! * [`DeviceFaultClass::TransientWriteFail`] — a write the media rejects
 //!   once; the controller backs off and the retry succeeds.
@@ -24,7 +24,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sw_pmem::{FastMap, LineAddr, RemapTable};
+use crate::{FastMap, LineAddr, RemapTable};
 
 /// A class of online device fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

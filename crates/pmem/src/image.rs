@@ -217,11 +217,6 @@ impl PmImage {
         self.poisoned.contains(&line)
     }
 
-    /// Iterates over the currently poisoned lines.
-    pub fn poisoned_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.poisoned.iter().copied()
-    }
-
     /// Copies the full contents of `line` from `src` into this image.
     ///
     /// This models a line-granular persist: the entire cache line drains to
@@ -466,7 +461,6 @@ mod tests {
         img.poison_line(LineAddr(2));
         img.set_line_words(LineAddr(2), [5; WORDS_PER_LINE]);
         assert!(!img.is_poisoned(LineAddr(2)));
-        assert_eq!(img.poisoned_lines().count(), 0);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * [`timing`] — latency constants of the modelled PM device, taken from the
 //!   paper's Table I (which follows the Optane characterization study
 //!   [Izraelevitz et al., 2019]).
+//! * [`DeviceFaultUnit`] — the online device-fault model: the seeded
+//!   [`DeviceFaultSchedule`] of transient write failures, permanent media
+//!   errors (retired to spares through a [`RemapTable`]) and read poison
+//!   that the simulator's PM controller consults on every access.
 //!
 //! # Example
 //!
@@ -36,6 +40,7 @@
 
 mod addr;
 pub mod alloc;
+mod device;
 pub mod hash;
 mod image;
 mod layout;
@@ -49,6 +54,10 @@ pub use alloc::{
     recover_heap, scan_pool, BlockKind, CheckpointWrites, HeapFault, HeapRecord, HeapRecovery,
     HeapSlotState, PoolAlloc, PoolScan, PoolStats, TableDecode, HEAP_JOURNAL_SLOTS, HEAP_MAGIC,
     HEAP_META_LINES, HEAP_POOLS, HEAP_TABLE_LINES, HW_CHECKSUM, HW_KIND,
+};
+pub use device::{
+    DeviceFault, DeviceFaultClass, DeviceFaultSchedule, DeviceFaultUnit, FaultTrigger,
+    OnlineFaultStats, ReadDecision, WriteDecision, BACKOFF_SHIFT_CAP,
 };
 pub use hash::{AddrHasher, FastMap, FastSet};
 pub use image::{PmImage, PoisonedLine};

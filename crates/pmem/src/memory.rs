@@ -100,13 +100,6 @@ impl Memory {
         }
     }
 
-    /// Returns the dirty persistent lines, in address order.
-    pub fn dirty_lines(&self) -> impl Iterator<Item = LineAddr> {
-        let mut lines: Vec<LineAddr> = self.dirty.iter().copied().collect();
-        lines.sort_unstable();
-        lines.into_iter()
-    }
-
     /// Returns `true` if `line` holds unpersisted data.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
         self.dirty.contains(&line)
@@ -184,7 +177,6 @@ mod tests {
         assert!(m.is_dirty(a.line()));
         m.persist(a);
         assert!(!m.is_dirty(a.line()));
-        assert_eq!(m.dirty_lines().count(), 0);
     }
 
     #[test]
@@ -193,7 +185,7 @@ mod tests {
         let v = layout.volatile_region().base;
         let mut m = Memory::new(layout);
         m.store(v, 9);
-        assert_eq!(m.dirty_lines().count(), 0);
+        assert!(!m.is_dirty(v.line()));
         m.persist(v); // no-op
         let c = m.crash();
         assert_eq!(c.load(v), 0);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use sw_faults::{
+use sw_pmem::{
     DeviceFault, DeviceFaultClass, DeviceFaultSchedule, DeviceFaultUnit, FaultTrigger,
     WriteDecision, BACKOFF_SHIFT_CAP,
 };

@@ -13,7 +13,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use strandweaver::experiment::Experiment;
+use strandweaver::experiment::{CrashLegs, Experiment};
 use strandweaver::faults::{
     DeviceFault, DeviceFaultClass, DeviceFaultSchedule, DeviceFaultUnit, FaultTrigger,
     WriteDecision,
@@ -21,7 +21,6 @@ use strandweaver::faults::{
 use strandweaver::trace::MetricsRegistry;
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
-use crate::recovery::RecoveryContext;
 use crate::report::{ServeCellReport, ShardReport};
 use crate::{ArrivalKind, ServeConfig, ShedPolicy};
 
@@ -340,8 +339,28 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     let deadline_cycles = service_cycles.saturating_mul(cfg.deadline_factor);
 
     // The crash/recover legs run on the calibration cell itself, so they
-    // share its machine configuration and driver parameters.
-    let mut recovery = RecoveryContext::new(cfg, exp);
+    // share its machine configuration and driver parameters. A leg that
+    // completes has passed its durable-set check and both reconvergence
+    // checks, so `legs_run` counts each of those too.
+    let mut legs = CrashLegs::new(&exp, cfg.seed ^ 0x5e12_7e5e_12c0_4e12);
+    let (mut legs_run, mut pmo_edges) = (0u64, 0u64);
+    // Runs the `leg`-th leg of the cell for a quarantined `shard` and
+    // returns the PMO edges its probe verified.
+    let mut crash_leg = |leg: u64, shard: usize| -> Result<u64, String> {
+        let leg_seed = cfg
+            .seed
+            .wrapping_add(leg.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            ^ 0x5e12_0000;
+        let probe = legs.run(leg_seed).map_err(|detail| {
+            format!(
+                "serve recovery leg {leg} (shard {shard}): {detail}\n  seed {}: reproduce \
+                 with `{}`",
+                cfg.seed,
+                cfg.repro_cmd()
+            )
+        })?;
+        Ok(probe.pmo_edges as u64)
+    };
     let shards_n = cfg.shards.max(1);
     let mut shards: Vec<Shard> = (0..shards_n)
         .map(|i| Shard::new(cfg, i, service_cycles))
@@ -462,16 +481,18 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
 
         // A fresh quarantine runs the real Salvage recovery leg while
         // the other shards keep serving.
-        if shards[target].breaker.trips() > before_trips && recovery.stats.legs < MAX_LEGS {
-            recovery.leg(target)?;
+        if shards[target].breaker.trips() > before_trips && legs_run < MAX_LEGS {
+            pmo_edges += crash_leg(legs_run, target)?;
+            legs_run += 1;
             shards[target].recovered += 1;
         }
     }
 
     // Every cell runs at least one crash/recover leg, even fault-free:
     // the durable-set and PMO bars hold with or without quarantines.
-    if recovery.stats.legs == 0 {
-        recovery.leg(0)?;
+    if legs_run == 0 {
+        pmo_edges += crash_leg(0, 0)?;
+        legs_run = 1;
     }
 
     let snapshot = reg.snapshot();
@@ -515,11 +536,11 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         breaker_trips: shard_reports.iter().map(|s| s.trips).sum(),
         failovers,
         failover_redirects,
-        recovery_legs: recovery.stats.legs,
-        durable_set_checks: recovery.stats.legs,
-        pmo_edges_checked: recovery.stats.pmo_edges,
-        reconverged_strict: recovery.stats.legs,
-        reconverged_salvage: recovery.stats.legs,
+        recovery_legs: legs_run,
+        durable_set_checks: legs_run,
+        pmo_edges_checked: pmo_edges,
+        reconverged_strict: legs_run,
+        reconverged_salvage: legs_run,
         silent_corruptions: 0,
         p50: latency.quantile(0.50),
         p99: latency.quantile(0.99),

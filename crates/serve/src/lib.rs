@@ -47,7 +47,6 @@ use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
 mod breaker;
 mod engine;
-mod recovery;
 mod report;
 
 pub use breaker::{Admission, BreakerState, CircuitBreaker};
@@ -272,7 +271,7 @@ pub fn serve_report(cfg: &ServeConfig) -> Result<ServeReport, String> {
 /// at each load in [`SWEEP_LOADS`], with `cfg` supplying everything else.
 ///
 /// The cells run in parallel on [`fan_out`]'s bounded pool. Each cell
-/// owns its config, seed, calibration run and recovery context, so the
+/// owns its config, seed, calibration run and crash legs, so the
 /// report is byte-identical to running them one after another.
 ///
 /// # Errors

@@ -1,7 +1,6 @@
 //! Simulator configuration (paper Table I).
 
-use sw_faults::DeviceFaultSchedule;
-use sw_pmem::timing;
+use sw_pmem::{timing, DeviceFaultSchedule};
 
 /// Machine configuration for the timing simulator.
 ///

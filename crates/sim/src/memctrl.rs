@@ -9,8 +9,9 @@
 //! poisoned data. With no unit installed the fault layer costs one
 //! `Option` discriminant check per write/read.
 
-use sw_faults::{DeviceFaultSchedule, DeviceFaultUnit, OnlineFaultStats, WriteDecision};
-use sw_pmem::{LineAddr, RemapTable};
+use sw_pmem::{
+    DeviceFaultSchedule, DeviceFaultUnit, LineAddr, OnlineFaultStats, RemapTable, WriteDecision,
+};
 
 /// Outcome of offering a line write to the PM controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,7 +362,7 @@ mod tests {
 
     #[test]
     fn faulted_write_retries_and_is_not_queued() {
-        use sw_faults::{DeviceFault, DeviceFaultClass, FaultTrigger};
+        use sw_pmem::{DeviceFault, DeviceFaultClass, FaultTrigger};
         let mut c = PmController::new(8, 192, 250, 692, 16);
         c.install_faults(DeviceFaultSchedule {
             faults: vec![DeviceFault {
@@ -396,7 +397,7 @@ mod tests {
 
     #[test]
     fn queue_full_checked_before_fault_unit() {
-        use sw_faults::{DeviceFault, DeviceFaultClass, FaultTrigger};
+        use sw_pmem::{DeviceFault, DeviceFaultClass, FaultTrigger};
         let mut c = ctrl(); // capacity 2
         c.install_faults(DeviceFaultSchedule {
             faults: vec![DeviceFault {
@@ -420,7 +421,7 @@ mod tests {
 
     #[test]
     fn permanent_error_remaps_and_keeps_logical_order() {
-        use sw_faults::{DeviceFault, DeviceFaultClass, FaultTrigger};
+        use sw_pmem::{DeviceFault, DeviceFaultClass, FaultTrigger};
         let mut c = PmController::new(8, 192, 250, 692, 16);
         c.install_faults(DeviceFaultSchedule {
             faults: vec![DeviceFault {
@@ -450,7 +451,7 @@ mod tests {
 
     #[test]
     fn spare_exhaustion_surfaces_typed_outcome() {
-        use sw_faults::{DeviceFault, DeviceFaultClass, FaultTrigger};
+        use sw_pmem::{DeviceFault, DeviceFaultClass, FaultTrigger};
         let mut c = PmController::new(8, 192, 250, 692, 16);
         c.install_faults(DeviceFaultSchedule {
             spare_count: 0,

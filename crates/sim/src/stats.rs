@@ -1,7 +1,7 @@
 //! Simulation statistics: cycles, stall breakdowns, CKC, event accounting.
 
-use sw_faults::OnlineFaultStats;
 use sw_perf::PerfSnapshot;
+use sw_pmem::OnlineFaultStats;
 use sw_trace::{Json, MetricsSnapshot, StallKind};
 
 /// Per-core counters.
@@ -221,11 +221,6 @@ impl SimStats {
         self.cores.iter().map(|c| c.stall_lock).sum()
     }
 
-    /// Speedup of this run relative to a baseline run of the same work.
-    pub fn speedup_over(&self, baseline: &SimStats) -> f64 {
-        baseline.cycles as f64 / self.cycles as f64
-    }
-
     /// Serializes the whole run — totals, per-core counters, event
     /// accounting, and the metrics-registry snapshot — as a JSON object
     /// (`swctl run --json`). A `perf` section appears only when the run
@@ -380,19 +375,6 @@ mod tests {
             ..CoreStats::default()
         };
         assert_eq!(c.persist_stall_cycles(), 18);
-    }
-
-    #[test]
-    fn speedup() {
-        let a = SimStats {
-            cycles: 1000,
-            ..SimStats::default()
-        };
-        let b = SimStats {
-            cycles: 2000,
-            ..SimStats::default()
-        };
-        assert!((a.speedup_over(&b) - 2.0).abs() < 1e-9);
     }
 }
 

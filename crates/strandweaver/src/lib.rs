@@ -11,7 +11,8 @@
 //!   order per Equations 1–4, litmus tests (Figure 2), crash-state
 //!   enumeration and sampling.
 //! * [`pmem`] (`sw-pmem`) — the PM substrate: address spaces, durable
-//!   images, crash semantics, device timing (Table I).
+//!   images, crash semantics, device timing (Table I), and the online
+//!   device-fault model the simulator's PM controller consults.
 //! * [`sim`] (`sw-sim`) — a cycle-level multicore simulator of the
 //!   StrandWeaver microarchitecture (persist queue, strand buffer unit,
 //!   write-back/snoop tail indexes) with one pluggable `PersistEngine` per

@@ -44,6 +44,11 @@ fn val_of(key: u64) -> u64 {
     key.wrapping_mul(3)
 }
 
+/// The child field on the other side of `side` (`F_LEFT` or `F_RIGHT`).
+fn opposite(side: u64) -> u64 {
+    F_LEFT + F_RIGHT - side
+}
+
 /// See the module documentation.
 #[derive(Debug)]
 pub struct RbTreeWorkload {
@@ -100,43 +105,27 @@ impl RbTreeWorkload {
         m.rt.store(m.ctx, self.root_ptr, n);
     }
 
-    fn left_rotate(&self, m: &mut Mut<'_, '_>, x: u64) {
-        let y = Self::get(m, x, F_RIGHT);
-        let yl = Self::get(m, y, F_LEFT);
-        Self::set(m, x, F_RIGHT, yl);
-        if yl != self.nil {
-            Self::set(m, yl, F_PARENT, x);
+    /// Rotates the subtree at `x` toward `side` (`F_LEFT` for a left
+    /// rotation): `x`'s child on the opposite side takes its place, and
+    /// `x` becomes that child's `side` child.
+    fn rotate(&self, m: &mut Mut<'_, '_>, x: u64, side: u64) {
+        let other = opposite(side);
+        let y = Self::get(m, x, other);
+        let inner = Self::get(m, y, side);
+        Self::set(m, x, other, inner);
+        if inner != self.nil {
+            Self::set(m, inner, F_PARENT, x);
         }
         let xp = Self::get(m, x, F_PARENT);
         Self::set(m, y, F_PARENT, xp);
         if xp == self.nil {
             self.set_root(m, y);
-        } else if Self::get(m, xp, F_LEFT) == x {
-            Self::set(m, xp, F_LEFT, y);
+        } else if Self::get(m, xp, side) == x {
+            Self::set(m, xp, side, y);
         } else {
-            Self::set(m, xp, F_RIGHT, y);
+            Self::set(m, xp, other, y);
         }
-        Self::set(m, y, F_LEFT, x);
-        Self::set(m, x, F_PARENT, y);
-    }
-
-    fn right_rotate(&self, m: &mut Mut<'_, '_>, x: u64) {
-        let y = Self::get(m, x, F_LEFT);
-        let yr = Self::get(m, y, F_RIGHT);
-        Self::set(m, x, F_LEFT, yr);
-        if yr != self.nil {
-            Self::set(m, yr, F_PARENT, x);
-        }
-        let xp = Self::get(m, x, F_PARENT);
-        Self::set(m, y, F_PARENT, xp);
-        if xp == self.nil {
-            self.set_root(m, y);
-        } else if Self::get(m, xp, F_RIGHT) == x {
-            Self::set(m, xp, F_RIGHT, y);
-        } else {
-            Self::set(m, xp, F_LEFT, y);
-        }
-        Self::set(m, y, F_RIGHT, x);
+        Self::set(m, y, side, x);
         Self::set(m, x, F_PARENT, y);
     }
 
@@ -184,42 +173,29 @@ impl RbTreeWorkload {
                 break;
             }
             let g = Self::get(m, p, F_PARENT);
-            if p == Self::get(m, g, F_LEFT) {
-                let u = Self::get(m, g, F_RIGHT);
-                if u != self.nil && Self::get(m, u, F_COLOR) == RED {
-                    Self::set(m, p, F_COLOR, BLACK);
-                    Self::set(m, u, F_COLOR, BLACK);
-                    Self::set(m, g, F_COLOR, RED);
-                    z = g;
-                } else {
-                    if z == Self::get(m, p, F_RIGHT) {
-                        z = p;
-                        self.left_rotate(m, z);
-                    }
-                    let p = Self::get(m, z, F_PARENT);
-                    let g = Self::get(m, p, F_PARENT);
-                    Self::set(m, p, F_COLOR, BLACK);
-                    Self::set(m, g, F_COLOR, RED);
-                    self.right_rotate(m, g);
-                }
+            // `side` is the side of `g` that `p` hangs on.
+            let side = if p == Self::get(m, g, F_LEFT) {
+                F_LEFT
             } else {
-                let u = Self::get(m, g, F_LEFT);
-                if u != self.nil && Self::get(m, u, F_COLOR) == RED {
-                    Self::set(m, p, F_COLOR, BLACK);
-                    Self::set(m, u, F_COLOR, BLACK);
-                    Self::set(m, g, F_COLOR, RED);
-                    z = g;
-                } else {
-                    if z == Self::get(m, p, F_LEFT) {
-                        z = p;
-                        self.right_rotate(m, z);
-                    }
-                    let p = Self::get(m, z, F_PARENT);
-                    let g = Self::get(m, p, F_PARENT);
-                    Self::set(m, p, F_COLOR, BLACK);
-                    Self::set(m, g, F_COLOR, RED);
-                    self.left_rotate(m, g);
+                F_RIGHT
+            };
+            let other = opposite(side);
+            let u = Self::get(m, g, other);
+            if u != self.nil && Self::get(m, u, F_COLOR) == RED {
+                Self::set(m, p, F_COLOR, BLACK);
+                Self::set(m, u, F_COLOR, BLACK);
+                Self::set(m, g, F_COLOR, RED);
+                z = g;
+            } else {
+                if z == Self::get(m, p, other) {
+                    z = p;
+                    self.rotate(m, z, side);
                 }
+                let p = Self::get(m, z, F_PARENT);
+                let g = Self::get(m, p, F_PARENT);
+                Self::set(m, p, F_COLOR, BLACK);
+                Self::set(m, g, F_COLOR, RED);
+                self.rotate(m, g, other);
             }
         }
         let root = self.root(m);
@@ -309,80 +285,56 @@ impl RbTreeWorkload {
     fn delete_fixup(&self, m: &mut Mut<'_, '_>, mut x: u64) {
         while x != self.root(m) && Self::get(m, x, F_COLOR) == BLACK {
             let p = Self::get(m, x, F_PARENT);
-            if x == Self::get(m, p, F_LEFT) {
-                let mut w = Self::get(m, p, F_RIGHT);
-                if Self::get(m, w, F_COLOR) == RED {
-                    Self::set(m, w, F_COLOR, BLACK);
-                    Self::set(m, p, F_COLOR, RED);
-                    self.left_rotate(m, p);
-                    let p = Self::get(m, x, F_PARENT);
-                    w = Self::get(m, p, F_RIGHT);
-                }
-                let wl = Self::get(m, w, F_LEFT);
-                let wr = Self::get(m, w, F_RIGHT);
-                let wl_black = wl == self.nil || Self::get(m, wl, F_COLOR) == BLACK;
-                let wr_black = wr == self.nil || Self::get(m, wr, F_COLOR) == BLACK;
-                if wl_black && wr_black {
-                    Self::set(m, w, F_COLOR, RED);
-                    x = Self::get(m, x, F_PARENT);
-                } else {
-                    if wr_black {
-                        if wl != self.nil {
-                            Self::set(m, wl, F_COLOR, BLACK);
-                        }
-                        Self::set(m, w, F_COLOR, RED);
-                        self.right_rotate(m, w);
-                        let p = Self::get(m, x, F_PARENT);
-                        w = Self::get(m, p, F_RIGHT);
-                    }
-                    let p = Self::get(m, x, F_PARENT);
-                    let pc = Self::get(m, p, F_COLOR);
-                    Self::set(m, w, F_COLOR, pc);
-                    Self::set(m, p, F_COLOR, BLACK);
-                    let wr = Self::get(m, w, F_RIGHT);
-                    if wr != self.nil {
-                        Self::set(m, wr, F_COLOR, BLACK);
-                    }
-                    self.left_rotate(m, p);
-                    x = self.root(m);
-                }
+            // `side` is the side of `p` that `x` hangs on; its sibling `w`
+            // hangs on the other.
+            let side = if x == Self::get(m, p, F_LEFT) {
+                F_LEFT
             } else {
-                let mut w = Self::get(m, p, F_LEFT);
-                if Self::get(m, w, F_COLOR) == RED {
-                    Self::set(m, w, F_COLOR, BLACK);
-                    Self::set(m, p, F_COLOR, RED);
-                    self.right_rotate(m, p);
-                    let p = Self::get(m, x, F_PARENT);
-                    w = Self::get(m, p, F_LEFT);
-                }
-                let wl = Self::get(m, w, F_LEFT);
-                let wr = Self::get(m, w, F_RIGHT);
-                let wl_black = wl == self.nil || Self::get(m, wl, F_COLOR) == BLACK;
-                let wr_black = wr == self.nil || Self::get(m, wr, F_COLOR) == BLACK;
-                if wl_black && wr_black {
-                    Self::set(m, w, F_COLOR, RED);
-                    x = Self::get(m, x, F_PARENT);
+                F_RIGHT
+            };
+            let other = opposite(side);
+            let mut w = Self::get(m, p, other);
+            if Self::get(m, w, F_COLOR) == RED {
+                Self::set(m, w, F_COLOR, BLACK);
+                Self::set(m, p, F_COLOR, RED);
+                self.rotate(m, p, side);
+                let p = Self::get(m, x, F_PARENT);
+                w = Self::get(m, p, other);
+            }
+            // Either side loads `w`'s left child first: loads are trace
+            // ops, and the figure goldens pin their order.
+            let wl = Self::get(m, w, F_LEFT);
+            let wr = Self::get(m, w, F_RIGHT);
+            let wl_black = wl == self.nil || Self::get(m, wl, F_COLOR) == BLACK;
+            let wr_black = wr == self.nil || Self::get(m, wr, F_COLOR) == BLACK;
+            if wl_black && wr_black {
+                Self::set(m, w, F_COLOR, RED);
+                x = Self::get(m, x, F_PARENT);
+            } else {
+                let (near, far_black) = if side == F_LEFT {
+                    (wl, wr_black)
                 } else {
-                    if wl_black {
-                        if wr != self.nil {
-                            Self::set(m, wr, F_COLOR, BLACK);
-                        }
-                        Self::set(m, w, F_COLOR, RED);
-                        self.left_rotate(m, w);
-                        let p = Self::get(m, x, F_PARENT);
-                        w = Self::get(m, p, F_LEFT);
+                    (wr, wl_black)
+                };
+                if far_black {
+                    if near != self.nil {
+                        Self::set(m, near, F_COLOR, BLACK);
                     }
+                    Self::set(m, w, F_COLOR, RED);
+                    self.rotate(m, w, other);
                     let p = Self::get(m, x, F_PARENT);
-                    let pc = Self::get(m, p, F_COLOR);
-                    Self::set(m, w, F_COLOR, pc);
-                    Self::set(m, p, F_COLOR, BLACK);
-                    let wl = Self::get(m, w, F_LEFT);
-                    if wl != self.nil {
-                        Self::set(m, wl, F_COLOR, BLACK);
-                    }
-                    self.right_rotate(m, p);
-                    x = self.root(m);
+                    w = Self::get(m, p, other);
                 }
+                let p = Self::get(m, x, F_PARENT);
+                let pc = Self::get(m, p, F_COLOR);
+                Self::set(m, w, F_COLOR, pc);
+                Self::set(m, p, F_COLOR, BLACK);
+                let far = Self::get(m, w, other);
+                if far != self.nil {
+                    Self::set(m, far, F_COLOR, BLACK);
+                }
+                self.rotate(m, p, side);
+                x = self.root(m);
             }
         }
         if Self::get(m, x, F_COLOR) != BLACK {

@@ -1,8 +1,8 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
-//! under `expected/`, rebuilt through the library and compared byte for
-//! byte. `ci.sh` also diffs each against the release binary's output. The
-//! largest, `serve_sweep.json` (57 serving cells), takes 3–5 s in a debug
-//! build on a 2-vCPU host.
+//! under `expected/`, and the crash campaign's verdict, rebuilt through the
+//! library and compared byte for byte. `ci.sh` also diffs each against the
+//! release binary's output. The largest, `serve_sweep.json` (57 serving
+//! cells), takes 3–5 s in a debug build on a 2-vCPU host.
 //!
 //! Each golden names the `swctl` command that printed it (see `ci.sh`).
 
@@ -27,15 +27,35 @@ fn cell(
         .seed(seed)
 }
 
+/// Asserts that `stdout` is exactly `expected/<file>`.
+fn golden_file(file: &str, stdout: String) {
+    let path = format!("{}/expected/{file}", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(stdout, want, "{file} drifted from {path}");
+}
+
 /// Asserts that `report` renders exactly as `expected/<name>.json` (which
 /// holds `swctl`'s stdout: the rendered JSON plus a newline).
 fn golden(name: &str, report: Json) {
-    let path = format!("{}/expected/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert_eq!(
-        format!("{}\n", report.render()),
-        want,
-        "{name} drifted from {path}"
+    golden_file(&format!("{name}.json"), format!("{}\n", report.render()));
+}
+
+#[test]
+fn crash_campaign_matches_its_golden() {
+    // `crash queue --lang txn --design non-atomic --threads 2 --regions 40
+    // --ops 2 --rounds 150 --seed 77`, which exits 1 with this verdict.
+    let err = cell(
+        BenchmarkId::Queue,
+        LangModel::Txn,
+        HwDesign::NonAtomic,
+        40,
+        77,
+    )
+    .run_crash_campaign(150)
+    .expect_err("non-atomic hardware tears a region");
+    golden_file(
+        "crash_non_atomic.txt",
+        format!("queue: INCONSISTENT — {err}\n"),
     );
 }
 

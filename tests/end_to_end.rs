@@ -1,6 +1,6 @@
 //! End-to-end integration: the paper's headline claims at test scale.
 
-use strandweaver::experiment::{design_sweep, Experiment};
+use strandweaver::experiment::{design_sweep_of, Experiment};
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
 fn scale(bench: BenchmarkId, lang: LangModel) -> Experiment {
@@ -19,7 +19,12 @@ fn strandweaver_wins_across_write_heavy_benchmarks() {
         BenchmarkId::NStoreWr,
         BenchmarkId::RbTree,
     ] {
-        let cells = design_sweep(bench, LangModel::Txn, &scale(bench, LangModel::Txn));
+        let cells = design_sweep_of(
+            &HwDesign::ALL,
+            bench,
+            LangModel::Txn,
+            &scale(bench, LangModel::Txn),
+        );
         let cycles = |d: HwDesign| {
             cells
                 .iter()
