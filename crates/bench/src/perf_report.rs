@@ -411,6 +411,11 @@ mod tests {
             err.contains("REGRESSED") || err.contains("regressed"),
             "{err}"
         );
+        // ci.sh's self-test: a run against itself at the 15% gate fails
+        // when slowed 1.3x and passes when slowed 1.1x.
+        let err = compare_reports(&r, &r, 15.0, 1.3, &[]).expect_err("1.3x must fail at 15%");
+        assert!(err.contains("fig7"), "{err}");
+        compare_reports(&r, &r, 15.0, 1.1, &[]).expect("1.1x passes at 15%");
     }
 
     #[test]

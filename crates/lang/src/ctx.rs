@@ -5,7 +5,6 @@
 use sw_model::isa::{FenceKind, IsaOp, IsaTrace, LockId};
 use sw_model::{Execution, OpKind, OpRef, Program, ThreadId};
 use sw_pmem::{Addr, Memory, PmLayout};
-use sw_trace::{TraceEvent, TraceSink};
 
 use crate::heap::HeapState;
 use crate::mce::{MceError, MceUnit};
@@ -50,8 +49,6 @@ pub struct FuncCtx {
     stats: CtxStats,
     record_program: bool,
     next_seq: u64,
-    /// Optional runtime-event sink (log appends/commits, recovery phases).
-    trace: Option<Box<dyn TraceSink>>,
     /// Armed poisoned lines + pending machine-check trap (see [`mce`]).
     ///
     /// [`mce`]: crate::mce
@@ -82,7 +79,6 @@ impl FuncCtx {
             stats: CtxStats::default(),
             record_program: true,
             next_seq: 1,
-            trace: None,
             mce: None,
             heap,
         }
@@ -113,21 +109,6 @@ impl FuncCtx {
     /// Delivers the pending machine-check trap, if any (oldest first).
     pub fn take_mce(&mut self) -> Option<MceError> {
         self.mce.as_mut().and_then(|u| u.pending.take())
-    }
-
-    /// Attaches a trace sink; runtime observability events (log appends,
-    /// commits, recovery phases) are recorded into it, timestamped with
-    /// the context's logical clock.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
-    }
-
-    /// Records a runtime observability event, stamped with the current
-    /// logical sequence number. One branch when no sink is attached.
-    pub fn trace_event(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(self.next_seq - 1, event);
-        }
     }
 
     /// Enables or disables formal-model program recording (ISA traces are

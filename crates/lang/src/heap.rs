@@ -33,7 +33,6 @@ use sw_pmem::{
     encode_checkpoint, Addr, BlockKind, Bump, PoolAlloc, Region, RegionKind, CACHE_LINE_BYTES,
     HEAP_JOURNAL_SLOTS,
 };
-use sw_trace::TraceEvent;
 
 use crate::ctx::FuncCtx;
 use crate::runtime::ThreadRuntime;
@@ -230,11 +229,6 @@ impl FuncCtx {
             p.next_slot = 0;
             p.stats.checkpoints += 1;
         }
-        self.trace_event(TraceEvent::HeapCheckpoint {
-            pool: pool as u32,
-            epoch,
-            blocks: blocks.len() as u64,
-        });
     }
 }
 
@@ -263,12 +257,6 @@ impl<'a> HeapHandle<'a> {
         for (i, &v) in words.iter().enumerate() {
             self.ctx.mem_mut().store(base.offset_words(i as u64), v);
         }
-        self.ctx.trace_event(TraceEvent::HeapAlloc {
-            pool: self.pool as u32,
-            off,
-            lines,
-            carve: true,
-        });
         off
     }
 
@@ -362,12 +350,6 @@ impl ThreadRuntime {
         let off = p.alloc(lines).expect("heap pool exhausted");
         let block = lines.max(1).next_power_of_two();
         self.heap_journal(ctx, pool, true, off, block);
-        ctx.trace_event(TraceEvent::HeapAlloc {
-            pool: pool as u32,
-            off,
-            lines: block,
-            carve: false,
-        });
         ctx.mem().layout().pool_line_addr(pool, off)
     }
 
@@ -385,11 +367,6 @@ impl ThreadRuntime {
         let p = ctx.heap_state_mut().pool_mut(pool);
         let lines = p.free(off).expect("not a live dynamic block");
         self.heap_journal(ctx, pool, false, off, lines);
-        ctx.trace_event(TraceEvent::HeapFree {
-            pool: pool as u32,
-            off,
-            lines,
-        });
     }
 
     /// Journals a dynamic alloc or free through [`ThreadRuntime::store`],

@@ -16,11 +16,11 @@
 //! ([`HwDesign`]): Intel x86, HOPS, StrandWeaver without a persist queue,
 //! full StrandWeaver, the non-atomic upper bound, and battery-backed eADR.
 //!
-//! The crate is layered like the simulator: a model-agnostic
-//! [`ThreadRuntime`] core owns the region lifecycle and delegates every
-//! per-model decision to a [`CommitPolicy`] (one module per model under
-//! [`policies`]) and every undo/redo encoding decision to a [`LogFormat`]
-//! (under [`formats`]).
+//! Each model is one row of `LangModel::spec` (under [`policies`]), as
+//! each design is one row of `HwDesign::spec`, and each log strategy is
+//! one [`LogStrategy`] `match` arm (under [`formats`]). A model-agnostic
+//! [`ThreadRuntime`] reads the row and the strategy once to pick its
+//! protocol (log-free, undo or redo) and owns the region lifecycle.
 //!
 //! The crate also provides post-failure [`recovery`] and a crash-injection
 //! [`harness`] that samples formally-allowed crash states (via `sw-model`)
@@ -59,11 +59,11 @@ pub mod recovery;
 pub(crate) mod runtime;
 
 pub use ctx::{CtxStats, FuncCtx};
-pub use formats::{LogFormat, LogStrategy, RecoveryAction};
+pub use formats::{LogStrategy, RecoveryAction};
 pub use heap::{HeapHandle, HeapState, JOURNAL_HIGH_WATER};
 pub use log::{classify_slot, scan_log_detailed, DetailedScan, SlotState};
 pub use mce::MceError;
-pub use policies::{CommitPolicy, Consistency, LangModel};
+pub use policies::{Consistency, LangModel};
 pub use recovery::{
     FaultCounts, HeapSummary, PolicyOutcome, RecoveryError, RecoveryFault, RecoveryPolicy,
     RecoveryReport,

@@ -72,7 +72,7 @@ pub enum EntryType {
     /// Commit record: `VALUE` = highest committed seq (the commit cut).
     Commit,
     /// Redo information for one store: address + **new** value (the redo
-    /// extension of Section VII; see `sw-lang::runtime::LogStrategy`).
+    /// extension of Section VII; see [`LogStrategy`](crate::LogStrategy)).
     RedoStore,
 }
 
@@ -400,10 +400,6 @@ impl UndoLog {
         self.tail = (self.tail + 1) % self.capacity;
         self.uncommitted += 1;
         self.last_seq = seq;
-        ctx.trace_event(sw_trace::TraceEvent::LogAppend {
-            thread: self.tid as u32,
-            seq,
-        });
         seq
     }
 
@@ -438,7 +434,7 @@ impl UndoLog {
         //    record, then advance the head (Figure 6a steps 3 and 4). The
         //    fresh record at `c_slot` stays live so the cut remains durably
         //    visible.
-        self.retire(ctx, design, committed, c_slot, cut);
+        self.retire(ctx, design, committed, c_slot);
     }
 
     /// Durable-cut header word (word 1 of the header line): everything at
@@ -464,15 +460,14 @@ impl UndoLog {
         ctx.store(self.tid, self.header_cut_addr(), self.last_seq);
         ctx.clwb(self.tid, self.header_cut_addr());
         self.fence(ctx, design.drain_fence());
-        self.retire(ctx, design, count, self.tail, self.last_seq);
+        self.retire(ctx, design, count, self.tail);
     }
 
     /// Retires the `count` entries from the head: invalidates each
     /// (`TYPE := 0`), drains, advances and flushes the persistent head to
-    /// `new_head`, drains, and reports the commit of everything up to
-    /// `cut`. A retained commit record exists afterwards exactly when
-    /// `new_head` is not the tail.
-    fn retire(&mut self, ctx: &mut FuncCtx, design: HwDesign, count: u64, new_head: u64, cut: u64) {
+    /// `new_head`, and drains. A retained commit record exists afterwards
+    /// exactly when `new_head` is not the tail.
+    fn retire(&mut self, ctx: &mut FuncCtx, design: HwDesign, count: u64, new_head: u64) {
         for k in 0..count {
             let base = self.slot((self.head + k) % self.capacity);
             ctx.store(self.tid, base.offset_words(W_TYPE), 0);
@@ -485,11 +480,6 @@ impl UndoLog {
         ctx.store(self.tid, self.header(), self.head);
         ctx.clwb(self.tid, self.header());
         self.fence(ctx, design.drain_fence());
-        ctx.trace_event(sw_trace::TraceEvent::LogCommit {
-            thread: self.tid as u32,
-            entries: count,
-            cut,
-        });
     }
 
     fn fence(&self, ctx: &mut FuncCtx, kind: Option<FenceKind>) {
@@ -665,26 +655,6 @@ mod tests {
         for i in 0..3 {
             log.append(&mut ctx, store_payload(0x2000_0000 + i * 64, 0));
         }
-    }
-
-    #[test]
-    fn log_operations_emit_trace_events() {
-        use sw_trace::{RingRecorder, TraceEvent};
-        let (mut ctx, mut log) = setup();
-        let rec = RingRecorder::new(64);
-        ctx.set_trace_sink(Box::new(rec.clone()));
-        log.append(&mut ctx, store_payload(0x2000_0000, 1));
-        log.append(&mut ctx, store_payload(0x2000_0040, 2));
-        log.commit_all(&mut ctx, HwDesign::StrandWeaver);
-        let events = rec.events();
-        let appends = events
-            .iter()
-            .filter(|e| e.event.kind() == "log_append")
-            .count();
-        assert_eq!(appends, 3, "two data entries plus the commit record");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.event, TraceEvent::LogCommit { entries: 2, .. })));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Post-failure recovery (paper Figure 6(b)) — one generic pass over the
-//! log formats.
+//! Post-failure recovery (paper Figure 6(b)) — one pass over every log,
+//! whichever strategy wrote it.
 //!
 //! Recovery inspects every per-thread log region in the crashed PM image:
 //!
 //! 1. For each thread, find the highest persisted commit cut (the paper's
 //!    commit-intent marker): the max over commit-record values, the global
 //!    coordinated-commit cut word, and the durable-cut header word.
-//! 2. Every other decoded entry is classified by the [`LogFormat`] that
-//!    owns its entry type ([`formats::recovery_action`]): entries covered
+//! 2. Every other decoded entry is classified by its entry type and its
+//!    side of the cut ([`formats::recovery_action`]): entries covered
 //!    by the cut are discarded (undo) or queued for forward *replay* in
 //!    creation order (redo — their in-place updates may not have
 //!    persisted); survivors are queued for *rollback* in reverse creation
@@ -16,9 +16,9 @@
 //!    (global reverse sequence order unwinds same-address overwrites by
 //!    later regions correctly — Figure 6(b) step 3).
 //!
-//! Recovery itself never branches on the entry vocabulary: adding a log
-//! format extends `formats/`, not this pass. A log-free (Native) run has
-//! an empty log region, so recovery is trivially clean.
+//! The entry vocabulary is read in one place, `recovery_action`'s `match`:
+//! adding an entry type extends that `match`, not this pass. A log-free
+//! (Native) run has an empty log region, so recovery is trivially clean.
 //!
 //! ## Fault awareness
 //!
@@ -43,8 +43,6 @@
 //! (data-region) writes, and re-running recovery recomputes the identical
 //! write set from the untouched logs, converging to the same image
 //! (`sw-lang::harness::recovery_reconverges`).
-//!
-//! [`LogFormat`]: crate::LogFormat
 
 use sw_pmem::{recover_heap, Addr, HeapFault, HeapRecovery, PmImage, PmLayout};
 use sw_trace::{NullSink, TraceEvent, TraceSink};

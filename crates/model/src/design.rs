@@ -188,8 +188,10 @@ impl HwDesign {
     /// fences at all. Derived from the spec so a future battery-backed
     /// design is classified by what it guarantees, not by name. Log-free
     /// language models (`sw-lang`'s `Native`) are legal only on these
-    /// designs.
-    pub fn persists_at_visibility(self) -> bool {
+    /// designs. A `const fn`, so the simulator's per-store check folds to a
+    /// constant per engine.
+    #[inline]
+    pub const fn persists_at_visibility(self) -> bool {
         let low = self.spec().lowering;
         low.pairwise.is_none() && low.after_update.is_none() && low.drain.is_none()
     }

@@ -34,6 +34,9 @@ const SHARD_LINES: u64 = 16;
 const SHARD_SLOTS: u64 = 8;
 /// Consecutive request failures that trip a shard's breaker.
 const TRIP_THRESHOLD: u32 = 3;
+/// Device-level retry budget per request before it counts as a breaker
+/// failure.
+const MAX_REQUEST_RETRIES: u32 = 3;
 /// Breaker cooldown, in multiples of the service time.
 const COOLDOWN_SERVICES: u64 = 8;
 /// Successful half-open probes required to re-close a breaker.
@@ -171,6 +174,8 @@ struct Shard {
     shed: u64,
     unavailable: u64,
     recovered: u64,
+    /// Device write retries across this shard's requests.
+    retries: u64,
 }
 
 impl Shard {
@@ -192,6 +197,7 @@ impl Shard {
             shed: 0,
             unavailable: 0,
             recovered: 0,
+            retries: 0,
         }
     }
 
@@ -246,7 +252,8 @@ enum Served {
 }
 
 /// Serves one admitted request on `shard`, walking the device fault unit
-/// line by line with deadline-checked retries.
+/// line by line with deadline-checked retries, at most `retry_budget` of
+/// them.
 fn serve_on(
     shard: &mut Shard,
     cfg: &ServeConfig,
@@ -254,7 +261,7 @@ fn serve_on(
     deadline: u64,
     is_read: bool,
     service_cycles: u64,
-    retries: &mut u64,
+    retry_budget: u32,
 ) -> Served {
     let ops = cfg.ops.max(1) as u64;
     let per_op = (service_cycles / ops).max(1);
@@ -286,7 +293,7 @@ fn serve_on(
                 }
                 WriteDecision::Fail { next_at, .. } | WriteDecision::Backoff { until: next_at } => {
                     attempts += 1;
-                    *retries += 1;
+                    shard.retries += 1;
                     // Deadline-checked re-admission: a retry that cannot
                     // start before the deadline is never re-admitted (no
                     // zombie retries), and a parked line (`u64::MAX`
@@ -296,7 +303,7 @@ fn serve_on(
                         shard.next_free = now;
                         return Served::Timeout { at: deadline };
                     }
-                    if attempts > cfg.max_request_retries {
+                    if attempts > retry_budget {
                         shard.next_free = now;
                         return Served::Failed { at: now };
                     }
@@ -379,7 +386,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     let mut timeouts = 0u64;
     let mut unavailable = 0u64;
     let mut failed = 0u64;
-    let mut retries = 0u64;
     let mut poisoned_reads = 0u64;
     let mut failovers = 0u64;
     let mut failover_redirects = 0u64;
@@ -445,7 +451,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
             deadline,
             is_read,
             service_cycles,
-            &mut retries,
+            MAX_REQUEST_RETRIES,
         );
         match outcome {
             Served::Done { finish } => {
@@ -531,7 +537,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         timeouts,
         unavailable,
         failed,
-        retries,
+        retries: shards.iter().map(|s| s.retries).sum(),
         poisoned_reads,
         breaker_trips: shard_reports.iter().map(|s| s.trips).sum(),
         failovers,
@@ -582,6 +588,7 @@ mod tests {
             shed: 0,
             unavailable: 0,
             recovered: 0,
+            retries: 0,
         }
     }
 
@@ -629,19 +636,17 @@ mod tests {
             slack in 1u64..1 << 16,
             extra in 1u64..1 << 16,
         ) {
-            let mut cfg = test_cfg();
-            cfg.max_request_retries = 1_000;
+            let cfg = test_cfg();
             // Backoff strictly longer than the deadline slack: the first
             // retry could only start after the deadline.
             let mut shard = shard_with(sticky_schedule(slack + extra), 100, cfg.queue_depth);
             let deadline = arrive + slack;
-            let mut retries = 0u64;
-            let out = serve_on(&mut shard, &cfg, arrive, deadline, false, 100, &mut retries);
+            let out = serve_on(&mut shard, &cfg, arrive, deadline, false, 100, 1_000);
             match out {
                 Served::Timeout { at } => prop_assert_eq!(at, deadline),
                 _ => prop_assert!(false, "expected a deadline timeout"),
             }
-            prop_assert_eq!(retries, 1, "no retry may be re-admitted past the deadline");
+            prop_assert_eq!(shard.retries, 1, "no retry may be re-admitted past the deadline");
         }
 
         /// Whatever the device does, a request can neither complete past
@@ -652,13 +657,13 @@ mod tests {
             budget in 1u32..8,
             slack_factor in 2u64..64,
         ) {
-            let mut cfg = test_cfg();
-            cfg.max_request_retries = budget;
+            let cfg = test_cfg();
             let service = 100u64;
             let deadline = service * slack_factor;
             let mut shard = shard_with(sticky_schedule(backoff_base), service, cfg.queue_depth);
-            let mut retries = 0u64;
-            match serve_on(&mut shard, &cfg, 0, deadline, false, service, &mut retries) {
+            let out = serve_on(&mut shard, &cfg, 0, deadline, false, service, budget);
+            let retries = shard.retries;
+            match out {
                 Served::Done { finish } => prop_assert!(finish <= deadline),
                 // A mid-service timeout is noticed at the op boundary
                 // just past the deadline; a retry timeout at the

@@ -176,9 +176,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Request deadline as a multiple of the calibrated service time.
     pub deadline_factor: u64,
-    /// Device-level retry budget per request before it counts as a
-    /// breaker failure.
-    pub max_request_retries: u32,
     /// Inject the seeded chaos-under-load fault schedules (sticky
     /// transient wear-out on one shard, spare-pool exhaustion on
     /// another, a poisoned read). Disable for a clean-capacity baseline.
@@ -204,7 +201,6 @@ impl ServeConfig {
             shed: ShedPolicy::DropTail,
             queue_depth: 32,
             deadline_factor: 16,
-            max_request_retries: 3,
             faults: true,
         }
     }

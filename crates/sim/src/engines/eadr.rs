@@ -29,10 +29,6 @@ impl EngineMeta for Eadr {
         HwDesign::Eadr
     }
 
-    fn persists_at_visibility(&self) -> bool {
-        true
-    }
-
     fn stall_causes(&self) -> &'static [StallKind] {
         // No persist structure means no persist-queue back-pressure, ever.
         &[StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock]

@@ -57,9 +57,10 @@ pub trait EngineMeta: std::fmt::Debug + Sync {
 
     /// `true` when stores persist at coherence visibility (battery-backed
     /// caches): the machine then records the persist order at store
-    /// retirement instead of at PM-controller acceptance.
+    /// retirement instead of at PM-controller acceptance. Read from the
+    /// design's spec, so no engine restates it.
     fn persists_at_visibility(&self) -> bool {
-        false
+        self.design().persists_at_visibility()
     }
 
     /// The stall causes this design can actually produce. Causes outside

@@ -139,22 +139,6 @@ pub enum TraceEvent {
         /// Line made durable.
         line: u64,
     },
-    /// The runtime appended an undo/redo log entry.
-    LogAppend {
-        /// Logical thread.
-        thread: u32,
-        /// Global sequence number of the entry.
-        seq: u64,
-    },
-    /// The runtime committed a batch of log entries.
-    LogCommit {
-        /// Logical thread.
-        thread: u32,
-        /// Entries invalidated by this commit.
-        entries: u64,
-        /// Durable cut sequence number recorded by the commit.
-        cut: u64,
-    },
     /// A recovery phase started.
     RecoveryBegin {
         /// Phase label (`scan`, `undo`, `redo`, `reset`).
@@ -225,36 +209,6 @@ pub enum TraceEvent {
         /// Logical line the device can no longer serve.
         line: u64,
     },
-    /// The persistent allocator handed out a heap block.
-    HeapAlloc {
-        /// Heap pool the block came from.
-        pool: u32,
-        /// Arena line offset of the block.
-        off: u64,
-        /// Block length in lines.
-        lines: u64,
-        /// `true` for a setup-time frontier carve, `false` for a
-        /// run-time buddy allocation.
-        carve: bool,
-    },
-    /// The persistent allocator freed (quarantined) a heap block.
-    HeapFree {
-        /// Heap pool the block belongs to.
-        pool: u32,
-        /// Arena line offset of the block.
-        off: u64,
-        /// Block length in lines.
-        lines: u64,
-    },
-    /// The allocator folded its journal into a checkpoint table.
-    HeapCheckpoint {
-        /// Heap pool checkpointed.
-        pool: u32,
-        /// Epoch the checkpoint published.
-        epoch: u64,
-        /// Live blocks recorded.
-        blocks: u64,
-    },
     /// Recovery rebuilt one heap pool from its PM metadata.
     HeapRecovered {
         /// Heap pool recovered.
@@ -300,8 +254,6 @@ impl TraceEvent {
             TraceEvent::FenceRetire { .. } => "fence_retire",
             TraceEvent::AdrAccept { .. } => "adr_accept",
             TraceEvent::PersistVisible { .. } => "persist_visible",
-            TraceEvent::LogAppend { .. } => "log_append",
-            TraceEvent::LogCommit { .. } => "log_commit",
             TraceEvent::RecoveryBegin { .. } => "recovery_begin",
             TraceEvent::RecoveryEnd { .. } => "recovery_end",
             TraceEvent::FaultInjected { .. } => "fault_injected",
@@ -311,9 +263,6 @@ impl TraceEvent {
             TraceEvent::PersistRetried { .. } => "persist_retried",
             TraceEvent::LineRemapped { .. } => "line_remapped",
             TraceEvent::SparesExhausted { .. } => "spares_exhausted",
-            TraceEvent::HeapAlloc { .. } => "heap_alloc",
-            TraceEvent::HeapFree { .. } => "heap_free",
-            TraceEvent::HeapCheckpoint { .. } => "heap_checkpoint",
             TraceEvent::HeapRecovered { .. } => "heap_recovered",
             TraceEvent::PoolSalvaged { .. } => "pool_salvaged",
             TraceEvent::PerfPhase { .. } => "perf_phase",
@@ -363,16 +312,6 @@ impl TraceEvent {
             AdrAccept { line, queue_depth } => {
                 vec![("line", n(line)), ("queue_depth", n(queue_depth))]
             }
-            LogAppend { thread, seq } => vec![("thread", n(thread)), ("seq", n(seq))],
-            LogCommit {
-                thread,
-                entries,
-                cut,
-            } => vec![
-                ("thread", n(thread)),
-                ("entries", n(entries)),
-                ("cut", n(cut)),
-            ],
             RecoveryBegin { phase } => vec![("phase", s(phase))],
             RecoveryEnd { phase, items } => vec![("phase", s(phase)), ("items", n(items))],
             FaultInjected {
@@ -396,29 +335,6 @@ impl TraceEvent {
             }
             LineRemapped { from, to } => vec![("from", n(from)), ("to", n(to))],
             SparesExhausted { line } => vec![("line", n(line))],
-            HeapAlloc {
-                pool,
-                off,
-                lines,
-                carve,
-            } => vec![
-                ("pool", n(pool)),
-                ("off", n(off)),
-                ("lines", n(lines)),
-                ("carve", Json::Bool(carve)),
-            ],
-            HeapFree { pool, off, lines } => {
-                vec![("pool", n(pool)), ("off", n(off)), ("lines", n(lines))]
-            }
-            HeapCheckpoint {
-                pool,
-                epoch,
-                blocks,
-            } => vec![
-                ("pool", n(pool)),
-                ("epoch", n(epoch)),
-                ("blocks", n(blocks)),
-            ],
             HeapRecovered {
                 pool,
                 live,
@@ -496,25 +412,6 @@ mod tests {
                 phase: "engine",
                 nanos: 0,
                 calls: 0,
-            }
-            .kind(),
-            TraceEvent::HeapAlloc {
-                pool: 0,
-                off: 0,
-                lines: 1,
-                carve: false,
-            }
-            .kind(),
-            TraceEvent::HeapFree {
-                pool: 0,
-                off: 0,
-                lines: 1,
-            }
-            .kind(),
-            TraceEvent::HeapCheckpoint {
-                pool: 0,
-                epoch: 1,
-                blocks: 0,
             }
             .kind(),
             TraceEvent::HeapRecovered {

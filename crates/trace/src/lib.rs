@@ -6,8 +6,8 @@
 //! 1. **Events and sinks** — [`TraceEvent`] is a typed vocabulary of
 //!    observability events (store/CLWB issue, persist-queue and
 //!    strand-buffer movement, per-cause stall intervals, fence retirement,
-//!    PM-controller accepts, runtime log appends/commits, recovery
-//!    phases). Producers emit through the [`TraceSink`] trait; sinks are
+//!    PM-controller accepts, recovery phases, injected and online
+//!    faults). Producers emit through the [`TraceSink`] trait; sinks are
 //!    held as `Option<Box<dyn TraceSink>>` so the disabled path costs one
 //!    branch. [`RingRecorder`] is a bounded in-memory sink whose cloneable
 //!    handle lets callers read events back after the producer is consumed.

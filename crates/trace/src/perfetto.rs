@@ -13,7 +13,6 @@
 //!   (`pq_depth/core<n>`), strand-buffer occupancy per buffer
 //!   (`sb_occupancy/core<n>/buf<m>`), and PM-controller queue depth;
 //! * `tid = 1000`            — ADR PM controller accepts (`ph i`);
-//! * `tid = 1100 + thread`   — runtime log append/commit instants;
 //! * `tid = 1200`            — recovery phases as `ph B`/`E` durations,
 //!   plus corruption-detected / region-salvaged instants;
 //! * `tid = 1300`            — fault-injection instants.
@@ -28,8 +27,6 @@ use crate::json::Json;
 
 /// `tid` used for the PM controller track.
 pub const TID_PM_CONTROLLER: u32 = 1000;
-/// `tid` base for runtime log threads (`base + thread`).
-pub const TID_LOG_BASE: u32 = 1100;
 /// `tid` used for the recovery track.
 pub const TID_RECOVERY: u32 = 1200;
 /// `tid` used for the fault-injection track.
@@ -41,7 +38,6 @@ fn track_name(tid: u32) -> String {
         TID_PM_CONTROLLER => "pm controller".to_string(),
         TID_RECOVERY => "recovery".to_string(),
         TID_FAULTS => "faults".to_string(),
-        t if t >= TID_LOG_BASE => format!("log thread {}", t - TID_LOG_BASE),
         core => format!("core {core}"),
     }
 }
@@ -112,9 +108,6 @@ fn placement(event: &TraceEvent) -> Option<Placement> {
         PersistVisible { .. } | PersistRetried { .. } | LineRemapped { .. } => {
             (TID_PM_CONTROLLER, kind, "pm", &[])
         }
-        LogAppend { thread, .. } | LogCommit { thread, .. } => {
-            (TID_LOG_BASE + thread, kind, "log", &["thread"])
-        }
         FaultInjected { class, .. } => (TID_FAULTS, format!("fault:{class}"), "fault", &["class"]),
         DeviceFault { class, .. } => (TID_FAULTS, format!("device:{class}"), "fault", &["class"]),
         SparesExhausted { .. } => (TID_FAULTS, kind, "fault", &[]),
@@ -125,13 +118,7 @@ fn placement(event: &TraceEvent) -> Option<Placement> {
             &["kind"],
         ),
         RegionSalvaged { .. } | PoolSalvaged { .. } => (TID_RECOVERY, kind, "fault", &[]),
-        HeapAlloc { carve: true, .. } => {
-            (TID_RECOVERY, "heap_carve".to_string(), "heap", &["carve"])
-        }
-        HeapAlloc { .. } => (TID_RECOVERY, kind, "heap", &["carve"]),
-        HeapFree { .. } | HeapCheckpoint { .. } | HeapRecovered { .. } => {
-            (TID_RECOVERY, kind, "heap", &[])
-        }
+        HeapRecovered { .. } => (TID_RECOVERY, kind, "heap", &[]),
         PqEnqueue { .. }
         | PqDequeue { .. }
         | SbEnqueue { .. }
@@ -296,7 +283,6 @@ mod tests {
                 queue_depth: 2,
             },
         );
-        push(11, TraceEvent::LogAppend { thread: 0, seq: 1 });
         push(12, TraceEvent::RecoveryBegin { phase: "scan" });
         push(
             13,
@@ -374,7 +360,6 @@ mod tests {
         assert!(names.contains(&"core 0"));
         assert!(names.contains(&"core 1"));
         assert!(names.contains(&"pm controller"));
-        assert!(names.contains(&"log thread 0"));
         assert!(names.contains(&"recovery"));
         assert!(names.contains(&"faults"));
     }

@@ -11,8 +11,8 @@ use sw_trace::{chrome_trace, jsonl, StallKind, TimedEvent, TraceEvent};
 const CHROME_GOLDEN: &str = include_str!("../../../expected/trace_every_variant.json");
 const JSONL_GOLDEN: &str = include_str!("../../../expected/trace_every_variant.jsonl");
 
-/// One event of every variant, spread over five cores, two log threads and
-/// every non-core track, in an order that is not sorted by cycle.
+/// One event of every variant, spread over five cores and every non-core
+/// track, in an order that is not sorted by cycle.
 fn every_variant() -> Vec<TimedEvent> {
     use TraceEvent::*;
     let events = [
@@ -90,15 +90,6 @@ fn every_variant() -> Vec<TimedEvent> {
             },
         ),
         (15, PersistVisible { core: 0, line: 41 }),
-        (16, LogAppend { thread: 1, seq: 17 }),
-        (
-            17,
-            LogCommit {
-                thread: 0,
-                entries: 4,
-                cut: 17,
-            },
-        ),
         (18, RecoveryBegin { phase: "scan" }),
         (
             19,
@@ -146,40 +137,6 @@ fn every_variant() -> Vec<TimedEvent> {
         ),
         (25, LineRemapped { from: 44, to: 900 }),
         (26, SparesExhausted { line: 45 }),
-        (
-            27,
-            HeapAlloc {
-                pool: 1,
-                off: 8,
-                lines: 4,
-                carve: true,
-            },
-        ),
-        (
-            28,
-            HeapAlloc {
-                pool: 1,
-                off: 12,
-                lines: 2,
-                carve: false,
-            },
-        ),
-        (
-            29,
-            HeapFree {
-                pool: 1,
-                off: 12,
-                lines: 2,
-            },
-        ),
-        (
-            30,
-            HeapCheckpoint {
-                pool: 1,
-                epoch: 3,
-                blocks: 1,
-            },
-        ),
         (
             31,
             HeapRecovered {

@@ -1,8 +1,9 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
-//! under `expected/`, and the crash campaign's verdict, rebuilt through the
-//! library and compared byte for byte. `ci.sh` also diffs each against the
-//! release binary's output. The largest, `serve_sweep.json` (57 serving
-//! cells), takes 3–5 s in a debug build on a 2-vCPU host.
+//! under `expected/`, the crash campaign's verdict and one redo-logged
+//! timing run, rebuilt through the library and compared byte for byte.
+//! `ci.sh` also diffs each against the release binary's output. The
+//! largest, `serve_sweep.json` (57 serving cells), takes 3–5 s in a debug
+//! build on a 2-vCPU host.
 //!
 //! Each golden names the `swctl` command that printed it (see `ci.sh`).
 
@@ -57,6 +58,24 @@ fn crash_campaign_matches_its_golden() {
         "crash_non_atomic.txt",
         format!("queue: INCONSISTENT — {err}\n"),
     );
+}
+
+#[test]
+fn redo_timing_run_matches_its_golden() {
+    // `run hashmap --lang sfr --design strandweaver --redo --threads 2
+    // --regions 24 --ops 2 --json`: the only golden that pins redo
+    // logging's cycles (its store encoding and lock-stamp fence).
+    let stats = cell(
+        BenchmarkId::Hashmap,
+        LangModel::Sfr,
+        HwDesign::StrandWeaver,
+        24,
+        1234,
+    )
+    .redo()
+    .with_metrics()
+    .run_timing();
+    golden("run_redo", stats.to_json());
 }
 
 #[test]
