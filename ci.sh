@@ -24,8 +24,8 @@ cargo build --workspace --examples
 echo "== test (workspace) =="
 cargo test --workspace -q
 
-echo "== rustdoc (no-deps) =="
-cargo doc --workspace --no-deps -q
+echo "== rustdoc (no-deps, deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -131,8 +131,11 @@ cli_golden fig7_strandweaver.json fig7 --design strandweaver --json
 cli_golden fig9.json fig9 --json
 cli_golden fig10.json fig10 --json
 cli_golden summary.json summary --json
-# Every golden above runs two threads; this one pins the eight-core lock
-# hand-offs and coherence steals the figures sweep spends its ticks on.
+# Every golden above runs two threads; these two pin the eight-core lock
+# hand-offs and coherence steals the figures sweep spends its ticks on,
+# run_8core.json with every core's stall counts.
+cli_golden run_8core.json run queue --lang txn --design strandweaver --threads 8 \
+  --regions 24 --ops 2 --json
 diff expected/summary_8core.json <(SW_BENCH_THREADS=8 SW_BENCH_REGIONS=48 \
   SW_BENCH_OPS_PER_REGION=2 "$SWCTL" summary --json) \
   || { echo "ci: summary_8core.json drifted from expected/summary_8core.json" >&2; exit 1; }

@@ -40,6 +40,12 @@ use sw_trace::Json;
 /// `PersistEngine::backend` hook runs, the store queue retires, the
 /// write-back flush engine drains, the frontend issues, stall intervals
 /// reconcile, and the done-check retires finished cores.
+///
+/// [`Phase::Engine`], [`Phase::StoreQueue`] and [`Phase::Writeback`] count
+/// one call per core the tick visits; the tick skips a core that is done
+/// or parked on a lock, so on lock-heavy runs they count far fewer calls
+/// than cores × ticks. Every other phase counts one call per executed
+/// tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// `PmController::tick` — write-queue drain pacing (`memctrl.rs`).

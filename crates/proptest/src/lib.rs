@@ -3,10 +3,10 @@
 //!
 //! The build environment for this workspace cannot reach crates.io, so this
 //! crate implements the subset of the proptest API the workspace's
-//! property tests use: the [`Strategy`] abstraction (ranges, tuples,
-//! `prop_map`, collections, `select`, `Just`, `any`, weighted unions), the
-//! [`proptest!`] / [`prop_assert!`] / [`prop_assert_eq!`] /
-//! [`prop_oneof!`] macros, and [`ProptestConfig`].
+//! property tests use: the [`Strategy`](strategy::Strategy) abstraction
+//! (ranges, tuples, `prop_map`, collections, `select`, `Just`, `any`,
+//! weighted unions), the [`proptest!`] / [`prop_assert!`] /
+//! [`prop_assert_eq!`] / [`prop_oneof!`] macros, and [`ProptestConfig`].
 //!
 //! Differences from upstream: generation is purely random with a
 //! deterministic per-test seed (derived from the test's module path and
@@ -274,7 +274,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// Length specifications accepted by [`vec`]: a fixed `usize` or a
+    /// Length specifications accepted by [`vec()`]: a fixed `usize` or a
     //  half-open `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -307,7 +307,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -99,6 +99,11 @@ pub struct Core {
     /// Set while the core sits in a lock's waiter ring (a core waits on
     /// at most one lock at a time).
     pub(crate) lock_queued: bool,
+    /// Set while the core is parked on a lock: queued, with an idle
+    /// back-end, so no tick visits it until the lock's release wakes it.
+    /// Holds the first cycle it was not visited, from which the wake
+    /// charges its lock stall cycles.
+    pub(crate) parked_since: Option<u64>,
 }
 
 impl Core {
@@ -121,6 +126,7 @@ impl Core {
             stats: CoreStats::default(),
             done: false,
             lock_queued: false,
+            parked_since: None,
         }
     }
 
@@ -147,15 +153,25 @@ impl Core {
         self.sq.is_empty() && self.store_pending.is_none()
     }
 
+    /// `true` when no back-end structure holds anything: store queue,
+    /// persist structures and write-back buffer are all empty.
+    pub(crate) fn backend_idle(&self) -> bool {
+        self.stores_drained() && self.persists_drained() && self.wb.is_empty()
+    }
+
+    /// `true` when a tick has nothing to do on this core: it is done, or
+    /// parked on a lock.
+    pub(crate) fn asleep(&self) -> bool {
+        self.done || self.parked_since.is_some()
+    }
+
     /// `true` when the core has issued its whole trace and drained
     /// everything.
     pub fn fully_drained(&self) -> bool {
         self.pc >= self.trace.len()
-            && self.stores_drained()
-            && self.persists_drained()
+            && self.backend_idle()
             && self.load_pending.is_none()
             && self.pending_fence.is_none()
-            && self.wb.is_empty()
     }
 }
 

@@ -20,11 +20,11 @@
 //!
 //! 1. the PM controller drains its ADR write queue;
 //! 2. coherence steals whose snoop-buffer drain condition is met resolve;
-//! 3. every core's back-end runs — the design's persist engine issues and
-//!    retires CLWBs, then the store queue retires stores and write-backs
-//!    drain;
-//! 4. every core's front-end issues at most one trace operation, honoring
-//!    the engine's fence semantics and queue capacities.
+//! 3. every awake core's back-end runs — the design's persist engine
+//!    issues and retires CLWBs, then the store queue retires stores and
+//!    write-backs drain;
+//! 4. every awake core's front-end issues at most one trace operation,
+//!    honoring the engine's fence semantics and queue capacities.
 //!
 //! When a whole tick makes no architectural progress, the machine jumps
 //! straight to the next cycle at which anything can happen (the minimum
@@ -34,8 +34,18 @@
 //! bit-identical to single-stepping, faults included
 //! (`SimConfig::skip_ahead` disables the jump for equivalence tests).
 //!
-//! A tick that does run visits every core, but each visit costs O(1)
-//! unless that core's state changed:
+//! A tick that does run visits only the awake cores. A core that is done
+//! sleeps, and so does a core *parked* on a lock: one that stalled on
+//! `Lock(l)` while queued on `l` with an idle back-end (store queue,
+//! persist structures and write-back buffer all empty). Until `l` is
+//! released it could only fail the same acquire, and nothing else moves
+//! its state: only its own front-end feeds its back-end, steals against
+//! its lines resolve in `process_steals` without it, and it schedules
+//! nothing for skip-ahead. `Unlock(l)` wakes the ring's front waiter only
+//! and charges it, at once, the lock stall cycles its skipped visits
+//! would have counted, so skip-ahead replays nothing for a parked core;
+//! the trace reports a parked core as stalled on `Lock`. The visits that
+//! remain cost O(1) unless that core's state changed:
 //!
 //! - the strand buffer unit and the flush engine keep their count of
 //!   waiting CLWBs and their earliest pending completion current at push,
@@ -50,8 +60,9 @@
 //! for an elder same-line store (at most `store_queue_entries` entries);
 //! a per-line count of queued stores did not measurably shorten the
 //! figures sweep. Each cached answer keeps the scan it replaced as a
-//! `debug_assert!` reference, so debug builds (every tier-1 test)
-//! cross-check the caches on every tick; property tests in
+//! `debug_assert!` reference, and every tick asserts for each parked core
+//! what makes skipping it exact, so debug builds (every tier-1 test)
+//! cross-check the caches and the parking on every tick; property tests in
 //! `strand_buffer.rs` and `persist.rs` drive them with random operation
 //! sequences, and `tests/metrics_ledger.rs` compares skip-ahead against
 //! single-stepping at two and eight cores, with and without faults.
@@ -115,7 +126,8 @@ impl LockState {
 /// every skipped cycle, and read back as the trace's stall intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TickNote {
-    /// Nothing charged (core done, or idling below `busy_until`).
+    /// Nothing charged (core done, idling below `busy_until`, or parked on
+    /// a lock, whose wake charges the whole span at once).
     Idle,
     /// One `mem_busy` cycle (load outstanding).
     MemBusy,
@@ -602,6 +614,7 @@ impl<E: PersistEngine> SimMachine<E> {
     fn reconcile_stalls(&mut self) {
         for i in 0..self.cores.len() {
             let now = match self.tick_note[i] {
+                _ if self.cores[i].parked_since.is_some() => Some(StallKind::Lock),
                 TickNote::Stalled(cause) => Some(cause),
                 TickNote::Idle | TickNote::MemBusy => None,
             };
@@ -744,8 +757,13 @@ impl<E: PersistEngine> SimMachine<E> {
         self.lap(&mut lap, Phase::Memctrl);
         self.process_steals();
         self.lap(&mut lap, Phase::Coherence);
+        // Done and parked cores are skipped: nothing can change their
+        // state until an unlock wakes a parked one (see `park_if_idle`).
         let engine = self.engine;
         for i in 0..self.cores.len() {
+            if self.cores[i].asleep() {
+                continue;
+            }
             engine.backend(self, i);
             self.lap(&mut lap, Phase::Engine);
             self.backend_sq(i);
@@ -754,6 +772,14 @@ impl<E: PersistEngine> SimMachine<E> {
             self.lap(&mut lap, Phase::Writeback);
         }
         for i in 0..self.cores.len() {
+            if self.cores[i].asleep() {
+                debug_assert!(
+                    self.cores[i].done || self.park_holds(i),
+                    "parked core {i} could act at cycle {}",
+                    self.cycle
+                );
+                continue;
+            }
             self.frontend(i);
         }
         self.lap(&mut lap, Phase::Frontend);
@@ -762,7 +788,7 @@ impl<E: PersistEngine> SimMachine<E> {
         }
         self.lap(&mut lap, Phase::Observe);
         for i in 0..self.cores.len() {
-            if !self.cores[i].done
+            if !self.cores[i].asleep()
                 && self.cores[i].fully_drained()
                 && self.cycle >= self.cores[i].busy_until
             {
@@ -1299,6 +1325,102 @@ mod tests {
             stats.cycles
         );
         assert!(stats.lock_stall_cycles() >= 400);
+    }
+
+    /// Four cores contend for lock 0. Core 2 takes it at cycle 0; cores 1,
+    /// 3 and 0 queue behind it in that order, core 1 while its store queue
+    /// still drains two DRAM-missing stores, and core 2 queues again after
+    /// its release. So the releases wake waiters below the releaser (2 → 1,
+    /// 3 → 0) and above it (1 → 3, 0 → 2).
+    fn lock_handover_traces() -> Vec<IsaTrace> {
+        let (lock, unlock) = (IsaOp::Lock(LockId(0)), IsaOp::Unlock(LockId(0)));
+        let volatile = |k: u64| IsaOp::Store(layout().volatile_region().base.offset_words(8 * k));
+        let persist = |k: u64| {
+            let a = heap(8 * k);
+            [
+                IsaOp::Store(a),
+                IsaOp::Clwb(a),
+                IsaOp::Fence(FenceKind::JoinStrand),
+            ]
+        };
+        let section = |k: u64, n: u32| {
+            let mut t = vec![lock];
+            t.extend(persist(k));
+            t.extend([IsaOp::Compute(n), unlock]);
+            t
+        };
+        let mut core1: IsaTrace = (0..2).map(volatile).collect();
+        core1.extend(section(1, 40));
+        let mut core2 = section(2, 200);
+        core2.extend(section(4, 10));
+        vec![
+            [vec![IsaOp::Compute(30)], section(0, 40)].concat(),
+            core1,
+            core2,
+            [vec![IsaOp::Compute(10)], section(3, 40)].concat(),
+        ]
+    }
+
+    #[test]
+    fn lock_waiters_wake_in_either_index_order() {
+        let run_with = |skip_ahead: bool, rec: Option<&sw_trace::RingRecorder>| {
+            let cfg = cfg(4).with_skip_ahead(skip_ahead);
+            let mut m = Machine::new(
+                cfg,
+                HwDesign::StrandWeaver,
+                layout(),
+                lock_handover_traces(),
+            );
+            if let Some(rec) = rec {
+                m.set_trace_sink(Box::new(rec.clone()));
+            }
+            m.run()
+        };
+        // The values of the simulator that visited every core on every
+        // tick: parking must not move any of them.
+        let rec = sw_trace::RingRecorder::new(1 << 16);
+        for stats in [
+            run_with(true, None),
+            run_with(false, None),
+            run_with(true, Some(&rec)),
+        ] {
+            let stall_lock: Vec<u64> = stats.cores.iter().map(|c| c.stall_lock).collect();
+            let done: Vec<u64> = stats.cores.iter().map(|c| c.done_cycle).collect();
+            assert_eq!(stats.cycles, 1162);
+            assert_eq!(stall_lock, [667, 231, 697, 454]);
+            assert_eq!(done, [930, 465, 1162, 697]);
+        }
+        let lock_stalls: Vec<(u64, u32, bool)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::StallBegin {
+                    core,
+                    cause: StallKind::Lock,
+                } => Some((e.cycle, core, true)),
+                TraceEvent::StallEnd {
+                    core,
+                    cause: StallKind::Lock,
+                } => Some((e.cycle, core, false)),
+                _ => None,
+            })
+            .collect();
+        // (cycle, core, begin): core 1 takes the lock at 233 from core 2,
+        // core 3 at 465 from core 1, core 0 at 698 from core 3, and core 2
+        // at 930 from core 0.
+        assert_eq!(
+            lock_stalls,
+            [
+                (2, 1, true),
+                (11, 3, true),
+                (31, 0, true),
+                (233, 1, false),
+                (233, 2, true),
+                (465, 3, false),
+                (698, 0, false),
+                (930, 2, false),
+            ]
+        );
     }
 
     #[test]

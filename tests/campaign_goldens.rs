@@ -1,6 +1,7 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
-//! under `expected/`, the crash campaign's verdict and one redo-logged
-//! timing run, rebuilt through the library and compared byte for byte.
+//! under `expected/`, the crash campaign's verdict and two timing runs (one
+//! redo-logged, one on eight cores), rebuilt through the library and
+//! compared byte for byte.
 //! `ci.sh` also diffs each against the release binary's output. The
 //! largest, `serve_sweep.json` (57 serving cells), takes 3–5 s in a debug
 //! build on a 2-vCPU host.
@@ -76,6 +77,22 @@ fn redo_timing_run_matches_its_golden() {
     .with_metrics()
     .run_timing();
     golden("run_redo", stats.to_json());
+}
+
+#[test]
+fn eight_core_timing_run_matches_its_golden() {
+    // `run queue --lang txn --design strandweaver --threads 8 --regions 24
+    // --ops 2 --json`: eight cores queue on one lock, so its lock releases
+    // wake waiters both above and below the releaser's index, and it pins
+    // every core's stall counts.
+    let stats = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
+        .threads(8)
+        .total_regions(24)
+        .ops_per_region(2)
+        .seed(1234)
+        .with_metrics()
+        .run_timing();
+    golden("run_8core", stats.to_json());
 }
 
 #[test]
