@@ -182,11 +182,21 @@ pub enum RecoveryFault {
         slot: u64,
     },
     /// Corrupt allocator metadata: a journal record failing its checksum
-    /// with no zero word, or a journal that replays inconsistently.
+    /// with no zero word.
     HeapCorrupt {
         /// Heap pool.
         pool: usize,
         /// Journal slot within the pool.
+        slot: u64,
+    },
+    /// An allocator journal whose checksum-valid records replay
+    /// inconsistently: an alloc over a live block, or a free of a block
+    /// that is not live.
+    HeapInconsistent {
+        /// Heap pool.
+        pool: usize,
+        /// Journal slot of the record that failed to apply, or `u64::MAX`
+        /// when the checkpoint table's own blocks overlap.
         slot: u64,
     },
     /// The pool's newest published checkpoint table fails its checksums.
@@ -236,6 +246,7 @@ impl RecoveryFault {
         match self {
             RecoveryFault::HeapTorn { pool, .. }
             | RecoveryFault::HeapCorrupt { pool, .. }
+            | RecoveryFault::HeapInconsistent { pool, .. }
             | RecoveryFault::HeapCorruptTable { pool, .. }
             | RecoveryFault::HeapPoisoned { pool, .. }
             | RecoveryFault::HeapBadHeader { pool } => Some(pool),
@@ -244,7 +255,8 @@ impl RecoveryFault {
     }
 
     /// Damage class: `"torn"`, `"checksum"` (a record or table failing its
-    /// checksum, or an unrecognizable pool header) or `"poison"`. It names
+    /// checksum, a journal that replays inconsistently, or an
+    /// unrecognizable pool header) or `"poison"`. It names
     /// the [`FaultCounts`] field the fault counts toward and is the `kind`
     /// of its `CorruptionDetected` trace event.
     pub fn kind(self) -> &'static str {
@@ -259,7 +271,8 @@ impl RecoveryFault {
 
     /// The damaged cache line (`LineAddr` raw value) under `layout`: the
     /// slot's line for log and journal slots, the pool's metadata header
-    /// line for table and header damage.
+    /// line for table and header damage (an inconsistent checkpoint table
+    /// included).
     pub fn line(self, layout: &PmLayout) -> u64 {
         match self {
             RecoveryFault::TornEntry { tid, slot }
@@ -269,11 +282,17 @@ impl RecoveryFault {
             RecoveryFault::PoisonedLine { line, .. }
             | RecoveryFault::PoisonedMeta { line }
             | RecoveryFault::HeapPoisoned { line, .. } => line,
-            RecoveryFault::HeapTorn { pool, slot } | RecoveryFault::HeapCorrupt { pool, slot } => {
+            RecoveryFault::HeapInconsistent {
+                pool,
+                slot: u64::MAX,
+            }
+            | RecoveryFault::HeapCorruptTable { pool, .. }
+            | RecoveryFault::HeapBadHeader { pool } => layout.pool_meta_base(pool).line().raw(),
+            RecoveryFault::HeapTorn { pool, slot }
+            | RecoveryFault::HeapCorrupt { pool, slot }
+            | RecoveryFault::HeapInconsistent { pool, slot } => {
                 layout.heap_journal_slot(pool, slot).line().raw()
             }
-            RecoveryFault::HeapCorruptTable { pool, .. }
-            | RecoveryFault::HeapBadHeader { pool } => layout.pool_meta_base(pool).line().raw(),
         }
     }
 }
@@ -282,9 +301,9 @@ impl From<HeapFault> for RecoveryFault {
     fn from(f: HeapFault) -> Self {
         match f {
             HeapFault::TornRecord { pool, slot } => RecoveryFault::HeapTorn { pool, slot },
-            HeapFault::CorruptRecord { pool, slot }
-            | HeapFault::InconsistentJournal { pool, slot } => {
-                RecoveryFault::HeapCorrupt { pool, slot }
+            HeapFault::CorruptRecord { pool, slot } => RecoveryFault::HeapCorrupt { pool, slot },
+            HeapFault::InconsistentJournal { pool, slot } => {
+                RecoveryFault::HeapInconsistent { pool, slot }
             }
             HeapFault::CorruptTable { pool, entry } => {
                 RecoveryFault::HeapCorruptTable { pool, entry }
@@ -318,6 +337,12 @@ impl std::fmt::Display for RecoveryFault {
             }
             RecoveryFault::HeapCorrupt { pool, slot } => {
                 write!(f, "corrupt allocator metadata (pool {pool}, slot {slot})")
+            }
+            RecoveryFault::HeapInconsistent { pool, slot } => {
+                write!(
+                    f,
+                    "inconsistent allocator journal (pool {pool}, slot {slot})"
+                )
             }
             RecoveryFault::HeapCorruptTable { pool, entry } => {
                 write!(f, "corrupt checkpoint table (pool {pool}, entry {entry})")
@@ -897,5 +922,29 @@ mod tests {
         img.store(slot_base(&layout, 2).offset_words(W_AUX), 0xbad);
         crate::harness::recovery_reconverges(&img, &layout, RecoveryPolicy::Salvage, &mut rng)
             .expect("salvage reconvergence on a damaged image");
+    }
+
+    /// A checksum-valid checkpoint table whose blocks overlap replays
+    /// inconsistently before any journal slot: the fault names no slot
+    /// (`u64::MAX`) and reports the pool's metadata header line.
+    #[test]
+    fn overlapping_checkpoint_table_is_an_inconsistent_journal() {
+        use sw_pmem::{encode_checkpoint, BlockKind, HEAP_MAGIC};
+        let layout = PmLayout::new(1, 64);
+        let mut img = PmImage::new();
+        img.store(layout.pool_meta_base(0), HEAP_MAGIC);
+        let table = layout.heap_table_base(0, 0);
+        let w = encode_checkpoint(1, &[(0, 4, BlockKind::Carve), (2, 4, BlockKind::Dynamic)]);
+        for &(off, v) in w.pre.iter().chain(&w.body).chain([&w.publish]) {
+            img.store(table.offset_words(off), v);
+        }
+        let err = recover_with_policy(&mut img, &layout, RecoveryPolicy::Strict)
+            .expect_err("an inconsistent table is fatal");
+        let first = RecoveryFault::HeapInconsistent {
+            pool: 0,
+            slot: u64::MAX,
+        };
+        assert_eq!(err.first, first);
+        assert_eq!(first.line(&layout), layout.pool_meta_base(0).line().raw());
     }
 }

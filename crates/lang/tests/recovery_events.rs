@@ -16,7 +16,8 @@ use sw_lang::{
 use sw_model::isa::LockId;
 use sw_pmem::alloc::HW_OFF;
 use sw_pmem::{
-    classify_heap_slot, Addr, HeapSlotState, PmImage, PmLayout, CACHE_LINE_BYTES, HW_CHECKSUM,
+    classify_heap_slot, encode_heap_record, Addr, BlockKind, HeapSlotState, PmImage, PmLayout,
+    CACHE_LINE_BYTES, HW_CHECKSUM,
 };
 use sw_trace::{jsonl, RingRecorder};
 
@@ -77,6 +78,7 @@ enum Damage {
     JournalTorn(usize, u64),
     JournalCorrupt(usize, u64),
     JournalPoisoned(usize, u64),
+    JournalFreesUnallocated(usize, u64),
     TableCorrupt(usize),
     BadPoolHeader(usize),
 }
@@ -110,6 +112,31 @@ impl Damage {
             Damage::JournalPoisoned(pool, slot) => {
                 img.poison_line(layout.heap_journal_slot(pool, slot).line());
             }
+            Damage::JournalFreesUnallocated(pool, slot) => {
+                // A checksum-valid record after the previous slot's, freeing
+                // the line just past that record's block, which no record
+                // allocated.
+                let prev = layout.heap_journal_slot(pool, slot - 1);
+                let HeapSlotState::Valid(r) = classify_heap_slot(img, prev) else {
+                    panic!("slot {} of pool {pool} holds no record", slot - 1);
+                };
+                let free = encode_heap_record(
+                    false,
+                    r.off + r.lines,
+                    1,
+                    r.seq + 1,
+                    r.epoch,
+                    BlockKind::Dynamic,
+                );
+                let base = layout.heap_journal_slot(pool, slot);
+                for (i, &w) in free.iter().enumerate() {
+                    img.store(base.offset_words(i as u64), w);
+                }
+                assert!(matches!(
+                    classify_heap_slot(img, base),
+                    HeapSlotState::Valid(_)
+                ));
+            }
             Damage::TableCorrupt(pool) => {
                 // Entry 0's checksum word of the epoch-1 table.
                 let entry0_sum = layout.heap_table_base(pool, 0).offset_words(4);
@@ -132,6 +159,7 @@ fn fixtures() -> Vec<(&'static str, Vec<Damage>)> {
         ("journal_torn", vec![JournalTorn(1, 1)]),
         ("journal_corrupt", vec![JournalCorrupt(1, 1)]),
         ("journal_poisoned", vec![JournalPoisoned(1, 0)]),
+        ("journal_inconsistent", vec![JournalFreesUnallocated(1, 2)]),
         ("table_corrupt", vec![TableCorrupt(0)]),
         ("bad_pool_header", vec![BadPoolHeader(2)]),
         (

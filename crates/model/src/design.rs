@@ -6,8 +6,8 @@
 //! benchmark tables print, and the [`DesignLowering`] the logging runtime
 //! (`sw-lang`) and the simulator's trace builders both consume. The timing
 //! behaviour lives in the matching `PersistEngine` module under
-//! `sw-sim::engines`; adding a design means one spec entry here and one
-//! engine module there.
+//! `sw-sim::engines`; adding a design means one spec entry here, one
+//! engine module there, and one arm in `sw-sim`'s `Machine::run`.
 
 use crate::isa::FenceKind;
 use crate::pmo::MemoryModel;
@@ -280,6 +280,13 @@ mod tests {
         assert_eq!(low.pairwise, None);
         assert_eq!(low.after_update, None);
         assert_eq!(low.drain, None, "durability is free at visibility");
+    }
+
+    #[test]
+    fn only_eadr_persists_at_visibility() {
+        for d in HwDesign::ALL {
+            assert_eq!(d.persists_at_visibility(), d == HwDesign::Eadr, "{d}");
+        }
     }
 
     #[test]

@@ -7,39 +7,30 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
-use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::Core;
-use crate::machine::SimMachine;
+use crate::machine::Machine;
 use crate::strand_buffer::Sbu;
 
-use super::{EngineMeta, PersistEngine};
+use super::PersistEngine;
 
 /// The HOPS engine.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct Hops;
 
-impl EngineMeta for Hops {
-    fn design(&self) -> HwDesign {
-        HwDesign::Hops
-    }
-
-    fn stall_causes(&self) -> &'static [StallKind] {
-        &StallKind::ALL
-    }
-}
-
 impl PersistEngine for Hops {
-    fn setup_core(&self, core: &mut Core, cfg: &SimConfig) {
+    const DESIGN: HwDesign = HwDesign::Hops;
+
+    fn setup_core(core: &mut Core, cfg: &SimConfig) {
         core.sbu = Some(Sbu::new(1, cfg.hops_buffer_entries));
     }
 
-    fn backend(&self, m: &mut SimMachine<Self>, i: usize) {
+    fn backend(m: &mut Machine, i: usize) {
         m.backend_sbu(i);
     }
 
-    fn issue_clwb(&self, m: &mut SimMachine<Self>, i: usize, line: LineAddr) -> bool {
+    fn issue_clwb(m: &mut Machine, i: usize, line: LineAddr) -> bool {
         // HOPS inserts into the persist buffer at issue; the elder
         // same-line store must have retired (checked here, before
         // insertion, to preserve deadlock freedom).
@@ -56,7 +47,7 @@ impl PersistEngine for Hops {
         true
     }
 
-    fn issue_fence(&self, m: &mut SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn issue_fence(m: &mut Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             FenceKind::Ofence => {
                 // Lightweight: an epoch marker in the persist buffer.
@@ -68,12 +59,12 @@ impl PersistEngine for Hops {
                 m.note_sb_enqueue(i);
                 true
             }
-            FenceKind::Dfence => m.issue_completion_fence(i, kind),
+            FenceKind::Dfence => m.issue_completion_fence::<Self>(i, kind),
             _ => true,
         }
     }
 
-    fn fence_condition_met(&self, m: &SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn fence_condition_met(m: &Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             // dfence: the persist buffer must drain.
             FenceKind::Dfence => m.cores[i].sbu.as_ref().is_none_or(Sbu::is_empty),

@@ -5,23 +5,21 @@
 //! for, how store-queue persist ops drain, where the durability point sits
 //! — lives behind the [`PersistEngine`] trait, one module per design. The
 //! machine core (`machine.rs`) is design-agnostic: it owns the
-//! pipeline, caches, coherence, and the DES loop, and calls into its
+//! pipeline, caches, coherence, and the cycle loop, and calls into its
 //! engine at the four dispatch points (`setup_core`, `backend`,
 //! `issue_clwb`, `issue_fence`) plus the fence-condition and store-queue
 //! drain hooks.
 //!
-//! Engines are stateless `Copy` unit structs (all per-core state lives in
-//! the core). [`crate::SimMachine`] holds its engine *by value*, so every
-//! per-cycle dispatch is a static, inlinable call; the design-indexed
-//! metadata queries that don't need monomorphization (`design`,
-//! `stall_causes`, `persists_at_visibility`) sit on the object-safe
-//! [`EngineMeta`] supertrait, reachable through [`engine_for`].
+//! Engines are stateless unit types whose functions take the machine (all
+//! per-core state lives in the core). [`crate::Machine::run`] matches its
+//! design once and runs the cycle loop monomorphized over that design's
+//! engine, so every per-cycle dispatch is a static, inlinable call.
 //!
-//! Adding a design: write one `DesignSpec` entry in `sw-model` (label,
-//! formal memory model, runtime lowering), one engine module here, and
-//! register it in [`engine_for`] plus the [`crate::Machine`] facade. The
-//! litmus matrix and sim/model agreement suites pick the new design up
-//! from `HwDesign::ALL` automatically.
+//! Adding a design: write one `DesignSpec` row in `sw-model` (label,
+//! formal memory model, runtime lowering), one engine module here, and one
+//! arm in [`crate::Machine::run`], whose exhaustive `match` reports a
+//! missing arm at compile time. The litmus matrix and sim/model agreement
+//! suites pick the new design up from `HwDesign::ALL` automatically.
 
 mod eadr;
 mod hops;
@@ -33,11 +31,10 @@ mod strandweaver;
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
-use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, SqOp};
-use crate::machine::SimMachine;
+use crate::machine::Machine;
 use crate::persist::ClwbState;
 use crate::strand_buffer::MAX_STRAND_BUFFERS;
 
@@ -48,92 +45,58 @@ pub use no_persist_queue::NoPersistQueue;
 pub use non_atomic::NonAtomic;
 pub use strandweaver::StrandWeaver;
 
-/// Design-indexed engine metadata. Object-safe so callers that only need
-/// to *describe* a design (reports, tests, stat validation) can hold a
-/// `&'static dyn EngineMeta` from [`engine_for`] without monomorphizing.
-pub trait EngineMeta: std::fmt::Debug + Sync {
-    /// The design this engine implements.
-    fn design(&self) -> HwDesign;
-
-    /// `true` when stores persist at coherence visibility (battery-backed
-    /// caches): the machine then records the persist order at store
-    /// retirement instead of at PM-controller acceptance. Read from the
-    /// design's spec, so no engine restates it.
-    fn persists_at_visibility(&self) -> bool {
-        self.design().persists_at_visibility()
-    }
-
-    /// The stall causes this design can actually produce. Causes outside
-    /// this set stay zero in [`crate::CoreStats`] and in the metrics
-    /// registry (which registers a counter per cause regardless, so
-    /// snapshots always carry explicit zeros).
-    fn stall_causes(&self) -> &'static [StallKind];
-}
-
 /// The timing semantics of one hardware persistency design.
 ///
-/// Engines are pure behaviour: zero-sized `Copy` values held directly by
-/// [`SimMachine`], so the per-cycle dispatch points below are static
-/// calls. Every method receives the machine and a core index and
-/// manipulates that core's queues and buffers.
-pub trait PersistEngine: EngineMeta + Copy + Default + Send + 'static {
+/// Engines are pure behaviour: unit types whose associated functions
+/// receive the machine and a core index and manipulate that core's queues
+/// and buffers. The cycle loop is generic over the engine, so the dispatch
+/// points below are static calls.
+pub trait PersistEngine {
+    /// The design this engine implements. Its spec answers every
+    /// design-indexed question, e.g. whether stores persist at coherence
+    /// visibility ([`HwDesign::persists_at_visibility`]).
+    const DESIGN: HwDesign;
+
     /// Attaches the design's persist structures (strand buffer unit, flush
     /// engine, ...) to a freshly built core.
-    fn setup_core(&self, core: &mut Core, cfg: &SimConfig);
+    fn setup_core(core: &mut Core, cfg: &SimConfig);
 
     /// Runs the design's back-end structures for one cycle on core `i`
     /// (issue ready CLWBs, advance completions, retire). Called before the
     /// design-agnostic store-queue and write-back stages.
-    fn backend(&self, m: &mut SimMachine<Self>, i: usize);
+    fn backend(m: &mut Machine, i: usize);
 
     /// Attempts to admit a CLWB for `line` on core `i`; returns `false`
     /// (after recording the stall) if the design's structure is full.
-    fn issue_clwb(&self, m: &mut SimMachine<Self>, i: usize, line: LineAddr) -> bool;
+    fn issue_clwb(m: &mut Machine, i: usize, line: LineAddr) -> bool;
 
     /// Attempts to execute a fence on core `i`; returns `false` (after
     /// recording the stall) while its admission condition is unmet. A
     /// *completion* fence that admits but has unmet drain conditions
     /// becomes the core's `pending_fence` (see
-    /// `SimMachine::issue_completion_fence`).
-    fn issue_fence(&self, m: &mut SimMachine<Self>, i: usize, kind: FenceKind) -> bool;
+    /// `Machine::issue_completion_fence`).
+    fn issue_fence(m: &mut Machine, i: usize, kind: FenceKind) -> bool;
 
     /// `true` once the waiting condition of a completion fence is met.
     /// Fence kinds the design does not treat as completion fences always
     /// report `true`.
-    fn fence_condition_met(&self, m: &SimMachine<Self>, i: usize, kind: FenceKind) -> bool;
+    fn fence_condition_met(m: &Machine, i: usize, kind: FenceKind) -> bool;
 
     /// Drains one non-store persist op (`Clwb`/`Pb`/`Ns`) from the head of
     /// core `i`'s store queue. Returns `true` if the op was consumed (the
     /// machine pops it), `false` to stop draining this cycle. Only designs
     /// that route persist ops through the store queue see these entries;
     /// the default consumes them as no-ops.
-    fn drain_sq_persist_op(&self, m: &mut SimMachine<Self>, i: usize, op: SqOp) -> bool {
+    fn drain_sq_persist_op(m: &mut Machine, i: usize, op: SqOp) -> bool {
         let _ = (m, i, op);
         true
     }
 }
 
-/// The metadata of the engine implementing `design`.
-pub fn engine_for(design: HwDesign) -> &'static dyn EngineMeta {
-    match design {
-        HwDesign::IntelX86 => &Intel,
-        HwDesign::Hops => &Hops,
-        HwDesign::NoPersistQueue => &NoPersistQueue,
-        HwDesign::StrandWeaver => &StrandWeaver,
-        HwDesign::NonAtomic => &NonAtomic,
-        HwDesign::Eadr => &Eadr,
-    }
-}
-
-/// Every registered engine's metadata, in [`HwDesign::ALL`] order.
-pub fn all_engines() -> impl Iterator<Item = &'static dyn EngineMeta> {
-    HwDesign::ALL.into_iter().map(engine_for)
-}
-
 // Back-end helpers shared by several engines. They live here (not in the
 // machine core) because which structure a design drains is design policy;
 // the mechanics are common.
-impl<E: PersistEngine> SimMachine<E> {
+impl Machine {
     /// Intel / non-atomic: issue waiting flush slots, retire completed
     /// ones. Slots wait for elder same-line stores to retire first.
     pub(crate) fn backend_flush_engine(&mut self, i: usize) {
@@ -196,50 +159,6 @@ impl<E: PersistEngine> SimMachine<E> {
             if out.retired_mask & (1 << b) != 0 {
                 self.note_sb_retired(i, b);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_design_has_an_engine() {
-        for d in HwDesign::ALL {
-            assert_eq!(engine_for(d).design(), d);
-        }
-        assert_eq!(all_engines().count(), HwDesign::ALL.len());
-    }
-
-    #[test]
-    fn stall_causes_are_subsets_of_all() {
-        for e in all_engines() {
-            for c in e.stall_causes() {
-                assert!(StallKind::ALL.contains(c));
-            }
-            // Every design can at least stall on fences, full store
-            // queues, and contended locks (the design-agnostic frontend
-            // produces those).
-            for c in [StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock] {
-                assert!(
-                    e.stall_causes().contains(&c),
-                    "{:?} missing {c:?}",
-                    e.design()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn only_eadr_persists_at_visibility() {
-        for e in all_engines() {
-            assert_eq!(
-                e.persists_at_visibility(),
-                e.design() == HwDesign::Eadr,
-                "{:?}",
-                e.design()
-            );
         }
     }
 }

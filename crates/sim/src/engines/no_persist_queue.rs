@@ -10,37 +10,27 @@ use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, SqOp};
-use crate::machine::SimMachine;
+use crate::machine::Machine;
 use crate::strand_buffer::Sbu;
 
-use super::{EngineMeta, PersistEngine};
+use super::PersistEngine;
 
 /// The no-persist-queue engine.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct NoPersistQueue;
 
-impl EngineMeta for NoPersistQueue {
-    fn design(&self) -> HwDesign {
-        HwDesign::NoPersistQueue
-    }
-
-    fn stall_causes(&self) -> &'static [StallKind] {
-        // No persist queue: CLWB back-pressure surfaces as store-queue
-        // pressure, so `PersistQueueFull` can never occur.
-        &[StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock]
-    }
-}
-
 impl PersistEngine for NoPersistQueue {
-    fn setup_core(&self, core: &mut Core, cfg: &SimConfig) {
+    const DESIGN: HwDesign = HwDesign::NoPersistQueue;
+
+    fn setup_core(core: &mut Core, cfg: &SimConfig) {
         core.sbu = Some(Sbu::new(cfg.strand_buffers, cfg.strand_buffer_entries));
     }
 
-    fn backend(&self, m: &mut SimMachine<Self>, i: usize) {
+    fn backend(m: &mut Machine, i: usize) {
         m.backend_sbu(i);
     }
 
-    fn issue_clwb(&self, m: &mut SimMachine<Self>, i: usize, line: LineAddr) -> bool {
+    fn issue_clwb(m: &mut Machine, i: usize, line: LineAddr) -> bool {
         if m.cores[i].sq.len() >= m.cfg.store_queue_entries {
             m.stall(i, StallKind::StoreQueueFull);
             return false;
@@ -49,7 +39,7 @@ impl PersistEngine for NoPersistQueue {
         true
     }
 
-    fn issue_fence(&self, m: &mut SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn issue_fence(m: &mut Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             FenceKind::PersistBarrier | FenceKind::NewStrand => {
                 if m.cores[i].sq.len() >= m.cfg.store_queue_entries {
@@ -64,19 +54,19 @@ impl PersistEngine for NoPersistQueue {
                 m.cores[i].sq.push_back(op);
                 true
             }
-            FenceKind::JoinStrand => m.issue_completion_fence(i, kind),
+            FenceKind::JoinStrand => m.issue_completion_fence::<Self>(i, kind),
             _ => true,
         }
     }
 
-    fn fence_condition_met(&self, m: &SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn fence_condition_met(m: &Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             FenceKind::JoinStrand => m.cores[i].stores_drained() && m.cores[i].persists_drained(),
             _ => true,
         }
     }
 
-    fn drain_sq_persist_op(&self, m: &mut SimMachine<Self>, i: usize, op: SqOp) -> bool {
+    fn drain_sq_persist_op(m: &mut Machine, i: usize, op: SqOp) -> bool {
         match op {
             SqOp::Clwb(line) => {
                 // Head-of-line CLWB blocks the stores behind it until the

@@ -10,44 +10,35 @@
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
 use sw_pmem::LineAddr;
-use sw_trace::StallKind;
 
 use crate::config::SimConfig;
 use crate::core::{Core, PqOp};
-use crate::machine::SimMachine;
+use crate::machine::Machine;
 use crate::strand_buffer::Sbu;
 
-use super::{EngineMeta, PersistEngine};
+use super::PersistEngine;
 
 /// How many persist-queue entries may move to the strand buffer unit per
 /// cycle.
 const PQ_ISSUE_WIDTH: usize = 4;
 
 /// The full StrandWeaver engine.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct StrandWeaver;
 
-impl EngineMeta for StrandWeaver {
-    fn design(&self) -> HwDesign {
-        HwDesign::StrandWeaver
-    }
-
-    fn stall_causes(&self) -> &'static [StallKind] {
-        &StallKind::ALL
-    }
-}
-
 impl PersistEngine for StrandWeaver {
-    fn setup_core(&self, core: &mut Core, cfg: &SimConfig) {
+    const DESIGN: HwDesign = HwDesign::StrandWeaver;
+
+    fn setup_core(core: &mut Core, cfg: &SimConfig) {
         core.sbu = Some(Sbu::new(cfg.strand_buffers, cfg.strand_buffer_entries));
     }
 
-    fn backend(&self, m: &mut SimMachine<Self>, i: usize) {
+    fn backend(m: &mut Machine, i: usize) {
         m.backend_sbu(i);
         backend_pq(m, i);
     }
 
-    fn issue_clwb(&self, m: &mut SimMachine<Self>, i: usize, line: LineAddr) -> bool {
+    fn issue_clwb(m: &mut Machine, i: usize, line: LineAddr) -> bool {
         if m.cores[i].pq.len() >= m.cfg.persist_queue_entries {
             m.stall_persist_full(i);
             return false;
@@ -57,7 +48,7 @@ impl PersistEngine for StrandWeaver {
         true
     }
 
-    fn issue_fence(&self, m: &mut SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn issue_fence(m: &mut Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             FenceKind::PersistBarrier | FenceKind::NewStrand => {
                 if m.cores[i].pq.len() >= m.cfg.persist_queue_entries {
@@ -73,14 +64,14 @@ impl PersistEngine for StrandWeaver {
                 m.note_pq(i, true);
                 true
             }
-            FenceKind::JoinStrand => m.issue_completion_fence(i, kind),
+            FenceKind::JoinStrand => m.issue_completion_fence::<Self>(i, kind),
             // Fences of other designs are no-ops here (traces are lowered
             // per design, so this only happens in hand-written tests).
             _ => true,
         }
     }
 
-    fn fence_condition_met(&self, m: &SimMachine<Self>, i: usize, kind: FenceKind) -> bool {
+    fn fence_condition_met(m: &Machine, i: usize, kind: FenceKind) -> bool {
         match kind {
             // JoinStrand: prior CLWBs and stores must complete.
             FenceKind::JoinStrand => m.cores[i].stores_drained() && m.cores[i].persists_drained(),
@@ -90,7 +81,7 @@ impl PersistEngine for StrandWeaver {
 }
 
 /// Moves persist-queue entries to the strand buffer unit in order.
-fn backend_pq(m: &mut SimMachine<StrandWeaver>, i: usize) {
+fn backend_pq(m: &mut Machine, i: usize) {
     for _ in 0..PQ_ISSUE_WIDTH {
         let Some(&op) = m.cores[i].pq.front() else {
             break;

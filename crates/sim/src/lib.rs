@@ -1,11 +1,13 @@
-//! Discrete-event (cycle-stepped) multicore timing simulator for the
-//! StrandWeaver reproduction (paper Sections IV and VI).
+//! Cycle-stepped multicore timing simulator for the StrandWeaver
+//! reproduction (paper Sections IV and VI).
 //!
 //! The simulator replays per-thread ISA traces (produced by the `sw-lang`
-//! runtimes) under one of the registered hardware persistency designs —
-//! the paper's five plus a battery-backed eADR extension, each implemented
-//! as a [`PersistEngine`] in [`engines`] — and models the structures whose
-//! interplay produces the paper's results:
+//! runtimes) under one of the hardware persistency designs — the paper's
+//! five plus a battery-backed eADR extension, each implemented as a
+//! [`PersistEngine`] in [`engines`]. A [`Machine`] stores its design, and
+//! [`Machine::run`] matches it once to run the cycle loop over that
+//! design's engine. The simulator models the structures whose interplay
+//! produces the paper's results:
 //!
 //! * per-core **store queues** (64 entries) and, for StrandWeaver, the
 //!   16-entry **persist queue** that keeps long-latency CLWBs out of the
@@ -61,8 +63,8 @@ mod writeback;
 
 pub use cache::{Directory, Eviction, L1Cache};
 pub use config::SimConfig;
-pub use engines::{engine_for, EngineMeta, PersistEngine};
-pub use machine::{Machine, SimMachine};
+pub use engines::PersistEngine;
+pub use machine::Machine;
 pub use memctrl::{DramController, PmController};
 pub use persist::{ClwbState, FlushEngine};
 pub use ring::Ring;

@@ -5,16 +5,18 @@
 //! design-specific — fence admission and retirement semantics, CLWB
 //! enqueue policy, persist scheduling, drain conditions — lives behind the
 //! [`PersistEngine`] trait ([`crate::engines`], one module per design);
-//! this module owns the design-agnostic substrate: the DES loop, caches
+//! this module owns the design-agnostic substrate: the cycle loop, caches
 //! and coherence, locks, observability, and the PM/DRAM controllers. The
 //! front-end issue stage is in [`crate::pipeline`], the store-queue and
 //! write-back drains in [`crate::writeback`].
 //!
-//! The machine is monomorphized per design: [`SimMachine<E>`] holds its
-//! engine as a zero-sized value, so the two engine calls per core per
-//! cycle are statically dispatched and inlinable. The [`Machine`] enum is
-//! the design-erased facade — one variant per design — that `swctl`, the
-//! experiment harness, and tests construct from a runtime [`HwDesign`].
+//! [`Machine`] stores its [`HwDesign`], and [`Machine::run`] matches it
+//! once: the cycle loop (`run_on`, `tick`, the front-end and the
+//! store-queue drain) is monomorphized over that design's engine, so the
+//! engine calls per core per cycle are statically dispatched and
+//! inlinable. Everything else (observability, coherence, locks, the
+//! flush action, the write-back and strand-buffer drains) is compiled
+//! once for all designs.
 //!
 //! Each cycle:
 //!
@@ -122,7 +124,7 @@ impl LockState {
 
 /// What a core's frontend charged this cycle. Exactly one note per core
 /// per tick (the frontend returns after its first stall or wait), recorded
-/// so [`SimMachine::skip_quiescent`] can replay the same accounting across
+/// so [`Machine::skip_quiescent`] can replay the same accounting across
 /// every skipped cycle, and read back as the trace's stall intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TickNote {
@@ -146,12 +148,12 @@ struct Steal {
     targets: Option<crate::strand_buffer::DrainTargets>,
 }
 
-/// Metric IDs registered by [`SimMachine::enable_metrics`], kept alongside
+/// Metric IDs registered by [`Machine::enable_metrics`], kept alongside
 /// the registry so hot-path updates are plain vector writes.
 ///
 /// Every other counter is a second report of a count the simulator already
-/// tallies, so [`SimMachine::run`] reads it from that tally when the run
-/// ends (see [`SimMachine::counter_ledger`]); only the gauges, the
+/// tallies, so [`Machine::run`] reads it from that tally when the run
+/// ends (see [`Machine::counter_ledger`]); only the gauges, the
 /// histograms and `persist_retries` are updated in the cycle loop.
 #[derive(Debug)]
 struct MachineMetrics {
@@ -166,16 +168,16 @@ struct MachineMetrics {
     sb_occupancy_hist: HistogramId,
 }
 
-/// The simulated machine, monomorphized over its design's persist engine.
+/// The simulated machine for one hardware design.
 ///
-/// `E` is a zero-sized [`PersistEngine`]; every design-dispatch point in
-/// the cycle loop is a static call. Use the [`Machine`] facade to pick the
-/// design at runtime.
+/// [`Machine::run`] runs the cycle loop over the design's
+/// [`PersistEngine`], so every design-dispatch point in it is a static
+/// call.
 #[derive(Debug)]
-pub struct SimMachine<E: PersistEngine> {
+pub struct Machine {
     pub(crate) cfg: SimConfig,
-    /// The design's persist engine: all design dispatch goes through it.
-    pub(crate) engine: E,
+    /// The design whose engine [`Machine::run`] runs.
+    design: HwDesign,
     layout: PmLayout,
     pub(crate) cycle: u64,
     pub(crate) cores: Vec<Core>,
@@ -199,7 +201,7 @@ pub struct SimMachine<E: PersistEngine> {
     /// Stall interval currently open in the trace, per core.
     stall_active: Vec<Option<StallKind>>,
     /// Persist order recorded at store retirement — populated only when
-    /// the engine persists at coherence visibility (eADR).
+    /// the design persists at coherence visibility (eADR).
     pub(crate) visibility_order: Vec<LineAddr>,
     /// Set by any state mutation during the current tick; a tick that
     /// leaves it clear is quiescent and eligible for skip-ahead.
@@ -208,26 +210,22 @@ pub struct SimMachine<E: PersistEngine> {
     pub(crate) tick_note: Vec<TickNote>,
 }
 
-impl<E: PersistEngine> SimMachine<E> {
-    /// Builds a machine for this engine's design and one trace per core.
+impl Machine {
+    /// Builds a machine for `design` and one trace per core.
     ///
     /// # Panics
     ///
     /// Panics if more traces than configured cores are supplied, or if the
     /// core count exceeds the directory's owner encoding (254).
-    pub fn new(cfg: SimConfig, layout: PmLayout, traces: Vec<IsaTrace>) -> Self {
+    pub fn new(cfg: SimConfig, design: HwDesign, layout: PmLayout, traces: Vec<IsaTrace>) -> Self {
         assert!(traces.len() <= cfg.cores, "more traces than cores");
         assert!(
             cfg.cores < 255,
             "directory owner encoding supports at most 254 cores"
         );
-        let engine = E::default();
         let mut cores: Vec<Core> = traces.into_iter().map(|t| Core::new(&cfg, t)).collect();
         while cores.len() < cfg.cores {
             cores.push(Core::new(&cfg, Vec::new()));
-        }
-        for core in &mut cores {
-            engine.setup_core(core, &cfg);
         }
         let mut pm = PmController::new(
             cfg.pm_write_queue,
@@ -247,7 +245,7 @@ impl<E: PersistEngine> SimMachine<E> {
         let n = cores.len();
         Self {
             cfg,
-            engine,
+            design,
             cycle: 0,
             cores,
             pm,
@@ -268,14 +266,9 @@ impl<E: PersistEngine> SimMachine<E> {
         }
     }
 
-    /// The design this machine simulates.
-    pub fn design(&self) -> HwDesign {
-        self.engine.design()
-    }
-
     /// Attaches a trace sink; every subsequent event is recorded into it.
     /// Pass a cloned [`sw_trace::RingRecorder`] handle to read the events
-    /// back after [`SimMachine::run`] consumes the machine.
+    /// back after [`Machine::run`] consumes the machine.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
     }
@@ -648,6 +641,10 @@ impl<E: PersistEngine> SimMachine<E> {
 
     /// Runs to completion and returns the statistics.
     ///
+    /// This is the simulator's one `match` on the design: it picks the
+    /// engine the cycle loop runs over, so a design without an arm here
+    /// fails to compile.
+    ///
     /// # Panics
     ///
     /// Panics on a deadlock — a tick made no progress and no event is
@@ -655,22 +652,13 @@ impl<E: PersistEngine> SimMachine<E> {
     /// a line for good, and if the configured cycle bound is exceeded (a
     /// modelling bug).
     pub fn run(mut self) -> SimStats {
-        while !self.cores.iter().all(|c| c.done) {
-            self.progress = false;
-            self.tick_note.fill(TickNote::Idle);
-            self.tick();
-            assert!(
-                self.cycle < self.cfg.max_cycles,
-                "simulation exceeded cycle bound"
-            );
-            if !self.progress {
-                let Some(next) = self.next_event_cycle() else {
-                    self.deadlock()
-                };
-                if self.cfg.skip_ahead {
-                    self.skip_quiescent(next);
-                }
-            }
+        match self.design {
+            HwDesign::IntelX86 => self.run_on::<Intel>(),
+            HwDesign::Hops => self.run_on::<Hops>(),
+            HwDesign::NoPersistQueue => self.run_on::<NoPersistQueue>(),
+            HwDesign::StrandWeaver => self.run_on::<StrandWeaver>(),
+            HwDesign::NonAtomic => self.run_on::<NonAtomic>(),
+            HwDesign::Eadr => self.run_on::<Eadr>(),
         }
         let cycles = self
             .cores
@@ -704,7 +692,7 @@ impl<E: PersistEngine> SimMachine<E> {
                 }
             }
         }
-        let pm_write_order = if self.engine.persists_at_visibility() {
+        let pm_write_order = if self.design.persists_at_visibility() {
             std::mem::take(&mut self.visibility_order)
         } else {
             std::mem::take(&mut self.pm.write_order)
@@ -740,11 +728,36 @@ impl<E: PersistEngine> SimMachine<E> {
         }
     }
 
+    /// Attaches `E`'s persist structures to every core, then steps the
+    /// cycle loop until every core is done.
+    fn run_on<E: PersistEngine>(&mut self) {
+        for core in &mut self.cores {
+            E::setup_core(core, &self.cfg);
+        }
+        while !self.cores.iter().all(|c| c.done) {
+            self.progress = false;
+            self.tick_note.fill(TickNote::Idle);
+            self.tick::<E>();
+            assert!(
+                self.cycle < self.cfg.max_cycles,
+                "simulation exceeded cycle bound"
+            );
+            if !self.progress {
+                let Some(next) = self.next_event_cycle() else {
+                    self.deadlock()
+                };
+                if self.cfg.skip_ahead {
+                    self.skip_quiescent(next);
+                }
+            }
+        }
+    }
+
     pub(crate) fn is_persistent_line(&self, line: LineAddr) -> bool {
         self.layout.is_persistent(line.base())
     }
 
-    fn tick(&mut self) {
+    fn tick<E: PersistEngine>(&mut self) {
         // Phase boundaries mirror the statement order below; the lap chain
         // costs one clock read per boundary when profiling, one branch on
         // the `prof` discriminant when not. The phases never reorder or
@@ -759,14 +772,13 @@ impl<E: PersistEngine> SimMachine<E> {
         self.lap(&mut lap, Phase::Coherence);
         // Done and parked cores are skipped: nothing can change their
         // state until an unlock wakes a parked one (see `park_if_idle`).
-        let engine = self.engine;
         for i in 0..self.cores.len() {
             if self.cores[i].asleep() {
                 continue;
             }
-            engine.backend(self, i);
+            E::backend(self, i);
             self.lap(&mut lap, Phase::Engine);
-            self.backend_sq(i);
+            self.backend_sq::<E>(i);
             self.lap(&mut lap, Phase::StoreQueue);
             self.backend_wb(i);
             self.lap(&mut lap, Phase::Writeback);
@@ -780,7 +792,7 @@ impl<E: PersistEngine> SimMachine<E> {
                 );
                 continue;
             }
-            self.frontend(i);
+            self.frontend::<E>(i);
         }
         self.lap(&mut lap, Phase::Frontend);
         if self.trace.is_some() {
@@ -806,7 +818,7 @@ impl<E: PersistEngine> SimMachine<E> {
     // ------------------------------------------------------------------
 
     /// Jumps over quiescent cycles after a tick that made no progress:
-    /// advances the clock to `next`, the [`SimMachine::next_event_cycle`],
+    /// advances the clock to `next`, the [`Machine::next_event_cycle`],
     /// and replays each core's per-cycle accounting ([`TickNote`]) across
     /// the skipped span, so counters and metrics are bit-identical to
     /// single-stepping.
@@ -830,7 +842,7 @@ impl<E: PersistEngine> SimMachine<E> {
     /// write-queue drain, a core coming off `busy_until`, an in-flight
     /// access completing, or a persist-structure acknowledgement arriving.
     /// `None` means nothing is scheduled: a genuine deadlock, on which
-    /// [`SimMachine::run`] panics in both stepping modes.
+    /// [`Machine::run`] panics in both stepping modes.
     ///
     /// Soundness: after a tick with no progress, every other wake-up
     /// source — steal resolution, fence conditions, queue drains — is
@@ -997,99 +1009,9 @@ impl<E: PersistEngine> SimMachine<E> {
     }
 }
 
-/// The design-erased machine facade: one variant per [`HwDesign`], each
-/// holding the monomorphized [`SimMachine`] for that design's engine.
-///
-/// Construction picks the variant from a runtime design value; every
-/// method is a single `match` that forwards to the statically dispatched
-/// machine inside, so the dynamic dispatch cost is paid once per call into
-/// the facade, not twice per core per simulated cycle.
-#[derive(Debug)]
-pub enum Machine {
-    /// StrandWeaver (full design: persist queue + strand buffer unit).
-    StrandWeaver(SimMachine<StrandWeaver>),
-    /// Intel x86 baseline (CLWB + SFENCE through the flush engine).
-    IntelX86(SimMachine<Intel>),
-    /// HOPS (per-core persist buffer with ofence/dfence).
-    Hops(SimMachine<Hops>),
-    /// StrandWeaver without a persist queue (persist ops ride the store
-    /// queue).
-    NoPersistQueue(SimMachine<NoPersistQueue>),
-    /// Non-atomic strands (no intra-strand ordering enforcement).
-    NonAtomic(SimMachine<NonAtomic>),
-    /// Battery-backed caches (eADR): persists at coherence visibility.
-    Eadr(SimMachine<Eadr>),
-}
-
-/// Forwards `$body` to the active variant's [`SimMachine`].
-macro_rules! for_each_machine {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            Machine::StrandWeaver($m) => $body,
-            Machine::IntelX86($m) => $body,
-            Machine::Hops($m) => $body,
-            Machine::NoPersistQueue($m) => $body,
-            Machine::NonAtomic($m) => $body,
-            Machine::Eadr($m) => $body,
-        }
-    };
-}
-
-impl Machine {
-    /// Builds a machine for `design` and one trace per core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces than configured cores are supplied.
-    pub fn new(cfg: SimConfig, design: HwDesign, layout: PmLayout, traces: Vec<IsaTrace>) -> Self {
-        match design {
-            HwDesign::StrandWeaver => Machine::StrandWeaver(SimMachine::new(cfg, layout, traces)),
-            HwDesign::IntelX86 => Machine::IntelX86(SimMachine::new(cfg, layout, traces)),
-            HwDesign::Hops => Machine::Hops(SimMachine::new(cfg, layout, traces)),
-            HwDesign::NoPersistQueue => {
-                Machine::NoPersistQueue(SimMachine::new(cfg, layout, traces))
-            }
-            HwDesign::NonAtomic => Machine::NonAtomic(SimMachine::new(cfg, layout, traces)),
-            HwDesign::Eadr => Machine::Eadr(SimMachine::new(cfg, layout, traces)),
-        }
-    }
-
-    /// The design this machine simulates.
-    pub fn design(&self) -> HwDesign {
-        for_each_machine!(self, m => m.design())
-    }
-
-    /// Attaches a trace sink; see [`SimMachine::set_trace_sink`].
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        for_each_machine!(self, m => m.set_trace_sink(sink))
-    }
-
-    /// Enables the metrics registry; see [`SimMachine::enable_metrics`].
-    pub fn enable_metrics(&mut self) {
-        for_each_machine!(self, m => m.enable_metrics())
-    }
-
-    /// Installs a self-profiler; see [`SimMachine::enable_profiler`].
-    pub fn enable_profiler(&mut self) {
-        for_each_machine!(self, m => m.enable_profiler())
-    }
-
-    /// Preloads lines into the shared L2; see [`SimMachine::preload_l2`].
-    pub fn preload_l2<I: IntoIterator<Item = LineAddr>>(&mut self, lines: I) {
-        for_each_machine!(self, m => m.preload_l2(lines))
-    }
-
-    /// Runs to completion and returns the statistics; see
-    /// [`SimMachine::run`].
-    pub fn run(self) -> SimStats {
-        for_each_machine!(self, m => m.run())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::engine_for;
     use sw_model::isa::IsaOp;
     use sw_pmem::Addr;
 
@@ -1526,11 +1448,31 @@ mod tests {
         }
     }
 
+    /// The stall causes `design` can produce. Every design can stall on
+    /// fences, full store queues and contended locks: the design-agnostic
+    /// front-end produces those.
+    fn stall_causes(design: HwDesign) -> &'static [StallKind] {
+        match design {
+            // eADR has no persist structure, and without a persist queue
+            // CLWB back-pressure surfaces as store-queue pressure: neither
+            // can stall on a full persist structure.
+            HwDesign::Eadr | HwDesign::NoPersistQueue => {
+                &[StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock]
+            }
+            HwDesign::IntelX86 | HwDesign::Hops | HwDesign::StrandWeaver | HwDesign::NonAtomic => {
+                &StallKind::ALL
+            }
+        }
+    }
+
     #[test]
     fn stall_causes_outside_the_engine_set_stay_zero() {
         for &design in &HwDesign::ALL {
+            let allowed = stall_causes(design);
+            for cause in [StallKind::Fence, StallKind::StoreQueueFull, StallKind::Lock] {
+                assert!(allowed.contains(&cause), "{design:?} missing {cause:?}");
+            }
             let stats = run(design, vec![pair_trace(design, 48)]);
-            let allowed = engine_for(design).stall_causes();
             for cause in StallKind::ALL {
                 if !allowed.contains(&cause) {
                     assert_eq!(

@@ -1,6 +1,7 @@
 //! The design-agnostic front-end: one issue slot per core per cycle,
 //! fence resolution, and lock acquisition. Design-specific admission
-//! (CLWBs, fences) is delegated to the machine's persist engine.
+//! (CLWBs, fences) is delegated to the design's persist engine, over
+//! which the front-end is generic.
 
 use sw_model::isa::{FenceKind, IsaOp, LockId};
 use sw_pmem::Addr;
@@ -8,27 +9,25 @@ use sw_trace::{StallKind, TraceEvent};
 
 use crate::core::{PendingAccess, SqOp};
 use crate::engines::PersistEngine;
-use crate::machine::{SimMachine, TickNote};
+use crate::machine::{Machine, TickNote};
 
-impl<E: PersistEngine> SimMachine<E> {
-    /// `true` once the waiting condition of core `i`'s completion fence is
-    /// met (delegates to the persist engine).
-    pub(crate) fn fence_condition_met(&self, i: usize, kind: FenceKind) -> bool {
-        self.engine.fence_condition_met(self, i, kind)
-    }
-
+impl Machine {
     /// Executes a completion fence: if its drain condition is already met
     /// it retires immediately, otherwise it becomes the core's pending
     /// fence — subsequent stores, flushes, fences, and lock operations
     /// wait for the condition, while compute and loads continue.
-    pub(crate) fn issue_completion_fence(&mut self, i: usize, kind: FenceKind) -> bool {
-        if !self.fence_condition_met(i, kind) {
+    pub(crate) fn issue_completion_fence<E: PersistEngine>(
+        &mut self,
+        i: usize,
+        kind: FenceKind,
+    ) -> bool {
+        if !E::fence_condition_met(self, i, kind) {
             self.cores[i].pending_fence = Some(kind);
         }
         true
     }
 
-    pub(crate) fn frontend(&mut self, i: usize) {
+    pub(crate) fn frontend<E: PersistEngine>(&mut self, i: usize) {
         // Resolve a finished blocking load.
         if let Some(p) = self.cores[i].load_pending {
             match p.ready_at {
@@ -44,7 +43,7 @@ impl<E: PersistEngine> SimMachine<E> {
         }
         // Resolve a completion fence whose condition is now met.
         if let Some(kind) = self.cores[i].pending_fence {
-            if self.fence_condition_met(i, kind) {
+            if E::fence_condition_met(self, i, kind) {
                 self.cores[i].pending_fence = None;
                 self.progress = true;
                 self.note_fence_retire(i, kind);
@@ -89,8 +88,7 @@ impl<E: PersistEngine> SimMachine<E> {
                 self.advance(i);
             }
             IsaOp::Clwb(addr) => {
-                let engine = self.engine;
-                if !engine.issue_clwb(self, i, addr.line()) {
+                if !E::issue_clwb(self, i, addr.line()) {
                     return;
                 }
                 self.cores[i].stats.clwbs += 1;
@@ -103,8 +101,7 @@ impl<E: PersistEngine> SimMachine<E> {
                 self.advance(i);
             }
             IsaOp::Fence(kind) => {
-                let engine = self.engine;
-                if !engine.issue_fence(self, i, kind) {
+                if !E::issue_fence(self, i, kind) {
                     return;
                 }
                 self.cores[i].stats.fences += 1;

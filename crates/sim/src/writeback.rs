@@ -1,7 +1,9 @@
 //! The design-agnostic back-end tail: store-queue retirement, the CLWB
-//! flush action, and the write-back buffer. Non-store persist ops in the
-//! store queue (present only under designs that route them there) drain
-//! through the engine's [`drain_sq_persist_op`] hook.
+//! flush action, and the write-back buffer. Only the store-queue drain is
+//! generic over the persist engine: non-store persist ops in the store
+//! queue (present only under designs that route them there) drain through
+//! the engine's [`drain_sq_persist_op`] hook, and a store retiring on a
+//! design that persists at visibility records its durability point.
 //!
 //! [`drain_sq_persist_op`]: crate::engines::PersistEngine::drain_sq_persist_op
 
@@ -9,13 +11,13 @@ use sw_pmem::LineAddr;
 
 use crate::core::{PendingAccess, SqOp};
 use crate::engines::PersistEngine;
-use crate::machine::SimMachine;
+use crate::machine::Machine;
 
 /// How many store-queue bookkeeping entries (CLWB/PB/NS) may drain per
 /// cycle in designs that route persist ops through the store queue.
 const SQ_DRAIN_WIDTH: usize = 4;
 
-impl<E: PersistEngine> SimMachine<E> {
+impl Machine {
     /// Performs the flush action of a CLWB for `line` on core `i`: L1
     /// lookup; dirty lines go to the PM controller, others complete after
     /// the lookup. Returns the completion cycle, or `None` on controller
@@ -39,7 +41,7 @@ impl<E: PersistEngine> SimMachine<E> {
     }
 
     /// Store queue: complete the in-flight head, start the next entry.
-    pub(crate) fn backend_sq(&mut self, i: usize) {
+    pub(crate) fn backend_sq<E: PersistEngine>(&mut self, i: usize) {
         if let Some(p) = self.cores[i].store_pending {
             match p.ready_at {
                 Some(t) if t <= self.cycle => {
@@ -47,7 +49,7 @@ impl<E: PersistEngine> SimMachine<E> {
                     self.progress = true;
                     // Battery-backed designs: the store is durable the
                     // moment it retires (coherence visibility).
-                    if self.engine.persists_at_visibility() && self.is_persistent_line(p.line) {
+                    if E::DESIGN.persists_at_visibility() && self.is_persistent_line(p.line) {
                         self.visibility_order.push(p.line);
                         self.note_persist_visible(i, p.line);
                     }
@@ -55,7 +57,6 @@ impl<E: PersistEngine> SimMachine<E> {
                 _ => return, // still retiring (or waiting on a steal)
             }
         }
-        let engine = self.engine;
         for _ in 0..SQ_DRAIN_WIDTH {
             let Some(&op) = self.cores[i].sq.front() else {
                 break;
@@ -85,7 +86,7 @@ impl<E: PersistEngine> SimMachine<E> {
                     break; // one store in flight at a time
                 }
                 SqOp::Clwb(_) | SqOp::Pb | SqOp::Ns => {
-                    if !engine.drain_sq_persist_op(self, i, op) {
+                    if !E::drain_sq_persist_op(self, i, op) {
                         break;
                     }
                     self.cores[i].sq.pop_front();

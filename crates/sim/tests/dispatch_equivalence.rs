@@ -1,18 +1,17 @@
-//! Equivalence tests for the monomorphized cycle loop.
+//! Equivalence tests for the cycle loop's skip-ahead scheduling.
 //!
-//! The design-erased [`Machine`] facade must be a pure dispatch layer: for
-//! every design, running the same traces through the facade and through
-//! the typed [`SimMachine<E>`] must produce identical [`SimStats`] —
-//! cycle-for-cycle, counter-for-counter. And skip-ahead scheduling must be
-//! invisible: jumping over quiescent cycles may never change any statistic
-//! relative to single-stepping the same simulation.
+//! Skip-ahead must be invisible: for every design, jumping over quiescent
+//! cycles may never change any [`SimStats`] relative to single-stepping
+//! the same simulation — cycle-for-cycle, counter-for-counter — on
+//! litmus-style scenarios and on random traces.
+//!
+//! [`SimStats`]: sw_sim::SimStats
 
 use proptest::prelude::*;
 use sw_model::isa::{FenceKind, IsaOp, LockId};
 use sw_model::HwDesign;
 use sw_pmem::{Addr, PmLayout};
-use sw_sim::engines::{Eadr, Hops, Intel, NoPersistQueue, NonAtomic, StrandWeaver};
-use sw_sim::{Machine, SimConfig, SimMachine, SimStats};
+use sw_sim::{Machine, SimConfig};
 
 fn layout() -> PmLayout {
     PmLayout::new(4, 64)
@@ -20,19 +19,6 @@ fn layout() -> PmLayout {
 
 fn heap(k: u64) -> Addr {
     Addr(layout().heap_base().raw() + k * 64)
-}
-
-/// Runs `traces` through the typed machine for `design`.
-fn run_typed(cfg: SimConfig, design: HwDesign, traces: Vec<Vec<IsaOp>>) -> SimStats {
-    let l = layout();
-    match design {
-        HwDesign::StrandWeaver => SimMachine::<StrandWeaver>::new(cfg, l, traces).run(),
-        HwDesign::IntelX86 => SimMachine::<Intel>::new(cfg, l, traces).run(),
-        HwDesign::Hops => SimMachine::<Hops>::new(cfg, l, traces).run(),
-        HwDesign::NoPersistQueue => SimMachine::<NoPersistQueue>::new(cfg, l, traces).run(),
-        HwDesign::NonAtomic => SimMachine::<NonAtomic>::new(cfg, l, traces).run(),
-        HwDesign::Eadr => SimMachine::<Eadr>::new(cfg, l, traces).run(),
-    }
 }
 
 /// Litmus-style scenarios exercising stores, flushes, every fence
@@ -87,19 +73,6 @@ fn scenarios() -> Vec<(&'static str, Vec<Vec<IsaOp>>)> {
 }
 
 #[test]
-fn facade_and_typed_machines_are_cycle_identical() {
-    for design in HwDesign::ALL {
-        for (name, traces) in scenarios() {
-            let cfg = SimConfig::table_i().with_cores(2);
-            let facade = Machine::new(cfg.clone(), design, layout(), traces.clone()).run();
-            let typed = run_typed(cfg, design, traces);
-            assert_eq!(facade, typed, "{design:?}/{name}: facade != typed");
-            assert!(facade.cycles > 0, "{design:?}/{name}: empty run");
-        }
-    }
-}
-
-#[test]
 fn skip_ahead_matches_single_stepping_on_scenarios() {
     for design in HwDesign::ALL {
         for (name, traces) in scenarios() {
@@ -113,6 +86,7 @@ fn skip_ahead_matches_single_stepping_on_scenarios() {
             .run();
             let stepped = Machine::new(cfg.with_skip_ahead(false), design, layout(), traces).run();
             assert_eq!(skipping, stepped, "{design:?}/{name}: skip-ahead diverged");
+            assert!(skipping.cycles > 0, "{design:?}/{name}: empty run");
         }
     }
 }

@@ -11,7 +11,7 @@ use strandweaver::faults::{
     DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger, OnlineFaultStats,
 };
 use strandweaver::model::isa::{FenceKind, IsaOp};
-use strandweaver::sim::{engine_for, CoreStats};
+use strandweaver::sim::CoreStats;
 use strandweaver::trace::StallKind;
 use strandweaver::{BenchmarkId, HwDesign, LangModel, Machine, PmLayout, SimConfig, SimStats};
 
@@ -135,7 +135,7 @@ fn assert_ledger(stats: &SimStats, design: HwDesign, cell: &str) {
         ev.persists_visible,
         "{cell}"
     );
-    if engine_for(design).persists_at_visibility() {
+    if design.persists_at_visibility() {
         assert_eq!(ev.persists_visible, durable, "{cell}");
     } else {
         assert_eq!(ev.pm_writes, durable, "{cell}");
