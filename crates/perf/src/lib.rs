@@ -38,14 +38,16 @@ use sw_trace::Json;
 /// The slots mirror the statement order of `Machine::tick`: the PM
 /// controller drains, coherence steals resolve, then per core the
 /// `PersistEngine::backend` hook runs, the store queue retires, the
-/// write-back flush engine drains, the frontend issues, stall intervals
-/// reconcile, and the done-check retires finished cores.
+/// write-back flush engine drains, then per core the frontend issues and
+/// the core is settled (retired once drained, or put to sleep), stall
+/// intervals reconcile, and the clock advances.
 ///
 /// [`Phase::Engine`], [`Phase::StoreQueue`] and [`Phase::Writeback`] count
-/// one call per core the tick visits; the tick skips a core that is done
-/// or parked on a lock, so on lock-heavy runs they count far fewer calls
-/// than cores × ticks. Every other phase counts one call per executed
-/// tick.
+/// one call per awake core the tick visits; the tick skips a core that is
+/// done or asleep (after a visit that changed nothing, until its next
+/// event or until another core's unlock or coherence steal rouses it), so
+/// they count far fewer calls than cores × ticks. Every other phase counts
+/// one call per executed tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// `PmController::tick` — write-queue drain pacing (`memctrl.rs`).
@@ -59,11 +61,12 @@ pub enum Phase {
     StoreQueue,
     /// Dirty-line write-back flush engine (`writeback.rs`).
     Writeback,
-    /// Instruction issue: loads, stores, CLWBs, fences (`pipeline.rs`).
+    /// Instruction issue: loads, stores, CLWBs, fences (`pipeline.rs`),
+    /// and right after each core's issue its done-check and sleep decision.
     Frontend,
     /// Observability reconciliation (stall intervals, queue gauges).
     Observe,
-    /// Per-core done-check and retirement bookkeeping.
+    /// Advancing the clock past the tick.
     Retire,
 }
 

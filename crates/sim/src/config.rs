@@ -55,9 +55,13 @@ pub struct SimConfig {
     /// and panics.
     pub max_cycles: u64,
     /// Jump over quiescent cycles (no architectural progress) straight to
-    /// the next interesting cycle. Produces bit-identical `SimStats` to
-    /// single-stepping (the skipped cycles' stall accounting is replayed);
-    /// disable only to cross-check that invariant in tests.
+    /// the next interesting cycle, and let a core sleep until its own next
+    /// event. Produces bit-identical `SimStats` to single-stepping (the
+    /// skipped cycles' stall accounting is replayed); disable only to
+    /// cross-check that invariant in tests. With it off only sleeps without
+    /// a wake time apply (a lock waiter with an idle back-end, an access
+    /// held by a coherence steal), so every core with a pending timer is
+    /// visited on every cycle.
     pub skip_ahead: bool,
     /// Online device-fault schedule executed by the PM controller.
     /// `None` (the default) keeps the fault layer entirely out of the

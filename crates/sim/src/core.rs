@@ -99,11 +99,24 @@ pub struct Core {
     /// Set while the core sits in a lock's waiter ring (a core waits on
     /// at most one lock at a time).
     pub(crate) lock_queued: bool,
-    /// Set while the core is parked on a lock: queued, with an idle
-    /// back-end, so no tick visits it until the lock's release wakes it.
-    /// Holds the first cycle it was not visited, from which the wake
-    /// charges its lock stall cycles.
-    pub(crate) parked_since: Option<u64>,
+    /// Set while the core sleeps: no tick visits it until its wake time or
+    /// a rouse (see [`Sleep`]).
+    pub(crate) sleep: Option<Sleep>,
+}
+
+/// A sleeping core's record. A core sleeps after a visit in which nothing
+/// of its own changed; until it wakes, every visit would change nothing
+/// again and charge the same [`TickNote`](crate::machine::TickNote), so
+/// the wake charges that note once for every cycle it was not visited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Sleep {
+    /// The first cycle the core was not visited.
+    pub(crate) since: u64,
+    /// The cycle it wakes at by itself: its earliest pending timer, or a
+    /// PM controller timer while its back-end holds work. `None` sleeps
+    /// until another core's action rouses it (a lock hand-over or a
+    /// coherence steal).
+    pub(crate) until: Option<u64>,
 }
 
 impl Core {
@@ -126,7 +139,7 @@ impl Core {
             stats: CoreStats::default(),
             done: false,
             lock_queued: false,
-            parked_since: None,
+            sleep: None,
         }
     }
 
@@ -159,10 +172,24 @@ impl Core {
         self.stores_drained() && self.persists_drained() && self.wb.is_empty()
     }
 
-    /// `true` when a tick has nothing to do on this core: it is done, or
-    /// parked on a lock.
-    pub(crate) fn asleep(&self) -> bool {
-        self.done || self.parked_since.is_some()
+    /// Calls `f` with each cycle at which one of the core's own timers
+    /// fires: the end of its compute or load latency (`busy_until`, which
+    /// may lie in the past), its in-flight load and store completions, and
+    /// its persist structures' earliest acknowledgement.
+    pub(crate) fn timers(&self, mut f: impl FnMut(u64)) {
+        f(self.busy_until);
+        if let Some(t) = self.load_pending.and_then(|p| p.ready_at) {
+            f(t);
+        }
+        if let Some(t) = self.store_pending.and_then(|p| p.ready_at) {
+            f(t);
+        }
+        if let Some(t) = self.sbu.as_ref().and_then(Sbu::min_pending_done_at) {
+            f(t);
+        }
+        if let Some(t) = self.flush.as_ref().and_then(|e| e.min_pending_done_at()) {
+            f(t);
+        }
     }
 
     /// `true` when the core has issued its whole trace and drained
@@ -172,6 +199,49 @@ impl Core {
             && self.backend_idle()
             && self.load_pending.is_none()
             && self.pending_fence.is_none()
+    }
+}
+
+/// A set of core indexes, iterated in index order: one bit per core in
+/// four words, enough for the 254 cores a machine allows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CoreSet {
+    bits: [u64; 4],
+}
+
+impl CoreSet {
+    /// The set of cores `0..n`.
+    pub(crate) fn below(n: usize) -> Self {
+        let mut set = Self::default();
+        for i in 0..n {
+            set.insert(i);
+        }
+        set
+    }
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        self.bits[i / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.bits[i / 64] &= !(1 << (i % 64));
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.bits[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The lowest member at or above `from`. Iterating by re-asking from
+    /// one past the last member sees every change made meanwhile.
+    #[inline]
+    pub(crate) fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.bits.get(w)? & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.bits.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
     }
 }
 
@@ -205,6 +275,30 @@ mod tests {
             ready_at: Some(10),
         });
         assert!(core.sq_has_store_to(line));
+    }
+
+    #[test]
+    fn core_set_iterates_members_across_words() {
+        let mut set = CoreSet::below(70);
+        for i in [0, 5, 63, 64, 69] {
+            assert!(set.contains(i));
+        }
+        assert!(!set.contains(70));
+        for i in [1, 2, 3, 4, 6, 62, 63, 64, 65, 68] {
+            set.remove(i);
+        }
+        let mut seen = Vec::new();
+        let mut next = set.next_from(0);
+        while let Some(i) = next {
+            seen.push(i);
+            next = set.next_from(i + 1);
+        }
+        let mut expected = vec![0, 5];
+        expected.extend((7..62).chain([66, 67, 69]));
+        assert_eq!(seen, expected);
+        assert_eq!(set.next_from(256), None);
+        set.insert(255);
+        assert_eq!(set.next_from(70), Some(255));
     }
 
     #[test]

@@ -20,13 +20,17 @@
 //!
 //! Each cycle:
 //!
-//! 1. the PM controller drains its ADR write queue;
-//! 2. coherence steals whose snoop-buffer drain condition is met resolve;
-//! 3. every awake core's back-end runs — the design's persist engine
+//! 1. sleeping cores whose wake time has come wake;
+//! 2. the PM controller drains its ADR write queue;
+//! 3. coherence steals whose snoop-buffer drain condition is met resolve,
+//!    rousing their owner and requester;
+//! 4. every awake core's back-end runs — the design's persist engine
 //!    issues and retires CLWBs, then the store queue retires stores and
 //!    write-backs drain;
-//! 4. every awake core's front-end issues at most one trace operation,
-//!    honoring the engine's fence semantics and queue capacities.
+//! 5. every awake core's front-end issues at most one trace operation,
+//!    honoring the engine's fence semantics and queue capacities; right
+//!    after it the core retires if it has drained, or falls asleep if its
+//!    visit changed nothing.
 //!
 //! When a whole tick makes no architectural progress, the machine jumps
 //! straight to the next cycle at which anything can happen (the minimum
@@ -36,18 +40,36 @@
 //! bit-identical to single-stepping, faults included
 //! (`SimConfig::skip_ahead` disables the jump for equivalence tests).
 //!
-//! A tick that does run visits only the awake cores. A core that is done
-//! sleeps, and so does a core *parked* on a lock: one that stalled on
-//! `Lock(l)` while queued on `l` with an idle back-end (store queue,
-//! persist structures and write-back buffer all empty). Until `l` is
-//! released it could only fail the same acquire, and nothing else moves
-//! its state: only its own front-end feeds its back-end, steals against
-//! its lines resolve in `process_steals` without it, and it schedules
-//! nothing for skip-ahead. `Unlock(l)` wakes the ring's front waiter only
-//! and charges it, at once, the lock stall cycles its skipped visits
-//! would have counted, so skip-ahead replays nothing for a parked core;
-//! the trace reports a parked core as stalled on `Lock`. The visits that
-//! remain cost O(1) unless that core's state changed:
+//! A tick that does run visits only the awake cores, in index order, from
+//! a bitset over the cores. A core that is done leaves the set, and so
+//! does a core that *sleeps*: after a visit in which neither its back-end
+//! nor its front-end changed anything, it sleeps until its wake time, the
+//! earliest of its own timers (the end of its compute latency, its
+//! in-flight load and store, its persist structures' earliest
+//! acknowledgement) and, while its back-end holds work, of the PM
+//! controller's (the next write-queue drain or fault-retry admission).
+//! Until then each visit would change nothing again and charge the same
+//! stall or `mem_busy` cycle: only its own front-end feeds its back-end,
+//! and the controller refuses what it refused until one of those timers
+//! fires. Two actions of other cores change a sleeper's state, and both
+//! rouse it: a resolved coherence steal (the owner's L1 loses the line,
+//! the requester's access gets its completion cycle) and an `Unlock` of
+//! the lock it waits on first in line. A core with no wake time — a lock
+//! waiter with an idle back-end, an access held by a steal — sleeps until
+//! one of those. Waking charges the note of the visit the core fell asleep
+//! after ([`TickNote`]) once for every cycle it was not visited; an
+//! `Unlock` charges a waiter above the releaser through the cycle before
+//! (its front-end runs later in the same tick and takes the lock) and one
+//! below through the release cycle (it has had its turn this tick). The
+//! sleep is decided right after the core's own front-end, so an `Unlock`
+//! later in the same tick still rouses it. A core never sleeps on a
+//! persist-full stall, whose cause [`Machine::stall_persist_full`] reads
+//! from PM state other cores change, nor when its wake is at most one
+//! cycle ahead. Skip-ahead replays only awake cores and counts sleepers'
+//! timers, so the ticks that run are exactly those of visiting every core;
+//! with it off only sleeps without a wake time apply. The trace reports a
+//! sleeper's note as its stall. The visits that remain cost O(1) unless
+//! that core's state changed:
 //!
 //! - the strand buffer unit and the flush engine keep their count of
 //!   waiting CLWBs and their earliest pending completion current at push,
@@ -59,15 +81,18 @@
 //!   the lock's waiter ring.
 //!
 //! The one per-tick walk left is the store-queue lookup of a CLWB held
-//! for an elder same-line store (at most `store_queue_entries` entries);
-//! a per-line count of queued stores did not measurably shorten the
-//! figures sweep. Each cached answer keeps the scan it replaced as a
-//! `debug_assert!` reference, and every tick asserts for each parked core
-//! what makes skipping it exact, so debug builds (every tier-1 test)
-//! cross-check the caches and the parking on every tick; property tests in
-//! `strand_buffer.rs` and `persist.rs` drive them with random operation
-//! sequences, and `tests/metrics_ledger.rs` compares skip-ahead against
-//! single-stepping at two and eight cores, with and without faults.
+//! for an elder same-line store (at most `store_queue_entries` entries),
+//! and a sleeping core skips it; a per-line count of queued stores did not
+//! measurably shorten the figures sweep. Each cached answer keeps the scan
+//! it replaced as a `debug_assert!` reference, and every tick that changed
+//! anything asserts for each sleeping core what makes skipping it exact (a
+//! tick that changed nothing cannot break it), so debug builds (every
+//! tier-1 test) cross-check the caches and the sleeping as they run;
+//! property tests in `strand_buffer.rs` and `persist.rs` drive them with
+//! random operation sequences, the tests below compare skip-ahead against
+//! single-stepping on each way a sleeper is roused, and
+//! `tests/metrics_ledger.rs` does so at two and eight cores, with and
+//! without faults.
 //!
 //! Deadlock freedom follows the paper's argument: CLWBs wait for elder
 //! same-line stores *before* entering the strand buffer unit (at the
@@ -84,9 +109,11 @@ use sw_trace::{
 
 use crate::cache::{Directory, LineSet};
 use crate::config::SimConfig;
-use crate::core::{Core, PendingAccess, Writeback};
+use crate::core::{Core, CoreSet, PendingAccess, Sleep, Writeback};
 use crate::engines::{Eadr, Hops, Intel, NoPersistQueue, NonAtomic, PersistEngine, StrandWeaver};
 use crate::memctrl::{DramController, PmController, WriteOutcome};
+#[cfg(debug_assertions)]
+use crate::persist::ClwbState;
 use crate::ring::Ring;
 use crate::stats::{EventCounts, SimStats};
 use crate::strand_buffer::Sbu;
@@ -122,19 +149,35 @@ impl LockState {
     }
 }
 
-/// What a core's frontend charged this cycle. Exactly one note per core
-/// per tick (the frontend returns after its first stall or wait), recorded
+/// What a core's frontend charged on its last visit. Exactly one note per
+/// visit (the frontend returns after its first stall or wait), recorded
 /// so [`Machine::skip_quiescent`] can replay the same accounting across
-/// every skipped cycle, and read back as the trace's stall intervals.
+/// every skipped cycle and a sleeping core's wake across every cycle it
+/// slept, and read back as the trace's stall intervals. A sleeping core
+/// keeps the note of the visit it fell asleep after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TickNote {
-    /// Nothing charged (core done, idling below `busy_until`, or parked on
-    /// a lock, whose wake charges the whole span at once).
+    /// Nothing charged (core done, idling below `busy_until`, or out of
+    /// trace while its back-end drains).
     Idle,
     /// One `mem_busy` cycle (load outstanding).
     MemBusy,
     /// One stall cycle for the given cause.
     Stalled(StallKind),
+}
+
+impl TickNote {
+    /// `true` for a stall at a full persist-admission point, whose cause
+    /// [`Machine::stall_persist_full`] reads from PM state other cores
+    /// change: a core never sleeps on one.
+    fn persist_full(self) -> bool {
+        matches!(
+            self,
+            TickNote::Stalled(
+                StallKind::PersistQueueFull | StallKind::PmWriteQueueFull | StallKind::RetryWait
+            )
+        )
+    }
 }
 
 #[derive(Debug)]
@@ -206,8 +249,15 @@ pub struct Machine {
     /// Set by any state mutation during the current tick; a tick that
     /// leaves it clear is quiescent and eligible for skip-ahead.
     pub(crate) progress: bool,
-    /// Per-core accounting note for the current tick (see [`TickNote`]).
+    /// Per-core accounting note of the core's last visit (see
+    /// [`TickNote`]).
     pub(crate) tick_note: Vec<TickNote>,
+    /// The cores a tick visits: neither done nor asleep.
+    awake: CoreSet,
+    /// Cores not yet done.
+    running: usize,
+    /// No sleeper wakes by itself before this cycle.
+    next_wake: u64,
 }
 
 impl Machine {
@@ -263,6 +313,9 @@ impl Machine {
             visibility_order: Vec::new(),
             progress: false,
             tick_note: vec![TickNote::Idle; n],
+            awake: CoreSet::below(n),
+            running: n,
+            next_wake: u64::MAX,
         }
     }
 
@@ -603,11 +656,11 @@ impl Machine {
     }
 
     /// Turns this cycle's stall notes into `StallBegin` / `StallEnd`
-    /// interval events.
+    /// interval events. A sleeping core's note is the one it charges every
+    /// cycle it sleeps.
     fn reconcile_stalls(&mut self) {
         for i in 0..self.cores.len() {
             let now = match self.tick_note[i] {
-                _ if self.cores[i].parked_since.is_some() => Some(StallKind::Lock),
                 TickNote::Stalled(cause) => Some(cause),
                 TickNote::Idle | TickNote::MemBusy => None,
             };
@@ -734,9 +787,8 @@ impl Machine {
         for core in &mut self.cores {
             E::setup_core(core, &self.cfg);
         }
-        while !self.cores.iter().all(|c| c.done) {
+        while self.running > 0 {
             self.progress = false;
-            self.tick_note.fill(TickNote::Idle);
             self.tick::<E>();
             assert!(
                 self.cycle < self.cfg.max_cycles,
@@ -764,53 +816,216 @@ impl Machine {
         // gate any simulation work, so results are bit-identical either
         // way.
         let mut lap = Lap::begin(self.prof.is_some());
+        if self.cycle >= self.next_wake {
+            self.wake_due();
+        }
         if self.pm.tick(self.cycle) > 0 {
             self.progress = true;
         }
         self.lap(&mut lap, Phase::Memctrl);
         self.process_steals();
         self.lap(&mut lap, Phase::Coherence);
-        // Done and parked cores are skipped: nothing can change their
-        // state until an unlock wakes a parked one (see `park_if_idle`).
-        for i in 0..self.cores.len() {
-            if self.cores[i].asleep() {
-                continue;
-            }
+        // Only awake cores are visited: a sleeper's visit would change
+        // nothing (see `settle`). `progress` is taken per core, so each
+        // core's visit can tell whether it changed anything.
+        let mut progress = self.progress;
+        let mut moved = CoreSet::default();
+        let mut next = self.awake.next_from(0);
+        while let Some(i) = next {
+            self.progress = false;
             E::backend(self, i);
             self.lap(&mut lap, Phase::Engine);
             self.backend_sq::<E>(i);
             self.lap(&mut lap, Phase::StoreQueue);
             self.backend_wb(i);
             self.lap(&mut lap, Phase::Writeback);
-        }
-        for i in 0..self.cores.len() {
-            if self.cores[i].asleep() {
-                debug_assert!(
-                    self.cores[i].done || self.park_holds(i),
-                    "parked core {i} could act at cycle {}",
-                    self.cycle
-                );
-                continue;
+            if self.progress {
+                moved.insert(i);
+                progress = true;
             }
+            next = self.awake.next_from(i + 1);
+        }
+        // Re-read after each core: an unlock can rouse a waiter above the
+        // releaser, which then takes the lock in this same pass.
+        let mut next = self.awake.next_from(0);
+        while let Some(i) = next {
+            self.progress = false;
+            self.tick_note[i] = TickNote::Idle;
             self.frontend::<E>(i);
+            let still = !self.progress && !moved.contains(i);
+            self.settle(i, still);
+            progress |= self.progress;
+            next = self.awake.next_from(i + 1);
+        }
+        self.progress = progress;
+        // A tick that changed nothing cannot break a sleeper's invariant.
+        #[cfg(debug_assertions)]
+        if progress {
+            for i in 0..self.cores.len() {
+                if let Some(sleep) = self.cores[i].sleep {
+                    self.assert_sleep_holds(i, sleep);
+                }
+            }
         }
         self.lap(&mut lap, Phase::Frontend);
         if self.trace.is_some() {
             self.reconcile_stalls();
         }
         self.lap(&mut lap, Phase::Observe);
-        for i in 0..self.cores.len() {
-            if !self.cores[i].asleep()
-                && self.cores[i].fully_drained()
-                && self.cycle >= self.cores[i].busy_until
-            {
-                self.cores[i].done = true;
-                self.cores[i].stats.done_cycle = self.cycle;
-                self.progress = true;
-            }
-        }
         self.cycle += 1;
         self.lap(&mut lap, Phase::Retire);
+    }
+
+    // ------------------------------------------------------------------
+    // Sleeping cores.
+    // ------------------------------------------------------------------
+
+    /// Settles core `i` right after its front-end, before any higher-index
+    /// core acts this tick (so an `Unlock` later in the tick can still
+    /// rouse it): retires it once it has issued and drained everything, or
+    /// puts it to sleep when its visit changed nothing of its own
+    /// (`still`), until its [`Machine::wake_time`] or, with none, until a
+    /// rouse. It stays awake on a persist-full stall and when its wake is
+    /// at most one cycle ahead; with [`SimConfig::skip_ahead`] off, only a
+    /// sleep without a wake time applies.
+    fn settle(&mut self, i: usize, still: bool) {
+        let core = &mut self.cores[i];
+        if core.fully_drained() && self.cycle >= core.busy_until {
+            core.done = true;
+            core.stats.done_cycle = self.cycle;
+            self.awake.remove(i);
+            self.running -= 1;
+            self.progress = true;
+            return;
+        }
+        if !still || self.tick_note[i].persist_full() {
+            return;
+        }
+        let until = self.wake_time(i);
+        if let Some(t) = until {
+            if t <= self.cycle + 1 || !self.cfg.skip_ahead {
+                return;
+            }
+            self.next_wake = self.next_wake.min(t);
+        }
+        self.cores[i].sleep = Some(Sleep {
+            since: self.cycle + 1,
+            until,
+        });
+        self.awake.remove(i);
+    }
+
+    /// The first cycle after this one at which a visit of core `i` could
+    /// change anything unless another core rouses it: the earliest of its
+    /// own timers, and, while its back-end holds work, of the PM
+    /// controller's (a drain frees write-queue space, a retry admission
+    /// ends a fault back-off). A PM timer already due counts as the next
+    /// cycle. `None` when nothing is scheduled for it.
+    fn wake_time(&self, i: usize) -> Option<u64> {
+        let now = self.cycle;
+        let core = &self.cores[i];
+        let mut wake = u64::MAX;
+        core.timers(|t| {
+            if t > now {
+                wake = wake.min(t);
+            }
+        });
+        if !core.backend_idle() {
+            self.pm_timers(|t| wake = wake.min(t.max(now + 1)));
+        }
+        (wake != u64::MAX).then_some(wake)
+    }
+
+    /// Wakes every sleeper whose wake time has come, at the start of a
+    /// tick, and finds the next such time.
+    fn wake_due(&mut self) {
+        let mut next = u64::MAX;
+        for i in 0..self.cores.len() {
+            match self.cores[i].sleep.and_then(|s| s.until) {
+                Some(t) if t <= self.cycle => self.rouse(i, self.cycle),
+                Some(t) => next = next.min(t),
+                None => {}
+            }
+        }
+        self.next_wake = next;
+    }
+
+    /// Wakes core `i` if it sleeps, charging its note once for every cycle
+    /// from the first it was not visited up to `through` (exclusive).
+    pub(crate) fn rouse(&mut self, i: usize, through: u64) {
+        if let Some(sleep) = self.cores[i].sleep.take() {
+            self.charge(i, through - sleep.since);
+            self.awake.insert(i);
+        }
+    }
+
+    /// Charges core `i`'s note `n` times: the replay of `n` visits.
+    fn charge(&mut self, i: usize, n: u64) {
+        match self.tick_note[i] {
+            TickNote::Idle => {}
+            TickNote::MemBusy => self.cores[i].stats.mem_busy += n,
+            TickNote::Stalled(cause) => self.cores[i].stats.record_stall_n(cause, n),
+        }
+    }
+
+    /// Asserts what makes skipping sleeping core `i` this tick exact: no
+    /// timer of its own fires before its wake; a write its back-end would
+    /// offer the PM controller is held off until then (a fault retry is
+    /// pending, or the write queue is full and drains no earlier); its
+    /// note is not a persist-full stall; and if it waits on a lock, the
+    /// lock has a holder or the core is not first in line.
+    #[cfg(debug_assertions)]
+    fn assert_sleep_holds(&self, i: usize, sleep: Sleep) {
+        let core = &self.cores[i];
+        let wake = sleep.until.unwrap_or(u64::MAX);
+        let at = self.cycle;
+        core.timers(|t| {
+            assert!(
+                t < sleep.since || t >= wake,
+                "core {i} sleeps through its timer at {t} (wake {wake}) at cycle {at}"
+            );
+        });
+        if self.offers_pm_write(i) {
+            assert!(
+                self.pm.retry_pending()
+                    || (self.pm.write_queue_full() && self.pm.next_drain() >= wake),
+                "core {i} sleeps through a PM write it could offer at cycle {at}"
+            );
+        }
+        assert!(
+            !self.tick_note[i].persist_full(),
+            "core {i} sleeps on a persist-full stall at cycle {at}"
+        );
+        if core.lock_queued {
+            let Some(&sw_model::isa::IsaOp::Lock(l)) = core.trace.get(core.pc) else {
+                panic!("core {i} is queued on a lock it does not wait for");
+            };
+            let st = &self.locks[l.0 as usize];
+            assert!(
+                st.holder.is_some() || st.waiters.front() != Some(&i),
+                "core {i} sleeps first in line for free lock {} at cycle {at}",
+                l.0
+            );
+        }
+    }
+
+    /// `true` when a back-end visit of core `i` would offer a write to the
+    /// PM controller: a strand-buffer CLWB or flush slot ready to issue, or
+    /// a write-back past its drain targets.
+    #[cfg(debug_assertions)]
+    fn offers_pm_write(&self, i: usize) -> bool {
+        let core = &self.cores[i];
+        let sbu = core.sbu.as_ref();
+        sbu.is_some_and(|sbu| sbu.next_issuable(0, 0).is_some())
+            || core.flush.as_ref().is_some_and(|f| {
+                f.slots()
+                    .iter()
+                    .any(|s| s.state == ClwbState::Waiting && !core.sq_has_store_to(s.line))
+            })
+            || core.wb.iter().any(|w| match (&w.targets, sbu) {
+                (Some(t), Some(sbu)) => sbu.drained_past(t),
+                _ => true,
+            })
     }
 
     // ------------------------------------------------------------------
@@ -819,35 +1034,36 @@ impl Machine {
 
     /// Jumps over quiescent cycles after a tick that made no progress:
     /// advances the clock to `next`, the [`Machine::next_event_cycle`],
-    /// and replays each core's per-cycle accounting ([`TickNote`]) across
-    /// the skipped span, so counters and metrics are bit-identical to
-    /// single-stepping.
+    /// and replays each awake core's per-cycle accounting ([`TickNote`])
+    /// across the skipped span, so counters and metrics are bit-identical
+    /// to single-stepping. A sleeping core's span is charged when it wakes.
     fn skip_quiescent(&mut self, next: u64) {
         let target = next.min(self.cfg.max_cycles);
         if target <= self.cycle {
             return;
         }
         let n = target - self.cycle;
-        for i in 0..self.cores.len() {
-            match self.tick_note[i] {
-                TickNote::Idle => {}
-                TickNote::MemBusy => self.cores[i].stats.mem_busy += n,
-                TickNote::Stalled(cause) => self.cores[i].stats.record_stall_n(cause, n),
-            }
+        let mut awake = self.awake.next_from(0);
+        while let Some(i) = awake {
+            self.charge(i, n);
+            awake = self.awake.next_from(i + 1);
         }
         self.cycle = target;
     }
 
     /// The earliest future cycle at which any scheduled event fires: a PM
-    /// write-queue drain, a core coming off `busy_until`, an in-flight
+    /// write-queue drain or retry admission, or one of a core's own timers
+    /// ([`Core::timers`]): a core coming off `busy_until`, an in-flight
     /// access completing, or a persist-structure acknowledgement arriving.
-    /// `None` means nothing is scheduled: a genuine deadlock, on which
-    /// [`Machine::run`] panics in both stepping modes.
+    /// Sleeping cores count: none wakes before this cycle. `None` means
+    /// nothing is scheduled: a genuine deadlock, on which [`Machine::run`]
+    /// panics in both stepping modes.
     ///
     /// Soundness: after a tick with no progress, every other wake-up
-    /// source — steal resolution, fence conditions, queue drains — is
-    /// itself blocked on one of the timestamps listed here, so nothing can
-    /// happen strictly before the returned cycle.
+    /// source — steal resolution, fence conditions, queue drains, lock
+    /// hand-overs, sleeping cores' wakes — is itself blocked on one of the
+    /// timestamps listed here, so nothing can happen strictly before the
+    /// returned cycle.
     fn next_event_cycle(&self) -> Option<u64> {
         let now = self.cycle;
         let mut next = u64::MAX;
@@ -856,39 +1072,28 @@ impl Machine {
                 next = t;
             }
         };
-        if self.pm.write_queue_len() > 0 {
-            consider(self.pm.next_drain());
-        }
-        if let Some(t) = self.pm.next_retry_at() {
-            // A line parked in fault-retry back-off wakes its holder. A
-            // CLWB offers its write one L1 lookup after its cycle, so it
-            // is admitted from `t - l1_hit_cycles` on; a write-back offers
-            // at its cycle. A line parked for good (`u64::MAX`) wakes
-            // nothing.
-            if t != u64::MAX {
-                consider(t.saturating_sub(self.cfg.l1_hit_cycles));
-            }
-            consider(t);
-        }
-        for core in &self.cores {
-            if core.done {
-                continue;
-            }
-            consider(core.busy_until);
-            if let Some(t) = core.load_pending.and_then(|p| p.ready_at) {
-                consider(t);
-            }
-            if let Some(t) = core.store_pending.and_then(|p| p.ready_at) {
-                consider(t);
-            }
-            if let Some(t) = core.sbu.as_ref().and_then(Sbu::min_pending_done_at) {
-                consider(t);
-            }
-            if let Some(t) = core.flush.as_ref().and_then(|f| f.min_pending_done_at()) {
-                consider(t);
-            }
+        self.pm_timers(&mut consider);
+        for core in self.cores.iter().filter(|c| !c.done) {
+            core.timers(&mut consider);
         }
         (next != u64::MAX).then_some(next)
+    }
+
+    /// Calls `f` with each cycle at which the PM controller can admit a
+    /// write it refused: the next write-queue drain, while the queue holds
+    /// anything, and the earliest fault-retry admission. A line parked in
+    /// fault-retry back-off wakes its holder. A CLWB offers its write one
+    /// L1 lookup after its cycle, so it is admitted from `t -
+    /// l1_hit_cycles` on; a write-back offers at its cycle. A line parked
+    /// for good (`u64::MAX`) wakes nothing.
+    fn pm_timers(&self, mut f: impl FnMut(u64)) {
+        if self.pm.write_queue_len() > 0 {
+            f(self.pm.next_drain());
+        }
+        if let Some(t) = self.pm.next_retry_at().filter(|&t| t != u64::MAX) {
+            f(t.saturating_sub(self.cfg.l1_hit_cycles));
+            f(t);
+        }
     }
 
     /// Panics for a deadlock found at the current cycle. A line the fault
@@ -991,6 +1196,10 @@ impl Machine {
             }
             self.progress = true;
             self.events.steals += 1;
+            // Both cores' state changes here, so a sleeper among them
+            // wakes to be visited this tick.
+            self.rouse(s.owner, self.cycle);
+            self.rouse(s.requester, self.cycle);
             let was_dirty = self.cores[s.owner].l1.invalidate(s.line);
             self.dir.clear_dirty_owner(s.line);
             self.l2.insert(s.line);
@@ -1343,6 +1552,232 @@ mod tests {
                 (930, 2, false),
             ]
         );
+    }
+
+    /// Calls recorded for `phase`.
+    fn calls(perf: &sw_perf::PerfSnapshot, phase: Phase) -> u64 {
+        let stat = perf.phases.iter().find(|p| p.phase == phase.label());
+        stat.map_or(0, |p| p.calls)
+    }
+
+    /// Runs `traces` on `design` under `cfg` with skip-ahead on and off,
+    /// with a trace recorder and metrics attached, and requires the whole
+    /// `SimStats` and the recorded event streams to be equal. With
+    /// skip-ahead off only sleeps without a wake time apply, so every timed
+    /// sleep, and every rouse of one, is checked against visiting that core
+    /// on every cycle. Returns the skip-ahead run's statistics and how many
+    /// core visits it made in how many executed ticks.
+    fn same_in_both_stepping_modes(
+        cfg: SimConfig,
+        design: HwDesign,
+        traces: Vec<IsaTrace>,
+    ) -> (SimStats, u64, u64) {
+        let run = |skip_ahead: bool| {
+            let cfg = cfg.clone().with_skip_ahead(skip_ahead);
+            let mut m = Machine::new(cfg, design, layout(), traces.clone());
+            let rec = sw_trace::RingRecorder::new(1 << 20);
+            m.set_trace_sink(Box::new(rec.clone()));
+            m.enable_metrics();
+            if skip_ahead {
+                m.enable_profiler();
+            }
+            let stats = m.run();
+            assert_eq!(rec.dropped(), 0, "ring sized for the whole run");
+            let events = rec.events();
+            let events: Vec<_> = events
+                .into_iter()
+                .filter(|e| !matches!(e.event, TraceEvent::PerfPhase { .. }))
+                .collect();
+            (stats, events)
+        };
+        let (mut on, on_events) = run(true);
+        let (off, off_events) = run(false);
+        let perf = on.perf.take().expect("profiler installed");
+        assert_eq!(on, off);
+        assert_eq!(on_events, off_events);
+        (
+            on,
+            calls(&perf, Phase::Engine),
+            calls(&perf, Phase::Memctrl),
+        )
+    }
+
+    /// A resolved coherence steal rouses both cores it moves a line
+    /// between. On Intel, whose steals resolve at once (no strand buffers
+    /// to drain), the owner sleeps on write-queue back-pressure while its
+    /// flush of the stolen line waits; the steal leaves that line clean in
+    /// the owner's L1, so the roused flush completes without a PM write.
+    /// On StrandWeaver the requester sleeps, with no wake time, on a load
+    /// the steal holds until the owner's strand buffer drains.
+    #[test]
+    fn steals_rouse_a_sleeping_owner_and_a_sleeping_requester() {
+        use IsaOp::{Clwb, Compute, Fence, Load, Store};
+        let (a, b, c, x) = (heap(0), heap(8), heap(16), heap(24));
+        let mut backpressure = cfg(2);
+        backpressure.pm_write_queue = 2;
+        backpressure.pm_drain_interval = 2000;
+        let owner = vec![
+            Store(a),
+            Store(b),
+            Store(c),
+            Store(x),
+            Clwb(a),
+            Clwb(b),
+            Clwb(c),
+            Clwb(x),
+            Fence(FenceKind::Sfence),
+            Store(heap(32)),
+        ];
+        let thief = vec![Compute(1000), Load(x)];
+        let (intel, visits, ticks) =
+            same_in_both_stepping_modes(backpressure, HwDesign::IntelX86, vec![owner, thief]);
+        assert_eq!(intel.events.steals, 1);
+        assert_eq!(intel.pm_write_order, [a.line(), b.line(), c.line()]);
+        assert!(
+            intel.cycles < 2000,
+            "the owner finishes before the write queue drains: {}",
+            intel.cycles
+        );
+        assert!(visits < 2 * ticks, "{visits} visits in {ticks} ticks");
+
+        let owner = vec![Store(a), Clwb(a), Store(x), Fence(FenceKind::JoinStrand)];
+        let requester = vec![Compute(60), Load(x)];
+        let (sw, visits, ticks) =
+            same_in_both_stepping_modes(cfg(2), HwDesign::StrandWeaver, vec![owner, requester]);
+        assert_eq!(sw.events.steals, 1);
+        let ack = SimConfig::table_i().pm_write_ack_cycles;
+        assert!(
+            sw.cores[1].mem_busy > ack,
+            "the load waits out the owner's flush"
+        );
+        assert!(visits < 2 * ticks, "{visits} visits in {ticks} ticks");
+    }
+
+    /// An unlock hands its lock to a sleeping waiter: one whose back-end
+    /// still drains a flush, above and below the releaser, which takes the
+    /// lock long before the flush is acknowledged; and core 0 of the third
+    /// case, which queues at cycle 21 and falls asleep with no wake time at
+    /// cycle 22, in the tick core 1 releases the lock. That sleep is decided
+    /// right after core 0's front-end, so the release still rouses it: it
+    /// stalls cycles 21 and 22 and takes the lock at 23.
+    #[test]
+    fn unlock_rouses_a_sleeping_waiter() {
+        use IsaOp::{Clwb, Compute, Lock, Store, Unlock};
+        let p = heap(0);
+        let waiter = vec![
+            Store(p),
+            Clwb(p),
+            Compute(20),
+            Lock(LockId(0)),
+            Unlock(LockId(0)),
+        ];
+        let holder = vec![Lock(LockId(0)), Compute(100), Unlock(LockId(0))];
+        let late = vec![Compute(20), Lock(LockId(0)), Unlock(LockId(0))];
+        let brief = vec![Lock(LockId(0)), Compute(20), Unlock(LockId(0))];
+        let ack = SimConfig::table_i().pm_write_ack_cycles;
+        for (traces, w) in [
+            (vec![holder.clone(), waiter.clone()], 1),
+            (vec![waiter, holder], 0),
+            (vec![late, brief], 0),
+        ] {
+            let (stats, visits, ticks) =
+                same_in_both_stepping_modes(cfg(2), HwDesign::StrandWeaver, traces);
+            let stall_lock = stats.cores[w].stall_lock;
+            assert!(
+                stall_lock > 0 && stall_lock < ack / 2,
+                "waiter core {w} stalled {stall_lock} cycles on the lock"
+            );
+            assert!(visits < 2 * ticks, "{visits} visits in {ticks} ticks");
+        }
+    }
+
+    /// Two cores whose flushes wait on a full PM write queue, each behind a
+    /// pending SFENCE (a fence stall, not a persist-full one), sleep until
+    /// the queue drains and take turns at each drain.
+    #[test]
+    fn write_queue_back_pressure_sleeps_until_the_drain() {
+        use IsaOp::{Clwb, Fence, Store};
+        let mut backpressure = cfg(2);
+        backpressure.pm_write_queue = 2;
+        backpressure.pm_drain_interval = 300;
+        let flushes = |k: u64| {
+            let lines: Vec<Addr> = (0..4).map(|j| heap(8 * (4 * k + j))).collect();
+            let mut t: IsaTrace = lines.iter().map(|&l| Store(l)).collect();
+            t.extend(lines.iter().map(|&l| Clwb(l)));
+            t.extend([Fence(FenceKind::Sfence), Store(heap(8 * (100 + k)))]);
+            t
+        };
+        let (stats, visits, ticks) = same_in_both_stepping_modes(
+            backpressure,
+            HwDesign::IntelX86,
+            vec![flushes(0), flushes(1)],
+        );
+        assert_eq!(stats.pm_write_order.len(), 8);
+        assert!(
+            stats.cycles > 5 * 300,
+            "one line drains per 300 cycles: {}",
+            stats.cycles
+        );
+        for c in &stats.cores {
+            assert!(c.stall_fence > 300, "{c:?}");
+        }
+        assert!(visits < 2 * ticks, "{visits} visits in {ticks} ticks");
+    }
+
+    /// A core stalled because its flush slots are full stays awake: the
+    /// stall's cause reads PM state, and here the other core fills the
+    /// write queue while core 0 waits, with nothing moving in its own
+    /// back-end, for its first flush to be acknowledged, so the cause turns
+    /// from the persist structure to the write queue mid-stall.
+    #[test]
+    fn persist_full_stalls_stay_awake() {
+        use IsaOp::{Clwb, Compute, Store};
+        let mut backpressure = cfg(2);
+        backpressure.pm_write_queue = 8;
+        backpressure.pm_drain_interval = 500;
+        let lines = |from: u64, n: u64| (from..from + n).map(|k| heap(8 * k));
+        let mut full: IsaTrace = lines(0, 7).map(Store).collect();
+        full.push(Compute(300));
+        full.extend(lines(0, 7).map(Clwb));
+        let mut filler: IsaTrace = vec![Compute(320)];
+        filler.extend(lines(10, 3).map(Store));
+        filler.extend(lines(10, 3).map(Clwb));
+        let (stats, _, _) =
+            same_in_both_stepping_modes(backpressure, HwDesign::IntelX86, vec![full, filler]);
+        let core = &stats.cores[0];
+        assert!(
+            core.stall_pq_full > 0 && core.stall_pm_wq_full > 0,
+            "the stall changes cause mid-span: {core:?}"
+        );
+    }
+
+    /// Seventy cores, so the awake set spans two words: each takes lock 0
+    /// in turn around a flush, so most of them sleep on the lock while the
+    /// holder's flush drains.
+    #[test]
+    fn seventy_cores_sleep_and_wake_across_words() {
+        use IsaOp::{Clwb, Compute, Fence, Lock, Store, Unlock};
+        let traces: Vec<IsaTrace> = (0..70u64)
+            .map(|k| {
+                let p = heap(8 * k);
+                vec![
+                    Compute(k as u32),
+                    Store(p),
+                    Lock(LockId(0)),
+                    Clwb(p),
+                    Fence(FenceKind::JoinStrand),
+                    Unlock(LockId(0)),
+                    Store(heap(8 * (100 + k))),
+                    Clwb(heap(8 * (100 + k))),
+                    Fence(FenceKind::JoinStrand),
+                ]
+            })
+            .collect();
+        let (stats, visits, ticks) =
+            same_in_both_stepping_modes(cfg(70), HwDesign::StrandWeaver, traces);
+        assert_eq!(stats.cores.len(), 70);
+        assert!(stats.cores[69].stall_lock > 0);
+        assert!(visits < 70 * ticks / 4, "{visits} visits in {ticks} ticks");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sw_trace::{StallKind, TraceEvent};
 
 use crate::core::{PendingAccess, SqOp};
 use crate::engines::PersistEngine;
-use crate::machine::{Machine, TickNote};
+use crate::machine::Machine;
 
 impl Machine {
     /// Executes a completion fence: if its drain condition is already met
@@ -115,7 +115,6 @@ impl Machine {
             IsaOp::Lock(l) => {
                 if !self.try_acquire(l, i) {
                     self.stall(i, StallKind::Lock);
-                    self.park_if_idle(i);
                     return;
                 }
                 self.cores[i].busy_until = self.cycle + 1;
@@ -125,8 +124,14 @@ impl Machine {
                 let st = self.lock_state(l);
                 debug_assert_eq!(st.holder, Some(i), "unlock by non-holder");
                 st.holder = None;
+                // The first waiter takes the lock. A sleeping one wakes,
+                // charged its lock stall through the cycle before when it
+                // is above the releaser (this tick's front-end pass visits
+                // it later and it takes the lock), and through this cycle
+                // when below (it has had its turn; it takes the lock next
+                // tick).
                 if let Some(&w) = st.waiters.front() {
-                    self.wake(w, i);
+                    self.rouse(w, self.cycle + u64::from(w < i));
                 }
                 self.advance(i);
             }
@@ -157,57 +162,6 @@ impl Machine {
         self.cores[i].pc += 1;
         self.cores[i].stats.ops += 1;
         self.progress = true;
-    }
-
-    /// Parks core `i`, which just stalled on a lock, if it is queued on
-    /// it and its back-end is idle. Until the release that wakes it, its
-    /// front-end would only fail the same acquire and its back-end has
-    /// nothing to do, so no tick visits it: steals against its lines
-    /// resolve without it, and it schedules nothing for skip-ahead.
-    fn park_if_idle(&mut self, i: usize) {
-        let core = &mut self.cores[i];
-        if core.lock_queued && core.backend_idle() {
-            core.parked_since = Some(self.cycle + 1);
-        }
-    }
-
-    /// Wakes lock waiter `w`, first in line for the lock core `releaser`
-    /// has just freed, if it is parked, and charges the lock stall cycles
-    /// its skipped visits would have counted. A waiter above the releaser
-    /// acquires later in this tick, so it stalled until the cycle before
-    /// this one. One below it has had its turn this tick: it stalled this
-    /// cycle too, and acquires next tick.
-    fn wake(&mut self, w: usize, releaser: usize) {
-        let Some(since) = self.cores[w].parked_since.take() else {
-            return;
-        };
-        let until = if w > releaser {
-            self.cycle
-        } else {
-            self.tick_note[w] = TickNote::Stalled(StallKind::Lock);
-            self.cycle + 1
-        };
-        self.cores[w]
-            .stats
-            .record_stall_n(StallKind::Lock, until - since);
-    }
-
-    /// `true` when skipping parked core `i` this tick is exact: its
-    /// back-end is idle, its next operation is `Lock(l)` with `i` queued
-    /// on `l`, and it could not take `l` now (the lock has a holder, or
-    /// `i` is not first in line). Checked where its front-end would run.
-    pub(crate) fn park_holds(&self, i: usize) -> bool {
-        let core = &self.cores[i];
-        let Some(&IsaOp::Lock(l)) = core.trace.get(core.pc) else {
-            return false;
-        };
-        let st = &self.locks[l.0 as usize];
-        core.lock_queued
-            && core.backend_idle()
-            && core.load_pending.is_none()
-            && core.pending_fence.is_none()
-            && self.cycle >= core.busy_until
-            && (st.holder.is_some() || st.waiters.front() != Some(&i))
     }
 
     /// Takes lock `l` for core `i` if it is free and `i` is first in

@@ -4,7 +4,8 @@
 //! `OnlineFaultStats` — on every legal design × lang, with and without
 //! online device faults, at two and eight cores, and with skip-ahead on
 //! and off, which must report the same statistics. A run that exhausts
-//! the spare pool must stop at once with the deadlock named.
+//! the spare pool must stop at once with the deadlock named. The
+//! profiler's count of core visits in one eight-core cell is pinned.
 
 use strandweaver::experiment::Experiment;
 use strandweaver::faults::{
@@ -13,6 +14,7 @@ use strandweaver::faults::{
 use strandweaver::model::isa::{FenceKind, IsaOp};
 use strandweaver::sim::CoreStats;
 use strandweaver::trace::StallKind;
+use strandweaver::workloads::driver::drive;
 use strandweaver::{BenchmarkId, HwDesign, LangModel, Machine, PmLayout, SimConfig, SimStats};
 
 /// A schedule holding the single fault `class` on `trigger`.
@@ -318,4 +320,38 @@ fn spare_exhaustion_deadlock_is_named_with_skip_ahead() {
 )]
 fn spare_exhaustion_deadlock_is_named_single_stepped() {
     exhaust_the_spare_pool(false);
+}
+
+/// The profiler's call counts repeat exactly, so they pin how many core
+/// visits the cycle loop makes, which host timing cannot: hashmap txn on
+/// StrandWeaver at 8×96×4 executes 66,249 ticks and visits a core 75,512
+/// times in them (the engine phase counts one call per visit). Visiting
+/// every core that was neither done nor parked on a lock took 170,135
+/// visits. A core woken early, or kept awake after a visit that changed
+/// nothing, raises the count.
+#[test]
+fn core_visits_of_an_eight_core_cell_are_pinned() {
+    let e = Experiment::new(BenchmarkId::Hashmap, LangModel::Txn, HwDesign::StrandWeaver)
+        .threads(8)
+        .total_regions(96)
+        .ops_per_region(4);
+    let mut workload = e.bench.instantiate();
+    let out = drive(
+        workload.as_mut(),
+        &e.driver_params().timing_only().clean_shutdown(),
+    );
+    let warm: Vec<_> = out.baseline.written_lines().collect();
+    let cfg = e.sim.clone().with_cores(e.threads);
+    let mut m = Machine::new(cfg, e.design, out.layout.clone(), out.ctx.into_traces());
+    m.preload_l2(warm);
+    m.enable_profiler();
+    let perf = m.run().perf.expect("profiler installed");
+    let calls = |phase: &str| {
+        let stat = perf.phases.iter().find(|p| p.phase == phase);
+        stat.map_or(0, |p| p.calls)
+    };
+    assert_eq!(calls("memctrl"), 66_249, "executed ticks");
+    for phase in ["engine", "store_queue", "writeback"] {
+        assert_eq!(calls(phase), 75_512, "{phase} calls: core visits");
+    }
 }
