@@ -278,10 +278,14 @@ bench_env=(SW_BENCH_THREADS=2 SW_BENCH_REGIONS=24 SW_BENCH_OPS_PER_REGION=2)
 bench_out=target/BENCH_ci.json
 # Profiling must not change simulated results: stdout byte-identical to
 # the committed goldens with the ambient profiler on (phase table goes to
-# stderr). bench_env is the figure scale the goldens were recorded at.
+# stderr). bench_env is the figure scale the goldens were recorded at;
+# summary_8core.json is the eight-core sweep, where most cores sleep and
+# the profiler's per-core laps run only for the awake ones.
 diff expected/table2.txt <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" table2 2>/dev/null)
 diff expected/fig7_strandweaver.json \
      <(env "${bench_env[@]}" SW_PERF=1 "$SWCTL" fig7 --design strandweaver --json 2>/dev/null)
+diff expected/summary_8core.json <(SW_BENCH_THREADS=8 SW_BENCH_REGIONS=48 \
+  SW_BENCH_OPS_PER_REGION=2 SW_PERF=1 "$SWCTL" summary --json 2>/dev/null)
 echo "profiled outputs bit-identical"
 env "${bench_env[@]}" "$SWCTL" bench --label ci --warmup 1 --repeat 3 --out "$bench_out"
 if [ "${SW_PERF_GATE:-on}" = off ]; then

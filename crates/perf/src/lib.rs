@@ -45,9 +45,11 @@ use sw_trace::Json;
 /// [`Phase::Engine`], [`Phase::StoreQueue`] and [`Phase::Writeback`] count
 /// one call per awake core the tick visits; the tick skips a core that is
 /// done or asleep (after a visit that changed nothing, until its next
-/// event or until another core's unlock or coherence steal rouses it), so
+/// event, or until another core's unlock or coherence steal, or a change
+/// of the cause of the persist-full stall it sleeps on, rouses it), so
 /// they count far fewer calls than cores × ticks. Every other phase counts
-/// one call per executed tick.
+/// one call per executed tick. The clock's jump over cycles at which every
+/// core sleeps runs between two ticks, outside every phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// `PmController::tick` — write-queue drain pacing (`memctrl.rs`).

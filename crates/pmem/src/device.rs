@@ -359,9 +359,17 @@ impl DeviceFaultUnit {
         !self.retry.is_empty()
     }
 
-    /// Earliest cycle at which any backed-off retry becomes admissible.
-    pub fn next_retry_at(&self) -> Option<u64> {
-        self.retry.values().map(|s| s.next_at).min()
+    /// The earliest cycle after `cycle` at which a backed-off retry
+    /// becomes admissible. A line parked for good never does.
+    pub fn next_retry_after(&self, cycle: u64) -> Option<u64> {
+        let ends = self.retry.values().map(|s| s.next_at);
+        ends.filter(|&t| t > cycle && t != u64::MAX).min()
+    }
+
+    /// The cycle a retry of `line` is admitted at while the line sits in
+    /// a retry episode (`u64::MAX` once parked for good).
+    pub fn backoff_until(&self, line: u64) -> Option<u64> {
+        self.retry.get(&line).map(|s| s.next_at)
     }
 
     /// The lowest line whose writes spare-pool exhaustion parked for
@@ -609,7 +617,10 @@ mod tests {
         };
         assert_eq!(next_at, 1 + 64);
         assert!(unit.retry_pending());
-        assert_eq!(unit.next_retry_at(), Some(next_at));
+        assert_eq!(unit.next_retry_after(0), Some(next_at));
+        assert_eq!(unit.next_retry_after(next_at), None, "already admissible");
+        assert_eq!(unit.backoff_until(11), Some(next_at));
+        assert_eq!(unit.backoff_until(10), None);
         // Too early: backoff.
         assert_eq!(
             unit.on_write(11, next_at - 1),
@@ -772,7 +783,12 @@ mod tests {
             WriteDecision::Backoff { until: u64::MAX }
         );
         assert_eq!(unit.stats().spares_exhausted, 1, "typed failure fires once");
-        assert_eq!(unit.next_retry_at(), Some(u64::MAX));
+        assert_eq!(unit.backoff_until(5), Some(u64::MAX));
+        assert_eq!(
+            unit.next_retry_after(0),
+            None,
+            "a parked line is never admitted"
+        );
     }
 
     #[test]

@@ -54,11 +54,11 @@ pub struct SimConfig {
     /// Safety bound on simulated cycles; exceeding it indicates a deadlock
     /// and panics.
     pub max_cycles: u64,
-    /// Jump over quiescent cycles (no architectural progress) straight to
-    /// the next interesting cycle, and let a core sleep until its own next
-    /// event. Produces bit-identical `SimStats` to single-stepping (the
-    /// skipped cycles' stall accounting is replayed); disable only to
-    /// cross-check that invariant in tests. With it off only sleeps without
+    /// Let a core sleep until its own next event, and jump the clock over
+    /// the cycles at which every core sleeps. Produces bit-identical
+    /// `SimStats` to single-stepping (a sleeper charges the cycles it slept
+    /// through when it wakes); disable only to cross-check that invariant
+    /// in tests. With it off the clock never jumps and only sleeps without
     /// a wake time apply (a lock waiter with an idle back-end, an access
     /// held by a coherence steal), so every core with a pending timer is
     /// visited on every cycle.
@@ -102,7 +102,7 @@ impl SimConfig {
         }
     }
 
-    /// A copy with quiescent-cycle skipping toggled (used by the
+    /// A copy with timed sleeps and clock jumps toggled (used by the
     /// skip-ahead == single-step equivalence tests).
     pub fn with_skip_ahead(mut self, skip_ahead: bool) -> Self {
         self.skip_ahead = skip_ahead;

@@ -114,8 +114,8 @@ pub(crate) struct Sleep {
     pub(crate) since: u64,
     /// The cycle it wakes at by itself: its earliest pending timer, or a
     /// PM controller timer while its back-end holds work. `None` sleeps
-    /// until another core's action rouses it (a lock hand-over or a
-    /// coherence steal).
+    /// until another core's action rouses it (a lock hand-over, a
+    /// coherence steal, or a change of its persist-full stall's cause).
     pub(crate) until: Option<u64>,
 }
 

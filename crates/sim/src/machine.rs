@@ -21,7 +21,8 @@
 //! Each cycle:
 //!
 //! 1. sleeping cores whose wake time has come wake;
-//! 2. the PM controller drains its ADR write queue;
+//! 2. the PM controller drains its ADR write queue (which can change the
+//!    cause a persist-full stall charges);
 //! 3. coherence steals whose snoop-buffer drain condition is met resolve,
 //!    rousing their owner and requester;
 //! 4. every awake core's back-end runs — the design's persist engine
@@ -32,51 +33,50 @@
 //!    after it the core retires if it has drained, or falls asleep if its
 //!    visit changed nothing.
 //!
-//! When a whole tick makes no architectural progress, the machine jumps
-//! straight to the next cycle at which anything can happen (the minimum
-//! over memory-controller drains, in-flight access completions,
-//! persist-structure acknowledgements, and device-fault retry admissions),
-//! replaying the skipped cycles' stall accounting so `SimStats` stay
-//! bit-identical to single-stepping, faults included
-//! (`SimConfig::skip_ahead` disables the jump for equivalence tests).
+//! A tick visits only the awake cores, in index order, from a bitset over
+//! the cores. A core that is done leaves the set, and so does a core that
+//! *sleeps*: after a visit in which neither its back-end nor its front-end
+//! changed anything, it sleeps until its wake time, the earliest of its
+//! own timers (the end of its compute latency, its in-flight load and
+//! store, its persist structures' earliest acknowledgement) and, while its
+//! back-end holds work, of the PM controller's (the next write-queue drain
+//! or fault-retry admission). Until then each visit would change nothing
+//! again and charge the same stall or `mem_busy` cycle: only its own
+//! front-end feeds its back-end, and the controller refuses what it
+//! refused until one of those timers fires. Three actions of other cores
+//! change what a sleeper's visit would do, and each rouses it: a resolved
+//! coherence steal (the owner's L1 loses the line, the requester's access
+//! gets its completion cycle), an `Unlock` of the lock it waits on first
+//! in line, and a change of the cause a persist-full stall charges
+//! ([`Machine::stall_persist_full`] reads it from PM state, which only a
+//! drain or an offer changes). A core with no wake time — a lock waiter
+//! with an idle back-end, an access held by a steal — sleeps until one of
+//! those. Waking charges the note of the visit the core fell asleep after
+//! ([`TickNote`]) once for every cycle it was not visited; an `Unlock`
+//! charges a waiter above the releaser through the cycle before (its
+//! front-end runs later in the same tick and takes the lock) and one below
+//! through the release cycle (it has had its turn this tick). The sleep is
+//! decided right after the core's own front-end, so an `Unlock` later in
+//! the same tick still rouses it. A core whose wake is at most one cycle
+//! ahead stays awake. The trace reports a sleeper's note as its stall.
 //!
-//! A tick that does run visits only the awake cores, in index order, from
-//! a bitset over the cores. A core that is done leaves the set, and so
-//! does a core that *sleeps*: after a visit in which neither its back-end
-//! nor its front-end changed anything, it sleeps until its wake time, the
-//! earliest of its own timers (the end of its compute latency, its
-//! in-flight load and store, its persist structures' earliest
-//! acknowledgement) and, while its back-end holds work, of the PM
-//! controller's (the next write-queue drain or fault-retry admission).
-//! Until then each visit would change nothing again and charge the same
-//! stall or `mem_busy` cycle: only its own front-end feeds its back-end,
-//! and the controller refuses what it refused until one of those timers
-//! fires. Two actions of other cores change a sleeper's state, and both
-//! rouse it: a resolved coherence steal (the owner's L1 loses the line,
-//! the requester's access gets its completion cycle) and an `Unlock` of
-//! the lock it waits on first in line. A core with no wake time — a lock
-//! waiter with an idle back-end, an access held by a steal — sleeps until
-//! one of those. Waking charges the note of the visit the core fell asleep
-//! after ([`TickNote`]) once for every cycle it was not visited; an
-//! `Unlock` charges a waiter above the releaser through the cycle before
-//! (its front-end runs later in the same tick and takes the lock) and one
-//! below through the release cycle (it has had its turn this tick). The
-//! sleep is decided right after the core's own front-end, so an `Unlock`
-//! later in the same tick still rouses it. A core never sleeps on a
-//! persist-full stall, whose cause [`Machine::stall_persist_full`] reads
-//! from PM state other cores change, nor when its wake is at most one
-//! cycle ahead. Skip-ahead replays only awake cores and counts sleepers'
-//! timers, so the ticks that run are exactly those of visiting every core;
-//! with it off only sleeps without a wake time apply. The trace reports a
-//! sleeper's note as its stall. The visits that remain cost O(1) unless
-//! that core's state changed:
+//! When a tick makes no architectural progress and leaves every core
+//! asleep, nothing can happen before the earliest sleeper's wake or the
+//! next write-queue drain, the one event that comes without a core's
+//! visit, and the clock jumps straight there; the sleepers charge the
+//! skipped cycles when they wake, so `SimStats` stay bit-identical to
+//! single-stepping, faults included. With
+//! `SimConfig::skip_ahead` off the clock never jumps and only sleeps
+//! without a wake time apply, which makes it the single-stepping reference
+//! of the equivalence tests. The visits that remain cost O(1) unless that
+//! core's state changed:
 //!
 //! - the strand buffer unit and the flush engine keep their count of
 //!   waiting CLWBs and their earliest pending completion current at push,
 //!   issue and retire: the issue walk runs only while a CLWB waits,
 //!   `tick_retire` returns at once before the earliest completion (and,
 //!   for strand buffers, while no barrier has reached a buffer head), and
-//!   skip-ahead reads the completion instead of rescanning;
+//!   a sleeping core's wake reads the completion instead of rescanning;
 //! - a core waiting on a lock carries a queued flag instead of searching
 //!   the lock's waiter ring.
 //!
@@ -90,9 +90,11 @@
 //! tier-1 test) cross-check the caches and the sleeping as they run;
 //! property tests in `strand_buffer.rs` and `persist.rs` drive them with
 //! random operation sequences, the tests below compare skip-ahead against
-//! single-stepping on each way a sleeper is roused, and
-//! `tests/metrics_ledger.rs` does so at two and eight cores, with and
-//! without faults.
+//! single-stepping on each way a sleeper is roused,
+//! `tests/dispatch_equivalence.rs` does so on random traces over tiny
+//! write queues and persist structures with device faults, and
+//! `tests/metrics_ledger.rs` on driven runs at two and eight cores, with
+//! and without faults.
 //!
 //! Deadlock freedom follows the paper's argument: CLWBs wait for elder
 //! same-line stores *before* entering the strand buffer unit (at the
@@ -113,7 +115,7 @@ use crate::core::{Core, CoreSet, PendingAccess, Sleep, Writeback};
 use crate::engines::{Eadr, Hops, Intel, NoPersistQueue, NonAtomic, PersistEngine, StrandWeaver};
 use crate::memctrl::{DramController, PmController, WriteOutcome};
 #[cfg(debug_assertions)]
-use crate::persist::ClwbState;
+use crate::persist::{ClwbState, FlushSlot};
 use crate::ring::Ring;
 use crate::stats::{EventCounts, SimStats};
 use crate::strand_buffer::Sbu;
@@ -151,10 +153,9 @@ impl LockState {
 
 /// What a core's frontend charged on its last visit. Exactly one note per
 /// visit (the frontend returns after its first stall or wait), recorded
-/// so [`Machine::skip_quiescent`] can replay the same accounting across
-/// every skipped cycle and a sleeping core's wake across every cycle it
-/// slept, and read back as the trace's stall intervals. A sleeping core
-/// keeps the note of the visit it fell asleep after.
+/// so a sleeping core's wake can replay the same accounting across every
+/// cycle it slept, and read back as the trace's stall intervals. A
+/// sleeping core keeps the note of the visit it fell asleep after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TickNote {
     /// Nothing charged (core done, idling below `busy_until`, or out of
@@ -164,20 +165,6 @@ pub(crate) enum TickNote {
     MemBusy,
     /// One stall cycle for the given cause.
     Stalled(StallKind),
-}
-
-impl TickNote {
-    /// `true` for a stall at a full persist-admission point, whose cause
-    /// [`Machine::stall_persist_full`] reads from PM state other cores
-    /// change: a core never sleeps on one.
-    fn persist_full(self) -> bool {
-        matches!(
-            self,
-            TickNote::Stalled(
-                StallKind::PersistQueueFull | StallKind::PmWriteQueueFull | StallKind::RetryWait
-            )
-        )
-    }
 }
 
 #[derive(Debug)]
@@ -247,7 +234,7 @@ pub struct Machine {
     /// the design persists at coherence visibility (eADR).
     pub(crate) visibility_order: Vec<LineAddr>,
     /// Set by any state mutation during the current tick; a tick that
-    /// leaves it clear is quiescent and eligible for skip-ahead.
+    /// leaves it clear and every core asleep lets the clock jump.
     pub(crate) progress: bool,
     /// Per-core accounting note of the core's last visit (see
     /// [`TickNote`]).
@@ -258,6 +245,10 @@ pub struct Machine {
     running: usize,
     /// No sleeper wakes by itself before this cycle.
     next_wake: u64,
+    /// The cause a persist-full stall charges now (see
+    /// [`Machine::stall_persist_full`]), kept current at each drain and
+    /// offer.
+    persist_full_cause: StallKind,
 }
 
 impl Machine {
@@ -316,6 +307,7 @@ impl Machine {
             awake: CoreSet::below(n),
             running: n,
             next_wake: u64::MAX,
+            persist_full_cause: StallKind::PersistQueueFull,
         }
     }
 
@@ -440,7 +432,7 @@ impl Machine {
 
     /// Records that core `i` spent this cycle stalled for `cause`: bumps
     /// the core's stall counter and sets the per-cycle note that becomes a
-    /// begin/end trace interval (and the skip-ahead replay record).
+    /// begin/end trace interval (and the record a sleeper's wake replays).
     #[inline]
     pub(crate) fn stall(&mut self, i: usize, cause: StallKind) {
         self.cores[i].stats.record_stall(cause);
@@ -453,21 +445,44 @@ impl Machine {
     /// back-pressure, or — absent both — the design's own persist
     /// structure. All three feed [`CoreStats::persist_stall_cycles`], so
     /// the Figure 8 aggregate is unchanged; the breakdown stays honest
-    /// under faults. The attribution inputs only change at PM drains and
-    /// fault-unit transitions, both of which bound a quiescent span, so
-    /// skip-ahead replay of the recorded cause is exact.
+    /// under faults. The cause is read from PM state, which only a drain
+    /// and an offer change; [`Machine::refresh_persist_full_cause`] keeps
+    /// it current at both and wakes the cores asleep on the old one.
     ///
     /// [`CoreStats::persist_stall_cycles`]: crate::stats::CoreStats::persist_stall_cycles
     #[inline]
     pub(crate) fn stall_persist_full(&mut self, i: usize) {
-        let cause = if self.pm.retry_pending() {
+        debug_assert_eq!(self.persist_full_cause, self.pm_stall_cause());
+        self.stall(i, self.persist_full_cause);
+    }
+
+    /// The persist-full stall cause the PM state gives.
+    fn pm_stall_cause(&self) -> StallKind {
+        if self.pm.retry_pending() {
             StallKind::RetryWait
         } else if self.pm.write_queue_full() {
             StallKind::PmWriteQueueFull
         } else {
             StallKind::PersistQueueFull
-        };
-        self.stall(i, cause);
+        }
+    }
+
+    /// Re-reads the persist-full stall cause after a drain or an offer.
+    /// When it changed, every core asleep on a persist-full stall (whose
+    /// note is the old cause, which was current when it fell asleep)
+    /// wakes, charged the old cause through the cycle before: from this
+    /// tick on its visit charges the new one (a drain comes before every
+    /// visit of the tick, and an offer before every front-end).
+    fn refresh_persist_full_cause(&mut self) {
+        let cause = self.pm_stall_cause();
+        let was = std::mem::replace(&mut self.persist_full_cause, cause);
+        if cause != was {
+            for i in 0..self.cores.len() {
+                if self.tick_note[i] == TickNote::Stalled(was) {
+                    self.rouse(i, self.cycle);
+                }
+            }
+        }
     }
 
     /// Records the result of offering a write to the PM controller:
@@ -476,7 +491,7 @@ impl Machine {
     /// fault emits a `DeviceFault` event on first failure. Returns the
     /// acknowledgement cycle when accepted.
     pub(crate) fn note_pm_outcome(&mut self, line: LineAddr, outcome: WriteOutcome) -> Option<u64> {
-        match outcome {
+        let ack = match outcome {
             WriteOutcome::Accepted {
                 ack_at,
                 retried,
@@ -488,7 +503,8 @@ impl Machine {
                 self.note_pm_accept(line);
                 Some(ack_at)
             }
-            WriteOutcome::QueueFull | WriteOutcome::RetryWait { .. } => None,
+            // A refusal changes no PM state.
+            WriteOutcome::QueueFull | WriteOutcome::RetryWait { .. } => return None,
             WriteOutcome::RemapExhausted { line } => {
                 // The device failed the line permanently: surface the
                 // typed event so the layer above can fail the device
@@ -507,7 +523,9 @@ impl Machine {
                 }
                 None
             }
-        }
+        };
+        self.refresh_persist_full_cause();
+        ack
     }
 
     /// Records an acceptance that closed a fault episode: a successful
@@ -551,7 +569,7 @@ impl Machine {
     }
 
     /// Records that core `i` spent this cycle waiting on an outstanding
-    /// load (one `mem_busy` cycle, replayed across skip-ahead jumps).
+    /// load (one `mem_busy` cycle, replayed across the cycles it sleeps).
     #[inline]
     pub(crate) fn note_mem_busy_wait(&mut self, i: usize) {
         self.cores[i].stats.mem_busy += 1;
@@ -794,13 +812,8 @@ impl Machine {
                 self.cycle < self.cfg.max_cycles,
                 "simulation exceeded cycle bound"
             );
-            if !self.progress {
-                let Some(next) = self.next_event_cycle() else {
-                    self.deadlock()
-                };
-                if self.cfg.skip_ahead {
-                    self.skip_quiescent(next);
-                }
+            if !self.progress && self.awake.next_from(0).is_none() {
+                self.skip_to_next_wake();
             }
         }
     }
@@ -821,6 +834,7 @@ impl Machine {
         }
         if self.pm.tick(self.cycle) > 0 {
             self.progress = true;
+            self.refresh_persist_full_cause();
         }
         self.lap(&mut lap, Phase::Memctrl);
         self.process_steals();
@@ -885,9 +899,9 @@ impl Machine {
     /// rouse it): retires it once it has issued and drained everything, or
     /// puts it to sleep when its visit changed nothing of its own
     /// (`still`), until its [`Machine::wake_time`] or, with none, until a
-    /// rouse. It stays awake on a persist-full stall and when its wake is
-    /// at most one cycle ahead; with [`SimConfig::skip_ahead`] off, only a
-    /// sleep without a wake time applies.
+    /// rouse. It stays awake when its wake is at most one cycle ahead;
+    /// with [`SimConfig::skip_ahead`] off, only a sleep without a wake
+    /// time applies.
     fn settle(&mut self, i: usize, still: bool) {
         let core = &mut self.cores[i];
         if core.fully_drained() && self.cycle >= core.busy_until {
@@ -898,7 +912,7 @@ impl Machine {
             self.progress = true;
             return;
         }
-        if !still || self.tick_note[i].persist_full() {
+        if !still {
             return;
         }
         let until = self.wake_time(i);
@@ -917,23 +931,36 @@ impl Machine {
 
     /// The first cycle after this one at which a visit of core `i` could
     /// change anything unless another core rouses it: the earliest of its
-    /// own timers, and, while its back-end holds work, of the PM
-    /// controller's (a drain frees write-queue space, a retry admission
-    /// ends a fault back-off). A PM timer already due counts as the next
-    /// cycle. `None` when nothing is scheduled for it.
+    /// own timers, and, while its back-end holds work, the
+    /// [`Machine::pm_wake`]. `None` when nothing is scheduled for it.
     fn wake_time(&self, i: usize) -> Option<u64> {
         let now = self.cycle;
         let core = &self.cores[i];
-        let mut wake = u64::MAX;
+        let pm = (!core.backend_idle()).then(|| self.pm_wake());
+        let mut wake = pm.flatten().unwrap_or(u64::MAX);
         core.timers(|t| {
             if t > now {
                 wake = wake.min(t);
             }
         });
-        if !core.backend_idle() {
-            self.pm_timers(|t| wake = wake.min(t.max(now + 1)));
-        }
         (wake != u64::MAX).then_some(wake)
+    }
+
+    /// The first cycle after this one at which the PM controller can admit
+    /// a write it refused, if any: the next write-queue drain while the
+    /// queue holds anything (one already due counts as the next cycle), or
+    /// the end of a fault-retry back-off. A CLWB offers its write one L1
+    /// lookup after its cycle, so a line in back-off until `t` admits it
+    /// from `t - l1_hit_cycles` on, and a write-back from `t`. Every line's
+    /// back-off counts, not only the one that ends first: a back-off
+    /// already over admitted all this tick offered, and a line parked for
+    /// good admits nothing.
+    fn pm_wake(&self) -> Option<u64> {
+        let (now, lookup) = (self.cycle, self.cfg.l1_hit_cycles);
+        let drain = self.pm.next_drain().map(|t| t.max(now + 1));
+        let clwb = self.pm.next_retry_after(now + lookup).map(|t| t - lookup);
+        let writeback = self.pm.next_retry_after(now);
+        [drain, clwb, writeback].into_iter().flatten().min()
     }
 
     /// Wakes every sleeper whose wake time has come, at the start of a
@@ -969,11 +996,11 @@ impl Machine {
     }
 
     /// Asserts what makes skipping sleeping core `i` this tick exact: no
-    /// timer of its own fires before its wake; a write its back-end would
-    /// offer the PM controller is held off until then (a fault retry is
-    /// pending, or the write queue is full and drains no earlier); its
-    /// note is not a persist-full stall; and if it waits on a lock, the
-    /// lock has a holder or the core is not first in line.
+    /// timer of its own fires before its wake; the PM controller refuses
+    /// every write its back-end would offer until then (the line stays in
+    /// fault-retry back-off, or the write queue stays full, through the
+    /// last cycle before the wake); and if it waits on a lock, the lock has
+    /// a holder or the core is not first in line.
     #[cfg(debug_assertions)]
     fn assert_sleep_holds(&self, i: usize, sleep: Sleep) {
         let core = &self.cores[i];
@@ -985,17 +1012,15 @@ impl Machine {
                 "core {i} sleeps through its timer at {t} (wake {wake}) at cycle {at}"
             );
         });
-        if self.offers_pm_write(i) {
+        let full = self.pm.write_queue_full() && self.pm.next_drain() >= Some(wake);
+        for (line, lookup) in self.pm_offers(i) {
+            let held = self.pm.backoff_until(line);
             assert!(
-                self.pm.retry_pending()
-                    || (self.pm.write_queue_full() && self.pm.next_drain() >= wake),
-                "core {i} sleeps through a PM write it could offer at cycle {at}"
+                full || held.is_some_and(|t| t >= wake.saturating_add(lookup)),
+                "core {i} sleeps through a PM write of {line:?} (back-off {held:?}, wake {wake}) \
+                 it could offer at cycle {at}"
             );
         }
-        assert!(
-            !self.tick_note[i].persist_full(),
-            "core {i} sleeps on a persist-full stall at cycle {at}"
-        );
         if core.lock_queued {
             let Some(&sw_model::isa::IsaOp::Lock(l)) = core.trace.get(core.pc) else {
                 panic!("core {i} is queued on a lock it does not wait for");
@@ -1009,90 +1034,48 @@ impl Machine {
         }
     }
 
-    /// `true` when a back-end visit of core `i` would offer a write to the
-    /// PM controller: a strand-buffer CLWB or flush slot ready to issue, or
-    /// a write-back past its drain targets.
+    /// The writes a back-end visit of core `i` would offer the PM
+    /// controller, each with the cycles from the visit to the offer: a
+    /// strand-buffer CLWB or flush slot ready to issue (one L1 lookup), and
+    /// a write-back past its drain targets (none).
     #[cfg(debug_assertions)]
-    fn offers_pm_write(&self, i: usize) -> bool {
-        let core = &self.cores[i];
+    fn pm_offers(&self, i: usize) -> Vec<(LineAddr, u64)> {
+        let (core, lookup) = (&self.cores[i], self.cfg.l1_hit_cycles);
         let sbu = core.sbu.as_ref();
-        sbu.is_some_and(|sbu| sbu.next_issuable(0, 0).is_some())
-            || core.flush.as_ref().is_some_and(|f| {
-                f.slots()
-                    .iter()
-                    .any(|s| s.state == ClwbState::Waiting && !core.sq_has_store_to(s.line))
-            })
-            || core.wb.iter().any(|w| match (&w.targets, sbu) {
-                (Some(t), Some(sbu)) => sbu.drained_past(t),
-                _ => true,
-            })
+        let mut offers = Vec::new();
+        let mut next = sbu.and_then(|sbu| sbu.next_issuable(0, 0));
+        while let Some((b, k, line)) = next {
+            offers.push((line, lookup));
+            next = sbu.and_then(|sbu| sbu.next_issuable(b, k + 1));
+        }
+        let slots = core.flush.as_ref().map_or(&[][..], |f| f.slots());
+        let ready = |s: &&FlushSlot| s.state == ClwbState::Waiting && !core.sq_has_store_to(s.line);
+        offers.extend(slots.iter().filter(ready).map(|s| (s.line, lookup)));
+        let drained = |w: &&Writeback| w.targets.zip(sbu).is_none_or(|(t, s)| s.drained_past(&t));
+        offers.extend(core.wb.iter().filter(drained).map(|w| (w.line, 0)));
+        offers
     }
 
-    // ------------------------------------------------------------------
-    // Skip-ahead scheduling.
-    // ------------------------------------------------------------------
-
-    /// Jumps over quiescent cycles after a tick that made no progress:
-    /// advances the clock to `next`, the [`Machine::next_event_cycle`],
-    /// and replays each awake core's per-cycle accounting ([`TickNote`])
-    /// across the skipped span, so counters and metrics are bit-identical
-    /// to single-stepping. A sleeping core's span is charged when it wakes.
-    fn skip_quiescent(&mut self, next: u64) {
-        let target = next.min(self.cfg.max_cycles);
-        if target <= self.cycle {
-            return;
+    /// Moves the clock after a tick without progress that left every core
+    /// asleep, to the first cycle at which anything can happen: the
+    /// earliest sleeper's wake or, if sooner, the next write-queue drain,
+    /// which comes whether or not a core waits for it. With neither
+    /// scheduled the machine is deadlocked, in both stepping modes; with
+    /// [`SimConfig::skip_ahead`] off the clock keeps single-stepping.
+    fn skip_to_next_wake(&mut self) {
+        let next = self.next_wake.min(self.pm.next_drain().unwrap_or(u64::MAX));
+        if next == u64::MAX {
+            self.deadlock()
         }
-        let n = target - self.cycle;
-        let mut awake = self.awake.next_from(0);
-        while let Some(i) = awake {
-            self.charge(i, n);
-            awake = self.awake.next_from(i + 1);
-        }
-        self.cycle = target;
-    }
-
-    /// The earliest future cycle at which any scheduled event fires: a PM
-    /// write-queue drain or retry admission, or one of a core's own timers
-    /// ([`Core::timers`]): a core coming off `busy_until`, an in-flight
-    /// access completing, or a persist-structure acknowledgement arriving.
-    /// Sleeping cores count: none wakes before this cycle. `None` means
-    /// nothing is scheduled: a genuine deadlock, on which [`Machine::run`]
-    /// panics in both stepping modes.
-    ///
-    /// Soundness: after a tick with no progress, every other wake-up
-    /// source — steal resolution, fence conditions, queue drains, lock
-    /// hand-overs, sleeping cores' wakes — is itself blocked on one of the
-    /// timestamps listed here, so nothing can happen strictly before the
-    /// returned cycle.
-    fn next_event_cycle(&self) -> Option<u64> {
-        let now = self.cycle;
-        let mut next = u64::MAX;
-        let mut consider = |t: u64| {
-            if t >= now && t < next {
-                next = t;
-            }
-        };
-        self.pm_timers(&mut consider);
-        for core in self.cores.iter().filter(|c| !c.done) {
-            core.timers(&mut consider);
-        }
-        (next != u64::MAX).then_some(next)
-    }
-
-    /// Calls `f` with each cycle at which the PM controller can admit a
-    /// write it refused: the next write-queue drain, while the queue holds
-    /// anything, and the earliest fault-retry admission. A line parked in
-    /// fault-retry back-off wakes its holder. A CLWB offers its write one
-    /// L1 lookup after its cycle, so it is admitted from `t -
-    /// l1_hit_cycles` on; a write-back offers at its cycle. A line parked
-    /// for good (`u64::MAX`) wakes nothing.
-    fn pm_timers(&self, mut f: impl FnMut(u64)) {
-        if self.pm.write_queue_len() > 0 {
-            f(self.pm.next_drain());
-        }
-        if let Some(t) = self.pm.next_retry_at().filter(|&t| t != u64::MAX) {
-            f(t.saturating_sub(self.cfg.l1_hit_cycles));
-            f(t);
+        debug_assert!(
+            self.cores
+                .iter()
+                .all(|c| c.done || c.sleep.is_some_and(|s| s.until.is_none_or(|t| t >= next))),
+            "the clock jumps from {} to {next} past a core that is awake or wakes sooner",
+            self.cycle
+        );
+        if self.cfg.skip_ahead {
+            self.cycle = next.min(self.cfg.max_cycles);
         }
     }
 
@@ -1724,31 +1707,80 @@ mod tests {
         assert!(visits < 2 * ticks, "{visits} visits in {ticks} ticks");
     }
 
-    /// A core stalled because its flush slots are full stays awake: the
-    /// stall's cause reads PM state, and here the other core fills the
-    /// write queue while core 0 waits, with nothing moving in its own
-    /// back-end, for its first flush to be acknowledged, so the cause turns
-    /// from the persist structure to the write queue mid-stall.
+    /// A core asleep on a persist-full stall wakes whenever the stall's
+    /// cause changes, and sleeps again on the new one. Core 0 fills its six
+    /// flush slots and stalls on its seventh CLWB, with nothing moving in
+    /// its own back-end, until its first flush is acknowledged, while core
+    /// 1 changes the cause: it fills the PM write queue mid-stall; or it
+    /// fills the queue, a drain un-fills it, and core 1 refills it while
+    /// core 0 sleeps on its full slots again; or its write faults, which
+    /// opens a retry back-off, and its retry closes it.
     #[test]
-    fn persist_full_stalls_stay_awake() {
+    fn persist_full_sleepers_wake_when_their_cause_changes() {
+        use sw_pmem::{DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger};
         use IsaOp::{Clwb, Compute, Store};
-        let mut backpressure = cfg(2);
-        backpressure.pm_write_queue = 8;
-        backpressure.pm_drain_interval = 500;
-        let lines = |from: u64, n: u64| (from..from + n).map(|k| heap(8 * k));
-        let mut full: IsaTrace = lines(0, 7).map(Store).collect();
+        use StallKind::{PersistQueueFull, PmWriteQueueFull, RetryWait};
+        let flushes = |from: u64, n: u64| {
+            let lines = move || (from..from + n).map(|k| heap(8 * k));
+            lines().map(Store).chain(lines().map(Clwb))
+        };
+        let mut full: IsaTrace = (0..7).map(|k| Store(heap(8 * k))).collect();
         full.push(Compute(300));
-        full.extend(lines(0, 7).map(Clwb));
-        let mut filler: IsaTrace = vec![Compute(320)];
-        filler.extend(lines(10, 3).map(Store));
-        filler.extend(lines(10, 3).map(Clwb));
-        let (stats, _, _) =
-            same_in_both_stepping_modes(backpressure, HwDesign::IntelX86, vec![full, filler]);
-        let core = &stats.cores[0];
-        assert!(
-            core.stall_pq_full > 0 && core.stall_pm_wq_full > 0,
-            "the stall changes cause mid-span: {core:?}"
-        );
+        full.extend((0..7).map(|k| Clwb(heap(8 * k))));
+        // Core 1 waits, then flushes `n` fresh lines from `from` on, per batch.
+        let traffic = |batches: &[(u32, u64, u64)]| {
+            let batch = |&(wait, from, n)| std::iter::once(Compute(wait)).chain(flushes(from, n));
+            batches.iter().flat_map(batch).collect::<IsaTrace>()
+        };
+        let mut queue = cfg(2);
+        queue.pm_write_queue = 8;
+        queue.pm_drain_interval = 500;
+        let mut drains = queue.clone();
+        drains.pm_drain_interval = 100;
+        let fault = DeviceFault {
+            class: DeviceFaultClass::TransientWriteFail,
+            trigger: FaultTrigger::NthWrite(7),
+            sticky: false,
+        };
+        let faults = cfg(2).with_device_faults(DeviceFaultSchedule {
+            faults: vec![fault],
+            ..DeviceFaultSchedule::none()
+        });
+        for (name, cfg, other, causes) in [
+            (
+                "fill",
+                queue,
+                traffic(&[(320, 10, 3)]),
+                &[PersistQueueFull, PmWriteQueueFull][..],
+            ),
+            (
+                "drain and refill",
+                drains,
+                traffic(&[(260, 10, 3), (130, 20, 1)]),
+                &[PersistQueueFull, PmWriteQueueFull],
+            ),
+            (
+                "fault and retry",
+                faults,
+                traffic(&[(320, 10, 1)]),
+                &[PersistQueueFull, RetryWait],
+            ),
+        ] {
+            let (stats, visits, ticks) =
+                same_in_both_stepping_modes(cfg, HwDesign::IntelX86, vec![full.clone(), other]);
+            let core = &stats.cores[0];
+            for &cause in causes {
+                assert!(
+                    core.stall_cycles(cause) > 0,
+                    "{name}: no {cause:?} in {core:?}"
+                );
+            }
+            // Awake, core 0 alone would make a visit per stalled cycle.
+            assert!(
+                visits < 2 * ticks && visits < core.persist_stall_cycles(),
+                "{name}: {visits} visits in {ticks} ticks, {core:?}"
+            );
+        }
     }
 
     /// Seventy cores, so the awake set spans two words: each takes lock 0

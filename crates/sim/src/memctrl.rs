@@ -140,9 +140,19 @@ impl PmController {
         self.faults.as_ref().is_some_and(|u| u.retry_pending())
     }
 
-    /// Earliest cycle at which a backed-off retry becomes admissible.
-    pub fn next_retry_at(&self) -> Option<u64> {
-        self.faults.as_ref().and_then(|u| u.next_retry_at())
+    /// The earliest cycle after `cycle` at which a backed-off retry
+    /// becomes admissible.
+    pub fn next_retry_after(&self, cycle: u64) -> Option<u64> {
+        self.faults.as_ref().and_then(|u| u.next_retry_after(cycle))
+    }
+
+    /// The cycle a retry of `line` is admitted at while the line sits in
+    /// a retry episode.
+    #[cfg(debug_assertions)]
+    pub(crate) fn backoff_until(&self, line: LineAddr) -> Option<u64> {
+        self.faults
+            .as_ref()
+            .and_then(|u| u.backoff_until(line.raw()))
     }
 
     /// The lowest line spare-pool exhaustion parked for good, if any.
@@ -254,11 +264,10 @@ impl PmController {
         self.write_queued
     }
 
-    /// The cycle the next queued write drains at (meaningful only while
-    /// the queue is non-empty) — the controller's contribution to the
-    /// machine's next-interesting-cycle.
-    pub fn next_drain(&self) -> u64 {
-        self.next_drain
+    /// The cycle the next queued write drains at, while the queue holds
+    /// any. One already due drains on the next `tick`.
+    pub fn next_drain(&self) -> Option<u64> {
+        (self.write_queued > 0).then_some(self.next_drain)
     }
 }
 
@@ -382,7 +391,7 @@ mod tests {
         assert_eq!(c.write_queue_len(), 0, "a rejected write occupies nothing");
         assert!(c.write_order.is_empty(), "not durable, not ordered");
         assert!(c.retry_pending());
-        assert_eq!(c.next_retry_at(), Some(next_at));
+        assert_eq!(c.next_retry_after(0), Some(next_at));
         assert_eq!(
             c.try_write(LineAddr(5), next_at - 1),
             WriteOutcome::RetryWait { until: next_at }

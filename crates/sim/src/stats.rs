@@ -56,8 +56,8 @@ impl CoreStats {
         self.record_stall_n(cause, 1);
     }
 
-    /// Bumps the stall counter for `cause` by `n` cycles (skip-ahead
-    /// replays a quiescent cycle's stall across the whole jump).
+    /// Bumps the stall counter for `cause` by `n` cycles (a waking core
+    /// replays its last visit's stall across every cycle it slept).
     pub fn record_stall_n(&mut self, cause: StallKind, n: u64) {
         match cause {
             StallKind::Fence => self.stall_fence += n,

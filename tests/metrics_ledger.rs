@@ -2,10 +2,11 @@
 //! simulator tally that owns the same count — the per-core `CoreStats`,
 //! the run's `EventCounts`, its durable write order and the fault unit's
 //! `OnlineFaultStats` — on every legal design × lang, with and without
-//! online device faults, at two and eight cores, and with skip-ahead on
-//! and off, which must report the same statistics. A run that exhausts
-//! the spare pool must stop at once with the deadlock named. The
-//! profiler's count of core visits in one eight-core cell is pinned.
+//! online device faults, at two and eight cores (also on a two-entry ADR
+//! write queue), and with skip-ahead on and off, which must report the
+//! same statistics. A run that exhausts the spare pool must stop at once
+//! with the deadlock named. The profiler's count of core visits in one
+//! eight-core cell is pinned.
 
 use strandweaver::experiment::Experiment;
 use strandweaver::faults::{
@@ -39,21 +40,31 @@ fn schedule(faults: &[(DeviceFaultClass, FaultTrigger, bool)]) -> DeviceFaultSch
 /// regions; two ops per region), the online device faults it installs
 /// (class, trigger, sticky), whether it shrinks the store and persist
 /// queues to 2 and 1 entries so every queue-full stall cause shows up,
-/// and the fault count that shows its faults fired.
+/// the ADR write-queue entries it installs, if any, each draining in
+/// [`SLOW_DRAIN`] cycles, the fault count that shows its faults fired,
+/// and the stall causes some cell must charge.
 struct Case {
     name: &'static str,
     scale: (usize, usize),
     faults: &'static [(DeviceFaultClass, FaultTrigger, bool)],
     tiny_queues: bool,
+    write_queue: Option<usize>,
     fired: fn(&OnlineFaultStats) -> u64,
+    stalls: &'static [StallKind],
 }
+
+/// Cycles between two writes the back-pressure cases drain from the PM
+/// write queue: eight times Table I's.
+const SLOW_DRAIN: u64 = 64;
 
 /// At two cores: no faults (at Table I and at tiny queues), a transient
 /// that one retry heals, a sticky transient that escalates to a remap, a
 /// direct permanent error, and a poisoned read. At eight cores, where
-/// lock hand-offs and coherence steals are frequent: no faults, and a
-/// transient plus a permanent error.
-fn cases() -> [Case; 8] {
+/// lock hand-offs and coherence steals are frequent: no faults; a
+/// transient plus a permanent error; and a two-entry ADR write queue
+/// draining slowly, alone (write-queue back-pressure) and with a
+/// transient (a retry back-off behind it).
+fn cases() -> [Case; 10] {
     use DeviceFaultClass::{PermanentMediaError, ReadPoison, TransientWriteFail};
     const THIRD_WRITE: FaultTrigger = FaultTrigger::NthWrite(3);
     [
@@ -62,49 +73,63 @@ fn cases() -> [Case; 8] {
             scale: (2, 12),
             faults: &[],
             tiny_queues: false,
+            write_queue: None,
             fired: |_| 0,
+            stalls: &[],
         },
         Case {
             name: "no faults, tiny queues",
             scale: (2, 12),
             faults: &[],
             tiny_queues: true,
+            write_queue: None,
             fired: |_| 0,
+            stalls: &[],
         },
         Case {
             name: "transient",
             scale: (2, 12),
             faults: &[(TransientWriteFail, THIRD_WRITE, false)],
             tiny_queues: false,
+            write_queue: None,
             fired: |f| f.retries_succeeded,
+            stalls: &[],
         },
         Case {
             name: "sticky",
             scale: (2, 12),
             faults: &[(TransientWriteFail, THIRD_WRITE, true)],
             tiny_queues: false,
+            write_queue: None,
             fired: |f| f.retries_failed.min(f.lines_remapped),
+            stalls: &[],
         },
         Case {
             name: "permanent",
             scale: (2, 12),
             faults: &[(PermanentMediaError, THIRD_WRITE, true)],
             tiny_queues: false,
+            write_queue: None,
             fired: |f| f.permanent_errors,
+            stalls: &[],
         },
         Case {
             name: "poison",
             scale: (2, 12),
             faults: &[(ReadPoison, FaultTrigger::NthRead(1), false)],
             tiny_queues: false,
+            write_queue: None,
             fired: |f| f.reads_poisoned,
+            stalls: &[],
         },
         Case {
             name: "8 cores, no faults",
             scale: (8, 24),
             faults: &[],
             tiny_queues: false,
+            write_queue: None,
             fired: |_| 0,
+            stalls: &[],
         },
         Case {
             name: "8 cores, transient and permanent",
@@ -114,7 +139,27 @@ fn cases() -> [Case; 8] {
                 (PermanentMediaError, FaultTrigger::NthWrite(40), true),
             ],
             tiny_queues: false,
+            write_queue: None,
             fired: |f| f.retries_succeeded.min(f.permanent_errors),
+            stalls: &[],
+        },
+        Case {
+            name: "8 cores, 2-entry write queue",
+            scale: (8, 24),
+            faults: &[],
+            tiny_queues: false,
+            write_queue: Some(2),
+            fired: |_| 0,
+            stalls: &[StallKind::PmWriteQueueFull],
+        },
+        Case {
+            name: "8 cores, 2-entry write queue and a transient",
+            scale: (8, 24),
+            faults: &[(TransientWriteFail, THIRD_WRITE, false)],
+            tiny_queues: false,
+            write_queue: Some(2),
+            fired: |f| f.retries_succeeded,
+            stalls: &[StallKind::PmWriteQueueFull, StallKind::RetryWait],
         },
     ]
 }
@@ -211,6 +256,7 @@ fn both_skip_modes(
 fn metric_counters_match_the_simulator_tallies() {
     for case in cases() {
         let mut fired = 0;
+        let mut stalled = vec![0; case.stalls.len()];
         for design in HwDesign::ALL {
             for lang in LangModel::ALL.into_iter().filter(|l| l.legal_on(design)) {
                 let cell = format!("{design:?} {lang:?} {}", case.name);
@@ -227,18 +273,32 @@ fn metric_counters_match_the_simulator_tallies() {
                         e.sim.store_queue_entries = 2;
                         e.sim.persist_queue_entries = 1;
                     }
+                    if let Some(entries) = case.write_queue {
+                        e.sim.pm_write_queue = entries;
+                        e.sim.pm_drain_interval = SLOW_DRAIN;
+                    }
                     e.run_timing()
                 });
                 fired += (case.fired)(&stats.online_faults.unwrap_or_default());
+                for (n, &cause) in stalled.iter_mut().zip(case.stalls) {
+                    *n += stats
+                        .cores
+                        .iter()
+                        .map(|c| c.stall_cycles(cause))
+                        .sum::<u64>();
+                }
             }
         }
-        // The faults fired somewhere, so their part of the ledger is not
-        // vacuous.
+        // The faults fired and the stalls arose somewhere, so their part
+        // of the ledger is not vacuous.
         assert!(
             case.faults.is_empty() || fired > 0,
             "{} never fired",
             case.name
         );
+        for (n, cause) in stalled.into_iter().zip(case.stalls) {
+            assert!(n > 0, "{}: no stalls.{} cycle", case.name, cause.label());
+        }
     }
 }
 
@@ -324,10 +384,11 @@ fn spare_exhaustion_deadlock_is_named_single_stepped() {
 
 /// The profiler's call counts repeat exactly, so they pin how many core
 /// visits the cycle loop makes, which host timing cannot: hashmap txn on
-/// StrandWeaver at 8×96×4 executes 66,249 ticks and visits a core 75,512
-/// times in them (the engine phase counts one call per visit). Visiting
-/// every core that was neither done nor parked on a lock took 170,135
-/// visits. A core woken early, or kept awake after a visit that changed
+/// StrandWeaver at 8×96×4 executes 66,249 ticks and visits a core 70,240
+/// times in them (the engine phase counts one call per visit). Keeping a
+/// core awake through a persist-full stall took 75,512 visits, and
+/// visiting every core that was neither done nor parked on a lock took
+/// 170,135. A core woken early, or kept awake after a visit that changed
 /// nothing, raises the count.
 #[test]
 fn core_visits_of_an_eight_core_cell_are_pinned() {
@@ -352,6 +413,6 @@ fn core_visits_of_an_eight_core_cell_are_pinned() {
     };
     assert_eq!(calls("memctrl"), 66_249, "executed ticks");
     for phase in ["engine", "store_queue", "writeback"] {
-        assert_eq!(calls(phase), 75_512, "{phase} calls: core visits");
+        assert_eq!(calls(phase), 70_240, "{phase} calls: core visits");
     }
 }
