@@ -308,4 +308,12 @@ else
   echo "perf gate self-test ok (1.3x slowdown detected)"
 fi
 
+echo "== microbench (every criterion benchmark runs once) =="
+# The micro-benchmarks assert nothing, so host speed cannot fail this
+# stage; one sample each checks that they still run, not only build
+# (about 20 s). It runs last because `cargo bench` relinks
+# target/release/swctl under the bench profile, and the stages above time
+# that binary.
+CRITERION_SAMPLES=1 cargo bench -p sw-bench --bench microbench
+
 echo "ci: all gates passed"

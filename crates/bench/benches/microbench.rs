@@ -1,8 +1,12 @@
 //! Criterion micro-benchmarks for the reproduction's hot paths: PMO
 //! computation (a small program and a campaign's driven run), crash-state
-//! sampling, recovery of a campaign crash image, a whole crash leg on that
-//! run, the acceptance-order check against the PMO, undo-log appends,
-//! litmus evaluation, and a small end-to-end simulation.
+//! sampling (as a map, and as the crash image campaigns build), recovery
+//! of a campaign crash image, a whole crash leg on that run, the
+//! acceptance-order check against the PMO, undo-log appends, litmus
+//! evaluation, and a small end-to-end simulation.
+//!
+//! `CRITERION_SAMPLES=1 cargo bench -p sw-bench --bench microbench` runs
+//! every benchmark once (`ci.sh` does, so they run and not only build).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -60,11 +64,14 @@ fn bench_order_check(c: &mut Criterion) {
 
 /// The per-round costs of a crash campaign, on the run the crash and
 /// fault campaigns drive: one seeded queue txn × strandweaver run at 8
-/// threads × 240 regions × 4 ops. `recover_campaign_image` clones one
-/// crash image and runs `Strict` recovery on it; `crash_leg_driven_run`
-/// is a whole crash leg as chaos and serve run it (sample a crash image,
-/// then check that `Strict` and `Salvage` recovery each reconverge after
-/// an interrupted pass); `pmo_compute_driven_run` computes the run's PMO.
+/// threads × 240 regions × 4 ops. `crash_image_driven_run` samples one
+/// crash state and layers it onto the run's baseline (`crash_sample_400_stores`
+/// above times the map that `crash::materialize` builds, which campaigns
+/// no longer do); `recover_campaign_image` clones one crash image and runs
+/// `Strict` recovery on it; `crash_leg_driven_run` is a whole crash leg as
+/// chaos and serve run it (sample a crash image, then check that `Strict`
+/// and `Salvage` recovery each reconverge after an interrupted pass);
+/// `pmo_compute_driven_run` computes the run's PMO.
 fn bench_campaign_run(c: &mut Criterion) {
     let (_, out, pmo) = Experiment::new(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver)
         .threads(8)
@@ -72,6 +79,10 @@ fn bench_campaign_run(c: &mut Criterion) {
         .ops_per_region(4)
         .seed(42)
         .drive();
+    let mut rng = SmallRng::seed_from_u64(42);
+    c.bench_function("crash_image_driven_run", |b| {
+        b.iter(|| crash_image(&pmo, &out.baseline, &mut rng))
+    });
     let (img, _) = crash_image(&pmo, &out.baseline, &mut SmallRng::seed_from_u64(42));
     c.bench_function("recover_campaign_image", |b| {
         b.iter(|| {

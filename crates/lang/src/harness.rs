@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use rand::Rng;
 
 use sw_model::crash::sample_set;
-use sw_model::{crash, Pmo};
+use sw_model::Pmo;
 use sw_pmem::{Addr, PmImage, PmLayout};
 
 use crate::ctx::FuncCtx;
@@ -52,15 +52,30 @@ pub struct CrashOutcome {
 /// the phase's persist memory order: computed once from the phase's
 /// [`FuncCtx::execution`] under the design's memory model, then shared by
 /// every round.
+///
+/// The image equals `baseline` with
+/// [`crash::materialize`](sw_model::crash::materialize)'s map of the
+/// sampled set applied, built without the map: the set's stores go
+/// straight onto a copy of `baseline` in `StoreId` order, which is
+/// visibility order, so the last same-word store of the set lands last.
+///
+/// # Panics
+///
+/// Panics if the sampled set is not down-closed under `pmo` (a bug in
+/// the sampler: such a state is unreachable).
 pub fn crash_image<R: Rng>(pmo: &Pmo, baseline: &PmImage, rng: &mut R) -> (PmImage, usize) {
     let set = sample_set(pmo, rng);
-    let persisted = set.iter().filter(|&&b| b).count();
-    let state = crash::materialize(pmo, &set);
+    assert!(
+        pmo.is_down_closed(&set),
+        "crash set must be down-closed under PMO"
+    );
     let mut img = baseline.clone();
-    // `materialize` resolves same-word winners by visibility order, so the
-    // map can be applied in any order.
-    for (addr, value) in state {
-        img.store(addr, value);
+    let mut persisted = 0;
+    for (id, store) in pmo.stores() {
+        if set[id.0] {
+            img.store(store.addr, store.value);
+            persisted += 1;
+        }
     }
     (img, persisted)
 }

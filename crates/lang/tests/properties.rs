@@ -256,7 +256,7 @@ mod sparse_scan {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Under `PmLayout::new(3, 1500)` thread 1's region starts mid-page
-        /// and thread 2's crosses two page boundaries (1,024 lines each).
+        /// and thread 2's crosses page boundaries.
         #[test]
         fn sparse_log_scan_matches_a_dense_scan(
             appends in prop::collection::vec((0usize..3, 1u64..1000, 0u64..3, any::<bool>()), 0..40),
@@ -291,6 +291,81 @@ mod sparse_scan {
             for tid in 0..3 {
                 let region = layout.log_region(tid);
                 prop_assert_eq!(scan_log_detailed(&img, region), dense_scan(&img, region), "thread {}", tid);
+            }
+        }
+    }
+}
+
+/// `harness::crash_image` writes a sampled crash state straight onto a copy
+/// of the baseline; it must equal the baseline with `crash::materialize`'s
+/// map of the same sampled set applied, poison included (a store heals
+/// its line), on random programs and seeds under every memory model.
+mod crash_images {
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use sw_lang::harness::crash_image;
+    use sw_model::crash::{materialize, sample_set};
+    use sw_model::{random_interleaving, MemoryModel, OpKind, Pmo, Program};
+    use sw_pmem::{Addr, LineAddr, PmImage};
+
+    /// Word `word` of line `line` of six lines that straddle line
+    /// 0x40_1000, a page boundary at any power-of-two page size up to
+    /// 4,096 lines.
+    fn addr(line: u64, word: u64) -> Addr {
+        LineAddr(0x40_1000 - 3 + line).word(word as usize)
+    }
+
+    fn arb_op() -> impl Strategy<Value = OpKind> {
+        prop_oneof![
+            6 => (0u64..6, 0u64..2, 1u64..50).prop_map(|(l, w, v)| OpKind::store(addr(l, w), v)),
+            1 => Just(OpKind::PersistBarrier),
+            1 => Just(OpKind::NewStrand),
+            1 => Just(OpKind::JoinStrand),
+            1 => Just(OpKind::Sfence),
+            1 => Just(OpKind::Ofence),
+            1 => Just(OpKind::Dfence),
+        ]
+    }
+
+    fn arb_program() -> impl Strategy<Value = Program> {
+        prop::collection::vec(prop::collection::vec(arb_op(), 1..14), 2).prop_map(|ts| {
+            let mut p = Program::new(ts.len());
+            for (t, ops) in ts.into_iter().enumerate() {
+                for op in ops {
+                    p.push(t, op);
+                }
+            }
+            p
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn crash_image_applies_the_materialized_map(
+            program in arb_program(),
+            seed in any::<u64>(),
+            base in prop::collection::vec((0u64..6, 0u64..2, 0u64..50), 0..6),
+            poisoned in 0u64..6,
+        ) {
+            let exec = random_interleaving(&program, &mut SmallRng::seed_from_u64(seed));
+            let mut baseline = PmImage::new();
+            for (l, w, v) in base {
+                baseline.store(addr(l, w), v);
+            }
+            baseline.poison_line(addr(poisoned, 0).line());
+            for model in MemoryModel::ALL {
+                let pmo = Pmo::compute(&exec, model);
+                let (image, persisted) = crash_image(&pmo, &baseline, &mut SmallRng::seed_from_u64(seed));
+                let set = sample_set(&pmo, &mut SmallRng::seed_from_u64(seed));
+                let mut want = baseline.clone();
+                for (addr, value) in materialize(&pmo, &set) {
+                    want.store(addr, value);
+                }
+                prop_assert_eq!(persisted, set.iter().filter(|&&b| b).count(), "{:?}", model);
+                prop_assert!(image == want, "{:?}: crash image differs from the materialized state", model);
             }
         }
     }

@@ -20,10 +20,11 @@ impl std::fmt::Display for PoisonedLine {
 
 impl std::error::Error for PoisonedLine {}
 
-/// Lines per [`Page`]: one page covers a 64 KiB span of the address space.
-const LINES_PER_PAGE: u64 = 1024;
-/// Bitmap words needed for [`LINES_PER_PAGE`] presence bits.
-const BITMAP_WORDS: usize = (LINES_PER_PAGE / 64) as usize;
+/// Lines per [`Page`]: one page covers a 4 KiB span of the address space,
+/// so its presence bitmap is one `u64`.
+const LINES_PER_PAGE: u64 = 64;
+/// Words per [`Page`].
+const PAGE_WORDS: usize = LINES_PER_PAGE as usize * WORDS_PER_LINE;
 
 /// A dense page of line contents plus a presence bitmap.
 ///
@@ -33,23 +34,20 @@ const BITMAP_WORDS: usize = (LINES_PER_PAGE / 64) as usize;
 ///
 /// Images hold pages behind an [`Arc`] and copy them on write: cloning an
 /// image shares every page, and the first write through one copy to a
-/// shared page copies that page (64 KiB of words) and nothing else.
-#[derive(Debug, Clone)]
+/// shared page copies that page (4 KiB of words) and nothing else.
+#[derive(Debug, Clone, PartialEq)]
 struct Page {
     /// Presence bit per line: set iff the line counts as *written*.
-    written: [u64; BITMAP_WORDS],
-    /// Cached popcount of `written`.
-    count: u32,
+    written: u64,
     /// `LINES_PER_PAGE * WORDS_PER_LINE` words, line-major.
-    words: Vec<u64>,
+    words: [u64; PAGE_WORDS],
 }
 
 impl Default for Page {
     fn default() -> Self {
         Self {
-            written: [0; BITMAP_WORDS],
-            count: 0,
-            words: vec![0; (LINES_PER_PAGE as usize) * WORDS_PER_LINE],
+            written: 0,
+            words: [0; PAGE_WORDS],
         }
     }
 }
@@ -57,25 +55,15 @@ impl Default for Page {
 impl Page {
     #[inline]
     fn has(&self, slot: usize) -> bool {
-        self.written[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    #[inline]
-    fn mark(&mut self, slot: usize) {
-        let bit = 1u64 << (slot % 64);
-        if self.written[slot / 64] & bit == 0 {
-            self.written[slot / 64] |= bit;
-            self.count += 1;
-        }
+        self.written & (1 << slot) != 0
     }
 
     /// Clears the presence bit of a written line and zeroes its words
     /// (upholding the page invariant).
     fn clear(&mut self, slot: usize) {
         debug_assert!(self.has(slot), "clearing an absent line");
-        self.written[slot / 64] &= !(1u64 << (slot % 64));
-        self.count -= 1;
-        self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE].fill(0);
+        self.written &= !(1 << slot);
+        self.line_mut(slot).fill(0);
     }
 
     #[inline]
@@ -83,25 +71,28 @@ impl Page {
         &self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE]
     }
 
-    /// The slots in `lo..hi` whose presence bit is set, ascending.
-    fn present(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
-        (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
-            let mut bits = self.written[w];
-            if w == lo / 64 {
-                bits &= !0u64 << (lo % 64);
-            }
-            if w == hi / 64 {
-                bits &= (1u64 << (hi % 64)) - 1;
-            }
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + bit
-                })
-            })
-        })
+    #[inline]
+    fn line_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE]
     }
+
+    /// Writes `words` into `slot` and marks it written.
+    #[inline]
+    fn set(&mut self, slot: usize, words: &[u64]) {
+        self.written |= 1 << slot;
+        self.line_mut(slot).copy_from_slice(words);
+    }
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 #[inline]
@@ -109,12 +100,20 @@ fn split(line: LineAddr) -> (u64, usize) {
     (line.0 / LINES_PER_PAGE, (line.0 % LINES_PER_PAGE) as usize)
 }
 
+/// The page that holds `line` and `line`'s bit in a per-page line mask,
+/// such as the one [`PmImage::absorb_lines`] takes.
+#[inline]
+pub(crate) fn page_bit(line: LineAddr) -> (u64, u64) {
+    let (page, slot) = split(line);
+    (page, 1 << slot)
+}
+
 /// The contents of persistent memory as recovery would observe them.
 ///
 /// A `PmImage` maps cache lines to their word contents, stored as dense
-/// 1024-line pages behind a page-indexed table — functional stores during
+/// 64-line pages behind a page-indexed table — functional stores during
 /// workload generation are the hot path, and paging turns their per-store
-/// cost into one table probe per 64 KiB span plus a direct index.
+/// cost into one table probe per 4 KiB span plus a direct index.
 /// Unwritten memory reads as zero, mirroring a freshly-zeroed PM device.
 /// The image is word-granular because all workload data in this reproduction
 /// is word-sized; a persist (CLWB or cache writeback) transfers a whole line.
@@ -187,7 +186,7 @@ impl PmImage {
         }
         let (page, slot) = split(addr.line());
         let p = self.page_mut(page);
-        p.mark(slot);
+        p.written |= 1 << slot;
         p.words[slot * WORDS_PER_LINE + addr.word_in_line()] = value;
     }
 
@@ -227,13 +226,36 @@ impl PmImage {
         }
         let (page, slot) = split(line);
         match src.pages.get(&page).filter(|p| p.has(slot)) {
-            Some(sp) => {
-                let dp = self.page_mut(page);
-                dp.mark(slot);
-                dp.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE]
-                    .copy_from_slice(sp.line(slot));
-            }
+            Some(sp) => self.page_mut(page).set(slot, sp.line(slot)),
             None => self.clear_line(page, slot),
+        }
+    }
+
+    /// [`PmImage::absorb_line`] of every line of page `page` whose bit is
+    /// set in `mask` (see [`page_bit`]), with one lookup of the page in
+    /// each image: lines `src` holds are copied, the others cleared. A
+    /// mask that changes nothing copies no page.
+    pub(crate) fn absorb_lines(&mut self, page: u64, mask: u64, src: &PmImage) {
+        if !self.poisoned.is_empty() {
+            for slot in bits(mask) {
+                self.poisoned
+                    .remove(&LineAddr(page * LINES_PER_PAGE + slot as u64));
+            }
+        }
+        let sp = src.pages.get(&page);
+        let copied = mask & sp.map_or(0, |p| p.written);
+        let cleared = mask & !copied & self.pages.get(&page).map_or(0, |p| p.written);
+        if copied | cleared == 0 {
+            return;
+        }
+        let dp = self.page_mut(page);
+        for slot in bits(cleared) {
+            dp.clear(slot);
+        }
+        if let Some(sp) = sp {
+            for slot in bits(copied) {
+                dp.set(slot, sp.line(slot));
+            }
         }
     }
 
@@ -246,9 +268,7 @@ impl PmImage {
         if words == [0; WORDS_PER_LINE] {
             self.clear_line(page, slot);
         } else {
-            let p = self.page_mut(page);
-            p.mark(slot);
-            p.words[slot * WORDS_PER_LINE..(slot + 1) * WORDS_PER_LINE].copy_from_slice(&words);
+            self.page_mut(page).set(slot, &words);
         }
     }
 
@@ -273,11 +293,13 @@ impl PmImage {
         let mut written = (start / LINES_PER_PAGE..end.div_ceil(LINES_PER_PAGE))
             .filter_map(move |page| self.pages.get(&page).map(|p| (page, p)))
             .flat_map(move |(page, p)| {
+                // `lo < 64` and `hi >= 1`: the page overlaps `start..end`,
+                // or holds `start` when the range is empty.
                 let base = page * LINES_PER_PAGE;
                 let lo = start.max(base) - base;
                 let hi = end.min(base + LINES_PER_PAGE) - base;
-                p.present(lo as usize, hi as usize)
-                    .map(move |slot| base + slot as u64)
+                let span = (u64::MAX << lo) & (u64::MAX >> (LINES_PER_PAGE - hi));
+                bits(p.written & span).map(move |slot| base + slot as u64)
             })
             .peekable();
         let mut poisoned: Vec<u64> = self
@@ -310,15 +332,16 @@ impl PmImage {
     /// [`PmImage::set_line_words`] with all-zero words).
     pub fn written_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.pages.iter().flat_map(|(&page, p)| {
-            (0..LINES_PER_PAGE as usize)
-                .filter(|&slot| p.has(slot))
-                .map(move |slot| LineAddr(page * LINES_PER_PAGE + slot as u64))
+            bits(p.written).map(move |slot| LineAddr(page * LINES_PER_PAGE + slot as u64))
         })
     }
 
     /// Number of distinct cache lines with non-default contents.
     pub fn line_count(&self) -> usize {
-        self.pages.values().map(|p| p.count as usize).sum()
+        self.pages
+            .values()
+            .map(|p| p.written.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -331,17 +354,18 @@ impl PartialEq for PmImage {
         if self.poisoned != other.poisoned {
             return false;
         }
-        let live = |img: &Self| img.pages.values().filter(|p| p.count > 0).count();
+        let live = |img: &Self| img.pages.values().filter(|p| p.written != 0).count();
         if live(self) != live(other) {
             return false;
         }
         self.pages
             .iter()
-            .filter(|(_, p)| p.count > 0)
+            .filter(|(_, p)| p.written != 0)
             .all(|(idx, p)| {
-                other.pages.get(idx).is_some_and(|q| {
-                    Arc::ptr_eq(p, q) || (q.written == p.written && q.words == p.words)
-                })
+                other
+                    .pages
+                    .get(idx)
+                    .is_some_and(|q| Arc::ptr_eq(p, q) || q == p)
             })
     }
 }
@@ -558,6 +582,36 @@ mod tests {
         assert_eq!(shared_pages(&a, &b), 2);
         assert_eq!(a.load(LineAddr(3).word(1)), 1);
         assert_eq!(b.load(LineAddr(3).word(1)), 0);
+    }
+
+    #[test]
+    fn absorb_lines_equals_absorb_line_of_each_masked_line() {
+        let mut src = PmImage::new();
+        src.store(LineAddr(3).word(0), 1);
+        src.store(LineAddr(5).word(1), 2);
+        src.store(LineAddr(6).word(1), 3);
+        let mut dst = PmImage::new();
+        dst.store(LineAddr(4).word(0), 9); // masked, absent in `src`: cleared
+        dst.store(LineAddr(6).word(0), 8); // not masked: kept
+        dst.poison_line(LineAddr(5));
+        let (page, bit) = page_bit(LineAddr(3));
+        let mask = bit | bit << 1 | bit << 2;
+        let mut want = dst.clone();
+        for line in 3..6 {
+            want.absorb_line(LineAddr(line), &src);
+        }
+        let shared = dst.clone();
+        dst.absorb_lines(page, mask, &src);
+        assert_eq!(dst, want);
+        assert!(!dst.is_poisoned(LineAddr(5)));
+        assert_eq!(dst.line_words(LineAddr(6)), [8, 0, 0, 0, 0, 0, 0, 0]);
+
+        // Lines absent from both images: the shared page is not copied.
+        let mut copy = shared.clone();
+        let (far, bit) = page_bit(LineAddr(2 * LINES_PER_PAGE + 1));
+        copy.absorb_lines(far, bit, &src);
+        copy.absorb_lines(page, 1, &src);
+        assert_eq!(shared_pages(&copy, &shared), 1);
     }
 
     #[test]

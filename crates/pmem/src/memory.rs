@@ -1,8 +1,8 @@
 //! Combined volatile + persistent address space with crash semantics.
 
 use crate::addr::{Addr, LineAddr};
-use crate::hash::FastSet;
-use crate::image::PmImage;
+use crate::hash::FastMap;
+use crate::image::{page_bit, PmImage};
 use crate::layout::PmLayout;
 
 /// A functional model of the machine's memory: the *visible* state (what
@@ -15,6 +15,10 @@ use crate::layout::PmLayout;
 /// (a CLWB completing, or a cache writeback) is applied to it. On a
 /// [`Memory::crash`], the visible state is discarded and reconstructed from
 /// the persisted image — exactly what recovery observes after a failure.
+///
+/// Dirty lines are kept as one 64-bit mask per page of the image (a bit
+/// per line), so a store sets a bit and [`Memory::persist_all`] drains
+/// each dirty page into the persisted image in one step.
 ///
 /// Ordering of persists is *not* enforced here; this type is the mechanism.
 /// The policy — which persists may legally be missing at a crash — is
@@ -38,7 +42,9 @@ pub struct Memory {
     layout: PmLayout,
     visible: PmImage,
     persisted: PmImage,
-    dirty: FastSet<LineAddr>,
+    /// Per image page, the mask of its dirty lines (see [`page_bit`]). A
+    /// page whose lines were all persisted again keeps a zero mask.
+    dirty: FastMap<u64, u64>,
 }
 
 impl Memory {
@@ -48,7 +54,7 @@ impl Memory {
             layout,
             visible: PmImage::new(),
             persisted: PmImage::new(),
-            dirty: FastSet::default(),
+            dirty: FastMap::default(),
         }
     }
 
@@ -67,7 +73,8 @@ impl Memory {
     pub fn store(&mut self, addr: Addr, value: u64) {
         self.visible.store(addr, value);
         if self.layout.is_persistent(addr) {
-            self.dirty.insert(addr.line());
+            let (page, bit) = page_bit(addr.line());
+            *self.dirty.entry(page).or_default() |= bit;
         }
     }
 
@@ -83,26 +90,30 @@ impl Memory {
     pub fn persist_line(&mut self, line: LineAddr) {
         if self.layout.is_persistent(line.base()) {
             self.persisted.absorb_line(line, &self.visible);
-            self.dirty.remove(&line);
+            let (page, bit) = page_bit(line);
+            if let Some(mask) = self.dirty.get_mut(&page) {
+                *mask &= !bit;
+            }
         }
     }
 
     /// Persists every dirty line (an orderly shutdown / full flush).
+    ///
+    /// Equal to [`Memory::persist_line`] of every dirty line, but each
+    /// dirty page drains in one step (workload setup dirties tens of
+    /// thousands of lines). Only persistent lines are ever dirty.
     pub fn persist_all(&mut self) {
-        // Drain in one move: per-line `persist_line` would pay a set
-        // removal per line, which dominates large flushes (workload setup
-        // dirties tens of thousands of lines).
-        let dirty = std::mem::take(&mut self.dirty);
-        for &line in &dirty {
-            if self.layout.is_persistent(line.base()) {
-                self.persisted.absorb_line(line, &self.visible);
+        for (page, mask) in std::mem::take(&mut self.dirty) {
+            if mask != 0 {
+                self.persisted.absorb_lines(page, mask, &self.visible);
             }
         }
     }
 
     /// Returns `true` if `line` holds unpersisted data.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        self.dirty.contains(&line)
+        let (page, bit) = page_bit(line);
+        self.dirty.get(&page).is_some_and(|mask| mask & bit != 0)
     }
 
     /// The persisted PM image (what a crash would preserve).
@@ -118,7 +129,7 @@ impl Memory {
             layout: self.layout.clone(),
             visible: self.persisted.clone(),
             persisted: self.persisted.clone(),
-            dirty: FastSet::default(),
+            dirty: FastMap::default(),
         }
     }
 }

@@ -363,7 +363,9 @@ mod sparse {
         /// `occupied_lines` yields, in ascending order, exactly the lines
         /// of the range that are written or poisoned; every other line
         /// reads zero. `line_words` agrees with word loads everywhere.
-        /// The window straddles two page boundaries (1,024 lines each).
+        /// The 2,600-line window starts 300 lines below a multiple of
+        /// 1,024 lines, so it straddles page boundaries at any page size up
+        /// to that.
         #[test]
         fn occupied_lines_match_a_dense_walk(
             touches in prop::collection::vec(touch(2600), 0..80),
@@ -410,6 +412,130 @@ mod sparse {
     }
 }
 
+/// `Memory`'s dirty lines, kept as one mask per page: random stores,
+/// single-line persists, full flushes and crashes on lines on both sides of
+/// a page boundary, on far pages and in volatile memory, checked after
+/// every step against a per-line model in which `persist_all` is a
+/// `persist_line` of every dirty line.
+mod dirty_pages {
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use sw_pmem::{LineAddr, Memory, PmLayout, WORDS_PER_LINE};
+
+    /// The lines the steps touch: two on each side of a line that is a
+    /// multiple of 4,096 (a page boundary at any power-of-two page size up
+    /// to 4,096 lines), one on a page far above it, one a million lines
+    /// up, and one volatile line.
+    fn lines(layout: &PmLayout) -> Vec<LineAddr> {
+        let b = layout.heap_base().line().raw().next_multiple_of(4096) + 4096;
+        let mut lines: Vec<LineAddr> = [b - 2, b - 1, b, b + 1, b + 5 * 4096 + 3, b + 1_000_000]
+            .into_iter()
+            .map(LineAddr)
+            .collect();
+        lines.push(layout.volatile_region().base.line());
+        lines
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Store {
+            line: usize,
+            word: usize,
+            value: u64,
+        },
+        Persist {
+            line: usize,
+        },
+        PersistAll,
+        Crash,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let value = prop_oneof![Just(0u64), 1u64..u64::MAX];
+        prop_oneof![
+            6 => (0usize..7, 0..WORDS_PER_LINE, value)
+                .prop_map(|(line, word, value)| Step::Store { line, word, value }),
+            3 => (0usize..7).prop_map(|line| Step::Persist { line }),
+            1 => Just(Step::PersistAll),
+            1 => Just(Step::Crash),
+        ]
+    }
+
+    /// The reference: each line's visible and persisted words (absent
+    /// means never written), and the dirty lines.
+    #[derive(Debug, Default)]
+    struct Model {
+        visible: BTreeMap<usize, [u64; WORDS_PER_LINE]>,
+        persisted: BTreeMap<usize, [u64; WORDS_PER_LINE]>,
+        dirty: BTreeSet<usize>,
+    }
+
+    impl Model {
+        fn persist_line(&mut self, i: usize, persistent: bool) {
+            if !persistent {
+                return;
+            }
+            match self.visible.get(&i) {
+                Some(&words) => self.persisted.insert(i, words),
+                None => self.persisted.remove(&i),
+            };
+            self.dirty.remove(&i);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn dirty_masks_match_a_per_line_model(steps in prop::collection::vec(step(), 1..80)) {
+            let layout = PmLayout::default();
+            let lines = lines(&layout);
+            let persistent: Vec<bool> =
+                lines.iter().map(|l| layout.is_persistent(l.base())).collect();
+            let mut mem = Memory::new(layout.clone());
+            let mut model = Model::default();
+            for s in &steps {
+                match *s {
+                    Step::Store { line: i, word, value } => {
+                        mem.store(lines[i].word(word), value);
+                        model.visible.entry(i).or_default()[word] = value;
+                        if persistent[i] {
+                            model.dirty.insert(i);
+                        }
+                    }
+                    Step::Persist { line: i } => {
+                        mem.persist_line(lines[i]);
+                        model.persist_line(i, persistent[i]);
+                    }
+                    Step::PersistAll => {
+                        mem.persist_all();
+                        for i in std::mem::take(&mut model.dirty) {
+                            model.persist_line(i, true);
+                        }
+                    }
+                    Step::Crash => {
+                        mem = mem.crash();
+                        model.visible = model.persisted.clone();
+                        model.dirty.clear();
+                    }
+                }
+                for (i, &line) in lines.iter().enumerate() {
+                    let visible = model.visible.get(&i).copied().unwrap_or_default();
+                    let loads: Vec<u64> = (0..WORDS_PER_LINE).map(|w| mem.load(line.word(w))).collect();
+                    prop_assert_eq!(loads, visible.to_vec(), "line {} after {:?}", i, s);
+                    let persisted = model.persisted.get(&i).copied().unwrap_or_default();
+                    prop_assert_eq!(mem.persisted_image().line_words(line), persisted, "line {}", i);
+                    prop_assert_eq!(mem.is_dirty(line), model.dirty.contains(&i), "line {}", i);
+                }
+                let mut written: Vec<LineAddr> = mem.persisted_image().written_lines().collect();
+                written.sort_unstable();
+                let want: Vec<LineAddr> = model.persisted.keys().map(|&i| lines[i]).collect();
+                prop_assert_eq!(written, want);
+            }
+        }
+    }
+}
+
 /// Copy-on-write pages: images that share pages after a clone must behave
 /// as fully independent copies. Random stores, full-line persists (zero
 /// lines included), line absorbs and poisonings go to several copies,
@@ -420,12 +546,16 @@ mod copy_on_write {
     use std::collections::{BTreeMap, BTreeSet};
     use sw_pmem::{LineAddr, PmImage, WORDS_PER_LINE};
 
-    /// Lines the steps touch: eight per page on three pages, so steps
-    /// collide on lines and on pages.
+    /// Lines the steps touch: eight around each of three page boundaries,
+    /// four on each side, so steps collide on lines and on pages.
     const LINES: u64 = 24;
 
+    /// Line `i`: group `i / 8` straddles line `4,096 · (i / 8 + 1)`, a
+    /// page boundary at every power-of-two page size up to 4,096 lines
+    /// (the image's pages hold 64), so the helper holds for any page size
+    /// the image may take.
     fn line(i: u64) -> LineAddr {
-        LineAddr((i / 8) * 1024 + i % 8)
+        LineAddr((i / 8 + 1) * 4096 + i % 8 - 4)
     }
 
     /// The reference: written lines with their words, and poisoned lines.

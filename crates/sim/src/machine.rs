@@ -249,6 +249,9 @@ pub struct Machine {
     /// [`Machine::stall_persist_full`]), kept current at each drain and
     /// offer.
     persist_full_cause: StallKind,
+    /// The cycle at which an accepted write last closed a fault-retry
+    /// episode (see [`Machine::rouse_after_episode`]).
+    episode_closed_at: Option<u64>,
 }
 
 impl Machine {
@@ -308,6 +311,7 @@ impl Machine {
             running: n,
             next_wake: u64::MAX,
             persist_full_cause: StallKind::PersistQueueFull,
+            episode_closed_at: None,
         }
     }
 
@@ -500,6 +504,9 @@ impl Machine {
                 if retried.is_some() || remapped.is_some() {
                     self.note_fault_recovery(line, retried, remapped);
                 }
+                if retried.is_some() {
+                    self.rouse_after_episode();
+                }
                 self.note_pm_accept(line);
                 Some(ack_at)
             }
@@ -526,6 +533,23 @@ impl Machine {
         };
         self.refresh_persist_full_cause();
         ack
+    }
+
+    /// An accepted write closed a line's fault-retry episode: a write of
+    /// that line that another core holds is admissible from now on, and
+    /// a wake that core computed counted at most the back-off's end. So
+    /// every sleeper whose back-end holds work wakes at once: one above
+    /// the accepting core offers later this tick, one below it (whose
+    /// back-end turn has passed) in the next. Through [`Machine::pm_wake`]
+    /// a core that settles later this tick with back-end work stays
+    /// awake for the next cycle.
+    fn rouse_after_episode(&mut self) {
+        self.episode_closed_at = Some(self.cycle);
+        for j in 0..self.cores.len() {
+            if !self.cores[j].backend_idle() {
+                self.rouse(j, self.cycle);
+            }
+        }
     }
 
     /// Records an acceptance that closed a fault episode: a successful
@@ -954,13 +978,16 @@ impl Machine {
     /// from `t - l1_hit_cycles` on, and a write-back from `t`. Every line's
     /// back-off counts, not only the one that ends first: a back-off
     /// already over admitted all this tick offered, and a line parked for
-    /// good admits nothing.
+    /// good admits nothing. A back-off that another write ended this tick
+    /// admits from the next cycle what back-ends offered before that
+    /// write.
     fn pm_wake(&self) -> Option<u64> {
         let (now, lookup) = (self.cycle, self.cfg.l1_hit_cycles);
         let drain = self.pm.next_drain().map(|t| t.max(now + 1));
         let clwb = self.pm.next_retry_after(now + lookup).map(|t| t - lookup);
         let writeback = self.pm.next_retry_after(now);
-        [drain, clwb, writeback].into_iter().flatten().min()
+        let closed = (self.episode_closed_at == Some(now)).then_some(now + 1);
+        [drain, clwb, writeback, closed].into_iter().flatten().min()
     }
 
     /// Wakes every sleeper whose wake time has come, at the start of a
@@ -1780,6 +1807,56 @@ mod tests {
                 visits < 2 * ticks && visits < core.persist_stall_cycles(),
                 "{name}: {visits} visits in {ticks} ticks, {core:?}"
             );
+        }
+    }
+
+    /// A write that closes a fault-retry episode rouses another core whose
+    /// write-back holds the same line. The evicting core stores A and two
+    /// more lines of A's L1 set, so A's dirty eviction faults and backs
+    /// off, and the core falls asleep until the next drain of a write
+    /// queue that drains once per 300 cycles. The other core flushes X,
+    /// computes, then stores and flushes A, whose write ends the episode
+    /// early: the evictor's write-back of A is admissible from then on,
+    /// not from the drain. The evictor runs as core 0, below the closing
+    /// core (the order that slept through its write), and as core 1.
+    #[test]
+    fn closing_a_retry_episode_rouses_a_sleeping_write_back() {
+        use sw_pmem::{DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger};
+        use IsaOp::{Clwb, Compute, Store};
+        let (a, x) = (heap(0), heap(8));
+        let mut slow = cfg(2);
+        slow.pm_drain_interval = 300;
+        let slow = slow.with_device_faults(DeviceFaultSchedule {
+            faults: vec![DeviceFault {
+                class: DeviceFaultClass::TransientWriteFail,
+                trigger: FaultTrigger::OnLine(a.line().raw()),
+                sticky: false,
+            }],
+            ..DeviceFaultSchedule::none()
+        });
+        let evicts = vec![Store(a), Store(heap(256)), Store(heap(512))];
+        for wait in [65, 75, 85] {
+            let closer = vec![Store(x), Clwb(x), Compute(wait), Store(a), Clwb(a)];
+            for (traces, evictor) in [
+                (vec![evicts.clone(), closer.clone()], 0),
+                (vec![closer, evicts.clone()], 1),
+            ] {
+                let (stats, _, _) =
+                    same_in_both_stepping_modes(slow.clone(), HwDesign::IntelX86, traces);
+                let online = stats.online_faults.expect("faults configured");
+                assert_eq!(
+                    online.transient_failures, 1,
+                    "wait {wait}, evictor {evictor}"
+                );
+                assert_eq!(
+                    online.retries_succeeded, 1,
+                    "wait {wait}, evictor {evictor}"
+                );
+                assert!(
+                    stats.cores[evictor].done_cycle < 300,
+                    "wait {wait}: core {evictor}'s write-back waited for a drain: {stats:?}"
+                );
+            }
         }
     }
 

@@ -92,8 +92,23 @@ fn skip_ahead_matches_single_stepping_on_scenarios() {
     }
 }
 
+/// Line `j` of L1 set `k`: `heap(k)` and the lines 256, 512, … lines
+/// above it share one set of the 256-set, 2-way L1, so three of them in
+/// one core's cache evict a dirty line into its write-back buffer.
+fn set_line(k: u64, j: u64) -> Addr {
+    heap(k + 256 * j)
+}
+
+/// One of twelve consecutive heap lines, which never evict, or one of
+/// the three lines of L1 set 0 ([`set_line`]), which do.
+fn arb_addr() -> impl Strategy<Value = Addr> {
+    prop_oneof![
+        1 => (0u64..12).prop_map(heap),
+        1 => (0u64..3).prop_map(|j| set_line(0, j)),
+    ]
+}
+
 fn arb_op() -> impl Strategy<Value = IsaOp> {
-    let addr = (0u64..12).prop_map(heap);
     let fences = vec![
         FenceKind::PersistBarrier,
         FenceKind::NewStrand,
@@ -103,9 +118,9 @@ fn arb_op() -> impl Strategy<Value = IsaOp> {
         FenceKind::Dfence,
     ];
     prop_oneof![
-        3 => addr.clone().prop_map(IsaOp::Store),
-        3 => addr.clone().prop_map(IsaOp::Clwb),
-        2 => addr.prop_map(IsaOp::Load),
+        3 => arb_addr().prop_map(IsaOp::Store),
+        3 => arb_addr().prop_map(IsaOp::Clwb),
+        2 => arb_addr().prop_map(IsaOp::Load),
         1 => (0u32..120).prop_map(IsaOp::Compute),
         2 => prop::sample::select(fences).prop_map(IsaOp::Fence),
     ]
@@ -113,10 +128,11 @@ fn arb_op() -> impl Strategy<Value = IsaOp> {
 
 /// A trace of single operations, bursts that store to a few lines and
 /// then flush them (which fill the persist structures and the write
-/// queue), and `Lock`…`Unlock` blocks on one of two locks. Blocks never
-/// nest, so two cores cannot deadlock on them.
+/// queue), stores to all three lines of L1 set 0 (the third evicts a
+/// dirty one), and `Lock`…`Unlock` blocks on one of two locks. Blocks
+/// never nest, so two cores cannot deadlock on them.
 fn arb_trace() -> impl Strategy<Value = Vec<IsaOp>> {
-    let burst = prop::collection::vec((0u64..12).prop_map(heap), 1..7).prop_map(|lines| {
+    let burst = prop::collection::vec(arb_addr(), 1..7).prop_map(|lines| {
         let stores = lines.iter().map(|&a| IsaOp::Store(a));
         stores
             .chain(lines.iter().map(|&a| IsaOp::Clwb(a)))
@@ -126,21 +142,33 @@ fn arb_trace() -> impl Strategy<Value = Vec<IsaOp>> {
         let l = LockId(l);
         [vec![IsaOp::Lock(l)], body, vec![IsaOp::Unlock(l)]].concat()
     });
+    let evict = (0u64..3).prop_map(|first| {
+        let lines = (first..first + 3).map(|j| set_line(0, j % 3));
+        lines.map(IsaOp::Store).collect::<Vec<_>>()
+    });
     let segment = prop_oneof![
         4 => arb_op().prop_map(|op| vec![op]),
         2 => burst,
         1 => block,
+        2 => evict,
     ];
     prop::collection::vec(segment, 0..24).prop_map(|s| s.concat())
 }
 
-/// Up to three transient write faults, each on the n-th fresh write and
-/// sticky or not, with a spare line for each (a sticky fault escalates to
-/// a remap), so no run exhausts the spare pool and deadlocks.
+/// Up to three transient write faults, each on the n-th fresh write or
+/// on the first write of a line of L1 set 0 (which may be one core's
+/// write-back while the other core flushes the line), sticky or not, with
+/// a spare line for each (a sticky fault escalates to a remap), so no run
+/// exhausts the spare pool and deadlocks.
 fn arb_faults() -> impl Strategy<Value = Option<DeviceFaultSchedule>> {
-    let fault = (1u64..16, any::<bool>()).prop_map(|(n, sticky)| DeviceFault {
+    let on_line = (0u64..3).prop_map(|j| FaultTrigger::OnLine(set_line(0, j).line().raw()));
+    let trigger = prop_oneof![
+        1 => (1u64..16).prop_map(FaultTrigger::NthWrite),
+        2 => on_line,
+    ];
+    let fault = (trigger, any::<bool>()).prop_map(|(trigger, sticky)| DeviceFault {
         class: DeviceFaultClass::TransientWriteFail,
-        trigger: FaultTrigger::NthWrite(n),
+        trigger,
         sticky,
     });
     let schedule = (prop::collection::vec(fault, 1..4), 8u64..80).prop_map(|(faults, backoff)| {
