@@ -60,10 +60,11 @@ done
 echo "compatibility matrix ok"
 
 echo "== figures bit-identical to committed outputs =="
-# The allocator migration must not move a single byte of the paper
-# artifacts at the pinned CI scale; expected/ holds the committed
-# outputs (regenerate with the same env + redirect if a change is ever
-# intended, and say so in the PR).
+# The paper's tables and figures at the pinned CI scale. A change that
+# keeps the timing model (a refactor, a speed-up, a design folded into
+# another's engine) must not move a byte of them; expected/ holds the
+# committed outputs (regenerate with the same env + redirect if a change
+# is ever intended, and say so in the PR).
 figs_env=(SW_BENCH_THREADS=2 SW_BENCH_REGIONS=24 SW_BENCH_OPS_PER_REGION=2)
 for target in fig7 fig8 fig9 fig10 table2 summary; do
   diff expected/$target.txt <(env "${figs_env[@]}" "$SWCTL" "$target") \
@@ -122,9 +123,16 @@ cli_golden run.json run queue "${scale[@]}" --regions 24 --stats --json
 cli_golden run_redo.json run hashmap --lang sfr --design strandweaver --redo "${scale[@]}" \
   --regions 24 --json
 # Small queues, so the fence, sq_full, pq_full and lock stall counters
-# and the pq/sb gauges and histograms are all populated.
+# and the pq/sb gauges and histograms are all populated. The other three
+# put the persist ops of no-persist-queue (in the store queue) and HOPS,
+# and non-atomic's one flush slot, under the same back-pressure: they pin
+# the one switch that separates each from StrandWeaver or Intel.
 cli_golden run_stalls.json run queue --design strandweaver --sq 2 --pq 1 "${scale[@]}" \
   --regions 24 --json
+for design in no-persist-queue hops non-atomic; do
+  cli_golden "run_stalls_${design//-/_}.json" run queue --design "$design" --sq 2 --pq 1 \
+    "${scale[@]}" --regions 24 --json
+done
 cli_golden heap_churn.json heap hashmap --churn --json "${scale[@]}" --regions 24
 cli_golden table2.json table2 --json
 cli_golden fig7_strandweaver.json fig7 --design strandweaver --json
@@ -308,12 +316,15 @@ else
   echo "perf gate self-test ok (1.3x slowdown detected)"
 fi
 
-echo "== microbench (every criterion benchmark runs once) =="
+echo "== micro-benchmarks (microbench and sim_hot_path run once) =="
 # The micro-benchmarks assert nothing, so host speed cannot fail this
 # stage; one sample each checks that they still run, not only build
-# (about 20 s). It runs last because `cargo bench` relinks
-# target/release/swctl under the bench profile, and the stages above time
-# that binary.
+# (about 20 s, most of it the bench-profile build; sim_hot_path adds about
+# 1 s). sim_hot_path's engine_step_8core_* run every design's engine end
+# to end, the two const-parameter pairs included. The stage runs last
+# because `cargo bench` relinks target/release/swctl under the bench
+# profile, and the stages above time that binary.
 CRITERION_SAMPLES=1 cargo bench -p sw-bench --bench microbench
+CRITERION_SAMPLES=1 cargo bench -p sw-bench --bench sim_hot_path
 
 echo "ci: all gates passed"

@@ -6,20 +6,6 @@ use std::sync::Arc;
 use crate::addr::{Addr, LineAddr, WORDS_PER_LINE};
 use crate::hash::{FastMap, FastSet};
 
-/// Error returned by [`PmImage::try_load`] when the addressed line is
-/// poisoned: the media would signal an uncorrectable error instead of
-/// returning data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PoisonedLine(pub LineAddr);
-
-impl std::fmt::Display for PoisonedLine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "uncorrectable media error reading line {}", self.0)
-    }
-}
-
-impl std::error::Error for PoisonedLine {}
-
 /// Lines per [`Page`]: one page covers a 4 KiB span of the address space,
 /// so its presence bitmap is one `u64`.
 const LINES_PER_PAGE: u64 = 64;
@@ -138,10 +124,10 @@ pub(crate) fn page_bit(line: LineAddr) -> (u64, u64) {
 #[derive(Debug, Clone, Default)]
 pub struct PmImage {
     pages: FastMap<u64, Arc<Page>>,
-    /// Lines the media reports as uncorrectable: [`PmImage::try_load`]
-    /// errors on them. A store (which rewrites the location) heals the
-    /// line, as does a full-line persist ([`PmImage::absorb_line`] /
-    /// [`PmImage::set_line_words`]).
+    /// Lines the media reports as uncorrectable
+    /// ([`PmImage::is_poisoned`]). A store (which rewrites the location)
+    /// heals the line, as does a full-line persist ([`PmImage::absorb_line`]
+    /// / [`PmImage::set_line_words`]).
     poisoned: FastSet<LineAddr>,
 }
 
@@ -153,29 +139,15 @@ impl PmImage {
 
     /// Reads the word at `addr`. Unwritten memory reads as zero.
     ///
-    /// This is the legacy infallible surface: it ignores poison and returns
-    /// whatever bits the image holds. Fault-aware readers (recovery) use
-    /// [`PmImage::try_load`] instead.
+    /// It ignores poison and returns whatever bits the image holds.
+    /// Fault-aware readers (recovery's log-slot classification and
+    /// [`crate::scan_pool`]) test [`PmImage::is_poisoned`] on a line before
+    /// they trust its words.
     pub fn load(&self, addr: Addr) -> u64 {
         let (page, slot) = split(addr.line());
         self.pages
             .get(&page)
             .map_or(0, |p| p.line(slot)[addr.word_in_line()])
-    }
-
-    /// Reads the word at `addr`, failing if the containing line is
-    /// poisoned (an uncorrectable media error).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoisonedLine`] when the line was poisoned and not healed
-    /// by a subsequent store.
-    pub fn try_load(&self, addr: Addr) -> Result<u64, PoisonedLine> {
-        let line = addr.line();
-        if self.poisoned.contains(&line) {
-            return Err(PoisonedLine(line));
-        }
-        Ok(self.load(addr))
     }
 
     /// Writes the word at `addr`. Rewriting a poisoned line heals it (the
@@ -204,9 +176,9 @@ impl PmImage {
         }
     }
 
-    /// Marks `line` as uncorrectable: [`PmImage::try_load`] will fail on
-    /// it until a store or full-line persist heals it. The stored bits are
-    /// left in place (the legacy [`PmImage::load`] still reads them).
+    /// Marks `line` as uncorrectable: [`PmImage::is_poisoned`] reports it
+    /// until a store or full-line persist heals it. The stored bits are
+    /// left in place ([`PmImage::load`] still reads them).
     pub fn poison_line(&mut self, line: LineAddr) {
         self.poisoned.insert(line);
     }
@@ -457,21 +429,19 @@ mod tests {
     }
 
     #[test]
-    fn try_load_fails_on_poisoned_line_until_healed() {
+    fn poison_holds_until_a_store_heals_the_line() {
         let mut img = PmImage::new();
         img.store(Addr(64), 7);
         img.poison_line(LineAddr(1));
         assert!(img.is_poisoned(LineAddr(1)));
-        assert_eq!(img.try_load(Addr(64)), Err(PoisonedLine(LineAddr(1))));
-        assert_eq!(img.try_load(Addr(72)), Err(PoisonedLine(LineAddr(1))));
-        // The legacy surface still reads the stale bits.
+        // The stale bits stay readable.
         assert_eq!(img.load(Addr(64)), 7);
         // Other lines are unaffected.
-        assert_eq!(img.try_load(Addr(0)), Ok(0));
-        // A store heals the whole line.
+        assert!(!img.is_poisoned(LineAddr(0)));
+        // A store to any word heals the whole line.
         img.store(Addr(72), 9);
         assert!(!img.is_poisoned(LineAddr(1)));
-        assert_eq!(img.try_load(Addr(64)), Ok(7));
+        assert_eq!(img.load(Addr(64)), 7);
     }
 
     #[test]

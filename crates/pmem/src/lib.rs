@@ -60,7 +60,7 @@ pub use device::{
     OnlineFaultStats, ReadDecision, WriteDecision, BACKOFF_SHIFT_CAP,
 };
 pub use hash::{AddrHasher, FastMap, FastSet};
-pub use image::{PmImage, PoisonedLine};
+pub use image::PmImage;
 pub use layout::{Bump, PmLayout, Region, RegionKind};
 pub use memory::Memory;
 pub use remap::{RemapTable, REMAP_ENTRY_WORDS};

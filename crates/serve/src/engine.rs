@@ -381,10 +381,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     let mut reg = MetricsRegistry::new();
     let lat = reg.histogram("serve.latency_cycles");
 
-    let mut completed = 0u64;
-    let mut shed = 0u64;
     let mut timeouts = 0u64;
-    let mut unavailable = 0u64;
     let mut failed = 0u64;
     let mut poisoned_reads = 0u64;
     let mut failovers = 0u64;
@@ -401,7 +398,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         // read through).
         let target = if shards[home].failed {
             if is_read {
-                unavailable += 1;
                 shards[home].unavailable += 1;
                 continue;
             }
@@ -414,7 +410,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
                     t
                 }
                 None => {
-                    unavailable += 1;
                     shards[home].unavailable += 1;
                     continue;
                 }
@@ -426,7 +421,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         // Circuit breaker at admission.
         let admission = shards[target].breaker.admit(arrive);
         if admission == Admission::Reject {
-            unavailable += 1;
             shards[target].unavailable += 1;
             continue;
         }
@@ -438,7 +432,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         if admission == Admission::Admit
             && shards[target].sheds(cfg.shed, arrive, deadline, service_cycles, cfg.queue_depth)
         {
-            shed += 1;
             shards[target].shed += 1;
             continue;
         }
@@ -456,7 +449,6 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         match outcome {
             Served::Done { finish } => {
                 reg.observe(lat, finish - arrive);
-                completed += 1;
                 shards[target].served += 1;
                 shards[target].breaker.on_success();
             }
@@ -532,10 +524,10 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         offered_load: cfg.offered_load,
         service_cycles,
         offered: cfg.requests,
-        completed,
-        shed,
+        completed: shard_reports.iter().map(|s| s.served).sum(),
+        shed: shard_reports.iter().map(|s| s.shed).sum(),
         timeouts,
-        unavailable,
+        unavailable: shard_reports.iter().map(|s| s.unavailable).sum(),
         failed,
         retries: shards.iter().map(|s| s.retries).sum(),
         poisoned_reads,

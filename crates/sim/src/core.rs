@@ -1,6 +1,10 @@
 //! Per-core state: issue pipeline, store queue, persist queue, write-back
 //! buffer, and slots for whichever persist structures the design's engine
-//! attaches ([`crate::engines::PersistEngine::setup_core`]).
+//! attaches ([`crate::engines::PersistEngine::setup_core`]). The two queues
+//! share one persist-op type, [`PersistOp`]: StrandWeaver's persist ops
+//! wait in the persist queue, those of the design without one in the store
+//! queue, and either queue's head enters the strand buffer unit through
+//! the one entry, [`Machine::sbu_accept`](crate::Machine::sbu_accept).
 
 use sw_model::isa::IsaTrace;
 use sw_pmem::LineAddr;
@@ -12,29 +16,27 @@ use crate::ring::Ring;
 use crate::stats::CoreStats;
 use crate::strand_buffer::{DrainTargets, Sbu};
 
-/// An entry in the store queue. The no-persist-queue design routes persist
-/// primitives through the store queue, so they appear here too.
+/// A persist primitive on its way into the strand buffer unit
+/// ([`crate::Machine::sbu_accept`]): an entry of the persist queue, or of
+/// the store queue on the design that has no persist queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqOp {
-    /// A retiring store to `line`.
-    Store(LineAddr),
-    /// A CLWB flowing through the store queue (no-persist-queue design).
-    Clwb(LineAddr),
-    /// A persist barrier in the store queue (no-persist-queue design).
-    Pb,
-    /// A `NewStrand` in the store queue (no-persist-queue design).
-    Ns,
-}
-
-/// An entry in the persist queue (full StrandWeaver design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PqOp {
-    /// A CLWB awaiting issue to the strand buffer unit.
+pub enum PersistOp {
+    /// A CLWB of `line`.
     Clwb(LineAddr),
     /// A persist barrier.
     Pb,
     /// A `NewStrand`.
     Ns,
+}
+
+/// An entry in the store queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SqOp {
+    /// A retiring store to `line`.
+    Store(LineAddr),
+    /// A persist primitive waiting in the store queue, which only
+    /// StrandWeaver without its persist queue routes there.
+    Persist(PersistOp),
 }
 
 /// A memory access in flight (load issue or store retirement).
@@ -83,7 +85,7 @@ pub struct Core {
     pub sq: Ring<SqOp>,
     /// Persist queue (StrandWeaver design only; empty otherwise; fixed
     /// capacity: `SimConfig::persist_queue_entries`).
-    pub pq: Ring<PqOp>,
+    pub pq: Ring<PersistOp>,
     /// Strand buffer unit (StrandWeaver / no-persist-queue / HOPS).
     pub sbu: Option<Sbu>,
     /// Outstanding-flush engine (Intel / non-atomic).
@@ -130,8 +132,8 @@ impl Core {
             load_pending: None,
             store_pending: None,
             pending_fence: None,
-            sq: Ring::new(cfg.store_queue_entries, SqOp::Pb),
-            pq: Ring::new(cfg.persist_queue_entries, PqOp::Pb),
+            sq: Ring::new(cfg.store_queue_entries, SqOp::Persist(PersistOp::Pb)),
+            pq: Ring::new(cfg.persist_queue_entries, PersistOp::Pb),
             sbu: None,
             flush: None,
             wb: Vec::with_capacity(cfg.writeback_buffer_entries),
@@ -306,7 +308,7 @@ mod tests {
         let cfg = SimConfig::table_i();
         let mut core = Core::new(&cfg, vec![]);
         let line = LineAddr(5);
-        core.sq.push_back(SqOp::Clwb(line));
+        core.sq.push_back(SqOp::Persist(PersistOp::Clwb(line)));
         assert!(!core.sq_has_store_to(line));
     }
 }

@@ -9,7 +9,7 @@ use sw_model::HwDesign;
 use sw_pmem::LineAddr;
 
 use crate::config::SimConfig;
-use crate::core::Core;
+use crate::core::{Core, PersistOp};
 use crate::machine::Machine;
 use crate::strand_buffer::Sbu;
 
@@ -34,16 +34,10 @@ impl PersistEngine for Hops {
         // HOPS inserts into the persist buffer at issue; the elder
         // same-line store must have retired (checked here, before
         // insertion, to preserve deadlock freedom).
-        if m.cores[i].sq_has_store_to(line) {
+        if m.cores[i].sq_has_store_to(line) || !m.sbu_accept(i, PersistOp::Clwb(line)) {
             m.stall_persist_full(i);
             return false;
         }
-        if !m.cores[i].sbu.as_ref().expect("hops sbu").has_space() {
-            m.stall_persist_full(i);
-            return false;
-        }
-        m.cores[i].sbu.as_mut().expect("checked").push_clwb(line);
-        m.note_sb_enqueue(i);
         true
     }
 
@@ -51,12 +45,10 @@ impl PersistEngine for Hops {
         match kind {
             FenceKind::Ofence => {
                 // Lightweight: an epoch marker in the persist buffer.
-                if !m.cores[i].sbu.as_ref().expect("hops sbu").has_space() {
+                if !m.sbu_accept(i, PersistOp::Pb) {
                     m.stall_persist_full(i);
                     return false;
                 }
-                m.cores[i].sbu.as_mut().expect("checked").push_pb();
-                m.note_sb_enqueue(i);
                 true
             }
             FenceKind::Dfence => m.issue_completion_fence::<Self>(i, kind),

@@ -2,6 +2,11 @@
 //! set of outstanding-flush slots (bounded by D-cache MSHRs) with no
 //! ordering among them; `SFENCE` stalls subsequent memory-ordering
 //! instructions until the set is empty.
+//!
+//! The same engine runs the paper's NON-ATOMIC upper bound: Intel hardware
+//! whose runtime drops the pairwise log→update `SFENCE`s. `NON_ATOMIC`
+//! only sizes the slots: the bound gets the persist queue's capacity, so it
+//! is limited by the device, not by MSHRs.
 
 use sw_model::isa::FenceKind;
 use sw_model::HwDesign;
@@ -14,15 +19,30 @@ use crate::persist::FlushEngine;
 
 use super::PersistEngine;
 
-/// The Intel x86 engine.
+/// The outstanding-flush-slot engine; `NON_ATOMIC` picks the slot count.
 #[derive(Debug)]
-pub struct Intel;
+pub struct FlushSlots<const NON_ATOMIC: bool>;
 
-impl PersistEngine for Intel {
-    const DESIGN: HwDesign = HwDesign::IntelX86;
+/// The Intel x86 engine.
+pub type Intel = FlushSlots<false>;
+
+/// The non-atomic engine.
+pub type NonAtomic = FlushSlots<true>;
+
+impl<const NON_ATOMIC: bool> PersistEngine for FlushSlots<NON_ATOMIC> {
+    const DESIGN: HwDesign = if NON_ATOMIC {
+        HwDesign::NonAtomic
+    } else {
+        HwDesign::IntelX86
+    };
 
     fn setup_core(core: &mut Core, cfg: &SimConfig) {
-        core.flush = Some(FlushEngine::new(cfg.intel_flush_slots));
+        let slots = if NON_ATOMIC {
+            cfg.persist_queue_entries
+        } else {
+            cfg.intel_flush_slots
+        };
+        core.flush = Some(FlushEngine::new(slots));
     }
 
     fn backend(m: &mut Machine, i: usize) {

@@ -2,30 +2,49 @@
 //!
 //! Everything that makes one hardware design behave differently from
 //! another — which structure buffers CLWBs, what a fence admits or waits
-//! for, how store-queue persist ops drain, where the durability point sits
-//! — lives behind the [`PersistEngine`] trait, one module per design. The
-//! machine core (`machine.rs`) is design-agnostic: it owns the
-//! pipeline, caches, coherence, and the cycle loop, and calls into its
-//! engine at the four dispatch points (`setup_core`, `backend`,
-//! `issue_clwb`, `issue_fence`) plus the fence-condition and store-queue
-//! drain hooks.
+//! for, where persist ops wait, where the durability point sits — lives
+//! behind the [`PersistEngine`] trait. The machine core (`machine.rs`) is
+//! design-agnostic: it owns the pipeline, caches, coherence, and the cycle
+//! loop, and calls into its engine at the four dispatch points
+//! (`setup_core`, `backend`, `issue_clwb`, `issue_fence`) plus the
+//! fence-condition hook.
 //!
 //! Engines are stateless unit types whose functions take the machine (all
 //! per-core state lives in the core). [`crate::Machine::run`] matches its
 //! design once and runs the cycle loop monomorphized over that design's
 //! engine, so every per-cycle dispatch is a static, inlinable call.
 //!
+//! Four engines serve the six designs. A design that varies another by one
+//! structural choice is a const parameter of that design's engine, so each
+//! design still gets its own monomorphized cycle loop:
+//!
+//! - [`Strands`] attaches a strand buffer unit. `Strands<true>` is
+//!   [`StrandWeaver`], whose persist ops wait in a persist queue;
+//!   `Strands<false>` is [`NoPersistQueue`], whose persist ops wait in the
+//!   store queue. `PERSIST_QUEUE` is the one switch between them.
+//! - [`FlushSlots`] attaches Intel's unordered outstanding-flush slots.
+//!   `FlushSlots<false>` is [`Intel`]; `FlushSlots<true>` is [`NonAtomic`],
+//!   whose runtime drops the pairwise fences and whose slots take the
+//!   persist queue's capacity.
+//! - [`Hops`] attaches a one-buffer strand buffer unit as its persist
+//!   buffer; [`Eadr`] attaches nothing.
+//!
+//! Every persist op of the three strand-buffer designs enters the unit
+//! through one call, `Machine::sbu_accept`: StrandWeaver's persist-queue
+//! drain, HOPS's CLWB and `ofence` issue, and the store-queue drain for
+//! the design without a persist queue.
+//!
 //! Adding a design: write one `DesignSpec` row in `sw-model` (label,
-//! formal memory model, runtime lowering), one engine module here, and one
-//! arm in [`crate::Machine::run`], whose exhaustive `match` reports a
-//! missing arm at compile time. The litmus matrix and sim/model agreement
-//! suites pick the new design up from `HwDesign::ALL` automatically.
+//! formal memory model, runtime lowering), one arm in
+//! [`crate::Machine::run`], whose exhaustive `match` reports a missing arm
+//! at compile time, and either a new engine module here or, when the
+//! design varies an existing one, a parameter of that engine. The litmus
+//! matrix and sim/model agreement suites pick the new design up from
+//! `HwDesign::ALL` automatically.
 
 mod eadr;
 mod hops;
 mod intel;
-mod no_persist_queue;
-mod non_atomic;
 mod strandweaver;
 
 use sw_model::isa::FenceKind;
@@ -33,17 +52,15 @@ use sw_model::HwDesign;
 use sw_pmem::LineAddr;
 
 use crate::config::SimConfig;
-use crate::core::{Core, SqOp};
+use crate::core::{Core, PersistOp};
 use crate::machine::Machine;
 use crate::persist::ClwbState;
 use crate::strand_buffer::MAX_STRAND_BUFFERS;
 
 pub use eadr::Eadr;
 pub use hops::Hops;
-pub use intel::Intel;
-pub use no_persist_queue::NoPersistQueue;
-pub use non_atomic::NonAtomic;
-pub use strandweaver::StrandWeaver;
+pub use intel::{FlushSlots, Intel, NonAtomic};
+pub use strandweaver::{NoPersistQueue, StrandWeaver, Strands};
 
 /// The timing semantics of one hardware persistency design.
 ///
@@ -81,23 +98,13 @@ pub trait PersistEngine {
     /// Fence kinds the design does not treat as completion fences always
     /// report `true`.
     fn fence_condition_met(m: &Machine, i: usize, kind: FenceKind) -> bool;
-
-    /// Drains one non-store persist op (`Clwb`/`Pb`/`Ns`) from the head of
-    /// core `i`'s store queue. Returns `true` if the op was consumed (the
-    /// machine pops it), `false` to stop draining this cycle. Only designs
-    /// that route persist ops through the store queue see these entries;
-    /// the default consumes them as no-ops.
-    fn drain_sq_persist_op(m: &mut Machine, i: usize, op: SqOp) -> bool {
-        let _ = (m, i, op);
-        true
-    }
 }
 
 // Back-end helpers shared by several engines. They live here (not in the
 // machine core) because which structure a design drains is design policy;
 // the mechanics are common.
 impl Machine {
-    /// Intel / non-atomic: issue waiting flush slots, retire completed
+    /// Intel and non-atomic: issue waiting flush slots, retire completed
     /// ones. Slots wait for elder same-line stores to retire first.
     pub(crate) fn backend_flush_engine(&mut self, i: usize) {
         let Some(flush) = self.cores[i].flush.as_ref() else {
@@ -121,6 +128,30 @@ impl Machine {
         if flush.tick_retire(cycle) > 0 {
             self.progress = true;
         }
+    }
+
+    /// The one entry into core `i`'s strand buffer unit: a `NewStrand`
+    /// advances the ongoing buffer; a CLWB or persist barrier takes a slot
+    /// in it and emits the `SbEnqueue`, or returns `false` while the
+    /// ongoing buffer is full. A CLWB must have no elder same-line store
+    /// left in the store queue; callers check that before they offer it,
+    /// never inside the unit (the paper's deadlock-freedom argument).
+    pub(crate) fn sbu_accept(&mut self, i: usize, op: PersistOp) -> bool {
+        let sbu = self.cores[i]
+            .sbu
+            .as_mut()
+            .expect("design has strand buffers");
+        match op {
+            PersistOp::Ns => {
+                sbu.new_strand();
+                return true;
+            }
+            _ if !sbu.has_space() => return false,
+            PersistOp::Clwb(line) => sbu.push_clwb(line),
+            PersistOp::Pb => sbu.push_pb(),
+        }
+        self.note_sb_enqueue(i);
+        true
     }
 
     /// Strand buffers (StrandWeaver, no-persist-queue, HOPS): issue the

@@ -4,7 +4,7 @@
 //! design and reports cycle counts and stall breakdowns. Everything
 //! design-specific — fence admission and retirement semantics, CLWB
 //! enqueue policy, persist scheduling, drain conditions — lives behind the
-//! [`PersistEngine`] trait ([`crate::engines`], one module per design);
+//! [`PersistEngine`] trait ([`crate::engines`]);
 //! this module owns the design-agnostic substrate: the cycle loop, caches
 //! and coherence, locks, observability, and the PM/DRAM controllers. The
 //! front-end issue stage is in [`crate::pipeline`], the store-queue and
@@ -98,8 +98,10 @@
 //!
 //! Deadlock freedom follows the paper's argument: CLWBs wait for elder
 //! same-line stores *before* entering the strand buffer unit (at the
-//! persist-queue head), never inside it, so strand buffers always drain,
-//! which unblocks snoop stalls, which unblocks store retirement.
+//! persist-queue head, at HOPS's issue, or behind them in the store queue
+//! of the design without a persist queue), never inside it, so strand
+//! buffers always drain, which unblocks snoop stalls, which unblocks store
+//! retirement.
 
 use sw_model::isa::{FenceKind, IsaTrace, LockId};
 use sw_model::HwDesign;

@@ -1,11 +1,10 @@
 //! The design-agnostic back-end tail: store-queue retirement, the CLWB
 //! flush action, and the write-back buffer. Only the store-queue drain is
-//! generic over the persist engine: non-store persist ops in the store
-//! queue (present only under designs that route them there) drain through
-//! the engine's [`drain_sq_persist_op`] hook, and a store retiring on a
-//! design that persists at visibility records its durability point.
-//!
-//! [`drain_sq_persist_op`]: crate::engines::PersistEngine::drain_sq_persist_op
+//! generic over the persist engine: a store retiring on a design that
+//! persists at visibility records its durability point. StrandWeaver
+//! without its persist queue routes its persist ops through the store
+//! queue; they leave its head for the strand buffer unit through
+//! [`Machine::sbu_accept`], the unit's one entry.
 
 use sw_pmem::LineAddr;
 
@@ -85,8 +84,10 @@ impl Machine {
                     }
                     break; // one store in flight at a time
                 }
-                SqOp::Clwb(_) | SqOp::Pb | SqOp::Ns => {
-                    if !E::drain_sq_persist_op(self, i, op) {
+                // No elder store can hold a CLWB here: the stores ahead of
+                // it have left the queue and retired.
+                SqOp::Persist(op) => {
+                    if !self.sbu_accept(i, op) {
                         break;
                     }
                     self.cores[i].sq.pop_front();

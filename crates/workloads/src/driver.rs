@@ -18,6 +18,9 @@ use sw_pmem::{PmImage, PmLayout};
 
 use crate::Workload;
 
+/// Log entries per thread.
+pub const LOG_ENTRIES: u64 = 4096;
+
 /// Driver parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverParams {
@@ -34,15 +37,12 @@ pub struct DriverParams {
     pub total_regions: usize,
     /// Logical operations per region (the Figure 10 axis).
     pub ops_per_region: usize,
-    /// Log entries per thread.
-    pub log_entries: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Record the formal-model program (needed for crash sampling; disable
-    /// for large timing runs).
-    pub record_program: bool,
-    /// Record per-region write sets (crash-consistency checking).
-    pub record_regions: bool,
+    /// Record the formal-model program and the per-region write sets,
+    /// which crash sampling and crash-consistency checking need; off for
+    /// timing-only runs.
+    pub record: bool,
     /// Commit every thread's batched log when any log reaches this many
     /// live entries.
     pub coordination_threshold: u64,
@@ -68,10 +68,8 @@ impl DriverParams {
             threads: 8,
             total_regions: 400,
             ops_per_region: 1,
-            log_entries: 4096,
             seed: 42,
-            record_program: true,
-            record_regions: true,
+            record: true,
             coordination_threshold: 512,
             clean_shutdown: false,
             mce_line: None,
@@ -103,10 +101,9 @@ impl DriverParams {
         self
     }
 
-    /// Disables formal-program recording (timing-only runs).
+    /// Disables recording (timing-only runs).
     pub fn timing_only(mut self) -> Self {
-        self.record_program = false;
-        self.record_regions = false;
+        self.record = false;
         self
     }
 
@@ -152,7 +149,7 @@ pub struct DriverOutput {
 
 /// Runs `workload` under `params`.
 pub fn drive(workload: &mut dyn Workload, params: &DriverParams) -> DriverOutput {
-    let layout = PmLayout::new(params.threads, params.log_entries);
+    let layout = PmLayout::new(params.threads, LOG_ENTRIES);
     let mut ctx = FuncCtx::new(layout.clone(), params.threads);
     ctx.set_record_program(false);
     workload.setup(&mut ctx);
@@ -161,16 +158,16 @@ pub fn drive(workload: &mut dyn Workload, params: &DriverParams) -> DriverOutput
     // trace is discarded, and the simulator is pre-warmed with the
     // baseline's lines (see `Machine::preload_l2`).
     ctx.reset_traces();
-    ctx.set_record_program(params.record_program);
+    ctx.set_record_program(params.record);
 
     let mut rts: Vec<ThreadRuntime> = (0..params.threads)
         .map(|t| {
             let mut cfg = RuntimeConfig::new(params.design, params.lang);
             cfg.strategy = params.strategy;
-            cfg.record_regions = params.record_regions;
+            cfg.record_regions = params.record;
             // Self-commit only as a last-resort safety valve; batched
             // commits are coordinated by the driver.
-            cfg.commit_threshold = Some(params.log_entries.saturating_sub(64));
+            cfg.commit_threshold = Some(LOG_ENTRIES - 64);
             ThreadRuntime::new(&layout, t, cfg)
         })
         .collect();

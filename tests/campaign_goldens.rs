@@ -1,7 +1,7 @@
 //! The campaign goldens: the fixed-seed `swctl … --json` reports committed
-//! under `expected/`, the crash campaign's verdict and two timing runs (one
-//! redo-logged, one on eight cores), rebuilt through the library and
-//! compared byte for byte.
+//! under `expected/`, the crash campaign's verdict and the timing runs (one
+//! redo-logged, one on eight cores, four on tiny queues), rebuilt through
+//! the library and compared byte for byte.
 //! `ci.sh` also diffs each against the release binary's output. The
 //! largest, `serve_sweep.json` (57 serving cells), takes 3–5 s in a debug
 //! build on a 2-vCPU host.
@@ -93,6 +93,29 @@ fn eight_core_timing_run_matches_its_golden() {
         .with_metrics()
         .run_timing();
     golden("run_8core", stats.to_json());
+}
+
+#[test]
+fn back_pressure_timing_runs_match_their_goldens() {
+    // `run queue --design <d> --sq 2 --pq 1 --threads 2 --regions 24 --ops
+    // 2 --json`: tiny queues fill wherever each design's persist ops wait
+    // (StrandWeaver's persist queue, the store queue of the design without
+    // one, HOPS's persist buffer behind elder stores, non-atomic's flush
+    // slots, which take the persist queue's size), so these pin what
+    // separates StrandWeaver from no-persist-queue and Intel from
+    // non-atomic.
+    let designs = [
+        (HwDesign::StrandWeaver, "run_stalls"),
+        (HwDesign::NoPersistQueue, "run_stalls_no_persist_queue"),
+        (HwDesign::Hops, "run_stalls_hops"),
+        (HwDesign::NonAtomic, "run_stalls_non_atomic"),
+    ];
+    for (design, golden_name) in designs {
+        let mut e = cell(BenchmarkId::Queue, LangModel::Txn, design, 24, 1234);
+        e.sim.store_queue_entries = 2;
+        e.sim.persist_queue_entries = 1;
+        golden(golden_name, e.with_metrics().run_timing().to_json());
+    }
 }
 
 #[test]

@@ -186,12 +186,11 @@ fn allocator_journal_survives_a_crash_at_every_persist_point() {
     ];
     for (bench, lang, design) in cells {
         let mut workload = bench.instantiate_churn().expect("churn benchmarks");
-        let mut params = DriverParams::new(design, lang)
+        let params = DriverParams::new(design, lang)
             .threads(1)
             .total_regions(6)
             .ops_per_region(1)
             .seed(11);
-        params.log_entries = 256;
         let out = drive(workload.as_mut(), &params);
         let layout = &out.layout;
         let pmo = Pmo::compute(&out.ctx.execution(), design.memory_model());
